@@ -1,11 +1,13 @@
 """Exact-rational toolkit for window categories over symmetric quivers.
 
 Weight-lattice combinatorics for products of general linear groups attached
-to a quiver with a cut: polytope membership and r-invariants via exact
-simplex LP, iterated cocharacter decompositions of dominant weights,
-partition index sets with a semiorthogonal-style order, window counting
-with a PBW-type recursion, and an exact shuffle product with a two-parameter
-kernel.  All arithmetic is in Fraction / exact symbolics; no floats.
+to a quiver with a cut: polytope membership and r-invariants (a
+permutohedron prefix-sum form for one-vertex quivers, exact simplex LP for
+the rest and as the test oracle), iterated cocharacter decompositions of
+dominant weights, partition index sets with a semiorthogonal-style order,
+window counting with a PBW-type recursion, and an exact shuffle product
+with a two-parameter kernel.  All arithmetic is in Fraction / exact
+symbolics; no floats.
 """
 
 from .quiver_weights import (

@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import shuffle as shuffle_mod
 from .index_sets import Truncation, enum_S, enum_T, enum_U, enum_V, window_generators
 from .index_sets import compare as compare_partitions
-from .pbw import primitive_dims, verify_bijection, window_count_table
+from .pbw import composite_sum, primitive_dims, verify_bijection, window_count_table
 from .polytope import WPolytope
 from .quiver_weights import Quiver, Weight, builtin_quiver, rho, tau
 from .standard_form import decompose, omega_shift, slope_to_tree, tree_of_partition
@@ -29,6 +29,13 @@ EXIT_VERIFY = 2
 
 class DomainError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises DomainError on a bad command line, so it ends as one error line."""
+
+    def error(self, message):
+        raise DomainError(message)
 
 
 def _frac(x: Fraction) -> str:
@@ -86,6 +93,18 @@ def _parse_partition(text: str) -> tuple[tuple[int, int], ...]:
         raise DomainError(f"malformed partition {text!r}: {exc}") from exc
 
 
+def _require_dw(args, command: str) -> None:
+    if args.d is None or args.w is None:
+        raise DomainError(f"{command} needs --d and --w")
+    if args.d <= 0:
+        raise DomainError(f"--d must be positive, got {args.d}")
+
+
+def _check_d(args, d: int, what: str) -> None:
+    if args.d is not None and args.d != d:
+        raise DomainError(f"--d disagrees with the {what}")
+
+
 def _delta_weight(args, d: int) -> Weight:
     c = Fraction(args.delta) if getattr(args, "delta", None) else Fraction(0)
     return tau((d,)).scale(c)
@@ -101,9 +120,7 @@ def _print(line: str) -> None:
 def _cmd_r_invariant(args) -> int:
     q = _load_quiver(args.quiver)
     chi = _parse_weight(args.weight)
-    d = sum(chi.blocks)
-    if args.d is not None and args.d != d:
-        raise DomainError("--d disagrees with the weight length")
+    _check_d(args, sum(chi.blocks), "weight length")
     poly = WPolytope(q, chi.blocks)
     r = poly.r_invariant(chi)
     face = poly.face_cocharacter(chi, r)
@@ -125,8 +142,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_windows(args) -> int:
     q = _load_quiver(args.quiver)
-    if args.d is None or args.w is None:
-        raise DomainError("windows needs --d and --w")
+    _require_dw(args, "windows")
     delta = _delta_weight(args, args.d)
     gens = window_generators(q, (args.d,), args.w, delta)
     if args.format == "tsv":
@@ -140,8 +156,7 @@ def _cmd_windows(args) -> int:
 
 def _cmd_index_sets(args) -> int:
     q = _load_quiver(args.quiver)
-    if args.d is None or args.w is None:
-        raise DomainError("index-sets needs --d and --w")
+    _require_dw(args, "index-sets")
     d, w = args.d, args.w
     delta = _delta_weight(args, d)
     trunc = Truncation(
@@ -181,6 +196,9 @@ def _cmd_compare(args) -> int:
     d = sum(p[0] for p in A)
     if sum(p[0] for p in B) != d:
         raise DomainError("partitions have different total dimension")
+    if sum(p[1] for p in A) != sum(p[1] for p in B):
+        raise DomainError("partitions have different total weight")
+    _check_d(args, d, "partitions' total dimension")
     delta = _delta_weight(args, d)
     try:
         verdict = compare_partitions(q, d, A, B, delta)
@@ -191,10 +209,6 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_pbw_table(args) -> int:
-    from .index_sets import enum_U as _enum_U
-    from .pbw import sym_count
-    from collections import Counter
-
     q = _load_quiver(args.quiver)
     m = window_count_table(args.dmax, args.wmax, q)
     p = primitive_dims(args.dmax, args.wmax, q)
@@ -205,13 +219,7 @@ def _cmd_pbw_table(args) -> int:
             break
     if status == "OK":
         for (d, w), mv in m.items():
-            total = 0
-            for parts in _enum_U(d, w):
-                term = 1
-                for (pd, pw), mult in Counter(parts).items():
-                    term *= sym_count(p[(pd, pw)], mult)
-                total += term
-            if total != mv:
+            if p[(d, w)] + composite_sum(d, w, p) != mv:
                 status = "RECONSTRUCTION_MISMATCH"
                 break
     _print("d\tw\tm\tp")
@@ -224,8 +232,7 @@ def _cmd_pbw_table(args) -> int:
 
 def _cmd_verify_bijection(args) -> int:
     q = _load_quiver(args.quiver)
-    if args.d is None or args.w is None:
-        raise DomainError("verify-bijection needs --d and --w")
+    _require_dw(args, "verify-bijection")
     delta = _delta_weight(args, args.d)
     report = verify_bijection(args.d, args.w, args.bound, q, delta)
     _print(_dump({
@@ -281,6 +288,7 @@ def _cmd_omega_shift(args) -> int:
     q = _load_quiver(args.quiver)
     A = _parse_partition(args.partition)
     d = sum(p[0] for p in A)
+    _check_d(args, d, "partition's total dimension")
     try:
         shifted = omega_shift(q, (d,), A)
     except (DecompositionError, ValueError) as exc:
@@ -290,7 +298,7 @@ def _cmd_omega_shift(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="hallwin",
         description="Exact window/partition/shuffle computations.")
     sub = top.add_subparsers(dest="command", required=True)
@@ -364,16 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_DOMAIN if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    except SystemExit as exc:  # --help
+        return EXIT_DOMAIN if exc.code not in (0, None) else EXIT_OK
     except (ValueError, NotImplementedError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

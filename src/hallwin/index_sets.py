@@ -13,14 +13,14 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import Iterable, Iterator, Sequence
 
-from .polytope import WPolytope, cached_polytope
+from .polytope import cached_polytope
 from .quiver_weights import (
+    N_positive,
     Quiver,
     Weight,
     composition_cocharacter,
     compositions,
-    pair,
-    rep_weights,
+    omega_weight,
     rho,
 )
 from .standard_form import (
@@ -81,7 +81,7 @@ def _window_coordinate_bounds(quiver: Quiver, dims: Sequence[int], w: int,
                               shift: Weight) -> tuple[int, int]:
     """Exact coordinate bounds for dominant chi with chi + shift in W/2.
 
-    Uses the single-slot facet rays of the one-vertex zonotope: for the
+    Uses the single-slot facets of the one-vertex permutohedron: for the
     first (largest) coordinate n*phi_1 - sum(phi) <= h/2 and symmetrically
     for the last.
     """
@@ -230,8 +230,6 @@ def enum_T(quiver: Quiver, d: int, w: int, delta: Weight | None,
 
     The family is finite for fixed w; the truncation only filters.
     """
-    from .quiver_weights import omega_weight
-
     dims = (d,)
     if delta is None:
         delta = Weight.zero(dims)
@@ -264,10 +262,7 @@ def enum_T(quiver: Quiver, d: int, w: int, delta: Weight | None,
                 continue
         if trunc is not None and not all(trunc.admits(d, w, p) for p in A):
             continue
-        n_neg = Weight.zero(dims)
-        for beta in rep_weights(quiver, dims):
-            if pair(lam, beta) < 0:
-                n_neg = n_neg + beta
+        n_neg = N_positive(quiver, dims, -lam)
         shift = shift_base + n_neg.scale(half)
         lo, hi = _window_coordinate_bounds(quiver, dims, w, shift)
         pad = 1 + max(abs(v) for v in n_neg.coords)

@@ -184,14 +184,23 @@ def primitive_dims(d_max: int, w_max: int,
     p: dict[tuple[int, int], int] = {}
     for d in range(1, d_max + 1):
         for w in range(-w_max, w_max + 1):
-            total = 0
-            for parts in enum_U(d, w):
-                if len(parts) == 1:
-                    continue
-                groups = Counter(parts)
-                term = 1
-                for (pd, pw), mult in groups.items():
-                    term *= sym_count(p[(pd, pw)], mult)
-                total += term
-            p[(d, w)] = m[(d, w)] - total
+            p[(d, w)] = m[(d, w)] - composite_sum(d, w, p)
     return p
+
+
+def composite_sum(d: int, w: int, p: dict[tuple[int, int], int]) -> int:
+    """The share of m(d, w) from equal-slope partitions with two or more parts.
+
+    Sums, over those partitions, the product of symmetric-power dimensions
+    sym_count(p(d', w'), multiplicity) of their distinct parts; p must hold
+    every part smaller than d.  m(d, w) = p(d, w) + composite_sum(d, w, p).
+    """
+    total = 0
+    for parts in enum_U(d, w):
+        if len(parts) == 1:
+            continue
+        term = 1
+        for (pd, pw), mult in Counter(parts).items():
+            term *= sym_count(p[(pd, pw)], mult)
+        total += term
+    return total

@@ -2,12 +2,18 @@
 
 W(d) is the Minkowski sum of the segments [0, beta] over all nonzero
 torus weights beta of the edge representation, made translation-invariant
-along the diagonal axis tau_d.  Membership of chi in r*W and the minimal
-such r are decided by exact rational LP (no floating point, no tolerance).
+along the diagonal axis tau_d.
 
-For one-vertex quivers the facet normals of the zonotope part are the
-level-set cocharacters, which gives an independent support-function
-formula used as a cross-check oracle in the tests.
+For a one-vertex quiver with L >= 1 loops, W(n) is L copies of the
+A_{n-1} root zonotope, a permutohedron whose facet normals are the subset
+indicators.  With phi' = phi - mean(phi), phi lies in r*W exactly when
+
+    top_k(phi') <= r * L * k * (n - k)    for k = 1..n-1,
+
+so membership, the radius r_invariant and the face cocharacter are one
+sort and n-1 prefix sums.  Every other quiver (several vertices, or no
+loops) is decided by exact rational LP, which also serves as the test
+oracle for the prefix-sum form.  No floating point, no tolerance.
 """
 
 from __future__ import annotations
@@ -18,10 +24,10 @@ from typing import Sequence
 
 from . import lp
 from .quiver_weights import (
+    N_positive,
     Quiver,
     Weight,
-    adjoint_weights,
-    cochar_classes,
+    composition_cocharacter,
     pair,
     rep_weights,
     tau,
@@ -31,26 +37,42 @@ from .quiver_weights import (
 class WPolytope:
     """r-scaled membership queries for the segment polytope of (quiver, d)."""
 
-    def __init__(self, quiver: Quiver, dims: Sequence[int], *,
-                 segment_source: str = "rep"):
+    def __init__(self, quiver: Quiver, dims: Sequence[int]):
         self.quiver = quiver
         self.dims = tuple(dims)
         self.blocks = tuple(dims)
-        if segment_source == "rep":
-            raw = rep_weights(quiver, dims)
-        elif segment_source == "adjoint":
-            raw = adjoint_weights(quiver, dims)
-        else:
-            raise ValueError(f"unknown segment source {segment_source!r}")
         counts: dict[tuple[Fraction, ...], int] = {}
-        for w in raw:
+        for w in rep_weights(quiver, dims):
             if not w.is_zero():
                 counts[w.coords] = counts.get(w.coords, 0) + 1
         self.segments = [(Weight(c, self.blocks), mult)
                          for c, mult in sorted(counts.items())]
         self.axis = tau(dims)
-        self._source = segment_source
-        self._ray_data: list[tuple[Weight, Fraction]] | None = None
+        # The prefix-sum form needs a loop unless there is nothing to cut.
+        self._closed_form = len(self.dims) == 1 and (self.dims[0] == 1 or bool(quiver.edges))
+
+    def _check_blocks(self, chi: Weight) -> None:
+        if chi.blocks != self.blocks:
+            raise ValueError("weight has wrong block structure")
+
+    # -- one-vertex prefix-sum form ----------------------------------------
+
+    def _cuts(self, chi: Weight, *, ordered: bool) -> list[tuple[Fraction, int]]:
+        """(prefix_p(chi'), L*p*(n-p)) for the cuts p = 1..n-1.
+
+        chi' = chi - mean(chi).  With ordered=False the prefixes run over
+        the coordinates sorted descending, i.e. they are top_p(chi').
+        """
+        n = self.dims[0]
+        loops = len(self.quiver.edges)
+        mean = chi.total() / n
+        coords = chi.coords if ordered else sorted(chi.coords, reverse=True)
+        out = []
+        prefix = Fraction(0)
+        for p in range(1, n):
+            prefix += coords[p - 1] - mean
+            out.append((prefix, loops * p * (n - p)))
+        return out
 
     # -- LP formulation ----------------------------------------------------
     #
@@ -91,28 +113,34 @@ class WPolytope:
         r = Fraction(r)
         if r < 0:
             raise ValueError("radius must be nonnegative")
-        if chi.blocks != self.blocks:
-            raise ValueError("weight has wrong block structure")
+        self._check_blocks(chi)
+        if self._closed_form:
+            return all(top <= r * h for top, h in self._cuts(chi, ordered=False))
         A, b, ncols = self._rows(chi, with_r=False, r=r)
         return lp.feasible(A, b, ncols)
+
+    def contains_interior(self, chi: Weight, r) -> bool:
+        """Strict membership modulo the axis (one-vertex quivers)."""
+        if len(self.dims) != 1:
+            raise NotImplementedError("interior test implemented for one-vertex quivers")
+        r = Fraction(r)
+        return all(top < r * h for top, h in self._cuts(chi, ordered=False))
 
     def r_invariant(self, chi: Weight) -> Fraction:
         """Minimal r >= 0 with chi in r*W; raises if chi is not in the span.
 
-        One-vertex quivers with at least one segment use the facet-ray
-        support formula (pure arithmetic); the LP route is kept as
-        r_invariant_lp and cross-checked in the tests.
+        One-vertex quivers with a loop take the largest ratio
+        top_k(chi') / (L*k*(n-k)); other quivers go through r_invariant_lp.
         """
-        if chi.blocks != self.blocks:
-            raise ValueError("weight has wrong block structure")
-        if len(self.dims) == 1 and (self.dims[0] == 1 or self.segments):
-            return self.support_radius(chi)
+        self._check_blocks(chi)
+        if self._closed_form:
+            return max((top / h for top, h in self._cuts(chi, ordered=False)),
+                       default=Fraction(0))
         return self.r_invariant_lp(chi)
 
     def r_invariant_lp(self, chi: Weight) -> Fraction:
         """r_invariant via the exact two-phase simplex formulation."""
-        if chi.blocks != self.blocks:
-            raise ValueError("weight has wrong block structure")
+        self._check_blocks(chi)
         A, b, ncols = self._rows(chi, with_r=True, r=None)
         c = [Fraction(0)] * ncols
         c[-1] = Fraction(1)
@@ -121,92 +149,38 @@ class WPolytope:
             raise ValueError("weight does not lie in span(segments) + axis")
         return value
 
-    # -- support-function route (one-vertex facet normals) -----------------
-
-    def _rays(self) -> list[Weight]:
-        if len(self.dims) != 1:
-            raise NotImplementedError("facet rays implemented for one-vertex quivers")
-        # Level-set cocharacters of all proper nonempty slot subsets,
-        # projected to sum zero: the facet normals of the zonotope part.
-        n = self.dims[0]
-        out: list[Weight] = []
-        for mask in range(1, (1 << n) - 1):
-            coords = [Fraction(n if (mask >> i) & 1 else 0) for i in range(n)]
-            shift = sum(coords) / n
-            out.append(Weight(tuple(c - shift for c in coords), self.blocks))
-        return out
-
-    def _ray_supports(self) -> list[tuple[Weight, Fraction]]:
-        if self._ray_data is None:
-            self._ray_data = [(lam, self._support(lam)) for lam in self._rays()]
-        return self._ray_data
-
-    def support_radius(self, chi: Weight) -> Fraction:
-        """max over facet rays of <lam, chi> / h(lam); agrees with the LP."""
-        best = Fraction(0)
-        for lam, h in self._ray_supports():
-            num = pair(lam, chi)
-            if h == 0:
-                if num > 0:
-                    raise ValueError("weight outside span")
-                continue
-            ratio = num / h
-            if ratio > best:
-                best = ratio
-        return best
-
-    def contains_interior(self, chi: Weight, r) -> bool:
-        """Strict membership modulo the axis, via facet rays (one-vertex)."""
-        r = Fraction(r)
-        for lam, h in self._ray_supports():
-            if pair(lam, chi) >= r * h:
-                return False
-        return True
-
     def _support(self, lam: Weight) -> Fraction:
-        total = Fraction(0)
-        for beta, mult in self.segments:
-            p = pair(lam, beta)
-            if p > 0:
-                total += mult * p
-        return total
+        """Support function h(lam) = <lam, N^{lam>0}> of W."""
+        return pair(lam, N_positive(self.quiver, self.dims, lam))
 
     def face_cocharacter(self, chi: Weight, r: Fraction) -> tuple[tuple[int, ...], Weight] | None:
         """Finest cocharacter class whose canonical representative lam
         satisfies <lam, chi> = -r <lam, N^{lam>0}> exactly.
 
-        Ties between equally fine classes break to the lexicographically
-        earliest composition.  Returns None when r = 0.
+        r is the radius r_invariant(chi).  For antidominant lam both sides
+        add up over the cuts of lam's composition and every cut's slack is
+        >= 0, so the equation holds exactly for the compositions whose cuts
+        are tight: prefix_p(chi') = r*L*p*(n-p).  The finest one cuts at
+        every tight p.  Returns None when r = 0 or no cut is tight.
         """
         if r == 0:
             return None
-        source = rep_weights if self._source == "rep" else adjoint_weights
-        weights = source(self.quiver, self.dims)
-        best: tuple[tuple[int, ...], Weight] | None = None
-        for comp, lam in cochar_classes(self.dims):
-            if len(comp) < 2:
-                continue
-            pos = _positive_sum(weights, lam)
-            h = pair(lam, pos)
-            if h == 0:
-                continue
-            if pair(lam, chi) == -r * h:
-                if best is None or len(comp) > len(best[0]) or \
-                        (len(comp) == len(best[0]) and comp < best[0]):
-                    best = (comp, lam)
-        return best
-
-
-def _positive_sum(weights, lam: Weight) -> Weight:
-    acc = Weight.zero(lam.blocks)
-    for beta in weights:
-        if pair(lam, beta) > 0:
-            acc = acc + beta
-    return acc
+        if len(self.dims) != 1:
+            raise NotImplementedError("face cocharacters need a one-vertex quiver")
+        comp = []
+        last = 0
+        for p, (prefix, h) in enumerate(self._cuts(chi, ordered=True), 1):
+            if h and prefix == r * h:
+                comp.append(p - last)
+                last = p
+        if not comp:
+            return None
+        comp.append(self.dims[0] - last)
+        comp = tuple(comp)
+        return comp, composition_cocharacter(comp)
 
 
 @lru_cache(maxsize=None)
-def cached_polytope(quiver: Quiver, dims: tuple[int, ...],
-                    segment_source: str = "rep") -> WPolytope:
+def cached_polytope(quiver: Quiver, dims: tuple[int, ...]) -> WPolytope:
     """Shared immutable polytope instances for the enumeration hot paths."""
-    return WPolytope(quiver, dims, segment_source=segment_source)
+    return WPolytope(quiver, dims)

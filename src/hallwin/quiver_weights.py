@@ -271,16 +271,8 @@ def n_lambda(quiver: Quiver, dims: Sequence[int], lam: Weight) -> Fraction:
     Two-term model: sum of positive pairings over edge weights minus the
     same sum over adjoint weights.
     """
-    total = Fraction(0)
-    for beta in rep_weights(quiver, dims):
-        p = pair(lam, beta)
-        if p > 0:
-            total += p
-    for alpha in adjoint_weights(quiver, dims):
-        p = pair(lam, alpha)
-        if p > 0:
-            total -= p
-    return total
+    return (pair(lam, N_positive(quiver, dims, lam))
+            - pair(lam, adjoint_positive(quiver, dims, lam)))
 
 
 def compositions(n: int) -> Iterator[tuple[int, ...]]:

@@ -12,9 +12,11 @@ half polytope (closed).  Recursion proceeds independently inside the blocks
 of each node's cocharacter; a block stops once its residual radius drops to
 1/2 or below.
 
-The same engine with adjoint segments and threshold 0 solves the slope
-problem: writing sum_i w_i tau_{d_i} as -sum_j (3 r_j - 3/2) g_j + c tau_d
-for the tripled one-vertex quiver.
+Each node's radius and cocharacter come from the polytope's prefix-sum
+form (one sort per block, no LP).  The same engine on the Jordan quiver,
+whose edge weights are the adjoint weights, with threshold 0 solves the
+slope problem: writing sum_i w_i tau_{d_i} as -sum_j (3 r_j - 3/2) g_j +
+c tau_d for the tripled one-vertex quiver.
 """
 
 from __future__ import annotations
@@ -24,15 +26,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .polytope import WPolytope, cached_polytope
+from .polytope import cached_polytope
 from .quiver_weights import (
+    N_positive,
     Quiver,
     Weight,
-    adjoint_weights,
-    omega_weight,
+    adjoint_positive,
     composition_cocharacter,
-    pair,
-    rep_weights,
+    jordan,
+    omega_weight,
     rho,
     tau,
 )
@@ -112,13 +114,12 @@ def _leaf_partition(chi: Weight, leaf_blocks: Sequence[Sequence[int]]):
 
 def _decompose_block(quiver: Quiver, phi: Weight, slots: tuple[int, ...],
                      total_blocks: tuple[int, ...], depth: int,
-                     threshold: Fraction, segment_source: str,
-                     parent_r: Fraction | None):
+                     threshold: Fraction, parent_r: Fraction | None):
     """Returns (nodes, psi_pieces, leaf_blocks) for one block."""
     b = len(slots)
     sub_dims = (b,)
     sub_phi = phi.restrict(slots, sub_dims)
-    poly = cached_polytope(quiver, sub_dims, segment_source)
+    poly = cached_polytope(quiver, sub_dims)
     r = poly.r_invariant(sub_phi)
     if r <= threshold:
         return [], [(sub_phi, slots)], [slots]
@@ -128,11 +129,7 @@ def _decompose_block(quiver: Quiver, phi: Weight, slots: tuple[int, ...],
     comp, lam = face
     if parent_r is not None and not r < parent_r:
         raise DecompositionError("coefficients fail to decrease along the path")
-    source = rep_weights if segment_source == "rep" else adjoint_weights
-    N = Weight.zero(sub_dims)
-    for beta in source(quiver, sub_dims):
-        if pair(lam, beta) > 0:
-            N = N + beta
+    N = N_positive(quiver, sub_dims, lam)
     node = Node(
         lam=lam.embed(slots, total_blocks),
         r=r,
@@ -151,7 +148,7 @@ def _decompose_block(quiver: Quiver, phi: Weight, slots: tuple[int, ...],
         child_phi = reduced.embed(slots, total_blocks)
         sub_nodes, sub_psi, sub_leaves = _decompose_block(
             quiver, child_phi, child_slots, total_blocks, depth + 1,
-            threshold, segment_source, r)
+            threshold, r)
         nodes.extend(sub_nodes)
         psi_pieces.extend(sub_psi)
         leaf_blocks.extend(sub_leaves)
@@ -173,7 +170,7 @@ def decompose(quiver: Quiver, dims: Sequence[int], chi: Weight,
     phi = chi + rho(dims) + delta
     slots = tuple(range(sum(dims)))
     nodes, psi_pieces, leaf_blocks = _decompose_block(
-        quiver, phi, slots, dims, 0, Fraction(1, 2), "rep", None)
+        quiver, phi, slots, dims, 0, Fraction(1, 2), None)
     psi = Weight.zero(dims)
     for piece, piece_slots in psi_pieces:
         psi = psi + piece.embed(piece_slots, dims)
@@ -275,8 +272,9 @@ def slope_to_tree(quiver: Quiver, dims: Sequence[int],
         raise DecompositionError("slopes are not strictly decreasing")
     psi_A = _partition_weight(A)
     slots = tuple(range(sum(dims)))
+    # The adjoint weights are the edge weights of the Jordan quiver.
     nodes, psi_pieces, leaf_blocks = _decompose_block(
-        quiver, psi_A, slots, dims, 0, Fraction(0), "adjoint", None)
+        jordan(), psi_A, slots, dims, 0, Fraction(0), None)
     got = tuple(len(b) for b in leaf_blocks)
     if got != tuple(d for d, _w in A):
         raise DecompositionError("slope data does not reproduce the partition")
@@ -302,19 +300,6 @@ def _parts_cocharacter(A: Sequence[tuple[int, int]]) -> Weight:
     return composition_cocharacter([d for d, _w in A])
 
 
-def rho_negative(quiver: Quiver, dims: Sequence[int], lam: Weight) -> Weight:
-    """Half the sum of adjoint weights alpha with <lam, alpha> > 0.
-
-    Sign branch fixed so that chi_A below reproduces the reference values;
-    see the ledger for the convention discussion.
-    """
-    acc = Weight.zero(tuple(dims))
-    for alpha in adjoint_weights(quiver, dims):
-        if pair(lam, alpha) > 0:
-            acc = acc + alpha
-    return acc.scale(Fraction(1, 2))
-
-
 def chi_A(quiver: Quiver, dims: Sequence[int], A: Sequence[tuple[int, int]],
           delta: Weight | None = None) -> Weight:
     """chi_A = - sum_j r_j N_j - rho^{lam<0} - delta, tree from the slope solve."""
@@ -324,15 +309,14 @@ def chi_A(quiver: Quiver, dims: Sequence[int], A: Sequence[tuple[int, int]],
     tree = slope_to_tree(quiver, dims, A)
     acc = Weight.zero(dims)
     for node in tree.nodes:
-        lam_local = node.lam.restrict(node.block, (len(node.block),))
-        N_rep = Weight.zero((len(node.block),))
-        for beta in rep_weights(quiver, (len(node.block),)):
-            if pair(lam_local, beta) > 0:
-                N_rep = N_rep + beta
+        sub_dims = (len(node.block),)
+        lam_local = node.lam.restrict(node.block, sub_dims)
+        N_rep = N_positive(quiver, sub_dims, lam_local)
         acc = acc - N_rep.embed(node.block, dims).scale(node.r)
-    lam_parts = _parts_cocharacter(A)
-    acc = acc - rho_negative(quiver, dims, lam_parts) - delta
-    return acc
+    # rho^{lam<0}: half the sum of the lam-positive adjoint weights; this
+    # sign branch reproduces the reference chi_A values.
+    rho_neg = adjoint_positive(quiver, dims, _parts_cocharacter(A)).scale(Fraction(1, 2))
+    return acc - rho_neg - delta
 
 
 def delta_Ai(quiver: Quiver, dims: Sequence[int], A: Sequence[tuple[int, int]],

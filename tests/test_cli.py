@@ -175,3 +175,38 @@ def test_index_sets_missing_bound_exit_1(capsys):
     code, _, err = run(capsys, ["index-sets", "--set", "S", "--d", "2",
                                 "--w", "0"])
     assert code == 1
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["windows", "--d", "0", "--w", "1"],
+    ["verify-bijection", "--d", "0", "--w", "0"],
+    ["index-sets", "--set", "V", "--d", "-1", "--w", "0", "--slope-bound", "1"],
+])
+def test_nonpositive_d_exit_1(capsys, argv):
+    assert_one_error_line(*run(capsys, argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["windows", "--d", "x", "--w", "1"],
+    ["index-sets", "--set", "X", "--d", "2", "--w", "0"],
+    ["no-such-command"],
+    [],
+])
+def test_argparse_rejection_is_one_error_line(capsys, argv):
+    assert_one_error_line(*run(capsys, argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--a", "1,5", "--b", "1,1"],
+    ["compare", "--d", "3", "--a", "1,5;1,-5", "--b", "1,1;1,-1"],
+    ["omega-shift", "--d", "3", "--partition", "1,5;1,-5"],
+])
+def test_compare_inconsistent_input_exit_1(capsys, argv):
+    assert_one_error_line(*run(capsys, argv))

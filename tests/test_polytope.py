@@ -1,7 +1,8 @@
 """Segment-polytope membership, r-invariants, and face cocharacters.
 
-The ray/support formula and the exact simplex LP are independent routes to
-the same numbers; they are cross-checked here on grids and random weights.
+The one-vertex prefix-sum form is checked against slow oracles: the exact
+simplex LP for radii and membership, and a scan over all 2^(n-1)
+compositions for the face cocharacter.
 """
 
 from fractions import Fraction as F
@@ -10,12 +11,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hallwin import Weight, builtin_quiver, tau
+from hallwin import (
+    N_positive,
+    Weight,
+    adjoint_weights,
+    builtin_quiver,
+    cochar_classes,
+    jordan,
+    pair,
+    rep_weights,
+    tau,
+)
+from hallwin import lp
 from hallwin.polytope import WPolytope
 
 Q3 = builtin_quiver("tripled-jordan")
 P2 = WPolytope(Q3, (2,))
 P3 = WPolytope(Q3, (3,))
+QUIVERS = [builtin_quiver(name)
+           for name in ("jordan", "doubled-jordan", "tripled-jordan")]
 
 
 def W(*coords):
@@ -59,7 +73,7 @@ def test_lp_and_ray_formula_agree_on_grid():
               [(a, b, -a - b) for a in range(-3, 4) for b in range(-3, 4)]
         for coords in pts:
             chi = Weight.make([F(c) for c in coords], (d,))
-            assert poly.r_invariant_lp(chi) == poly.support_radius(chi)
+            assert poly.r_invariant_lp(chi) == poly.r_invariant(chi)
 
 
 @settings(max_examples=40, deadline=None)
@@ -69,7 +83,7 @@ def test_lp_and_ray_formula_agree_random(coords):
     d = len(coords)
     poly = P2 if d == 2 else P3
     chi = Weight.make(coords, (d,))
-    assert poly.r_invariant_lp(chi) == poly.support_radius(chi)
+    assert poly.r_invariant_lp(chi) == poly.r_invariant(chi)
 
 
 @settings(max_examples=40, deadline=None)
@@ -131,12 +145,87 @@ def test_interior_is_strict():
 
 
 def test_adjoint_segments_polytope():
-    pa = WPolytope(Q3, (2,), segment_source="adjoint")
-    # adjoint segments carry multiplicity 1 where the three-loop rep
-    # carries 3, so radii scale by exactly 3
+    pa = WPolytope(jordan(), (2,))
+    # the one-loop (adjoint) segments carry multiplicity 1 where the
+    # three-loop rep carries 3, so radii scale by exactly 3
     assert pa.r_invariant(W(1, -1)) == 3 * P2.r_invariant(W(1, -1))
 
 
 def test_contains_rejects_negative_radius():
     with pytest.raises(ValueError):
         P2.contains(W(1, -1), -1)
+
+
+# -- slow oracles for the prefix-sum form -----------------------------------
+
+
+def scan_face(poly, chi, r):
+    """Finest composition meeting the face equation, by scanning all 2^(n-1).
+
+    Ties between equally fine compositions break to the lexicographically
+    earliest one.
+    """
+    if r == 0:
+        return None
+    best = None
+    for comp, lam in cochar_classes(poly.dims):
+        if len(comp) < 2:
+            continue
+        h = pair(lam, N_positive(poly.quiver, poly.dims, lam))
+        if h == 0 or pair(lam, chi) != -r * h:
+            continue
+        if best is None or (-len(comp), comp) < (-len(best[0]), best[0]):
+            best = (comp, lam)
+    return best
+
+
+def lp_contains(poly, chi, r):
+    A, b, ncols = poly._rows(chi, with_r=False, r=r)
+    return lp.feasible(A, b, ncols)
+
+
+def weights(max_n):
+    """Fractional weights with 1..max_n coordinates."""
+    return st.integers(1, max_n).flatmap(lambda n: st.lists(
+        st.fractions(min_value=-6, max_value=6, max_denominator=4),
+        min_size=n, max_size=n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(QUIVERS), weights(5), st.booleans())
+def test_face_matches_composition_scan(q, coords, dominant):
+    if dominant:
+        coords = sorted(coords, reverse=True)
+    n = len(coords)
+    poly = WPolytope(q, (n,))
+    chi = Weight.make(coords, (n,))
+    r = poly.r_invariant(chi)
+    assert poly.face_cocharacter(chi, r) == scan_face(poly, chi, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(QUIVERS), weights(4))
+def test_membership_matches_lp(q, coords):
+    n = len(coords)
+    poly = WPolytope(q, (n,))
+    chi = Weight.make(coords, (n,))
+    r = poly.r_invariant_lp(chi)
+    assert poly.r_invariant(chi) == r
+    for radius in (r, r - F(1, 100), r + F(1, 100)):
+        if radius < 0:
+            continue
+        assert poly.contains(chi, radius) == lp_contains(poly, chi, radius)
+        if n > 1:
+            # modulo the axis, the interior of radius*W is {r_lp < radius}
+            assert poly.contains_interior(chi, radius) == (r < radius)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights(6))
+def test_r_invariant_scales_with_loop_count(coords):
+    n = len(coords)
+    chi = Weight.make(coords, (n,))
+    r_jordan = WPolytope(jordan(), (n,)).r_invariant(chi)
+    for q in QUIVERS:
+        assert WPolytope(q, (n,)).r_invariant(chi) == r_jordan / len(q.edges)
+        assert adjoint_weights(q, (n,)) == rep_weights(jordan(), (n,))
