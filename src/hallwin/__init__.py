@@ -64,6 +64,14 @@ from .pbw import (
     primitive_dims,
     verify_bijection,
 )
-from . import shuffle
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name):
+    # the shuffle layer loads sympy, so it is imported on first use
+    if name == "shuffle":
+        import importlib
+        return importlib.import_module(".shuffle", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + ["shuffle"])

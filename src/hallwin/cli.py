@@ -13,7 +13,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import shuffle as shuffle_mod
 from .index_sets import Truncation, enum_S, enum_T, enum_U, enum_V, window_generators
 from .index_sets import compare as compare_partitions
 from .pbw import composite_sum, primitive_dims, verify_bijection, window_count_table
@@ -246,6 +245,8 @@ def _cmd_verify_bijection(args) -> int:
 
 
 def _cmd_shuffle(args) -> int:
+    from . import shuffle as shuffle_mod
+
     params = shuffle_mod.KernelParams(mode=args.mode)
     if args.action == "mul":
         if len(args.expr) != 2:

@@ -38,6 +38,9 @@ class WPolytope:
     """r-scaled membership queries for the segment polytope of (quiver, d)."""
 
     def __init__(self, quiver: Quiver, dims: Sequence[int]):
+        if len(dims) != quiver.num_vertices:
+            raise ValueError(f"weight has {len(dims)} blocks but the quiver has "
+                             f"{quiver.num_vertices} vertices (one block per vertex)")
         self.quiver = quiver
         self.dims = tuple(dims)
         self.blocks = tuple(dims)

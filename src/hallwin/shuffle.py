@@ -7,6 +7,13 @@ factors zeta(z_i / z_j) over order-preserving splittings I | J.
 
 Setting q1 = q2 = 1 kills the kernel numerator, zeta collapses to 1, and
 the product degenerates to plain symmetrization.
+
+A product is a lazy tree: `mul` records its factors, and `shuffle_eval` and
+probabilistic `equals` evaluate the splitting sum directly in `Fraction`
+from each leaf's numerator and denominator coefficients (read once per
+leaf).  Otherwise sympy is used only for parsing, printing, exact
+equality, the symmetry check and the pole fallback, which reads a
+product's `expr` and so builds it.
 """
 
 from __future__ import annotations
@@ -78,14 +85,40 @@ def zvars(n: int):
     return _Z[:n]
 
 
-@dataclass(frozen=True)
 class ShuffleElement:
-    degree: int
-    expr: object  # sympy expression in z1..z_degree and kernel parameters
+    """A symmetric rational function of the given degree.
 
-    def __post_init__(self):
-        if self.degree < 0:
+    `expr` is a sympy expression in z1..z_degree and kernel parameters.  A
+    product made by `mul` records its two factors and its kernel instead and
+    builds `expr` (the raw splitting sum) only when something reads it.
+    """
+
+    __slots__ = ("degree", "_expr", "_factors", "_leaf")
+
+    def __init__(self, degree: int, expr):
+        if degree < 0:
             raise ValueError("negative degree")
+        self.degree = degree
+        self._expr = expr
+        self._factors = None  # (f, g, params) when self is a product
+        self._leaf = None  # _leaf_data(self), computed once
+
+    @property
+    def expr(self):
+        if self._expr is None:
+            self._expr = _splitting_sum(*self._factors)
+        return self._expr
+
+    def __eq__(self, other):
+        if not isinstance(other, ShuffleElement):
+            return NotImplemented
+        return (self.degree, self.expr) == (other.degree, other.expr)
+
+    def __hash__(self):
+        return hash((self.degree, self.expr))
+
+    def __repr__(self):
+        return f"ShuffleElement(degree={self.degree!r}, expr={self.expr!r})"
 
     @staticmethod
     def scalar(c) -> "ShuffleElement":
@@ -127,15 +160,11 @@ def _relabel(expr, n: int, positions) -> object:
     return expr.subs(sub1).subs(sub2)
 
 
-def mul(f: ShuffleElement, g: ShuffleElement,
-        params: KernelParams = KernelParams()) -> ShuffleElement:
-    """Shuffle product: sum over order-preserving splittings of z_1..z_{n+m}."""
+def _splitting_sum(f: ShuffleElement, g: ShuffleElement, params: KernelParams):
+    """The sympy expression of the product f * g."""
     n, m = f.degree, g.degree
-    total = n + m
-    if total > _MAX_VARS:
-        raise ValueError("product degree exceeds the supported maximum")
     acc = sympy.Integer(0)
-    universe = list(range(1, total + 1))
+    universe = list(range(1, n + m + 1))
     for I in itertools.combinations(universe, n):
         J = tuple(p for p in universe if p not in I)
         term = _relabel(f.expr, n, I) * _relabel(g.expr, m, J)
@@ -145,13 +174,129 @@ def mul(f: ShuffleElement, g: ShuffleElement,
         acc += term
     # kept as a raw sum: a global exact cancellation is exponential in the
     # degree, and evaluation / equality checks do not need it
-    return ShuffleElement(total, acc)
+    return acc
+
+
+def mul(f: ShuffleElement, g: ShuffleElement,
+        params: KernelParams = KernelParams()) -> ShuffleElement:
+    """Shuffle product: sum over order-preserving splittings of z_1..z_{n+m}."""
+    if f.degree + g.degree > _MAX_VARS:
+        raise ValueError("product degree exceeds the supported maximum")
+    prod = ShuffleElement(f.degree + g.degree, None)
+    prod._factors = (f, g, params)
+    return prod
+
+
+# -- exact evaluation in Fraction ------------------------------------------
+
+
+def _terms(poly, gens) -> list:
+    """A polynomial as (exponents, Fraction coefficient) pairs in gens."""
+    try:
+        terms = sympy.Poly(poly, *gens).terms() if gens else [((), poly)]
+    except sympy.PolynomialError as exc:
+        raise ValueError(f"element is not a rational function: {exc}") from exc
+    out = []
+    for monom, c in terms:
+        if not c.is_Rational:
+            raise ValueError(f"element coefficient {c} is not rational")
+        out.append((monom, Fraction(int(c.p), int(c.q))))
+    return out
+
+
+def _leaf_data(el: ShuffleElement) -> tuple:
+    """(parameter symbols, numerator terms, denominator terms) of a non-product
+    element, in the generators z1..z_degree followed by the parameters."""
+    if el._leaf is None:
+        expr = sympy.sympify(el.expr)
+        zs = list(zvars(el.degree))
+        params = sorted(expr.free_symbols - set(zs), key=lambda s: s.name)
+        num, den = sympy.fraction(together(expr))
+        el._leaf = (params, _terms(num, zs + params), _terms(den, zs + params))
+    return el._leaf
+
+
+def _parameters(el: ShuffleElement) -> set:
+    """The symbols other than z1..z_degree that the value of el depends on."""
+    if el._factors is None:
+        return set(_leaf_data(el)[0])
+    f, g, params = el._factors
+    kernel = set()
+    if f.degree and g.degree:
+        kernel = {q1, q2} if params.mode == "a2" else {D_sym, K_sym}
+    return _parameters(f) | _parameters(g) | kernel
+
+
+def _poly_value(terms, values) -> Fraction:
+    total = Fraction(0)
+    for monom, c in terms:
+        for v, e in zip(values, monom):
+            if e:
+                c *= v ** e
+        total += c
+    return total
+
+
+class _Point:
+    """Evaluation at one point: parameter values by symbol, with the values
+    of sub-elements and kernel factors cached.  A pole in any leaf or kernel
+    factor raises ZeroDivisionError (or its subclass PoleError)."""
+
+    def __init__(self, env: dict):
+        self.env = env
+        self.values: dict = {}
+        self.kernels: dict = {}
+
+    def kernel(self, a: Fraction, b: Fraction, params: KernelParams) -> Fraction:
+        key = (params.mode, a, b)
+        if key not in self.kernels:
+            env = self.env
+            if params.mode == "a2":
+                qa, qb = env[q1], env[q2]
+                # at q1 = 1 or q2 = 1 the numerator cancels the denominator,
+                # so zeta is identically 1, also where 1 - x vanishes
+                val = Fraction(1) if 1 in (qa, qb) else zeta_value(a / b, qa, qb)
+            else:
+                x = a / b
+                den = (1 - x) * (1 - x * env[K_sym])
+                if den == 0:
+                    raise PoleError(f"zeta pole at x={x}")
+                val = 1 + x * env[D_sym] / den
+            self.kernels[key] = val
+        return self.kernels[key]
+
+    def value(self, el: ShuffleElement, zs: tuple) -> Fraction:
+        """Value of el at the z values zs."""
+        key = (id(el), zs)
+        if key in self.values:
+            return self.values[key]
+        if el._factors is None:
+            params, num, den = _leaf_data(el)
+            values = zs + tuple(self.env[s] for s in params)
+            val = _poly_value(num, values) / _poly_value(den, values)
+        else:
+            f, g, params = el._factors
+            val = Fraction(0)
+            for I in itertools.combinations(range(el.degree), f.degree):
+                J = [p for p in range(el.degree) if p not in I]
+                term = (self.value(f, tuple(zs[i] for i in I))
+                        * self.value(g, tuple(zs[j] for j in J)))
+                for i in I:
+                    for j in J:
+                        term *= self.kernel(zs[i], zs[j], params)
+                val += term
+        self.values[key] = val
+        return val
 
 
 def equals(f: ShuffleElement, g: ShuffleElement,
            params: KernelParams = KernelParams(),
            strategy: str = "exact", seed: int = 0, points: int = 5) -> bool:
-    """Exact (cross-multiplied identity) or seeded probabilistic equality."""
+    """Exact (cross-multiplied identity) or seeded probabilistic equality.
+
+    The probabilistic check evaluates both sides in Fraction at seeded random
+    points, skipping a point where any term hits a pole.
+    """
     if f.degree != g.degree:
         raise ValueError("degrees differ")
     if strategy == "exact":
@@ -159,19 +304,22 @@ def equals(f: ShuffleElement, g: ShuffleElement,
     if strategy != "probabilistic":
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = random.Random(seed)
-    diff = f.expr - g.expr
-    syms = sorted(diff.free_symbols, key=lambda s: s.name)
+    zs = zvars(f.degree)
+    syms = sorted(set(zs) | _parameters(f) | _parameters(g), key=lambda s: s.name)
     checked = 0
     attempts = 0
     while checked < points:
         attempts += 1
         if attempts > 50 * points:
             raise PoleError("could not find enough pole-free sample points")
-        subs = {s: Rational(rng.randint(2, 97), rng.randint(1, 23)) for s in syms}
-        val = diff.subs(subs)
-        if val.has(sympy.zoo, sympy.nan, sympy.oo):
+        env = {s: Fraction(rng.randint(2, 97), rng.randint(1, 23)) for s in syms}
+        point = _Point(env)
+        at = tuple(env[z] for z in zs)
+        try:
+            same = point.value(f, at) == point.value(g, at)
+        except ZeroDivisionError:
             continue
-        if val != 0:
+        if not same:
             return False
         checked += 1
     return True
@@ -181,23 +329,31 @@ def shuffle_eval(f: ShuffleElement, z_values, q1_val, q2_val) -> Fraction:
     """Exact rational value of f at rational z's and kernel parameters."""
     if len(z_values) != f.degree:
         raise ValueError("wrong number of z values")
-    subs = {q1: Rational(Fraction(q1_val)), q2: Rational(Fraction(q2_val))}
-    for z, v in zip(zvars(f.degree), z_values):
-        subs[z] = Rational(Fraction(v))
-    val = f.expr.subs(subs)
-    if val.has(sympy.zoo, sympy.nan, sympy.oo):
-        # a single term hit a pole; the full cancelled form may still be
-        # regular there, so fall back to the exact rational normal form
-        expr = cancel(together(f.expr))
-        num, den = sympy.fraction(expr)
-        den_val = den.subs(subs)
-        if den_val == 0:
-            for factor in sympy.Mul.make_args(sympy.factor(den)):
-                if factor.subs(subs) == 0:
-                    raise PoleError(f"denominator factor {factor} vanishes")
-            raise PoleError("denominator vanishes")
-        val = num.subs(subs) / den_val
-    val = sympy.nsimplify(val, rational=True)
+    env = {q1: Fraction(q1_val), q2: Fraction(q2_val)}
+    missing = _parameters(f) - set(env)
+    if missing & {D_sym, K_sym}:
+        raise ValueError("formal-kernel elements need values for D and K, "
+                         "and shuffle_eval takes values for q1 and q2 only")
+    if missing:
+        raise ValueError(f"no values for {sorted(map(str, missing))}")
+    zs = tuple(Fraction(v) for v in z_values)
+    try:
+        return _Point(env).value(f, zs)
+    except ZeroDivisionError:
+        pass
+    # a single term hit a pole; the full cancelled form may still be regular
+    # there (z_i = z_j is removable), so fall back to the exact normal form
+    subs = {s: Rational(v) for s, v in env.items()}
+    subs.update({z: Rational(v) for z, v in zip(zvars(f.degree), zs)})
+    expr = cancel(together(f.expr))
+    num, den = sympy.fraction(expr)
+    den_val = den.subs(subs)
+    if den_val == 0:
+        for factor in sympy.Mul.make_args(sympy.factor(den)):
+            if factor.subs(subs) == 0:
+                raise PoleError(f"denominator factor {factor} vanishes")
+        raise PoleError("denominator vanishes")
+    val = sympy.nsimplify(num.subs(subs) / den_val, rational=True)
     return Fraction(int(val.p), int(val.q))
 
 

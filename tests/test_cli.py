@@ -210,3 +210,10 @@ def test_argparse_rejection_is_one_error_line(capsys, argv):
 ])
 def test_compare_inconsistent_input_exit_1(capsys, argv):
     assert_one_error_line(*run(capsys, argv))
+
+
+@pytest.mark.parametrize("weight", ["1,-1;0", "1,2;3"])
+def test_block_count_mismatch_exit_1(capsys, weight):
+    code, out, err = run(capsys, ["r-invariant", "--weight", weight])
+    assert_one_error_line(code, out, err)
+    assert "blocks" in err

@@ -47,6 +47,15 @@ def test_window_generators_delta_shift():
             assert with_delta == plain
 
 
+def test_window_duality():
+    # chi -> -reverse(chi) maps the windows of weight -w onto those of w
+    for d in range(1, 5):
+        for w in range(-4, 5):
+            dual = {tuple(-c for c in reversed(g))
+                    for g in coords(window_generators(Q3, (d,), -w))}
+            assert dual == set(coords(window_generators(Q3, (d,), w)))
+
+
 def test_window_coordinate_bound_only_widens():
     base = window_generators(Q3, (2,), 4)
     wide = window_generators(Q3, (2,), 4, coordinate_bound=30)

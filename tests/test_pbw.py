@@ -33,8 +33,8 @@ def test_window_count_frozen():
 
 
 def test_window_count_periodicity():
-    for d in (1, 2, 3, 4):
-        for w in range(-3, 4):
+    for d in range(1, 6):
+        for w in range(-6, 7):
             assert window_count(d, w) == window_count(d, w + d)
 
 

@@ -36,6 +36,11 @@ def W(*coords):
     return Weight.make([F(c) for c in coords], (len(coords),))
 
 
+def test_block_count_must_match_vertex_count():
+    with pytest.raises(ValueError, match="blocks"):
+        WPolytope(Q3, (2, 1))
+
+
 def test_r_invariant_frozen_values():
     assert P2.r_invariant(W(5, -5)) == F(5, 3)
     assert P2.r_invariant(W(F(11, 2), F(-11, 2))) == F(11, 6)

@@ -143,3 +143,125 @@ def test_scalar_and_unit():
     s = ShuffleElement.scalar(F(3, 2))
     assert s.degree == 0
     assert equals(mul(s, s, A2), ShuffleElement.scalar(F(9, 4)), A2)
+
+
+# -- Fraction evaluation against the sympy expression ----------------------
+
+FORMAL = KernelParams("formal")
+
+
+def sympy_value(el, zs, qa, qb):
+    """Oracle: substitute into the built sympy expression; None at a pole."""
+    subs = {shuffle.q1: sympy.Rational(qa), shuffle.q2: sympy.Rational(qb)}
+    subs.update({z: sympy.Rational(v) for z, v in zip(zvars(el.degree), zs)})
+    val = el.expr.subs(subs)
+    if val.has(sympy.zoo, sympy.nan, sympy.oo):
+        return None
+    return F(int(val.p), int(val.q))
+
+
+def random_leaf(rng, n):
+    """A seeded element of degree n; n = "R" gives a degree-2 symmetric
+    rational function that is not a polynomial."""
+    if n == 0:
+        return ShuffleElement.scalar(F(rng.randint(-3, 5), rng.randint(1, 3)))
+    if n == "R":
+        return elem(2, f"({rng.randint(1, 4)}*z1*z2 + 1)/(z1 + z2 + {rng.randint(1, 5)})")
+    zs = zvars(n)
+    expr = (rng.randint(-2, 3) + rng.randint(-2, 3) * sum(zs)
+            + rng.randint(0, 2) * sympy.Mul(*zs)
+            + rng.randint(0, 1) * sum(z ** 2 for z in zs))
+    return ShuffleElement.from_expr(n, expr)
+
+
+def random_point(rng, n):
+    """Distinct nonzero z's, so only the kernel's q1*q2 pole can be hit."""
+    while True:
+        zs = tuple(F(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 9))
+                   for _ in range(n))
+        if len(set(zs)) == n:
+            return zs
+
+
+@pytest.mark.parametrize("degrees", [
+    (0, 1), (1, 0), (0, 2), (1, 1), (2, 1), (1, "R"), (2, "R"),
+    (1, 1, 1), (0, 1, 2), ("R", 0, 1),
+])
+@pytest.mark.parametrize("qs", [(F(2), F(3)), (F(-1, 2), F(5)), (F(1), F(1))])
+def test_eval_matches_sympy_substitution(degrees, qs):
+    rng = random.Random(repr((degrees, qs)))
+    leaves = [random_leaf(rng, n) for n in degrees]
+    if len(leaves) == 2:
+        products = [mul(*leaves, A2)]
+    else:
+        a, b, c = leaves
+        products = [mul(mul(a, b, A2), c, A2), mul(a, mul(b, c, A2), A2)]
+    for prod in products:
+        checked = 0
+        while checked < 2:
+            zs = random_point(rng, prod.degree)
+            want = sympy_value(prod, zs, *qs)
+            if want is None:
+                continue
+            assert shuffle_eval(prod, zs, *qs) == want
+            checked += 1
+
+
+def test_probabilistic_equals_agrees_with_exact():
+    f, g, one = elem(1, "z1"), elem(1, "z1**2 + 1"), const(1)
+    s = ShuffleElement.scalar(F(3, 2))
+    prod = mul(one, one, A2)
+    formal = mul(f, one, FORMAL)
+    pairs = [
+        (mul(unit, g, A2), g, True),
+        (mul(s, f, A2), mul(f, s, A2), True),
+        (prod, ShuffleElement(2, prod.expr), True),
+        (formal, ShuffleElement(2, formal.expr), True),
+        (mul(f, one, A2), mul(one, f, A2), False),
+        (formal, mul(one, f, FORMAL), False),
+        (mul(f, g, A2), mul(f, g, A2), True),
+        (mul(f, g, A2), mul(g, f, A2), False),
+    ]
+    for a, b, same in pairs:
+        assert equals(a, b, A2, strategy="exact") is same
+        assert equals(a, b, A2, strategy="probabilistic", seed=3) is same
+
+
+def test_eval_does_not_build_sympy_sum(monkeypatch):
+    a, b, c = elem(1, "z1 + 2"), elem(2, "z1*z2"), const(1)
+    left = mul(mul(a, b, A2), c, A2)
+    right = mul(a, mul(b, c, A2), A2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sympy sum was built")
+
+    monkeypatch.setattr(shuffle, "zeta", forbidden)
+    monkeypatch.setattr(shuffle, "cancel", forbidden)
+    assert equals(left, right, A2, strategy="probabilistic", seed=1)
+    shuffle_eval(left, (F(2), F(3), F(5), F(7)), F(2), F(3))
+
+
+def test_eval_at_removable_pole_uses_normal_form():
+    one = const(1)
+    for prod, zs in [(mul(one, one, A2), (F(3), F(3))),
+                     (mul(mul(one, one, A2), one, A2), (F(2), F(5), F(2)))]:
+        subs = dict(zip(zvars(prod.degree), map(sympy.Rational, zs)))
+        subs.update({shuffle.q1: 2, shuffle.q2: 3})
+        normal = sympy.cancel(sympy.together(prod.expr)).subs(subs)
+        assert shuffle_eval(prod, zs, F(2), F(3)) == F(int(normal.p), int(normal.q))
+
+
+def test_kernel_is_one_when_a_q_is_one():
+    # at q1 = 1 or q2 = 1 the kernel's numerator cancels its denominator, so
+    # the product is plain symmetrization even at z1 = z2, where 1 - x = 0
+    a, b, c = elem(1, "z1 + 2"), elem(1, "z1"), elem(1, "3*z1 + 1")
+    prod = mul(mul(a, b, A2), c, A2)
+    zs = (F(2), F(2), F(5))
+    for qs in [(F(1), F(1)), (F(1), F(3)), (F(2, 5), F(1))]:
+        assert shuffle_eval(prod, zs, *qs) == sympy_value(prod, zs, *qs) == 732
+
+
+def test_eval_formal_kernel_needs_D_and_K():
+    one = const(1)
+    with pytest.raises(ValueError, match="D and K"):
+        shuffle_eval(mul(one, one, FORMAL), (F(5), F(1)), F(2), F(3))
