@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .index_sets import Truncation, enum_S, enum_T, enum_U, enum_V, window_generators
 from .index_sets import compare as compare_partitions
-from .pbw import composite_sum, primitive_dims, verify_bijection, window_count_table
+from .pbw import _solve_primitive, verify_bijection, window_count_table
 from .polytope import WPolytope
 from .quiver_weights import Quiver, Weight, builtin_quiver, rho, tau
 from .standard_form import decompose, omega_shift, slope_to_tree, tree_of_partition
@@ -35,6 +35,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise DomainError(message)
+
+
+def _rational(text: str) -> Fraction:
+    """argparse type for an exact rational such as "3" or "-1/2"."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
 def _frac(x: Fraction) -> str:
@@ -105,8 +113,7 @@ def _check_d(args, d: int, what: str) -> None:
 
 
 def _delta_weight(args, d: int) -> Weight:
-    c = Fraction(args.delta) if getattr(args, "delta", None) else Fraction(0)
-    return tau((d,)).scale(c)
+    return tau((d,)).scale(args.delta or 0)
 
 
 def _print(line: str) -> None:
@@ -159,7 +166,7 @@ def _cmd_index_sets(args) -> int:
     d, w = args.d, args.w
     delta = _delta_weight(args, d)
     trunc = Truncation(
-        slope_bound=Fraction(args.slope_bound) if args.slope_bound else None,
+        slope_bound=args.slope_bound,
         max_parts=args.max_parts)
     name = args.set
     if name == "V":
@@ -210,17 +217,8 @@ def _cmd_compare(args) -> int:
 def _cmd_pbw_table(args) -> int:
     q = _load_quiver(args.quiver)
     m = window_count_table(args.dmax, args.wmax, q)
-    p = primitive_dims(args.dmax, args.wmax, q)
-    status = "OK"
-    for (d, w), pv in p.items():
-        if pv < 0:
-            status = "NEGATIVE_P"
-            break
-    if status == "OK":
-        for (d, w), mv in m.items():
-            if p[(d, w)] + composite_sum(d, w, p) != mv:
-                status = "RECONSTRUCTION_MISMATCH"
-                break
+    p = _solve_primitive(m)
+    status = "NEGATIVE_P" if any(pv < 0 for pv in p.values()) else "OK"
     _print("d\tw\tm\tp")
     for d in range(1, args.dmax + 1):
         for w in range(-args.wmax, args.wmax + 1):
@@ -275,9 +273,7 @@ def _cmd_shuffle(args) -> int:
             raise DomainError("shuffle zeta takes one evaluation point")
         try:
             x = Fraction(args.expr[0])
-            qa = Fraction(args.q1)
-            qb = Fraction(args.q2)
-            val = shuffle_mod.zeta_value(x, qa, qb)
+            val = shuffle_mod.zeta_value(x, args.q1, args.q2)
         except (ValueError, ZeroDivisionError, shuffle_mod.PoleError) as exc:
             raise DomainError(str(exc)) from exc
         _print(_dump({"value": _frac(val)}))
@@ -304,70 +300,59 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact window/partition/shuffle computations.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, weight=False):
+    flags = {
+        "d": dict(type=int, default=None),
+        "w": dict(type=int, default=None),
+        "delta": dict(type=_rational, default=None,
+                      help="rational c: delta = c * tau_d"),
+        "weight": dict(required=True,
+                       help="comma-separated slots; ';' between blocks"),
+    }
+
+    # no prefix matching: an unknown flag must not pass as a known one
+    def command(name, func, *names):
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--quiver", default="tripled-jordan",
                        help="builtin name or JSON file path")
-        p.add_argument("--d", type=int, default=None)
-        p.add_argument("--w", type=int, default=None)
-        p.add_argument("--delta", default=None,
-                       help="rational c: delta = c * tau_d")
-        p.add_argument("--format", choices=["json", "tsv"], default="json")
-        p.add_argument("--seed", type=int, default=0)
-        if weight:
-            p.add_argument("--weight", required=True,
-                           help="comma-separated slots; ';' between blocks")
+        for flag in names:
+            p.add_argument("--" + flag, **flags[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("r-invariant")
-    common(p, weight=True)
-    p.set_defaults(func=_cmd_r_invariant)
+    command("r-invariant", _cmd_r_invariant, "weight", "d")
+    command("decompose", _cmd_decompose, "weight", "delta")
 
-    p = sub.add_parser("decompose")
-    common(p, weight=True)
-    p.set_defaults(func=_cmd_decompose)
+    p = command("windows", _cmd_windows, "d", "w", "delta")
+    p.add_argument("--format", choices=["json", "tsv"], default="json")
 
-    p = sub.add_parser("windows")
-    common(p)
-    p.set_defaults(func=_cmd_windows)
-
-    p = sub.add_parser("index-sets")
-    common(p)
+    p = command("index-sets", _cmd_index_sets, "d", "w", "delta")
     p.add_argument("--set", choices=["V", "U", "S", "T"], required=True)
-    p.add_argument("--slope-bound", default=None)
+    p.add_argument("--slope-bound", type=_rational, default=None)
     p.add_argument("--max-parts", type=int, default=None)
-    p.set_defaults(func=_cmd_index_sets)
 
-    p = sub.add_parser("compare")
-    common(p)
+    p = command("compare", _cmd_compare, "d", "delta")
     p.add_argument("--a", required=True, help="partition 'd,w;d,w;...'")
     p.add_argument("--b", required=True)
-    p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("pbw-table")
-    common(p)
+    p = command("pbw-table", _cmd_pbw_table)
     p.add_argument("--dmax", type=int, required=True)
     p.add_argument("--wmax", type=int, required=True)
-    p.set_defaults(func=_cmd_pbw_table)
 
-    p = sub.add_parser("verify-bijection")
-    common(p)
+    p = command("verify-bijection", _cmd_verify_bijection, "d", "w", "delta")
     p.add_argument("--bound", type=int, default=8)
-    p.set_defaults(func=_cmd_verify_bijection)
 
-    p = sub.add_parser("shuffle")
+    p = sub.add_parser("shuffle", allow_abbrev=False)
     p.add_argument("action", choices=["mul", "zeta"])
     p.add_argument("expr", nargs="+")
     p.add_argument("--mode", choices=["a2", "formal"], default="a2")
     p.add_argument("--degrees", default=None,
                    help="declared degrees 'n,m' for shuffle mul operands")
-    p.add_argument("--q1", default="2")
-    p.add_argument("--q2", default="3")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--q1", type=_rational, default="2")
+    p.add_argument("--q2", type=_rational, default="3")
     p.set_defaults(func=_cmd_shuffle)
 
-    p = sub.add_parser("omega-shift")
-    common(p)
+    p = command("omega-shift", _cmd_omega_shift, "d")
     p.add_argument("--partition", required=True, help="'d,w;d,w;...'")
-    p.set_defaults(func=_cmd_omega_shift)
 
     return top
 

@@ -11,13 +11,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .polytope import cached_polytope
 from .quiver_weights import (
     N_positive,
     Quiver,
     Weight,
+    _check_block_count,
     composition_cocharacter,
     compositions,
     omega_weight,
@@ -82,15 +83,15 @@ def _window_coordinate_bounds(quiver: Quiver, dims: Sequence[int], w: int,
     """Exact coordinate bounds for dominant chi with chi + shift in W/2.
 
     Uses the single-slot facets of the one-vertex permutohedron: for the
-    first (largest) coordinate n*phi_1 - sum(phi) <= h/2 and symmetrically
-    for the last.
+    first (largest) coordinate n*phi_1 - sum(phi) <= h/2, where
+    h = L*n*(n-1) is the support of W along (n-1, -1, ..., -1) for L loops,
+    and symmetrically for the last.
     """
+    _check_block_count(quiver, dims)
     n = sum(dims)
     if n == 1:
         return w, w
-    poly = cached_polytope(quiver, dims)
-    lam_hi = Weight.make([n - 1] + [-1] * (n - 1), dims)
-    h = poly._support(lam_hi)
+    h = len(quiver.edges) * n * (n - 1)
     s_total = shift.total()
     # n*(c1 + shift_1) - (w + s_total) <= h/2
     c1_max = (Fraction(h, 2) + w + s_total) / n - shift.coords[0]
@@ -99,12 +100,11 @@ def _window_coordinate_bounds(quiver: Quiver, dims: Sequence[int], w: int,
 
 
 def window_generators(quiver: Quiver, dims: Sequence[int], w: int,
-                      delta: Weight | None = None,
-                      coordinate_bound: int | None = None) -> tuple[Weight, ...]:
+                      delta: Weight | None = None) -> tuple[Weight, ...]:
     """Dominant integral chi with sum w and chi + rho + delta in W/2 (closed).
 
     The coordinate scan range is derived exactly from the polytope's
-    single-slot facets; an explicit coordinate_bound only widens it.
+    single-slot facets.
     """
     dims = tuple(dims)
     if len(dims) != 1:
@@ -113,9 +113,6 @@ def window_generators(quiver: Quiver, dims: Sequence[int], w: int,
         delta = Weight.zero(dims)
     shift = rho(dims) + delta
     lo, hi = _window_coordinate_bounds(quiver, dims, w, shift)
-    if coordinate_bound is not None:
-        lo = min(lo, -coordinate_bound)
-        hi = max(hi, coordinate_bound)
     poly = cached_polytope(quiver, dims)
     half = Fraction(1, 2)
     out = []
@@ -159,30 +156,12 @@ def enum_U(d: int, w: int) -> EnumResult:
     Parts are listed with sizes ascending; the family is always finite.
     """
     items = []
-    for sizes in _size_partitions(d):
-        parts = []
-        ok = True
-        for di in sizes:
-            if (di * w) % d != 0:
-                ok = False
-                break
-            parts.append((di, di * w // d))
-        if ok:
-            items.append(tuple(parts))
+    for k in range(1, d + 1):
+        for sizes in _dominant_tuples(k, d, 1, d):
+            if all(di * w % d == 0 for di in sizes):
+                items.append(tuple((di, di * w // d) for di in reversed(sizes)))
     items.sort()
     return EnumResult(tuple(items), truncated=False)
-
-
-def _size_partitions(d: int) -> Iterator[tuple[int, ...]]:
-    """Multisets of positive integers summing to d, sizes ascending."""
-    def rec(remaining: int, minimum: int):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(minimum, remaining + 1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-    yield from rec(d, 1)
 
 
 def enum_S(quiver: Quiver, d: int, w: int, delta: Weight | None,
@@ -242,7 +221,7 @@ def enum_T(quiver: Quiver, d: int, w: int, delta: Weight | None,
             continue
         lam = composition_cocharacter(comp) if len(comp) > 1 else Weight.zero(dims)
         omega = omega_weight(quiver, dims, lam)
-        omega_sums = _frac_block_sums(omega, comp)
+        omega_sums = Weight(omega.coords, comp).block_sums()
         # Part weights are pinned by the requirement that the cut shift
         # moves every part onto the slope w/d.
         parts = []
@@ -268,64 +247,13 @@ def enum_T(quiver: Quiver, d: int, w: int, delta: Weight | None,
         pad = 1 + max(abs(v) for v in n_neg.coords)
         lo -= int(pad)
         hi += int(pad)
-        for chi in _blockwise_dominant(comp, w, lo, hi):
-            if _block_sums(chi, comp) != [pw for _, pw in A]:
-                continue
+        blocks = [_dominant_tuples(pd, pw, lo, hi) for pd, pw in A]
+        for pieces in itertools.product(*blocks):
+            chi = Weight.make([c for piece in pieces for c in piece], dims)
             if poly.contains_interior(chi + shift, half):
                 out.add(A)
                 break
     return EnumResult(tuple(sorted(out)), truncated=False)
-
-
-def _frac_block_sums(wt: Weight, comp: Sequence[int]) -> list[Fraction]:
-    sums = []
-    off = 0
-    for b in comp:
-        sums.append(sum(wt.coords[off:off + b], Fraction(0)))
-        off += b
-    return sums
-
-
-def _block_sums(chi: Weight, comp: Sequence[int]) -> list[int]:
-    sums = []
-    off = 0
-    for b in comp:
-        s = sum(chi.coords[off:off + b])
-        sums.append(int(s))
-        off += b
-    return sums
-
-
-def _blockwise_dominant(comp: Sequence[int], w: int, lo: int, hi: int) -> Iterator[Weight]:
-    """Integral weights, non-increasing inside each block, total w."""
-    d = sum(comp)
-    def rec(idx: int, remaining: int):
-        if idx == len(comp):
-            if remaining == 0:
-                yield ()
-            return
-        b = comp[idx]
-        rest_min = sum(comp[idx + 1:]) * lo
-        rest_max = sum(comp[idx + 1:]) * hi
-        for tup in _all_dominant(b, lo, hi):
-            s = sum(tup)
-            if rest_min <= remaining - s <= rest_max:
-                for rest in rec(idx + 1, remaining - s):
-                    yield tup + rest
-    for coords in rec(0, w):
-        yield Weight.make(coords, (d,))
-
-
-def _all_dominant(b: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    """All non-increasing b-tuples with coords in [lo, hi]."""
-    def rec(k: int, cap: int):
-        if k == 0:
-            yield ()
-            return
-        for c in range(cap, lo - 1, -1):
-            for rest in rec(k - 1, c):
-                yield (c,) + rest
-    yield from rec(b, hi)
 
 
 # -- order -----------------------------------------------------------------

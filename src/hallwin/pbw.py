@@ -4,16 +4,16 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 from dataclasses import dataclass
 
-from .index_sets import _all_dominant, enum_U, window_generators
+from .index_sets import _dominant_tuples, enum_U, window_generators
 from .polytope import cached_polytope
 from .quiver_weights import Quiver, Weight, builtin_quiver, rho
 from .standard_form import (
     DecompositionError,
+    StandardForm,
     decompose,
     omega_shift,
     tree_of_partition,
@@ -66,14 +66,13 @@ class BijectionReport:
         return not self.violations
 
 
-def _leaf_shifts(quiver: Quiver, dims: tuple[int, ...], A, delta: Weight):
-    """Per-leaf-block shift weights of the tree attached to a partition.
+def _leaf_shifts(form: StandardForm) -> list[Weight]:
+    """Per-leaf-block shift weights of a partition's tree.
 
-    Each leaf block of the tree of A sees rho + delta plus r_j N_j summed
-    over its ancestor nodes, restricted to the block.
+    Each leaf block of the tree sees rho + delta plus r_j N_j summed over
+    its ancestor nodes, restricted to the block.
     """
-    form = tree_of_partition(quiver, dims, A, delta)
-    shift = rho(dims) + delta
+    shift = rho(form.dims) + form.delta
     for node in form.nodes:
         shift = shift + node.N.scale(node.r)
     out = []
@@ -102,7 +101,7 @@ def verify_bijection(d: int, w: int, bound: int,
         raise ValueError("dimension must be positive")
     if bound <= 0:
         raise ValueError("coordinate bound must be positive")
-    q = quiver if quiver is not None else builtin_quiver("tripled-jordan")
+    q = _quiver(quiver)
     dims = (d,)
     if delta is None:
         delta = Weight.zero(dims)
@@ -110,8 +109,7 @@ def verify_bijection(d: int, w: int, bound: int,
     violations: list[str] = []
     image: dict[tuple, tuple] = {}
     shifts_by_A: dict[tuple, list[Weight]] = {}
-    domain = [Weight.make(c, dims) for c in _all_dominant(d, -bound, bound)
-              if sum(c) == w]
+    domain = [Weight.make(c, dims) for c in _dominant_tuples(d, w, -bound, bound)]
     for chi in domain:
         form = decompose(q, dims, chi, delta)
         A = form.partition
@@ -124,8 +122,8 @@ def verify_bijection(d: int, w: int, bound: int,
         image[key] = chi.coords
         if A not in shifts_by_A:
             try:
-                shifts_by_A[A] = _leaf_shifts(q, dims, A, delta)
                 tree = tree_of_partition(q, dims, A, delta)
+                shifts_by_A[A] = _leaf_shifts(tree)
                 if tree.r_sequence() != form.r_sequence():
                     violations.append(
                         f"tree of {A} disagrees with decomposition of {chi.coords}")
@@ -179,12 +177,14 @@ def primitive_dims(d_max: int, w_max: int,
     involves strictly smaller parts only.  Values may come out negative;
     they are reported as-is.
     """
-    q = _quiver(quiver)
-    m = window_count_table(d_max, w_max, q)
+    return _solve_primitive(window_count_table(d_max, w_max, _quiver(quiver)))
+
+
+def _solve_primitive(m: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """The primitive counts p of a window count table m (see primitive_dims)."""
     p: dict[tuple[int, int], int] = {}
-    for d in range(1, d_max + 1):
-        for w in range(-w_max, w_max + 1):
-            p[(d, w)] = m[(d, w)] - composite_sum(d, w, p)
+    for (d, w), count in sorted(m.items()):
+        p[(d, w)] = count - composite_sum(d, w, p)
     return p
 
 

@@ -24,11 +24,10 @@ from typing import Sequence
 
 from . import lp
 from .quiver_weights import (
-    N_positive,
     Quiver,
     Weight,
+    _check_block_count,
     composition_cocharacter,
-    pair,
     rep_weights,
     tau,
 )
@@ -38,9 +37,7 @@ class WPolytope:
     """r-scaled membership queries for the segment polytope of (quiver, d)."""
 
     def __init__(self, quiver: Quiver, dims: Sequence[int]):
-        if len(dims) != quiver.num_vertices:
-            raise ValueError(f"weight has {len(dims)} blocks but the quiver has "
-                             f"{quiver.num_vertices} vertices (one block per vertex)")
+        _check_block_count(quiver, dims)
         self.quiver = quiver
         self.dims = tuple(dims)
         self.blocks = tuple(dims)
@@ -151,10 +148,6 @@ class WPolytope:
         if status != lp.FEASIBLE:
             raise ValueError("weight does not lie in span(segments) + axis")
         return value
-
-    def _support(self, lam: Weight) -> Fraction:
-        """Support function h(lam) = <lam, N^{lam>0}> of W."""
-        return pair(lam, N_positive(self.quiver, self.dims, lam))
 
     def face_cocharacter(self, chi: Weight, r: Fraction) -> tuple[tuple[int, ...], Weight] | None:
         """Finest cocharacter class whose canonical representative lam

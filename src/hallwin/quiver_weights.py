@@ -42,11 +42,15 @@ class Quiver:
     @staticmethod
     def from_json(text: str) -> "Quiver":
         data = json.loads(text)
-        return Quiver(
-            vertices=tuple(range(len(data["vertices"]))),
-            edges=tuple((int(s), int(t)) for s, t in data["edges"]),
-            cut=frozenset(int(c) for c in data.get("cut", [])),
-        )
+        try:
+            return Quiver(
+                vertices=tuple(range(len(data["vertices"]))),
+                edges=tuple((int(s), int(t)) for s, t in data["edges"]),
+                cut=frozenset(int(c) for c in data.get("cut", [])),
+            )
+        except (TypeError, KeyError, AttributeError) as exc:
+            raise ValueError('quiver JSON must be {"vertices": [...], '
+                             '"edges": [[s, t], ...], "cut": [...]}') from exc
 
 
 def jordan() -> Quiver:
@@ -176,7 +180,14 @@ def pair(lam: Weight, chi: Weight) -> Fraction:
     return sum((a * b for a, b in zip(lam.coords, chi.coords)), Fraction(0))
 
 
-def _slot_ranges(quiver: Quiver, dims: Sequence[int]) -> list[range]:
+def _check_block_count(quiver: Quiver, dims: Sequence[int]) -> None:
+    """Refuse a dimension vector that does not have one block per vertex."""
+    if len(dims) != quiver.num_vertices:
+        raise ValueError(f"weight has {len(dims)} blocks but the quiver has "
+                         f"{quiver.num_vertices} vertices (one block per vertex)")
+
+
+def _slot_ranges(dims: Sequence[int]) -> list[range]:
     offs = block_offsets(dims)
     return [range(offs[i], offs[i + 1]) for i in range(len(dims))]
 
@@ -185,7 +196,7 @@ def _edge_weights(quiver: Quiver, dims: Sequence[int], edge_indices: Iterable[in
     """Weights e^(t)_l - e^(s)_m of Hom(C^{d_s}, C^{d_t}) per edge."""
     blocks = tuple(dims)
     n = sum(dims)
-    ranges = _slot_ranges(quiver, dims)
+    ranges = _slot_ranges(dims)
     out = []
     for e in edge_indices:
         s, t = quiver.edges[e]
@@ -212,7 +223,7 @@ def adjoint_weights(quiver: Quiver, dims: Sequence[int]) -> list[Weight]:
     blocks = tuple(dims)
     n = sum(dims)
     out = []
-    for rng in _slot_ranges(quiver, dims):
+    for rng in _slot_ranges(dims):
         for l in rng:
             for m in rng:
                 coords = [Fraction(0)] * n
@@ -239,30 +250,34 @@ def tau(dims: Sequence[int]) -> Weight:
     return Weight.make([Fraction(1, n)] * n, dims)
 
 
-def _signed_sum(lam: Weight, weights: Iterable[Weight], sign: int) -> Weight:
-    acc = Weight.zero(lam.blocks)
-    for beta in weights:
-        p = pair(lam, beta)
-        if sign > 0 and p > 0:
-            acc = acc + beta
-        elif sign < 0 and p < 0:
-            acc = acc + beta
-    return acc
+def _positive_sum(lam: Weight, dims: Sequence[int],
+                  edges: Iterable[tuple[int, int]]) -> Weight:
+    """Sum of the weights e_l - e_m of the edges (s, t), l a slot of block t
+    and m a slot of block s, that pair positively with lam (lam_l > lam_m)."""
+    ranges = _slot_ranges(dims)
+    acc = [0] * sum(dims)
+    for s, t in edges:
+        for l in ranges[t]:
+            for m in ranges[s]:
+                if lam.coords[l] > lam.coords[m]:
+                    acc[l] += 1
+                    acc[m] -= 1
+    return Weight.make(acc, dims)
 
 
 def N_positive(quiver: Quiver, dims: Sequence[int], lam: Weight) -> Weight:
     """Sum of edge-representation weights beta with <lam, beta> > 0."""
-    return _signed_sum(lam, rep_weights(quiver, dims), +1)
+    return _positive_sum(lam, dims, quiver.edges)
 
 
 def adjoint_positive(quiver: Quiver, dims: Sequence[int], lam: Weight) -> Weight:
     """Sum of adjoint weights alpha with <lam, alpha> > 0."""
-    return _signed_sum(lam, adjoint_weights(quiver, dims), +1)
+    return _positive_sum(lam, dims, [(v, v) for v in range(len(dims))])
 
 
 def omega_weight(quiver: Quiver, dims: Sequence[int], lam: Weight) -> Weight:
     """Sum of cut-edge weights alpha with <lam, alpha> < 0."""
-    return _signed_sum(lam, cut_weights(quiver, dims), -1)
+    return _positive_sum(-lam, dims, [quiver.edges[e] for e in sorted(quiver.cut)])
 
 
 def n_lambda(quiver: Quiver, dims: Sequence[int], lam: Weight) -> Fraction:

@@ -31,6 +31,7 @@ from .quiver_weights import (
     N_positive,
     Quiver,
     Weight,
+    _check_block_count,
     adjoint_positive,
     composition_cocharacter,
     jordan,
@@ -159,6 +160,7 @@ def decompose(quiver: Quiver, dims: Sequence[int], chi: Weight,
               delta: Weight | None = None) -> StandardForm:
     """Standard form of chi + rho + delta.  chi must be dominant."""
     dims = tuple(dims)
+    _check_block_count(quiver, dims)
     if len(dims) != 1:
         raise NotImplementedError("decomposition implemented for one-vertex quivers")
     if chi.blocks != dims:

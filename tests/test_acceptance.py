@@ -33,7 +33,7 @@ from hallwin import (
     verify_bijection,
     window_count,
 )
-from hallwin.index_sets import _all_dominant
+from hallwin.index_sets import _dominant_tuples
 from hallwin.polytope import cached_polytope
 from hallwin.shuffle import (
     KernelParams,
@@ -133,7 +133,10 @@ def test_ac5_standard_form_soundness():
     for d in range(1, 5):
         dims = (d,)
         shift = rho(dims)
-        for coords in _all_dominant(d, -6, 6):
+        # every dominant weight with coordinates in [-6, 6], by total
+        totals = range(-6 * d, 6 * d + 1)
+        for coords in itertools.chain.from_iterable(
+                _dominant_tuples(d, t, -6, 6) for t in totals):
             chi = Weight.make(coords, dims)
             checked += 1
             form = decompose(Q3, dims, chi)
@@ -164,6 +167,7 @@ def test_ac5_standard_form_soundness():
     ok = report("AC-5 standard-form soundness", violations == 0,
                 f"{checked} weights, {violations} violations")
     assert ok
+    assert checked == 2379
 
 
 def test_ac6_bijection():

@@ -97,11 +97,10 @@ def test_pbw_table(capsys):
 
 
 def test_pbw_table_negative_exit(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "primitive_dims",
-                        lambda dmax, wmax, quiver=None: {(1, 0): -1})
+    # m(2, 0) = 0 leaves p(2, 0) = 0 - sym_count(p(1, 0), 2) = -1
     monkeypatch.setattr(cli, "window_count_table",
-                        lambda dmax, wmax, quiver=None: {(1, 0): 1})
-    code, out, _ = run(capsys, ["pbw-table", "--dmax", "1", "--wmax", "0"])
+                        lambda dmax, wmax, quiver=None: {(1, 0): 1, (2, 0): 0})
+    code, out, _ = run(capsys, ["pbw-table", "--dmax", "2", "--wmax", "0"])
     assert code == 2
     assert "NEGATIVE_P" in out
 
@@ -198,6 +197,12 @@ def test_nonpositive_d_exit_1(capsys, argv):
     ["index-sets", "--set", "X", "--d", "2", "--w", "0"],
     ["no-such-command"],
     [],
+    ["windows", "--d", "2", "--w", "0", "--delta", "1/0"],
+    ["compare", "--a", "1,5;1,-5", "--b", "1,1;1,-1", "--delta", "1/0"],
+    ["index-sets", "--set", "S", "--d", "2", "--w", "0", "--slope-bound", "1/0"],
+    ["r-invariant", "--weight", "5,-5", "--seed", "1"],
+    ["decompose", "--weight", "5,-5", "--d", "3"],
+    ["pbw-table", "--dmax", "1", "--wmax", "0", "--w", "1"],
 ])
 def test_argparse_rejection_is_one_error_line(capsys, argv):
     assert_one_error_line(*run(capsys, argv))
@@ -214,6 +219,19 @@ def test_compare_inconsistent_input_exit_1(capsys, argv):
 
 @pytest.mark.parametrize("weight", ["1,-1;0", "1,2;3"])
 def test_block_count_mismatch_exit_1(capsys, weight):
-    code, out, err = run(capsys, ["r-invariant", "--weight", weight])
+    for command in ("r-invariant", "decompose"):
+        code, out, err = run(capsys, [command, "--weight", weight])
+        assert_one_error_line(code, out, err)
+        assert "2 blocks" in err
+
+
+@pytest.mark.parametrize("text", ['{"vertices": 5, "edges": []}', "[1, 2]",
+                                  '{"vertices": [0]}',
+                                  '{"vertices": [0], "edges": [[0, [0]]]}'])
+def test_malformed_quiver_file_exit_1(capsys, tmp_path, text):
+    qfile = tmp_path / "bad.json"
+    qfile.write_text(text)
+    code, out, err = run(capsys, ["r-invariant", "--weight", "1,-1",
+                                  "--quiver", str(qfile)])
     assert_one_error_line(code, out, err)
-    assert "blocks" in err
+    assert "quiver JSON" in err

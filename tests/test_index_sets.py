@@ -56,12 +56,6 @@ def test_window_duality():
             assert dual == set(coords(window_generators(Q3, (d,), w)))
 
 
-def test_window_coordinate_bound_only_widens():
-    base = window_generators(Q3, (2,), 4)
-    wide = window_generators(Q3, (2,), 4, coordinate_bound=30)
-    assert base == wide
-
-
 def test_enum_U_frozen():
     assert list(enum_U(2, 4)) == [((1, 2), (1, 2)), ((2, 4),)]
     assert list(enum_U(2, 3)) == [((2, 3),)]

@@ -136,11 +136,10 @@ def test_face_cocharacter_satisfies_equality():
         chi = Weight.make([F(c) for c in coords], (d,))
         r = poly.r_invariant(chi)
         comp, lam = poly.face_cocharacter(chi, r)
-        # the face equation: the pairing meets the scaled support exactly
-        # (negatively: lam is antidominant, chi dominant), and the support
-        # along lam is the pairing against N_pos(lam)
-        assert pair(lam, chi) == -r * poly._support(lam)
-        assert poly._support(lam) == pair(lam, N_positive(Q3, (d,), lam))
+        # the face equation: the pairing meets the scaled support
+        # <lam, N_pos(lam)> exactly (negatively: lam is antidominant, chi
+        # dominant)
+        assert pair(lam, chi) == -r * pair(lam, N_positive(Q3, (d,), lam))
 
 
 def test_interior_is_strict():

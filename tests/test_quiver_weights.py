@@ -1,6 +1,7 @@
 """Weights, pairings, and cocharacter normal forms."""
 
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction as F
 
@@ -12,13 +13,17 @@ from hallwin import (
     N_positive,
     Quiver,
     Weight,
+    adjoint_positive,
+    adjoint_weights,
     block_decompose,
     builtin_quiver,
     cochar_classes,
     composition_cocharacter,
     compositions,
+    cut_weights,
     n_lambda,
     nu,
+    omega_weight,
     pair,
     rep_weights,
     rho,
@@ -79,6 +84,32 @@ def test_N_positive_frozen():
     lam = W(-1, 1)
     n = N_positive(Q3, (2,), lam)
     assert n.coords == (F(-3), F(3))
+
+
+def dense_sum(lam, weights, sign):
+    """Sum of the listed weights beta with sign * <lam, beta> > 0."""
+    acc = Weight.zero(lam.blocks)
+    for beta in weights:
+        if sign * pair(lam, beta) > 0:
+            acc = acc + beta
+    return acc
+
+
+def test_weight_sums_match_dense_lists():
+    # two vertices: loops at both, edges both ways, a doubled arrow, two cut edges
+    two = Quiver(vertices=(0, 1), edges=((0, 1), (1, 0), (0, 0), (1, 1), (0, 1)),
+                 cut=frozenset({1, 4}))
+    quivers = [builtin_quiver(name)
+               for name in ("jordan", "doubled-jordan", "tripled-jordan")] + [two]
+    rng = random.Random(7)
+    for _ in range(400):
+        q = rng.choice(quivers)
+        dims = tuple(rng.randint(1, 4) for _ in q.vertices)
+        lam = Weight.make([F(rng.randint(-4, 4), rng.randint(1, 3))
+                           for _ in range(sum(dims))], dims)
+        assert N_positive(q, dims, lam) == dense_sum(lam, rep_weights(q, dims), 1)
+        assert adjoint_positive(q, dims, lam) == dense_sum(lam, adjoint_weights(q, dims), 1)
+        assert omega_weight(q, dims, lam) == dense_sum(lam, cut_weights(q, dims), -1)
 
 
 def test_n_lambda_frozen_and_symmetric():
