@@ -129,7 +129,8 @@ def _cmd_r_invariant(args) -> int:
     _check_d(args, sum(chi.blocks), "weight length")
     poly = WPolytope(q, chi.blocks)
     r = poly.r_invariant(chi)
-    face = poly.face_cocharacter(chi, r)
+    # faces are computed for one vertex only; the LP gives r for the rest
+    face = poly.face_cocharacter(chi, r) if len(chi.blocks) == 1 else None
     lam = [int(v) for v in face[1].coords] if face is not None else None
     _print(_dump({"r": _frac(r), "lambda": lam}))
     return EXIT_OK
@@ -243,6 +244,18 @@ def _cmd_verify_bijection(args) -> int:
 
 
 def _cmd_shuffle(args) -> int:
+    if args.action == "zeta":
+        from .kernel import zeta_value
+
+        if len(args.expr) != 1:
+            raise DomainError("shuffle zeta takes one evaluation point")
+        try:
+            val = zeta_value(Fraction(args.expr[0]), args.q1, args.q2)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(str(exc)) from exc
+        _print(_dump({"value": _frac(val)}))
+        return EXIT_OK
+
     from . import shuffle as shuffle_mod
 
     params = shuffle_mod.KernelParams(mode=args.mode)
@@ -267,16 +280,6 @@ def _cmd_shuffle(args) -> int:
         value = sympy.cancel(sympy.together(h.expr))
         _print(_dump({"degree": h.degree,
                       "value": sympy.sstr(value, order="lex")}))
-        return EXIT_OK
-    if args.action == "zeta":
-        if len(args.expr) != 1:
-            raise DomainError("shuffle zeta takes one evaluation point")
-        try:
-            x = Fraction(args.expr[0])
-            val = shuffle_mod.zeta_value(x, args.q1, args.q2)
-        except (ValueError, ZeroDivisionError, shuffle_mod.PoleError) as exc:
-            raise DomainError(str(exc)) from exc
-        _print(_dump({"value": _frac(val)}))
         return EXIT_OK
     raise DomainError(f"unknown shuffle action {args.action!r}")
 

@@ -43,14 +43,27 @@ class Quiver:
     def from_json(text: str) -> "Quiver":
         data = json.loads(text)
         try:
+            vertices, edges = data["vertices"], data["edges"]
+            cut = data.get("cut", [])
+            if not (all(isinstance(v, list) for v in (vertices, edges, cut))
+                    and all(isinstance(e, list) and len(e) == 2 for e in edges)):
+                raise TypeError("vertices, edges and cut must be lists, each edge a pair")
             return Quiver(
-                vertices=tuple(range(len(data["vertices"]))),
-                edges=tuple((int(s), int(t)) for s, t in data["edges"]),
-                cut=frozenset(int(c) for c in data.get("cut", [])),
+                vertices=tuple(range(len(vertices))),
+                edges=tuple((_json_index(s), _json_index(t)) for s, t in edges),
+                cut=frozenset(_json_index(c) for c in cut),
             )
         except (TypeError, KeyError, AttributeError) as exc:
             raise ValueError('quiver JSON must be {"vertices": [...], '
                              '"edges": [[s, t], ...], "cut": [...]}') from exc
+
+
+def _json_index(x) -> int:
+    """A vertex or edge index read from quiver JSON; JSON numbers such as 0.7
+    or 2.0, and true/false, are refused rather than rounded."""
+    if type(x) is not int:
+        raise ValueError(f"quiver JSON index {x!r} is not an integer")
+    return x
 
 
 def jordan() -> Quiver:

@@ -12,8 +12,25 @@ A product is a lazy tree: `mul` records its factors, and `shuffle_eval` and
 probabilistic `equals` evaluate the splitting sum directly in `Fraction`
 from each leaf's numerator and denominator coefficients (read once per
 leaf).  Otherwise sympy is used only for parsing, printing, exact
-equality, the symmetry check and the pole fallback, which reads a
-product's `expr` and so builds it.
+equality, the symmetry check and the fallback at non-diagonal poles,
+which reads a product's `expr` and so builds it.
+
+Diagonal rule.  Where a splitting term hits a pole and the only vanishing
+denominators are kernel factors 1 - z_a/z_b with z_a = z_b (no leaf
+denominator is 0, no z is 0 and no z_b = q1*q2*z_a), `shuffle_eval`
+evaluates the same splitting tree along the line z + eps*(0, 1, ..., n-1)
+in Laurent series over Fraction, truncated at eps^C for C pairs with
+z_a = z_b, and returns the eps^0 coefficient.  This is exact when the
+leaves are symmetric, which `from_expr` and `parse_element` check: a
+product of symmetric functions is symmetric, and each splitting term has
+at most a simple pole along each diagonal, so those poles are removable;
+the product is regular at the point and its value there is its limit
+along any line.  Each kernel pair occurs once in a fully expanded term,
+so a value with p poles is computed up to O(eps^(C+1-p)) and the eps^0
+coefficient of the whole is exact.  A negative power that survives
+raises PoleError.  Every other pole (z_i = q1*q2*z_j, a leaf denominator
+0, z = 0, and so q1*q2 = 1 on a diagonal) goes to the sympy `cancel`
+normal form.
 """
 
 from __future__ import annotations
@@ -27,15 +44,13 @@ from fractions import Fraction
 import sympy
 from sympy import Rational, Symbol, cancel, together
 
+from .kernel import PoleError, _a2_kernel, zeta_value
+
 q1, q2 = sympy.symbols("q1 q2")
 D_sym, K_sym = sympy.symbols("D K")
 
 _MAX_VARS = 12
 _Z = sympy.symbols(" ".join(f"z{i}" for i in range(1, _MAX_VARS + 1)))
-
-
-class PoleError(ZeroDivisionError):
-    """An evaluation point annihilates a denominator factor."""
 
 
 @dataclass(frozen=True)
@@ -68,15 +83,6 @@ def zeta(x, params: KernelParams = KernelParams()):
     else:
         expr = 1 + x * D_sym / ((1 - x) * (1 - x * K_sym))
     return expr
-
-
-def zeta_value(x, q1_val, q2_val) -> Fraction:
-    """Evaluate the a2 kernel at exact rational arguments."""
-    x, a, b = Fraction(x), Fraction(q1_val), Fraction(q2_val)
-    den = (1 - x) * (1 - a * b * x)
-    if den == 0:
-        raise PoleError(f"zeta pole at x={x}")
-    return (1 - a * x) * (1 - b * x) / den
 
 
 def zvars(n: int):
@@ -227,7 +233,7 @@ def _parameters(el: ShuffleElement) -> set:
     return _parameters(f) | _parameters(g) | kernel
 
 
-def _poly_value(terms, values) -> Fraction:
+def _poly_value(terms, values):
     total = Fraction(0)
     for monom, c in terms:
         for v, e in zip(values, monom):
@@ -237,35 +243,125 @@ def _poly_value(terms, values) -> Fraction:
     return total
 
 
+class _Series:
+    """A Laurent series sum_k c[k] eps^(v+k) over Fraction, with every term
+    above eps^top dropped.  Leading zeros are stripped, so v is the valuation
+    (top + 1 for zero).  Fractions mix in as constants."""
+
+    __slots__ = ("v", "c", "top")
+
+    def __init__(self, v: int, c, top: int):
+        k = 0
+        while k < len(c) and not c[k]:
+            k += 1
+        self.c = tuple(c[k:top - v + 1])
+        self.v = v + k if self.c else top + 1
+        self.top = top
+
+    def _lift(self, x) -> "_Series":
+        return x if isinstance(x, _Series) else _Series(0, (x,), self.top)
+
+    def __add__(self, other):
+        other = self._lift(other)
+        v = min(self.v, other.v)
+        c = [Fraction(0)] * (self.top - v + 1)
+        for s in (self, other):
+            for k, x in enumerate(s.c, s.v - v):
+                c[k] += x
+        return _Series(v, c, self.top)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Series(self.v, [-x for x in self.c], self.top)
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __mul__(self, other):
+        if not isinstance(other, _Series):
+            return _Series(self.v, [x * other for x in self.c], self.top)
+        v = self.v + other.v
+        n = self.top - v + 1
+        c = [Fraction(0)] * max(n, 0)
+        for i, x in enumerate(self.c[:n]):
+            for j, y in enumerate(other.c[:n - i]):
+                c[i + j] += x * y
+        return _Series(v, c, self.top)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int):
+        out = self
+        for _ in range(e - 1):
+            out = out * self
+        return out
+
+    def _inverse(self) -> "_Series":
+        if not self.c:
+            raise ZeroDivisionError("division by a zero series")
+        c, v = self.c, -self.v
+        inv = [1 / c[0]]
+        for k in range(1, self.top - v + 1):
+            acc = sum(c[j] * inv[k - j] for j in range(1, min(k, len(c) - 1) + 1))
+            inv.append(-acc / c[0])
+        return _Series(v, inv, self.top)
+
+    def __truediv__(self, other):
+        return self * self._lift(other)._inverse()
+
+    def __rtruediv__(self, other):
+        return self._inverse() * other
+
+    def __eq__(self, other):
+        return (isinstance(other, _Series)
+                and (self.v, self.c, self.top) == (other.v, other.c, other.top))
+
+    def __hash__(self):
+        return hash((self.v, self.c))
+
+    def constant_term(self) -> Fraction:
+        if self.v < 0:
+            raise PoleError(f"a pole of order {-self.v} survives at the point")
+        return Fraction(self.c[0]) if self.v == 0 else Fraction(0)
+
+
+def _vanishes(x) -> bool:
+    """Whether x is 0 at the point itself (at eps = 0 for a series)."""
+    return x.v > 0 if isinstance(x, _Series) else x == 0
+
+
 class _Point:
     """Evaluation at one point: parameter values by symbol, with the values
-    of sub-elements and kernel factors cached.  A pole in any leaf or kernel
-    factor raises ZeroDivisionError (or its subclass PoleError)."""
+    of sub-elements and kernel factors cached.  The z's are Fractions, or
+    `_Series` on a line through the point; one splitting recursion serves
+    both.  A leaf denominator or kernel factor that vanishes at the point
+    raises ZeroDivisionError (or its subclass PoleError); on a line, the
+    kernel's 1 - z_a/z_b with z_a = z_b is instead a simple pole in eps."""
 
     def __init__(self, env: dict):
         self.env = env
         self.values: dict = {}
         self.kernels: dict = {}
 
-    def kernel(self, a: Fraction, b: Fraction, params: KernelParams) -> Fraction:
+    def kernel(self, a, b, params: KernelParams):
         key = (params.mode, a, b)
         if key not in self.kernels:
             env = self.env
+            if _vanishes(b):
+                raise PoleError("kernel at z = 0")
             if params.mode == "a2":
                 qa, qb = env[q1], env[q2]
                 # at q1 = 1 or q2 = 1 the numerator cancels the denominator,
                 # so zeta is identically 1, also where 1 - x vanishes
-                val = Fraction(1) if 1 in (qa, qb) else zeta_value(a / b, qa, qb)
+                val = Fraction(1) if 1 in (qa, qb) else _a2_kernel(a, b, qa, qb)
             else:
-                x = a / b
-                den = (1 - x) * (1 - x * env[K_sym])
-                if den == 0:
-                    raise PoleError(f"zeta pole at x={x}")
-                val = 1 + x * env[D_sym] / den
+                # 1 + xD/((1-x)(1-xK)) at x = a/b, times b^2/b^2
+                val = 1 + a * b * env[D_sym] / (b - env[K_sym] * a) / (b - a)
             self.kernels[key] = val
         return self.kernels[key]
 
-    def value(self, el: ShuffleElement, zs: tuple) -> Fraction:
+    def value(self, el: ShuffleElement, zs: tuple):
         """Value of el at the z values zs."""
         key = (id(el), zs)
         if key in self.values:
@@ -273,7 +369,10 @@ class _Point:
         if el._factors is None:
             params, num, den = _leaf_data(el)
             values = zs + tuple(self.env[s] for s in params)
-            val = _poly_value(num, values) / _poly_value(den, values)
+            den_val = _poly_value(den, values)
+            if _vanishes(den_val):
+                raise ZeroDivisionError("a leaf denominator vanishes")
+            val = _poly_value(num, values) / den_val
         else:
             f, g, params = el._factors
             val = Fraction(0)
@@ -287,6 +386,20 @@ class _Point:
                 val += term
         self.values[key] = val
         return val
+
+
+def _diagonal_line(zs: tuple, env: dict) -> tuple | None:
+    """The line z + eps*(0, 1, ..., n-1) as series truncated at eps^C, C the
+    number of pairs with z_a = z_b, when those diagonals are the only kernel
+    poles at zs; None when C = 0, a z is 0 or some z_b = q1*q2*z_a."""
+    k = env[q1] * env[q2]
+    n = len(zs)
+    if 0 in zs or any(zs[b] == k * zs[a] for a in range(n) for b in range(n) if a != b):
+        return None
+    top = sum(zs[a] == zs[b] for a in range(n) for b in range(a + 1, n))
+    if not top:
+        return None
+    return tuple(_Series(0, (z, Fraction(i)), top) for i, z in enumerate(zs))
 
 
 def equals(f: ShuffleElement, g: ShuffleElement,
@@ -326,7 +439,14 @@ def equals(f: ShuffleElement, g: ShuffleElement,
 
 
 def shuffle_eval(f: ShuffleElement, z_values, q1_val, q2_val) -> Fraction:
-    """Exact rational value of f at rational z's and kernel parameters."""
+    """Exact rational value of f at rational z's and kernel parameters.
+
+    Evaluated in Fraction.  At a pole of some splitting term: by the
+    diagonal rule (module docstring) when the only vanishing denominators
+    are kernel factors 1 - z_a/z_b with z_a = z_b, exact for symmetric
+    leaves; otherwise by the sympy normal form, which raises PoleError when
+    its reduced denominator vanishes.
+    """
     if len(z_values) != f.degree:
         raise ValueError("wrong number of z values")
     env = {q1: Fraction(q1_val), q2: Fraction(q2_val)}
@@ -341,8 +461,16 @@ def shuffle_eval(f: ShuffleElement, z_values, q1_val, q2_val) -> Fraction:
         return _Point(env).value(f, zs)
     except ZeroDivisionError:
         pass
-    # a single term hit a pole; the full cancelled form may still be regular
-    # there (z_i = z_j is removable), so fall back to the exact normal form
+    line = _diagonal_line(zs, env)
+    if line is not None:
+        try:
+            val = _Point(env).value(f, line)
+        except ZeroDivisionError:
+            pass  # a leaf denominator vanishes at zs
+        else:
+            return val.constant_term()
+    # any other pole: the full cancelled form may still be regular there,
+    # so fall back to the exact normal form
     subs = {s: Rational(v) for s, v in env.items()}
     subs.update({z: Rational(v) for z, v in zip(zvars(f.degree), zs)})
     expr = cancel(together(f.expr))

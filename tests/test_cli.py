@@ -227,7 +227,14 @@ def test_block_count_mismatch_exit_1(capsys, weight):
 
 @pytest.mark.parametrize("text", ['{"vertices": 5, "edges": []}', "[1, 2]",
                                   '{"vertices": [0]}',
-                                  '{"vertices": [0], "edges": [[0, [0]]]}'])
+                                  '{"vertices": [0], "edges": [[0, [0]]]}',
+                                  '{"vertices": [0], "edges": [[0, 0.7], [0, 0], [0, 0]],'
+                                  ' "cut": [2.9]}',
+                                  '{"vertices": [0], "edges": [[0, 0], [0, 0]], "cut": [1.0]}',
+                                  '{"vertices": [0], "edges": [[0, true]]}',
+                                  '{"vertices": [0], "edges": [[0]]}',
+                                  '{"vertices": "ab", "edges": []}',
+                                  '{"vertices": {"0": 0}, "edges": []}'])
 def test_malformed_quiver_file_exit_1(capsys, tmp_path, text):
     qfile = tmp_path / "bad.json"
     qfile.write_text(text)
@@ -235,3 +242,11 @@ def test_malformed_quiver_file_exit_1(capsys, tmp_path, text):
                                   "--quiver", str(qfile)])
     assert_one_error_line(code, out, err)
     assert "quiver JSON" in err
+
+
+def test_r_invariant_multi_vertex_quiver(capsys, tmp_path):
+    qfile = tmp_path / "two.json"
+    qfile.write_text('{"vertices": [0, 1], "edges": [[0, 1], [1, 0]]}')
+    rows = run_json(capsys, ["r-invariant", "--weight", "1;2", "--quiver", str(qfile)],
+                    "r-invariant")
+    assert rows == [{"r": "1/2", "lambda": None}]

@@ -1,5 +1,7 @@
 """Shuffle product over the two-parameter kernel."""
 
+import functools
+import operator
 import random
 from fractions import Fraction as F
 
@@ -265,3 +267,159 @@ def test_eval_formal_kernel_needs_D_and_K():
     one = const(1)
     with pytest.raises(ValueError, match="D and K"):
         shuffle_eval(mul(one, one, FORMAL), (F(5), F(1)), F(2), F(3))
+
+
+# -- diagonal poles z_i = z_j as Laurent series ------------------------------
+
+QT, T = sympy.field("t", sympy.QQ)
+
+
+def _on_line(expr, env):
+    """expr in QQ(t), with the values of symbols and of sub-expressions
+    already met in env."""
+    if expr not in env:
+        if expr.is_Rational:
+            return QT(expr)
+        parts = [_on_line(arg, env) for arg in expr.args]
+        if expr.is_Add:
+            env[expr] = sum(parts[1:], parts[0])
+        elif expr.is_Mul:
+            env[expr] = functools.reduce(operator.mul, parts)
+        elif expr.is_Pow and expr.exp.is_Integer:
+            env[expr] = parts[0] ** int(expr.exp)
+        else:
+            raise TypeError(f"unexpected node {expr}")
+    return env[expr]
+
+
+def line_normal_value(el, zs, qa, qb, rng):
+    """Oracle: the cancelled form of el's sympy expression on the line
+    z + t*s (seeded distinct slopes s), an element of QQ(t), at t = 0; None
+    when that is a pole."""
+    slopes = rng.sample(range(1, 9), el.degree)
+    env = {shuffle.q1: QT(sympy.Rational(qa)), shuffle.q2: QT(sympy.Rational(qb))}
+    env.update({z: QT(sympy.Rational(v)) + s * T
+                for z, v, s in zip(zvars(el.degree), zs, slopes)})
+    val = _on_line(el.expr, env)
+    den = val.denom.evaluate(0, 0)
+    if den == 0:
+        return None
+    val = sympy.QQ.to_sympy(val.numer.evaluate(0, 0) / den)
+    return F(int(val.p), int(val.q))
+
+
+# blocks of positions that share one z value, with the degrees of the leaves
+COLLISIONS = [
+    (((0, 1),), (1, 0, 1)),
+    (((0, 2),), (1, 1, 1)),
+    (((0, 1, 2),), (1, 1, 1)),
+    (((1, 3),), (1, 1, 2)),
+    (((0, 1, 3),), (2, 1, 1)),
+    (((0, 2), (1, 3)), (1, 1, 2)),
+    (((0, 1, 2, 3),), (1, 2, 1)),
+]
+Q_DIAGONAL = [(F(2), F(3)), (F(-1, 2), F(5)), (F(1), F(3))]
+
+
+def collision_point(rng, blocks, n, k):
+    """Nonzero z's equal exactly within the blocks, with no z_b = k*z_a
+    for z_a != z_b."""
+    while True:
+        zs = [F(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 3))
+              for _ in range(n)]
+        for block in blocks:
+            for p in block:
+                zs[p] = zs[block[0]]
+        if (len(set(zs)) == n - sum(len(b) - 1 for b in blocks)
+                and all(zs[b] != k * zs[a] for a in range(n) for b in range(n)
+                        if zs[a] != zs[b])):
+            return tuple(zs)
+
+
+def bracketings(rng, degrees):
+    a, b, c = (random_leaf(rng, n) for n in degrees)
+    return [mul(mul(a, b, A2), c, A2), mul(a, mul(b, c, A2), A2)]
+
+
+def no_fallback(*args, **kwargs):
+    raise AssertionError("the sympy fallback ran at a diagonal pole")
+
+
+@pytest.mark.parametrize("blocks, degrees", COLLISIONS)
+def test_diagonal_pole_matches_normal_form(monkeypatch, blocks, degrees):
+    rng = random.Random(repr(blocks))
+    products = bracketings(rng, degrees)
+    for qs in Q_DIAGONAL:
+        zs = collision_point(rng, blocks, sum(degrees), qs[0] * qs[1])
+        for prod in products:
+            want = line_normal_value(prod, zs, *qs, rng)
+            assert want is not None
+            with monkeypatch.context() as m:
+                m.setattr(shuffle, "cancel", no_fallback)
+                assert shuffle_eval(prod, zs, *qs) == want
+
+
+class _Fallback(Exception):
+    pass
+
+
+def fallback(*args, **kwargs):
+    raise _Fallback()
+
+
+@pytest.mark.parametrize("blocks, degrees", COLLISIONS)
+def test_diagonal_pole_with_unit_q1q2_falls_back(monkeypatch, blocks, degrees):
+    # at q1*q2 = 1 the kernel has (1 - x)^2 below, a double pole on the
+    # diagonal, so the point goes to the normal form
+    rng = random.Random(repr(blocks))
+    qs = (F(2), F(1, 2))
+    zs = collision_point(rng, blocks, sum(degrees), F(1))
+    for prod in bracketings(rng, degrees):
+        if prod.degree == 2:
+            want = line_normal_value(prod, zs, *qs, rng)
+            if want is None:
+                with pytest.raises(PoleError):
+                    shuffle_eval(prod, zs, *qs)
+            else:
+                assert shuffle_eval(prod, zs, *qs) == want
+            continue
+        # the normal form itself takes seconds from degree 3 on
+        with monkeypatch.context() as m:
+            m.setattr(shuffle, "cancel", fallback)
+            with pytest.raises(_Fallback):
+                shuffle_eval(prod, zs, *qs)
+
+
+def test_non_diagonal_poles_fall_back(monkeypatch):
+    a, b, c = elem(1, "z1 + 2"), elem(1, "z1"), const(1)
+    prod = mul(mul(a, b, A2), c, A2)
+    rational = mul(elem(2, "(z1*z2 + 1)/(z1 + z2 + 4)"), const(1), A2)
+    monkeypatch.setattr(shuffle, "cancel", fallback)
+    for el, zs in [(prod, (F(2), F(2), F(12))),   # z3 = q1*q2*z1 besides z1 = z2
+                   (prod, (F(0), F(0), F(5))),    # z = 0
+                   (rational, (F(-2), F(-2), F(3)))]:  # a leaf denominator is 0
+        with pytest.raises(_Fallback):
+            shuffle_eval(el, zs, F(2), F(3))
+
+
+def test_degree_four_diagonal_pole_without_normal_form(monkeypatch):
+    # the (1,1,2) product whose normal form runs for minutes
+    a, b, c = elem(1, "-1"), elem(1, "2 - 2*z1"), elem(2, "z1*z2 - 2*z1 - 2*z2 + 3")
+    monkeypatch.setattr(shuffle, "cancel", no_fallback)
+    zs = (F(1), F(3), F(1), F(17, 2))
+    for prod in [mul(mul(a, b, A2), c, A2), mul(a, mul(b, c, A2), A2)]:
+        assert shuffle_eval(prod, zs, F(-1, 2), F(4)) == F(12596720611, 136416000)
+
+
+def test_surviving_diagonal_pole_raises(monkeypatch):
+    # a leaf that skipped the symmetry check: its product keeps a simple
+    # pole on z1 = z3, where the normal form's denominator vanishes too
+    z = zvars(2)
+    prod = mul(ShuffleElement(2, z[0] ** 2 + 3 * z[1]), const(1), A2)
+    monkeypatch.setattr(shuffle, "cancel", no_fallback)
+    rng = random.Random(5)
+    with pytest.raises(PoleError, match="survives"):
+        shuffle_eval(prod, (F(2), F(5), F(2)), F(2), F(3))
+    assert line_normal_value(prod, (F(2), F(5), F(2)), F(2), F(3), rng) is None
+    zs = (F(2), F(2), F(5))
+    assert shuffle_eval(prod, zs, F(2), F(3)) == line_normal_value(prod, zs, F(2), F(3), rng)
