@@ -25,6 +25,11 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_VERIFY = 2
 
+# `shuffle mul` prints the product's exact normal form, one multivariate
+# sympy cancel: about a second at total degree 3, and past half a minute
+# at degree 4.  Larger products are refused before it runs.
+SHUFFLE_MUL_MAX_DEGREE = 3
+
 
 class DomainError(ValueError):
     pass
@@ -35,6 +40,15 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise DomainError(message)
+
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        # argparse drops "--" given as a flag's value (--weight=--) and
+        # stores an empty list in its place
+        for name, value in vars(parsed).items():
+            if value == []:
+                self.error(f"argument --{name.replace('_', '-')}: expected one argument")
+        return parsed
 
 
 def _rational(text: str) -> Fraction:
@@ -275,6 +289,9 @@ def _cmd_shuffle(args) -> int:
             g = shuffle_mod.parse_element(args.expr[1], degree=degs[1])
         except ValueError as exc:
             raise DomainError(str(exc)) from exc
+        if f.degree + g.degree > SHUFFLE_MUL_MAX_DEGREE:
+            raise DomainError(f"shuffle mul is limited to total degree {SHUFFLE_MUL_MAX_DEGREE}, "
+                              f"got {f.degree} + {g.degree}")
         h = shuffle_mod.mul(f, g, params)
         import sympy
         value = sympy.cancel(sympy.together(h.expr))

@@ -11,15 +11,19 @@ indicators.  With phi' = phi - mean(phi), phi lies in r*W exactly when
     top_k(phi') <= r * L * k * (n - k)    for k = 1..n-1,
 
 so membership, the radius r_invariant and the face cocharacter are one
-sort and n-1 prefix sums.  Every other quiver (several vertices, or no
-loops) is decided by exact rational LP, which also serves as the test
-oracle for the prefix-sum form.  No floating point, no tolerance.
+sort and n-1 prefix sums.  The sums run on integers: the weight is scaled
+by the lcm D of its denominators, both sides of every cut by n*D, and a
+radius r = a/b is compared by cross-multiplication, so the only Fraction
+built is the radius r_invariant returns.  Every other quiver (several
+vertices, or no loops) is decided by exact rational LP, which also serves
+as the test oracle for the prefix-sum form.  No floating point, no
+tolerance.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from . import lp
@@ -27,6 +31,7 @@ from .quiver_weights import (
     Quiver,
     Weight,
     _check_block_count,
+    _scaled_coords,
     composition_cocharacter,
     rep_weights,
     tau,
@@ -41,15 +46,11 @@ class WPolytope:
         self.quiver = quiver
         self.dims = tuple(dims)
         self.blocks = tuple(dims)
-        counts: dict[tuple[Fraction, ...], int] = {}
-        for w in rep_weights(quiver, dims):
-            if not w.is_zero():
-                counts[w.coords] = counts.get(w.coords, 0) + 1
-        self.segments = [(Weight(c, self.blocks), mult)
-                         for c, mult in sorted(counts.items())]
-        self.axis = tau(dims)
         # The prefix-sum form needs a loop unless there is nothing to cut.
         self._closed_form = len(self.dims) == 1 and (self.dims[0] == 1 or bool(quiver.edges))
+        # L*p*(n-p), the support of W on the cut p (one-vertex quivers).
+        n = self.dims[0] if len(self.dims) == 1 else 0
+        self._heights = tuple(len(quiver.edges) * p * (n - p) for p in range(1, n))
 
     def _check_blocks(self, chi: Weight) -> None:
         if chi.blocks != self.blocks:
@@ -57,25 +58,52 @@ class WPolytope:
 
     # -- one-vertex prefix-sum form ----------------------------------------
 
-    def _cuts(self, chi: Weight, *, ordered: bool) -> list[tuple[Fraction, int]]:
-        """(prefix_p(chi'), L*p*(n-p)) for the cuts p = 1..n-1.
+    def _cuts(self, chi: Weight, *, ordered: bool) -> list[tuple[int, int]]:
+        """Integer cuts (k_p, h_p) for p = 1..n-1 of a one-vertex weight.
 
-        chi' = chi - mean(chi).  With ordered=False the prefixes run over
-        the coordinates sorted descending, i.e. they are top_p(chi').
+        With D the lcm of chi's denominators, a = D*chi is integral and the
+        cut p of chi' = chi - mean(chi) reads, scaled by n*D,
+
+            k_p = n*P_p - p*S,    h_p = L*p*(n-p) * n*D,
+
+        where P_p is the p-th prefix sum of a and S its total.  So
+        prefix_p(chi') <= r*L*p*(n-p) exactly when k_p * r.den <= r.num * h_p.
+        With ordered=False the prefixes run over a sorted descending, i.e.
+        k_p / (n*D) is top_p(chi').  Raises ValueError on a weight whose
+        block structure is not the polytope's.
         """
-        n = self.dims[0]
-        loops = len(self.quiver.edges)
-        mean = chi.total() / n
-        coords = chi.coords if ordered else sorted(chi.coords, reverse=True)
+        self._check_blocks(chi)
+        ints, den = _scaled_coords(chi.coords)
+        if not ordered:
+            ints.sort(reverse=True)
+        n = len(ints)
+        total = sum(ints)
+        scale = n * den
         out = []
-        prefix = Fraction(0)
-        for p in range(1, n):
-            prefix += coords[p - 1] - mean
-            out.append((prefix, loops * p * (n - p)))
+        prefix = 0
+        for p, h in enumerate(self._heights, 1):
+            prefix += ints[p - 1]
+            out.append((n * prefix - p * total, h * scale))
         return out
 
     # -- LP formulation ----------------------------------------------------
     #
+    # The segments and the axis are built on first use: the one-vertex
+    # prefix-sum form never reads them.
+
+    @cached_property
+    def segments(self) -> list[tuple[Weight, int]]:
+        """The distinct nonzero edge weights beta with their multiplicities."""
+        counts: dict[tuple[Fraction, ...], int] = {}
+        for w in rep_weights(self.quiver, self.dims):
+            if not w.is_zero():
+                counts[w.coords] = counts.get(w.coords, 0) + 1
+        return [(Weight(c, self.blocks), mult) for c, mult in sorted(counts.items())]
+
+    @cached_property
+    def axis(self) -> Weight:
+        return tau(self.dims)
+
     # chi in r*W  <=>  exists x_s in [0, mult_s * r], t free with
     #     sum_s x_s * beta_s + t * tau = chi.
     # Variables: x_s, slack_s (= mult_s * r - x_s), t+, t-, and for the
@@ -113,9 +141,10 @@ class WPolytope:
         r = Fraction(r)
         if r < 0:
             raise ValueError("radius must be nonnegative")
-        self._check_blocks(chi)
         if self._closed_form:
-            return all(top <= r * h for top, h in self._cuts(chi, ordered=False))
+            num, den = r.numerator, r.denominator
+            return all(k * den <= num * h for k, h in self._cuts(chi, ordered=False))
+        self._check_blocks(chi)
         A, b, ncols = self._rows(chi, with_r=False, r=r)
         return lp.feasible(A, b, ncols)
 
@@ -124,18 +153,23 @@ class WPolytope:
         if len(self.dims) != 1:
             raise NotImplementedError("interior test implemented for one-vertex quivers")
         r = Fraction(r)
-        return all(top < r * h for top, h in self._cuts(chi, ordered=False))
+        num, den = r.numerator, r.denominator
+        return all(k * den < num * h for k, h in self._cuts(chi, ordered=False))
 
     def r_invariant(self, chi: Weight) -> Fraction:
         """Minimal r >= 0 with chi in r*W; raises if chi is not in the span.
 
         One-vertex quivers with a loop take the largest ratio
-        top_k(chi') / (L*k*(n-k)); other quivers go through r_invariant_lp.
+        top_k(chi') / (L*k*(n-k)), found by cross-multiplying the integer
+        cuts; other quivers go through r_invariant_lp.
         """
-        self._check_blocks(chi)
         if self._closed_form:
-            return max((top / h for top, h in self._cuts(chi, ordered=False)),
-                       default=Fraction(0))
+            # every top_k(chi') >= 0, so the arg-max starts at r = 0/1
+            best_k, best_h = 0, 1
+            for k, h in self._cuts(chi, ordered=False):
+                if k * best_h > best_k * h:
+                    best_k, best_h = k, h
+            return Fraction(best_k, best_h)
         return self.r_invariant_lp(chi)
 
     def r_invariant_lp(self, chi: Weight) -> Fraction:
@@ -159,14 +193,16 @@ class WPolytope:
         are tight: prefix_p(chi') = r*L*p*(n-p).  The finest one cuts at
         every tight p.  Returns None when r = 0 or no cut is tight.
         """
-        if r == 0:
-            return None
         if len(self.dims) != 1:
             raise NotImplementedError("face cocharacters need a one-vertex quiver")
+        cuts = self._cuts(chi, ordered=True)
+        if r == 0:
+            return None
+        num, den = r.numerator, r.denominator
         comp = []
         last = 0
-        for p, (prefix, h) in enumerate(self._cuts(chi, ordered=True), 1):
-            if h and prefix == r * h:
+        for p, (k, h) in enumerate(cuts, 1):
+            if h and k * den == num * h:
                 comp.append(p - last)
                 last = p
         if not comp:

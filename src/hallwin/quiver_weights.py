@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 
@@ -191,6 +191,13 @@ def pair(lam: Weight, chi: Weight) -> Fraction:
     if len(lam.coords) != len(chi.coords):
         raise ValueError("slot mismatch")
     return sum((a * b for a, b in zip(lam.coords, chi.coords)), Fraction(0))
+
+
+def _scaled_coords(coords: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(D*coords, D) with D the lcm of the denominators: the coordinates as
+    integers over one common denominator."""
+    den = lcm(*[c.denominator for c in coords])
+    return [c.numerator * (den // c.denominator) for c in coords], den
 
 
 def _check_block_count(quiver: Quiver, dims: Sequence[int]) -> None:

@@ -10,10 +10,14 @@ strictly decreasing along root-to-leaf paths, N_j the sum of lambda_j-positive
 edge weights of the block the node refines, and the residual psi lying in the
 half polytope (closed).  Recursion proceeds independently inside the blocks
 of each node's cocharacter; a block stops once its residual radius drops to
-1/2 or below.
+1/2 or below.  The root radius is computed once, and most weights stop
+there: when it is at most 1/2 the form is the root leaf, psi = phi, with no
+node built.
 
 Each node's radius and cocharacter come from the polytope's prefix-sum
-form (one sort per block, no LP).  The same engine on the Jordan quiver,
+form (one sort per block, no LP).  Below the root the residuals are carried
+as integers over one common denominator; Fractions are built only for the
+weights the output holds.  The same engine on the Jordan quiver,
 whose edge weights are the adjoint weights, with threshold 0 solves the
 slope problem: writing sum_i w_i tau_{d_i} as -sum_j (3 r_j - 3/2) g_j +
 c tau_d for the tripled one-vertex quiver.
@@ -24,14 +28,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
-from .polytope import cached_polytope
+from .polytope import WPolytope, cached_polytope
 from .quiver_weights import (
     N_positive,
     Quiver,
     Weight,
     _check_block_count,
+    _scaled_coords,
     adjoint_positive,
     composition_cocharacter,
     jordan,
@@ -106,54 +112,87 @@ class StandardForm:
 def _leaf_partition(chi: Weight, leaf_blocks: Sequence[Sequence[int]]):
     parts = []
     for block in leaf_blocks:
-        w = sum((chi.coords[i] for i in block), Fraction(0))
-        if w.denominator != 1:
+        ints, den = _scaled_coords([chi.coords[i] for i in block])
+        w, rem = divmod(sum(ints), den)
+        if rem:
             raise DecompositionError("partition weight is not an integer")
-        parts.append((len(block), int(w)))
+        parts.append((len(block), w))
     return tuple(parts)
 
 
-def _decompose_block(quiver: Quiver, phi: Weight, slots: tuple[int, ...],
-                     total_blocks: tuple[int, ...], depth: int,
-                     threshold: Fraction, parent_r: Fraction | None):
-    """Returns (nodes, psi_pieces, leaf_blocks) for one block."""
-    b = len(slots)
-    sub_dims = (b,)
-    sub_phi = phi.restrict(slots, sub_dims)
-    poly = cached_polytope(quiver, sub_dims)
-    r = poly.r_invariant(sub_phi)
+_HALF = Fraction(1, 2)
+
+
+# rho, the zero weight and N(lam) for a face cocharacter are immutable, so
+# one instance per dimension (or composition) serves every decomposition.
+@lru_cache(maxsize=None)
+def _rho(dims: tuple[int, ...]) -> Weight:
+    return rho(dims)
+
+
+@lru_cache(maxsize=None)
+def _zero(dims: tuple[int, ...]) -> Weight:
+    return Weight.zero(dims)
+
+
+@lru_cache(maxsize=None)
+def _n_positive(quiver: Quiver, comp: tuple[int, ...]) -> Weight:
+    """N_positive of the canonical cocharacter of a one-vertex composition."""
+    return N_positive(quiver, (sum(comp),), composition_cocharacter(comp))
+
+
+def _tree(quiver: Quiver, phi: Weight, threshold: Fraction):
+    """(nodes, psi, leaf_blocks) of the iterated decomposition of phi.
+
+    A block whose radius is at most threshold is a leaf and keeps its part
+    of phi in psi.  Otherwise its face cocharacter lam gives a node
+    (lam, r, N), phi + r*N splits along lam's level blocks, and each part
+    recurses, its radius bounded by r.  The root radius is computed once: a
+    root within the threshold is returned as the one leaf, psi = phi, and
+    nothing else is built.
+    """
+    dims = phi.blocks
+    poly = cached_polytope(quiver, dims)
+    r = poly.r_invariant(phi)
     if r <= threshold:
-        return [], [(sub_phi, slots)], [slots]
-    face = poly.face_cocharacter(sub_phi, r)
-    if face is None:
-        raise DecompositionError("no face cocharacter found at positive radius")
-    comp, lam = face
-    if parent_r is not None and not r < parent_r:
-        raise DecompositionError("coefficients fail to decrease along the path")
-    N = N_positive(quiver, sub_dims, lam)
-    node = Node(
-        lam=lam.embed(slots, total_blocks),
-        r=r,
-        N=N.embed(slots, total_blocks),
-        block=slots,
-        depth=depth,
-    )
-    reduced = sub_phi + N.scale(r)
-    nodes = [node]
-    psi_pieces = []
-    leaf_blocks = []
-    off = 0
-    for size in comp:
-        child_slots = slots[off:off + size]
-        off += size
-        child_phi = reduced.embed(slots, total_blocks)
-        sub_nodes, sub_psi, sub_leaves = _decompose_block(
-            quiver, child_phi, child_slots, total_blocks, depth + 1,
-            threshold, r)
-        nodes.extend(sub_nodes)
-        psi_pieces.extend(sub_psi)
-        leaf_blocks.extend(sub_leaves)
-    return nodes, psi_pieces, leaf_blocks
+        return (), phi, (tuple(range(dims[0])),)
+    nodes: list[Node] = []
+    psi = list(phi.coords)
+    leaves: list[tuple[int, ...]] = []
+
+    def grow(poly: WPolytope, block_phi: Weight, ints: list[int], den: int, start: int,
+             r: Fraction, depth: int, parent_r: Fraction | None) -> None:
+        # block_phi = ints/den on the slots start..start+len(ints)-1; its
+        # radius in poly is r, above the threshold
+        slots = tuple(range(start, start + len(ints)))
+        face = poly.face_cocharacter(block_phi, r)
+        if face is None:
+            raise DecompositionError("no face cocharacter found at positive radius")
+        comp, lam = face
+        if parent_r is not None and not r < parent_r:
+            raise DecompositionError("coefficients fail to decrease along the path")
+        N = _n_positive(quiver, comp)
+        nodes.append(Node(lam=lam.embed(slots, dims), r=r, N=N.embed(slots, dims),
+                          block=slots, depth=depth))
+        # phi + r*N over the common denominator den * r.den
+        num, rden = r.numerator, r.denominator
+        reduced = [x * rden + num * den * v.numerator for x, v in zip(ints, N.coords)]
+        den *= rden
+        off = 0
+        for size in comp:
+            part = reduced[off:off + size]
+            child = Weight(tuple([Fraction(x, den) for x in part]), (size,))
+            child_poly = cached_polytope(quiver, child.blocks)
+            child_r = child_poly.r_invariant(child)
+            if child_r <= threshold:
+                psi[start + off:start + off + size] = child.coords
+                leaves.append(slots[off:off + size])
+            else:
+                grow(child_poly, child, part, den, start + off, child_r, depth + 1, r)
+            off += size
+
+    grow(poly, phi, *_scaled_coords(phi.coords), 0, r, 0, None)
+    return tuple(nodes), Weight(tuple(psi), dims), tuple(leaves)
 
 
 def decompose(quiver: Quiver, dims: Sequence[int], chi: Weight,
@@ -167,20 +206,16 @@ def decompose(quiver: Quiver, dims: Sequence[int], chi: Weight,
         raise ValueError("weight has wrong block structure")
     if not chi.is_dominant():
         raise DecompositionError("weight is not dominant")
+    phi = chi + _rho(dims)
     if delta is None:
-        delta = Weight.zero(dims)
-    phi = chi + rho(dims) + delta
-    slots = tuple(range(sum(dims)))
-    nodes, psi_pieces, leaf_blocks = _decompose_block(
-        quiver, phi, slots, dims, 0, Fraction(1, 2), None)
-    psi = Weight.zero(dims)
-    for piece, piece_slots in psi_pieces:
-        psi = psi + piece.embed(piece_slots, dims)
-    partition = _leaf_partition(chi, leaf_blocks)
+        delta = _zero(dims)
+    elif delta.blocks != dims or not delta.is_zero():
+        phi = phi + delta  # raises on a block mismatch
+    nodes, psi, leaf_blocks = _tree(quiver, phi, _HALF)
     form = StandardForm(
         quiver=quiver, dims=dims, chi=chi, delta=delta, phi=phi,
-        nodes=tuple(nodes), psi=psi, partition=partition,
-        leaf_blocks=tuple(tuple(b) for b in leaf_blocks),
+        nodes=nodes, psi=psi, partition=_leaf_partition(chi, leaf_blocks),
+        leaf_blocks=leaf_blocks,
     )
     if form.reconstruct() != phi:
         raise DecompositionError("reconstruction failed")
@@ -273,19 +308,14 @@ def slope_to_tree(quiver: Quiver, dims: Sequence[int],
     if any(a <= b for a, b in zip(slopes, slopes[1:])):
         raise DecompositionError("slopes are not strictly decreasing")
     psi_A = _partition_weight(A)
-    slots = tuple(range(sum(dims)))
     # The adjoint weights are the edge weights of the Jordan quiver.
-    nodes, psi_pieces, leaf_blocks = _decompose_block(
-        jordan(), psi_A, slots, dims, 0, Fraction(0), None)
+    nodes, residual, leaf_blocks = _tree(jordan(), psi_A, Fraction(0))
     got = tuple(len(b) for b in leaf_blocks)
     if got != tuple(d for d, _w in A):
         raise DecompositionError("slope data does not reproduce the partition")
     # Residual must be a single multiple of tau; every leaf piece is the
     # constant w_i/d_i on its block only if the parts were fully separated,
     # and the subtraction of traceless g_j keeps the total equal to sum w_i.
-    residual = Weight.zero(dims)
-    for piece, piece_slots in psi_pieces:
-        residual = residual + piece.embed(piece_slots, dims)
     c = residual.total()
     if residual != tau(dims).scale(c):
         raise DecompositionError("slope residual is not on the axis")

@@ -1,10 +1,14 @@
 """Command-line interface: outputs, schemas, exit codes."""
 
+import contextlib
+import io
 import json
 import pathlib
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hallwin import cli
 
@@ -250,3 +254,46 @@ def test_r_invariant_multi_vertex_quiver(capsys, tmp_path):
     rows = run_json(capsys, ["r-invariant", "--weight", "1;2", "--quiver", str(qfile)],
                     "r-invariant")
     assert rows == [{"r": "1/2", "lambda": None}]
+
+
+@pytest.mark.parametrize("argv", [
+    ["shuffle", "mul", "z1+z2", "z1*z2+1"],
+    ["shuffle", "mul", "1", "1", "--degrees", "2,2"],
+    ["shuffle", "mul", "1", "1", "--degrees", "1,3"],
+    ["shuffle", "mul", "1", "1", "--degrees", "2,3"],
+])
+def test_shuffle_mul_degree_limit_exit_1(capsys, argv):
+    # refused before the exact normal form, which runs for minutes here
+    assert_one_error_line(*run(capsys, argv))
+
+
+FUZZ_TEXT = st.text(alphabet="0123456789,;/-. ", max_size=12)
+# --d bounds the dimension a partition or weight text can ask for
+FUZZ_D = st.integers(1, 4).map(lambda d: ["--d", str(d)])
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A command line whose weight or partition text is drawn at random."""
+    command = draw(st.sampled_from(["r-invariant", "decompose", "omega-shift", "compare"]))
+    if command == "r-invariant":
+        return [command, "--weight=" + draw(FUZZ_TEXT)] + draw(FUZZ_D)
+    if command == "decompose":
+        return [command, "--weight=" + draw(FUZZ_TEXT)]
+    if command == "omega-shift":
+        return [command, "--partition=" + draw(FUZZ_TEXT)] + draw(FUZZ_D)
+    return [command, "--a=" + draw(FUZZ_TEXT), "--b=" + draw(FUZZ_TEXT)] + draw(FUZZ_D)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_argv())
+def test_cli_fuzz_is_total(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)  # an exception escaping here is a traceback
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    assert len(errors) <= 1, (argv, err.getvalue())
+    if code == 1:
+        assert out.getvalue() == "" and len(errors) == 1, (argv, err.getvalue())

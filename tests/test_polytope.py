@@ -17,6 +17,7 @@ from hallwin import (
     adjoint_weights,
     builtin_quiver,
     cochar_classes,
+    composition_cocharacter,
     jordan,
     pair,
     rep_weights,
@@ -160,6 +161,15 @@ def test_contains_rejects_negative_radius():
         P2.contains(W(1, -1), -1)
 
 
+@pytest.mark.parametrize("coords", [(1, 2, 3), (3, 0, -3), (1,)])
+def test_wrong_slot_count_raises(coords):
+    chi = W(*coords)
+    for query in (lambda: P2.contains(chi, 1), lambda: P2.contains_interior(chi, 1),
+                  lambda: P2.r_invariant(chi), lambda: P2.face_cocharacter(chi, F(1))):
+        with pytest.raises(ValueError, match="block structure"):
+            query()
+
+
 # -- slow oracles for the prefix-sum form -----------------------------------
 
 
@@ -233,3 +243,59 @@ def test_r_invariant_scales_with_loop_count(coords):
     for q in QUIVERS:
         assert WPolytope(q, (n,)).r_invariant(chi) == r_jordan / len(q.edges)
         assert adjoint_weights(q, (n,)) == rep_weights(jordan(), (n,))
+
+
+# -- the Fraction prefix sums as the reference for the integer core ---------
+
+
+def fraction_cuts(poly, chi, ordered):
+    """(prefix_p(chi'), L*p*(n-p)) for p = 1..n-1, chi' = chi - mean(chi),
+    summed in Fraction; unordered prefixes run over the sorted coordinates."""
+    n = poly.dims[0]
+    mean = chi.total() / n
+    coords = chi.coords if ordered else sorted(chi.coords, reverse=True)
+    out = []
+    prefix = F(0)
+    for p in range(1, n):
+        prefix += coords[p - 1] - mean
+        out.append((prefix, len(poly.quiver.edges) * p * (n - p)))
+    return out
+
+
+def fraction_face(poly, chi, r):
+    if r == 0:
+        return None
+    comp, last = [], 0
+    for p, (prefix, h) in enumerate(fraction_cuts(poly, chi, ordered=True), 1):
+        if h and prefix == r * h:
+            comp.append(p - last)
+            last = p
+    if not comp:
+        return None
+    comp = tuple(comp + [poly.dims[0] - last])
+    return comp, composition_cocharacter(comp)
+
+
+# Mixed denominators, and numerators far past any machine word.
+MIXED = st.builds(F, st.integers(-6, 6) | st.integers(-10**30, 10**30),
+                  st.sampled_from([1, 2, 3, 6, 7]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(QUIVERS), st.integers(1, 6).flatmap(
+    lambda n: st.lists(MIXED, min_size=n, max_size=n)), st.booleans())
+def test_integer_core_matches_fraction_reference(q, coords, dominant):
+    if dominant:
+        coords = sorted(coords, reverse=True)
+    n = len(coords)
+    poly = WPolytope(q, (n,))
+    chi = Weight.make(coords, (n,))
+    cuts = fraction_cuts(poly, chi, ordered=False)
+    r = max((top / h for top, h in cuts), default=F(0))
+    assert poly.r_invariant(chi) == r
+    for radius in (r, r - F(1, 97), r + F(1, 97), F(1, 2)):
+        if radius < 0:
+            continue
+        assert poly.contains(chi, radius) == all(top <= radius * h for top, h in cuts)
+        assert poly.contains_interior(chi, radius) == all(top < radius * h for top, h in cuts)
+    assert poly.face_cocharacter(chi, r) == fraction_face(poly, chi, r)
