@@ -67,7 +67,8 @@ from .pbw import (
 
 
 def __getattr__(name):
-    # the shuffle layer loads sympy, so it is imported on first use
+    # the shuffle layer is imported on first use; it loads sympy itself only
+    # where an element's sympy `expr` is read
     if name == "shuffle":
         import importlib
         return importlib.import_module(".shuffle", __name__)

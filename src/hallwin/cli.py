@@ -30,6 +30,11 @@ EXIT_VERIFY = 2
 # at degree 4.  Larger products are refused before it runs.
 SHUFFLE_MUL_MAX_DEGREE = 3
 
+# `compare` and `omega-shift` do work quadratic in a partition's total
+# dimension d (about half a second at d = 800); a larger d is refused
+# before any of it.
+PARTITION_MAX_DIMENSION = 400
+
 
 class DomainError(ValueError):
     pass
@@ -96,6 +101,13 @@ def _parse_weight(text: str) -> Weight:
         return Weight.make(coords, blocks)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"malformed weight {text!r}: {exc}") from exc
+
+
+def _partition_dimension(A) -> int:
+    d = sum(p[0] for p in A)
+    if d > PARTITION_MAX_DIMENSION:
+        raise DomainError(f"partition dimension {d} exceeds the limit {PARTITION_MAX_DIMENSION}")
+    return d
 
 
 def _parse_partition(text: str) -> tuple[tuple[int, int], ...]:
@@ -214,7 +226,7 @@ def _cmd_compare(args) -> int:
     q = _load_quiver(args.quiver)
     A = _parse_partition(args.a)
     B = _parse_partition(args.b)
-    d = sum(p[0] for p in A)
+    d = _partition_dimension(A)
     if sum(p[0] for p in B) != d:
         raise DomainError("partitions have different total dimension")
     if sum(p[1] for p in A) != sum(p[1] for p in B):
@@ -304,7 +316,7 @@ def _cmd_shuffle(args) -> int:
 def _cmd_omega_shift(args) -> int:
     q = _load_quiver(args.quiver)
     A = _parse_partition(args.partition)
-    d = sum(p[0] for p in A)
+    d = _partition_dimension(A)
     _check_d(args, d, "partition's total dimension")
     try:
         shifted = omega_shift(q, (d,), A)

@@ -10,10 +10,18 @@ the product degenerates to plain symmetrization.
 
 A product is a lazy tree: `mul` records its factors, and `shuffle_eval` and
 probabilistic `equals` evaluate the splitting sum directly in `Fraction`
-from each leaf's numerator and denominator coefficients (read once per
-leaf).  Otherwise sympy is used only for parsing, printing, exact
-equality, the symmetry check and the fallback at non-diagonal poles,
-which reads a product's `expr` and so builds it.
+from each leaf's numerator (and denominator) terms, lists of
+(exponents, Fraction) pairs in z1..z_degree followed by the parameters the
+leaf uses, sorted by name.  `parse_element` reads its text straight into
+that form; a leaf built from a sympy expression is converted once, on its
+first evaluation.  Parameters are keyed by name ("q1", "q2", "D", "K").
+
+sympy is imported only where an `expr` is read: `==`, `hash` and `repr`,
+exact `equals`, `serialize_element`, `from_expr` and `scalar` on sympy
+input, `zeta`, and the fallback at non-diagonal poles, which builds a
+product's `expr` (its raw splitting sum).  The module attributes `q1`,
+`q2`, `D_sym` and `K_sym` are sympy symbols made on first access.  Every
+exact normal form goes through the module-level `cancel`.
 
 Diagonal rule.  Where a splitting term hits a pole and the only vanishing
 denominators are kernel factors 1 - z_a/z_b with z_a = z_b (no leaf
@@ -41,16 +49,36 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-from sympy import Rational, Symbol, cancel, together
-
 from .kernel import PoleError, _a2_kernel, zeta_value
 
-q1, q2 = sympy.symbols("q1 q2")
-D_sym, K_sym = sympy.symbols("D K")
-
 _MAX_VARS = 12
-_Z = sympy.symbols(" ".join(f"z{i}" for i in range(1, _MAX_VARS + 1)))
+# module attribute -> name of the sympy symbol it stands for
+_SYMBOL_ATTRS = {"q1": "q1", "q2": "q2", "D_sym": "D", "K_sym": "K"}
+
+
+def __getattr__(name):
+    # the sympy symbols are made on first access, so importing this module
+    # does not load sympy
+    if name in _SYMBOL_ATTRS:
+        return _symbols(_SYMBOL_ATTRS[name])[0]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _symbols(*names) -> list:
+    import sympy
+    return [sympy.Symbol(name) for name in names]
+
+
+def _znames(n: int) -> list[str]:
+    if n > _MAX_VARS:
+        raise ValueError(f"degree {n} exceeds the supported maximum {_MAX_VARS}")
+    return [f"z{i}" for i in range(1, n + 1)]
+
+
+def cancel(expr):
+    """sympy's `cancel`: the exact normal form, the one this module computes."""
+    import sympy
+    return sympy.cancel(expr)
 
 
 @dataclass(frozen=True)
@@ -69,34 +97,37 @@ class KernelParams:
 
     @property
     def D(self):
-        return D_sym if self.mode == "formal" else sympy.expand((1 - q1) * (1 - q2))
+        import sympy
+        q1, q2, D = _symbols("q1", "q2", "D")
+        return D if self.mode == "formal" else sympy.expand((1 - q1) * (1 - q2))
 
     @property
     def K(self):
-        return K_sym if self.mode == "formal" else q1 * q2
+        q1, q2, K = _symbols("q1", "q2", "K")
+        return K if self.mode == "formal" else q1 * q2
 
 
 def zeta(x, params: KernelParams = KernelParams()):
     """Two-variable kernel as an exact expression in x (symbol or number)."""
+    q1, q2, D, K = _symbols("q1", "q2", "D", "K")
     if params.mode == "a2":
         expr = ((1 - q1 * x) * (1 - q2 * x)) / ((1 - x) * (1 - q1 * q2 * x))
     else:
-        expr = 1 + x * D_sym / ((1 - x) * (1 - x * K_sym))
+        expr = 1 + x * D / ((1 - x) * (1 - x * K))
     return expr
 
 
 def zvars(n: int):
-    if n > _MAX_VARS:
-        raise ValueError(f"degree {n} exceeds the supported maximum {_MAX_VARS}")
-    return _Z[:n]
+    return tuple(_symbols(*_znames(n)))
 
 
 class ShuffleElement:
     """A symmetric rational function of the given degree.
 
     `expr` is a sympy expression in z1..z_degree and kernel parameters.  A
-    product made by `mul` records its two factors and its kernel instead and
-    builds `expr` (the raw splitting sum) only when something reads it.
+    product made by `mul` records its two factors and its kernel instead,
+    and a polynomial leaf made by `parse_element` (or a rational constant)
+    its terms; either builds `expr` only when something reads it.
     """
 
     __slots__ = ("degree", "_expr", "_factors", "_leaf")
@@ -109,10 +140,26 @@ class ShuffleElement:
         self._factors = None  # (f, g, params) when self is a product
         self._leaf = None  # _leaf_data(self), computed once
 
+    @staticmethod
+    def _polynomial(degree: int, params, terms) -> "ShuffleElement":
+        """A leaf from its terms in z1..z_degree followed by params (names)."""
+        el = ShuffleElement(degree, None)
+        el._leaf = (list(params), terms, None)
+        return el
+
+    @staticmethod
+    def _constant(degree: int, c) -> "ShuffleElement":
+        c = Fraction(c)
+        monom = (0,) * len(_znames(degree))  # _znames checks the degree
+        return ShuffleElement._polynomial(degree, (), [(monom, c)] if c else [])
+
     @property
     def expr(self):
         if self._expr is None:
-            self._expr = _splitting_sum(*self._factors)
+            if self._factors is not None:
+                self._expr = _splitting_sum(*self._factors)
+            else:
+                self._expr = _leaf_expr(self)
         return self._expr
 
     def __eq__(self, other):
@@ -128,10 +175,16 @@ class ShuffleElement:
 
     @staticmethod
     def scalar(c) -> "ShuffleElement":
+        if isinstance(c, (int, Fraction)):
+            return ShuffleElement._constant(0, c)
+        import sympy
         return ShuffleElement(0, sympy.nsimplify(sympy.sympify(c), rational=True))
 
     @staticmethod
     def from_expr(n: int, expr, check_symmetry: bool = True) -> "ShuffleElement":
+        if isinstance(expr, (int, Fraction)):
+            return ShuffleElement._constant(n, expr)
+        import sympy
         expr = sympy.sympify(expr)
         el = ShuffleElement(n, expr)
         if check_symmetry and not el.is_symmetric():
@@ -140,17 +193,37 @@ class ShuffleElement:
 
     def is_symmetric(self) -> bool:
         """Symmetry under all adjacent transpositions (hence under S_n)."""
+        if self._expr is None and self._factors is None:
+            # a polynomial leaf: its terms under each swap of exponents
+            terms = dict(self._leaf[1])
+            for i in range(self.degree - 1):
+                swapped = {m[:i] + (m[i + 1], m[i]) + m[i + 2:]: c for m, c in terms.items()}
+                if swapped != terms:
+                    return False
+            return True
+        import sympy
         zs = zvars(self.degree)
         for i in range(self.degree - 1):
             a, b = zs[i], zs[i + 1]
-            t = Symbol("_swap_tmp")
+            t = sympy.Symbol("_swap_tmp")
             swapped = self.expr.subs({a: t, b: a}).subs({t: b})
-            if cancel(together(self.expr - swapped)) != 0:
+            if cancel(sympy.together(self.expr - swapped)) != 0:
                 return False
         return True
 
 
-unit = ShuffleElement(0, sympy.Integer(1))
+unit = ShuffleElement._constant(0, 1)
+
+
+def _leaf_expr(el: ShuffleElement):
+    """The sympy expression of a polynomial leaf, in the form sympy's
+    `expand` gives it."""
+    import sympy
+    params, num, _ = el._leaf
+    gens = _symbols(*_znames(el.degree), *params)
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*(g ** e for g, e in zip(gens, monom) if e))
+                       for monom, c in num))
 
 
 def _relabel(expr, n: int, positions) -> object:
@@ -158,17 +231,16 @@ def _relabel(expr, n: int, positions) -> object:
     if n == 0:
         return expr
     zs = zvars(n)
-    tmp = sympy.symbols(" ".join(f"_t{i}" for i in range(1, n + 1)))
-    if n == 1:
-        tmp = (tmp,)
-    sub1 = {zs[i]: tmp[i] for i in range(n)}
-    sub2 = {tmp[i]: _Z[positions[i] - 1] for i in range(n)}
-    return expr.subs(sub1).subs(sub2)
+    tmp = _symbols(*(f"_t{i}" for i in range(1, n + 1)))
+    targets = _symbols(*(f"z{p}" for p in positions))
+    return expr.subs(dict(zip(zs, tmp))).subs(dict(zip(tmp, targets)))
 
 
 def _splitting_sum(f: ShuffleElement, g: ShuffleElement, params: KernelParams):
     """The sympy expression of the product f * g."""
+    import sympy
     n, m = f.degree, g.degree
+    zs = zvars(n + m)
     acc = sympy.Integer(0)
     universe = list(range(1, n + m + 1))
     for I in itertools.combinations(universe, n):
@@ -176,7 +248,7 @@ def _splitting_sum(f: ShuffleElement, g: ShuffleElement, params: KernelParams):
         term = _relabel(f.expr, n, I) * _relabel(g.expr, m, J)
         for i in I:
             for j in J:
-                term *= zeta(_Z[i - 1] / _Z[j - 1], params)
+                term *= zeta(zs[i - 1] / zs[j - 1], params)
         acc += term
     # kept as a raw sum: a global exact cancellation is exponential in the
     # degree, and evaluation / equality checks do not need it
@@ -197,7 +269,8 @@ def mul(f: ShuffleElement, g: ShuffleElement,
 
 
 def _terms(poly, gens) -> list:
-    """A polynomial as (exponents, Fraction coefficient) pairs in gens."""
+    """A sympy polynomial as (exponents, Fraction coefficient) pairs in gens."""
+    import sympy
     try:
         terms = sympy.Poly(poly, *gens).terms() if gens else [((), poly)]
     except sympy.PolynomialError as exc:
@@ -211,25 +284,28 @@ def _terms(poly, gens) -> list:
 
 
 def _leaf_data(el: ShuffleElement) -> tuple:
-    """(parameter symbols, numerator terms, denominator terms) of a non-product
-    element, in the generators z1..z_degree followed by the parameters."""
+    """(parameter names, numerator terms, denominator terms or None for 1)
+    of a non-product element, in the generators z1..z_degree followed by
+    the parameters."""
     if el._leaf is None:
+        import sympy
         expr = sympy.sympify(el.expr)
         zs = list(zvars(el.degree))
         params = sorted(expr.free_symbols - set(zs), key=lambda s: s.name)
-        num, den = sympy.fraction(together(expr))
-        el._leaf = (params, _terms(num, zs + params), _terms(den, zs + params))
+        num, den = sympy.fraction(sympy.together(expr))
+        den_terms = None if den == 1 else _terms(den, zs + params)
+        el._leaf = ([s.name for s in params], _terms(num, zs + params), den_terms)
     return el._leaf
 
 
 def _parameters(el: ShuffleElement) -> set:
-    """The symbols other than z1..z_degree that the value of el depends on."""
+    """The names other than z1..z_degree that the value of el depends on."""
     if el._factors is None:
         return set(_leaf_data(el)[0])
     f, g, params = el._factors
     kernel = set()
     if f.degree and g.degree:
-        kernel = {q1, q2} if params.mode == "a2" else {D_sym, K_sym}
+        kernel = {"q1", "q2"} if params.mode == "a2" else {"D", "K"}
     return _parameters(f) | _parameters(g) | kernel
 
 
@@ -332,7 +408,7 @@ def _vanishes(x) -> bool:
 
 
 class _Point:
-    """Evaluation at one point: parameter values by symbol, with the values
+    """Evaluation at one point: parameter values by name, with the values
     of sub-elements and kernel factors cached.  The z's are Fractions, or
     `_Series` on a line through the point; one splitting recursion serves
     both.  A leaf denominator or kernel factor that vanishes at the point
@@ -351,13 +427,13 @@ class _Point:
             if _vanishes(b):
                 raise PoleError("kernel at z = 0")
             if params.mode == "a2":
-                qa, qb = env[q1], env[q2]
+                qa, qb = env["q1"], env["q2"]
                 # at q1 = 1 or q2 = 1 the numerator cancels the denominator,
                 # so zeta is identically 1, also where 1 - x vanishes
                 val = Fraction(1) if 1 in (qa, qb) else _a2_kernel(a, b, qa, qb)
             else:
                 # 1 + xD/((1-x)(1-xK)) at x = a/b, times b^2/b^2
-                val = 1 + a * b * env[D_sym] / (b - env[K_sym] * a) / (b - a)
+                val = 1 + a * b * env["D"] / (b - env["K"] * a) / (b - a)
             self.kernels[key] = val
         return self.kernels[key]
 
@@ -369,10 +445,12 @@ class _Point:
         if el._factors is None:
             params, num, den = _leaf_data(el)
             values = zs + tuple(self.env[s] for s in params)
-            den_val = _poly_value(den, values)
-            if _vanishes(den_val):
-                raise ZeroDivisionError("a leaf denominator vanishes")
-            val = _poly_value(num, values) / den_val
+            val = _poly_value(num, values)
+            if den is not None:
+                den_val = _poly_value(den, values)
+                if _vanishes(den_val):
+                    raise ZeroDivisionError("a leaf denominator vanishes")
+                val = val / den_val
         else:
             f, g, params = el._factors
             val = Fraction(0)
@@ -392,7 +470,7 @@ def _diagonal_line(zs: tuple, env: dict) -> tuple | None:
     """The line z + eps*(0, 1, ..., n-1) as series truncated at eps^C, C the
     number of pairs with z_a = z_b, when those diagonals are the only kernel
     poles at zs; None when C = 0, a z is 0 or some z_b = q1*q2*z_a."""
-    k = env[q1] * env[q2]
+    k = env["q1"] * env["q2"]
     n = len(zs)
     if 0 in zs or any(zs[b] == k * zs[a] for a in range(n) for b in range(n) if a != b):
         return None
@@ -413,19 +491,20 @@ def equals(f: ShuffleElement, g: ShuffleElement,
     if f.degree != g.degree:
         raise ValueError("degrees differ")
     if strategy == "exact":
-        return cancel(together(f.expr - g.expr)) == 0
+        import sympy
+        return cancel(sympy.together(f.expr - g.expr)) == 0
     if strategy != "probabilistic":
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = random.Random(seed)
-    zs = zvars(f.degree)
-    syms = sorted(set(zs) | _parameters(f) | _parameters(g), key=lambda s: s.name)
+    zs = _znames(f.degree)
+    names = sorted(set(zs) | _parameters(f) | _parameters(g))
     checked = 0
     attempts = 0
     while checked < points:
         attempts += 1
         if attempts > 50 * points:
             raise PoleError("could not find enough pole-free sample points")
-        env = {s: Fraction(rng.randint(2, 97), rng.randint(1, 23)) for s in syms}
+        env = {s: Fraction(rng.randint(2, 97), rng.randint(1, 23)) for s in names}
         point = _Point(env)
         at = tuple(env[z] for z in zs)
         try:
@@ -449,13 +528,13 @@ def shuffle_eval(f: ShuffleElement, z_values, q1_val, q2_val) -> Fraction:
     """
     if len(z_values) != f.degree:
         raise ValueError("wrong number of z values")
-    env = {q1: Fraction(q1_val), q2: Fraction(q2_val)}
+    env = {"q1": Fraction(q1_val), "q2": Fraction(q2_val)}
     missing = _parameters(f) - set(env)
-    if missing & {D_sym, K_sym}:
+    if missing & {"D", "K"}:
         raise ValueError("formal-kernel elements need values for D and K, "
                          "and shuffle_eval takes values for q1 and q2 only")
     if missing:
-        raise ValueError(f"no values for {sorted(map(str, missing))}")
+        raise ValueError(f"no values for {sorted(missing)}")
     zs = tuple(Fraction(v) for v in z_values)
     try:
         return _Point(env).value(f, zs)
@@ -471,9 +550,10 @@ def shuffle_eval(f: ShuffleElement, z_values, q1_val, q2_val) -> Fraction:
             return val.constant_term()
     # any other pole: the full cancelled form may still be regular there,
     # so fall back to the exact normal form
-    subs = {s: Rational(v) for s, v in env.items()}
-    subs.update({z: Rational(v) for z, v in zip(zvars(f.degree), zs)})
-    expr = cancel(together(f.expr))
+    import sympy
+    env.update(zip(_znames(f.degree), zs))
+    expr = cancel(sympy.together(f.expr))
+    subs = {s: sympy.Rational(env[s.name]) for s in expr.free_symbols if s.name in env}
     num, den = sympy.fraction(expr)
     den_val = den.subs(subs)
     if den_val == 0:
@@ -488,38 +568,233 @@ def shuffle_eval(f: ShuffleElement, z_values, q1_val, q2_val) -> Fraction:
 # -- text mini-language ----------------------------------------------------
 
 _TOKEN_RE = re.compile(r"^[\sz0-9q+\-*^()]*$")
+_LEXEME_RE = re.compile(r"\*\*|[-+*()]|[0-9]+|[zq][zq0-9]*|[ \t\f]+|.", re.DOTALL)
+# the generators of a parsed polynomial, by position
+_GENERATORS = _znames(_MAX_VARS) + ["q1", "q2"]
+_GENERATOR_INDEX = {name: k for k, name in enumerate(_GENERATORS)}
+_ONE = (0,) * len(_GENERATORS)
+
+# Limits of the text language, so that no text runs away with time or memory.
+_MAX_EXPONENT = 64  # |e| in p^e, and each generator's exponent in its value
+_MAX_TERMS = 100_000  # pairs of terms one product multiplies
+_MAX_BITS = 4096  # numerator and denominator bits of a power's coefficients
+_MAX_NESTING = 50  # parentheses and exponents inside one another
+
+
+def _add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for m, c in q.items():
+        c += out.get(m, 0)
+        if c:
+            out[m] = c
+        else:
+            del out[m]
+    return out
+
+
+def _neg(p: dict) -> dict:
+    return {m: -c for m, c in p.items()}
+
+
+def _mul(p: dict, q: dict) -> dict:
+    if len(p) * len(q) > _MAX_TERMS:
+        raise ValueError(f"a product multiplies more than {_MAX_TERMS} pairs of terms")
+    out: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _pow(base: dict, exponent: dict) -> dict:
+    if any(m != _ONE for m in exponent):
+        raise ValueError("an exponent must be a constant")
+    e = exponent.get(_ONE, Fraction(0))
+    if e.denominator != 1:
+        raise ValueError(f"exponent {e} is not an integer")
+    e = int(e)
+    if abs(e) > _MAX_EXPONENT:
+        raise ValueError(f"exponent {e} exceeds the limit {_MAX_EXPONENT}")
+    if e < 0:
+        if set(base) != {_ONE}:
+            raise ValueError("only a nonzero constant has negative powers")
+        out = {_ONE: base[_ONE] ** e}
+    else:
+        if max((max(m) for m in base), default=0) * e > _MAX_EXPONENT:
+            raise ValueError(f"a power has an exponent above {_MAX_EXPONENT} in some z or q")
+        out = {_ONE: Fraction(1)}
+        for _ in range(e):
+            out = _mul(out, base)
+    if any(max(c.numerator.bit_length(), c.denominator.bit_length()) > _MAX_BITS
+           for c in out.values()):
+        raise ValueError(f"a power has a coefficient of more than {_MAX_BITS} bits")
+    return out
+
+
+def _unexpected(tok) -> ValueError:
+    return ValueError("expression ends too early" if tok is None else f"unexpected {tok!r}")
+
+
+class _Parser:
+    """Recursive descent over the tokens of one text, with Python's
+    precedence:
+
+        expr   = term (("+" | "-") term)*
+        term   = factor ("*" factor)*
+        factor = ("+" | "-")* power
+        power  = atom ["**" factor]
+        atom   = integer | z1..z12 | q1 | q2 | "(" expr ")"
+
+    Values are expanded polynomials: dicts from exponent tuples in
+    `_GENERATORS` to nonzero Fractions."""
+
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens
+        self.pos = 0
+        self.depth = 0
+        self.top_z = 0  # the highest z index met
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self):
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def parse(self) -> dict:
+        value = self.expr()
+        if self.pos < len(self.tokens):
+            raise _unexpected(self.peek())
+        return value
+
+    def nested(self, rule):
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ValueError(f"more than {_MAX_NESTING} levels of nesting")
+        value = rule()
+        self.depth -= 1
+        return value
+
+    def expr(self) -> dict:
+        value = self.term()
+        while self.peek() in ("+", "-"):
+            sign = self.take()
+            rest = self.term()
+            value = _add(value, rest if sign == "+" else _neg(rest))
+        return value
+
+    def term(self) -> dict:
+        value = self.factor()
+        while self.peek() == "*":
+            self.take()
+            value = _mul(value, self.factor())
+        return value
+
+    def factor(self) -> dict:
+        negate = False
+        while self.peek() in ("+", "-"):
+            negate ^= self.take() == "-"
+        value = self.power()
+        return _neg(value) if negate else value
+
+    def power(self) -> dict:
+        base = self.atom()
+        if self.peek() != "**":
+            return base
+        self.take()
+        return _pow(base, self.nested(self.factor))
+
+    def atom(self) -> dict:
+        tok = self.take()
+        if tok == "(":
+            value = self.nested(self.expr)
+            if self.peek() != ")":
+                raise _unexpected(self.peek())
+            self.take()
+            return value
+        if tok is not None and tok.isdigit():
+            if len(tok) > 1 and tok[0] == "0":
+                raise ValueError(f"integer {tok!r} has a leading zero")
+            try:
+                c = int(tok)
+            except ValueError:  # past the interpreter's digit limit
+                raise ValueError(f"integer of {len(tok)} digits is too long") from None
+            return {_ONE: Fraction(c)} if c else {}
+        if tok in _GENERATOR_INDEX:
+            k = _GENERATOR_INDEX[tok]
+            if k < _MAX_VARS:
+                self.top_z = max(self.top_z, k + 1)
+            return {_ONE[:k] + (1,) + _ONE[k + 1:]: Fraction(1)}
+        if tok is not None and tok[0] in "zq":
+            raise ValueError(f"unknown symbol {tok!r}")
+        raise _unexpected(tok)
+
+
+def _tokens(text: str) -> list[str]:
+    tokens = []
+    for lexeme in _LEXEME_RE.findall(text.strip().replace("^", "**")):
+        if lexeme[0] in " \t\f":
+            continue
+        if lexeme.isspace():
+            raise ValueError(f"whitespace {lexeme!r} inside an element expression")
+        tokens.append(lexeme)
+    return tokens
+
+
+def _parse_leaf(text: str, degree: int | None) -> ShuffleElement:
+    """The polynomial of a text as a leaf of the given degree (by default the
+    highest z index in the text), not checked for symmetry."""
+    if not _TOKEN_RE.match(text):
+        raise ValueError("illegal character in element expression")
+    tokens = _tokens(text)
+    if not tokens:
+        raise ValueError("empty element expression")
+    parser = _Parser(tokens)
+    poly = parser.parse()
+    n = parser.top_z if degree is None else degree
+    qs = [k for k in range(_MAX_VARS, len(_ONE)) if any(m[k] for m in poly)]
+    keep = list(range(len(_znames(n)))) + qs
+    terms = [(tuple(m[k] for k in keep), c) for m, c in poly.items()]
+    el = ShuffleElement._polynomial(n, [_GENERATORS[k] for k in qs], terms)
+    if parser.top_z > n:
+        raise ValueError("z index exceeds the declared degree")
+    return el
 
 
 def parse_element(text: str, degree: int | None = None) -> ShuffleElement:
     """Parse a symmetric polynomial expression in z1..zn, q1, q2.
 
-    Allowed tokens: variables z<i>, parameters q1 and q2, integers, and
-    + - * ^ with parentheses.  The result is symmetry-checked.
+    Allowed tokens: integers (no leading zero), variables z1..z12,
+    parameters q1 and q2, + - * and ^ (or **), and parentheses; spaces,
+    tabs and form feeds separate tokens.  Precedence is Python's: ^ binds
+    tightest and to the right, its exponent may carry a sign, and a unary
+    sign binds looser than ^ (-2^2 = -4).  An exponent is an integer
+    constant of absolute value at most `_MAX_EXPONENT` (64); a negative one
+    needs a nonzero constant base.  A power may not give any z or q an
+    exponent above 64, nor a coefficient of more than `_MAX_BITS` bits;
+    one product may multiply at most `_MAX_TERMS` pairs of terms, and
+    parentheses and exponents nest at most `_MAX_NESTING` deep.  The degree
+    defaults to the highest z index in the text.
+
+    The text is read straight into the expanded polynomial's terms, without
+    sympy; the leaf's `expr`, built when read, is the one sympy's
+    `expand(parse_expr(text))` gives.  The result is symmetry-checked.
+    Every rejected text raises ValueError.
     """
-    if not _TOKEN_RE.match(text):
-        raise ValueError("illegal character in element expression")
-    expr = sympy.parse_expr(
-        text.replace("^", "**"),
-        local_dict={f"z{i}": _Z[i - 1] for i in range(1, _MAX_VARS + 1)}
-        | {"q1": q1, "q2": q2},
-        evaluate=True)
-    bad = expr.free_symbols - set(_Z) - {q1, q2}
-    if bad:
-        raise ValueError(f"unknown symbols {sorted(map(str, bad))}")
-    zs_used = [i + 1 for i in range(_MAX_VARS) if _Z[i] in expr.free_symbols]
-    n = degree if degree is not None else (max(zs_used) if zs_used else 0)
-    if zs_used and max(zs_used) > n:
-        raise ValueError("z index exceeds the declared degree")
-    if not expr.is_polynomial(*_Z[:n]):
-        raise ValueError("element expression must be polynomial in the z's")
-    return ShuffleElement.from_expr(n, sympy.expand(expr))
+    el = _parse_leaf(text, degree)
+    if not el.is_symmetric():
+        raise ValueError("expression is not symmetric in its z variables")
+    return el
 
 
 def serialize_element(el: ShuffleElement) -> str:
     """Canonical text form: monomials sorted lexicographically."""
+    import sympy
     zs = list(zvars(el.degree)) if el.degree else []
-    expr = sympy.expand(together(el.expr))
-    gens = zs + [q1, q2]
+    expr = sympy.expand(sympy.together(el.expr))
+    gens = zs + _symbols("q1", "q2")
     poly = sympy.Poly(expr, *gens)
     pieces = []
     for monom, coeff in sorted(poly.terms(), reverse=True):

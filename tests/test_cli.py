@@ -267,6 +267,31 @@ def test_shuffle_mul_degree_limit_exit_1(capsys, argv):
     assert_one_error_line(*run(capsys, argv))
 
 
+@pytest.mark.parametrize("text", ["z1+", "z1 z2", "2z1", "", "((z1)", "()", "z1**99999",
+                                  "(z1+z2)^65", "((z1+z2)^8)^9", "((2^64)^64)^2",
+                                  "(" * 60 + "1" + ")" * 60, "2^-z1", "z13", "z1\n+z2"])
+def test_shuffle_mul_malformed_operand_exit_1(capsys, text):
+    for argv in (["shuffle", "mul", text, "1"], ["shuffle", "mul", "1", text]):
+        assert_one_error_line(*run(capsys, argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["omega-shift", "--partition", "49407, 44"],
+    ["compare", "--a", "49407, 44", "--b", "49407, 44"],
+    ["compare", "--a", "400,1;1,-1", "--b", "401,0"],
+])
+def test_partition_dimension_limit_exit_1(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert_one_error_line(code, out, err)
+    assert "exceeds the limit" in err
+
+
+def test_partition_dimension_at_the_limit(capsys):
+    d = cli.PARTITION_MAX_DIMENSION
+    rows = run_json(capsys, ["omega-shift", "--partition", f"{d},1"], "omega-shift")
+    assert rows == [{"partition": [[d, 1]]}]
+
+
 FUZZ_TEXT = st.text(alphabet="0123456789,;/-. ", max_size=12)
 # --d bounds the dimension a partition or weight text can ask for
 FUZZ_D = st.integers(1, 4).map(lambda d: ["--d", str(d)])

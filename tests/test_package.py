@@ -54,3 +54,34 @@ def test_shuffle_demo_output_unchanged():
     assert proc.returncode == 0, proc.stderr
     golden = ROOT / "tests" / "golden" / "demo_03_shuffle_products.txt"
     assert proc.stdout == golden.read_text()
+
+
+# The Fraction paths of the shuffle layer (parsing, products, probabilistic
+# equality, evaluation at a regular point and at a diagonal z1 = z3); then
+# the readers of `expr`, which load sympy.
+SHUFFLE_WITHOUT_SYMPY = """
+import json, sys
+from hallwin import shuffle
+f = shuffle.parse_element("1 + 2*z1", degree=1)
+g = shuffle.parse_element("z1*z2 + 3", degree=2)
+one = shuffle.parse_element("1", degree=1)
+left = shuffle.mul(shuffle.mul(f, g), one)
+right = shuffle.mul(f, shuffle.mul(g, one))
+values = [shuffle.equals(left, right, strategy="probabilistic", seed=1),
+          str(shuffle.shuffle_eval(left, (2, 3, 5, 7), 2, 3)),
+          str(shuffle.shuffle_eval(left, (2, 5, 2, 7), 2, 3))]
+loaded = "sympy" in sys.modules
+values += [str(g.expr), shuffle.serialize_element(g),
+           shuffle.equals(shuffle.mul(shuffle.unit, g), g, strategy="exact"),
+           shuffle.equals(shuffle.mul(f, one), shuffle.mul(one, f), strategy="exact")]
+print(json.dumps([loaded, values]))
+"""
+
+
+def test_shuffle_fraction_paths_do_not_load_sympy():
+    proc = python("-c", SHUFFLE_WITHOUT_SYMPY)
+    assert proc.returncode == 0, proc.stderr
+    loaded, values = json.loads(proc.stdout)
+    assert not loaded
+    assert values == [True, "4516530151547/4983328350", "637095108332/912165625",
+                      "z1*z2 + 3", "z1*z2+3", True, False]

@@ -7,6 +7,8 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hallwin import shuffle
 from hallwin.shuffle import (
@@ -423,3 +425,74 @@ def test_surviving_diagonal_pole_raises(monkeypatch):
     assert line_normal_value(prod, (F(2), F(5), F(2)), F(2), F(3), rng) is None
     zs = (F(2), F(2), F(5))
     assert shuffle_eval(prod, zs, F(2), F(3)) == line_normal_value(prod, zs, F(2), F(3), rng)
+
+
+# -- the text parser against sympy -------------------------------------------
+
+SYMPY_NAMES = {f"z{i}": sympy.Symbol(f"z{i}") for i in range(1, 13)} | {
+    "q1": shuffle.q1, "q2": shuffle.q2}
+
+
+def sympy_parse(text):
+    """sympy's reading of a text: parse_expr, then expand."""
+    return sympy.expand(sympy.parse_expr(text.replace("^", "**"),
+                                         local_dict=SYMPY_NAMES, evaluate=True))
+
+
+_ATOMS = st.one_of(st.integers(0, 12).map(str),
+                   st.sampled_from(["z1", "z2", "z3", "q1", "q2", "z1+z2", "z1*z2"]))
+
+
+def _combine(children):
+    spaces = st.sampled_from(["", " ", "\t"])
+    return st.one_of(
+        st.tuples(children, spaces, st.sampled_from(["+", "-", "*"]), spaces, children)
+        .map("".join),
+        children.map(lambda s: f"({s})"),
+        st.tuples(st.sampled_from(["-", "+", "--"]), children).map("".join),
+        st.tuples(children, st.sampled_from(["^", "**", " ^ "]),
+                  st.sampled_from(["0", "1", "2", "3", "-1", "(1+1)", "2^2", "-(2)"]))
+        .map("".join),
+    )
+
+
+ELEMENT_TEXTS = st.one_of(
+    st.recursive(_ATOMS, _combine, max_leaves=6),
+    st.text(alphabet="z0123456789q+-*^() \t", max_size=16),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ELEMENT_TEXTS)
+def test_parser_agrees_with_sympy(text):
+    try:
+        leaf = shuffle._parse_leaf(text, None)
+    except ValueError:
+        leaf = None
+    try:
+        el = parse_element(text)
+    except ValueError:
+        el = None
+    if leaf is None:
+        assert el is None
+        return
+    want = sympy_parse(text)
+    assert leaf.expr == want and sympy.srepr(leaf.expr) == sympy.srepr(want)
+    zs = zvars(leaf.degree)
+    params = sorted(want.free_symbols - set(zs), key=str)
+    gens = list(zs) + params
+    terms = sympy.Poly(want, *gens).terms() if gens else [((), want)]
+    assert leaf._leaf[0] == [s.name for s in params]
+    assert dict(leaf._leaf[1]) == {m: F(int(c.p), int(c.q)) for m, c in terms if c}
+    # the symmetry verdict of the sympy route
+    assert (el is not None) == ShuffleElement(leaf.degree, want).is_symmetric()
+    assert el is None or el.expr == want
+
+
+@pytest.mark.parametrize("text, value", [
+    ("2^3^2", 512), ("-2^2", -4), ("2^-1", F(1, 2)), ("(-2)^-3", F(-1, 8)),
+    ("2**-(1+1)", F(1, 4)), ("--3", 3), ("2*-3", -6), ("2 ^ 3 ^ 0 * 4", 8), ("0^0", 1),
+])
+def test_parser_precedence_is_pythons(text, value):
+    # texts that the parser must accept, with sympy's (and Python's) value
+    assert shuffle_eval(parse_element(text), (), 2, 3) == value == sympy_parse(text)
