@@ -25,10 +25,15 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_VERIFY = 2
 
-# `shuffle mul` prints the product's exact normal form, one multivariate
-# sympy cancel: about a second at total degree 3, and past half a minute
-# at degree 4.  Larger products are refused before it runs.
+# `shuffle mul` prints the product's reduced normal form (computed without
+# sympy by `shuffle.normal_form_text`), whose size grows with the total
+# degree and with the operands' terms and z-degrees.  Products past these
+# limits are refused before it runs; within them it takes well under a
+# second, and the largest outputs tried are about half a megabyte.
 SHUFFLE_MUL_MAX_DEGREE = 3
+SHUFFLE_MUL_MAX_TERM_PAIRS = 16  # the operands' term counts multiplied
+SHUFFLE_MUL_MAX_Z_DEGREE = 8  # each operand's total degree in the z's
+SHUFFLE_MUL_MAX_COEFFICIENT_BITS = 32  # of any coefficient's numerator or denominator
 
 # `compare` and `omega-shift` do work quadratic in a partition's total
 # dimension d (about half a second at d = 800); a larger d is refused
@@ -301,14 +306,18 @@ def _cmd_shuffle(args) -> int:
             g = shuffle_mod.parse_element(args.expr[1], degree=degs[1])
         except ValueError as exc:
             raise DomainError(str(exc)) from exc
-        if f.degree + g.degree > SHUFFLE_MUL_MAX_DEGREE:
-            raise DomainError(f"shuffle mul is limited to total degree {SHUFFLE_MUL_MAX_DEGREE}, "
-                              f"got {f.degree} + {g.degree}")
+        (f_terms, f_z, f_bits), (g_terms, g_z, g_bits) = map(shuffle_mod.leaf_size, (f, g))
+        for what, value, limit in [
+                ("the total degree", f.degree + g.degree, SHUFFLE_MUL_MAX_DEGREE),
+                ("the operands' term counts multiplied", f_terms * g_terms,
+                 SHUFFLE_MUL_MAX_TERM_PAIRS),
+                ("an operand's degree in the z's", max(f_z, g_z), SHUFFLE_MUL_MAX_Z_DEGREE),
+                ("an operand's coefficient bits", max(f_bits, g_bits),
+                 SHUFFLE_MUL_MAX_COEFFICIENT_BITS)]:
+            if value > limit:
+                raise DomainError(f"shuffle mul: {what} is {value}, above the limit {limit}")
         h = shuffle_mod.mul(f, g, params)
-        import sympy
-        value = sympy.cancel(sympy.together(h.expr))
-        _print(_dump({"degree": h.degree,
-                      "value": sympy.sstr(value, order="lex")}))
+        _print(_dump({"degree": h.degree, "value": shuffle_mod.normal_form_text(h)}))
         return EXIT_OK
     raise DomainError(f"unknown shuffle action {args.action!r}")
 

@@ -16,12 +16,16 @@ leaf uses, sorted by name.  `parse_element` reads its text straight into
 that form; a leaf built from a sympy expression is converted once, on its
 first evaluation.  Parameters are keyed by name ("q1", "q2", "D", "K").
 
-sympy is imported only where an `expr` is read: `==`, `hash` and `repr`,
-exact `equals`, `serialize_element`, `from_expr` and `scalar` on sympy
-input, `zeta`, and the fallback at non-diagonal poles, which builds a
-product's `expr` (its raw splitting sum).  The module attributes `q1`,
-`q2`, `D_sym` and `K_sym` are sympy symbols made on first access.  Every
-exact normal form goes through the module-level `cancel`.
+The reduced normal form of a product of polynomials (`normal_form_text`,
+which prints it as sympy does, and `serialize_element`) is computed in
+integer arithmetic: every denominator is a product of known kernel
+factors, cancelled by trial division.  sympy is imported only where an
+`expr` is read: `==`, `hash` and `repr`, exact `equals`, `from_expr` and
+`scalar` on sympy input, `zeta`, and the fallback at non-diagonal poles,
+which builds a product's `expr` (its raw splitting sum).  The module
+attributes `q1`, `q2`, `D_sym` and `K_sym` are sympy symbols made on first
+access.  The exact normal forms of those readers go through the
+module-level `cancel`.
 
 Diagonal rule.  Where a splitting term hits a pole and the only vanishing
 denominators are kernel factors 1 - z_a/z_b with z_a = z_b (no leaf
@@ -44,6 +48,8 @@ normal form.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
 import re
 from dataclasses import dataclass
@@ -602,7 +608,7 @@ def _mul(p: dict, q: dict) -> dict:
     out: dict = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
+            m = tuple(map(operator.add, m1, m2))
             out[m] = out.get(m, 0) + c1 * c2
     return {m: c for m, c in out.items() if c}
 
@@ -789,20 +795,232 @@ def parse_element(text: str, degree: int | None = None) -> ShuffleElement:
     return el
 
 
-def serialize_element(el: ShuffleElement) -> str:
-    """Canonical text form: monomials sorted lexicographically."""
-    import sympy
-    zs = list(zvars(el.degree)) if el.degree else []
-    expr = sympy.expand(sympy.together(el.expr))
-    gens = zs + _symbols("q1", "q2")
-    poly = sympy.Poly(expr, *gens)
+# -- the reduced normal form, without sympy ----------------------------------
+
+# A normal form is a polynomial in z1..z_degree followed by these, the order
+# sympy's `_sort_gens` gives them, so its lex leading term is the one whose
+# sign sympy's `cancel` fixes.
+_NF_PARAMS = ("q1", "q2", "D", "K")
+_NO_PARAMS = (0, 0, 0, 0)
+# zeta(z_i/z_j) per mode: the terms of its numerator times z_j^2 as
+# (exponent of z_i, exponent of z_j, parameter exponents, coefficient), and
+# the parameter monomial M of its denominator (z_j - z_i)(z_j - M*z_i)
+_KERNEL_NUM = {
+    "a2": [(0, 2, _NO_PARAMS, 1), (1, 1, (1, 0, 0, 0), -1),
+           (1, 1, (0, 1, 0, 0), -1), (2, 0, (1, 1, 0, 0), 1)],
+    "formal": [(0, 2, _NO_PARAMS, 1), (1, 1, _NO_PARAMS, -1), (1, 1, (0, 0, 0, 1), -1),
+               (2, 0, (0, 0, 0, 1), 1), (1, 1, (0, 0, 1, 0), 1)],
+}
+_KERNEL_M = {"a2": (1, 1, 0, 0), "formal": (0, 0, 0, 1)}
+
+
+def _monomial(n: int, zs: dict, params=_NO_PARAMS) -> tuple:
+    """The exponents of z1..z_n (from 0-based position to exponent) and params."""
+    return tuple(zs.get(k, 0) for k in range(n)) + params
+
+
+def _factor_poly(key, n: int) -> dict:
+    """The kernel factor key = (a, b, M), that is z_b - M*z_a."""
+    a, b, M = key
+    return {_monomial(n, {b: 1}): 1, _monomial(n, {a: 1}, M): -1}
+
+
+def _shift(poly: dict, by: tuple) -> dict:
+    """poly times the monomial with exponents `by` (some may be negative)."""
+    return {tuple(map(operator.add, m, by)): c for m, c in poly.items()}
+
+
+def _divides(key, poly: dict, n: int) -> bool:
+    """Whether z_b - M*z_a divides poly, that is, poly is 0 at z_b = M*z_a."""
+    a, b, M = key
+    step = _monomial(n, {a: 1, b: -1}, M)  # * M*z_a / z_b
+    steps: dict = {}  # k -> step^k
+    at: dict = {}
+    for m, c in poly.items():
+        k = m[b]
+        if k not in steps:
+            steps[k] = tuple(k * x for x in step)
+        m = tuple(map(operator.add, m, steps[k]))
+        at[m] = at.get(m, 0) + c
+    return not any(at.values())
+
+
+def _divide(poly: dict, key, n: int) -> dict:
+    """poly / (z_b - M*z_a) for a factor that divides poly, by synthetic
+    division in z_b: row k - 1 of the quotient is (row k of poly + M*z_a *
+    row k of the quotient) / z_b."""
+    a, b, M = key
+    rows: dict = {}  # k -> the terms of poly with z_b^k
+    for m, c in poly.items():
+        rows.setdefault(m[b], {})[m] = c
+    down, step = _monomial(n, {b: -1}), _monomial(n, {a: 1, b: -1}, M)
+    quotient, carry = {}, {}
+    for k in range(max(rows), 0, -1):
+        carry = _add(_shift(rows.get(k, {}), down), _shift(carry, step))
+        quotient.update(carry)
+    return quotient
+
+
+def _embed(poly: dict, positions, n: int) -> dict:
+    """A polynomial in z1..z_k with z_i moved to 0-based position
+    positions[i - 1] among n z's."""
+    return {_monomial(n, dict(zip(positions, m)), m[-4:]): c for m, c in poly.items()}
+
+
+_ZERO = (Fraction(0), {}, frozenset())
+
+
+def _leaf_reduced(el: ShuffleElement) -> tuple:
+    """`_reduced` of a leaf, which must be a polynomial in the z's and
+    `_NF_PARAMS` (over a constant denominator at most)."""
+    params, num, den = _leaf_data(el)
+    if den is not None and (len(den) != 1 or any(den[0][0])):
+        raise ValueError("a leaf is not a polynomial")
+    if not set(params) <= set(_NF_PARAMS):
+        raise ValueError(f"parameters {sorted(set(params) - set(_NF_PARAMS))} "
+                         f"are not among {list(_NF_PARAMS)}")
+    if not num:
+        return _ZERO
+    n = el.degree
+    slots = [_NF_PARAMS.index(p) for p in params]
+    top = math.gcd(*(c.numerator for _, c in num))
+    bottom = math.lcm(*(c.denominator for _, c in num))
+    poly = {}
+    for m, c in num:
+        tail = [0] * len(_NF_PARAMS)
+        for slot, e in zip(slots, m[n:]):
+            tail[slot] = e
+        poly[m[:n] + tuple(tail)] = c.numerator * (bottom // c.denominator) // top
+    content = Fraction(top, bottom)
+    return (content if den is None else content / den[0][1]), poly, frozenset()
+
+
+def leaf_size(el: ShuffleElement) -> tuple[int, int, int]:
+    """(number of terms, highest total degree in the z's, most bits in a
+    coefficient's numerator or denominator) of a leaf."""
+    num = _leaf_data(el)[1]
+    return (len(num), max((sum(m[:el.degree]) for m, _ in num), default=0),
+            max((max(c.numerator.bit_length(), c.denominator.bit_length()) for _, c in num),
+                default=0))
+
+
+def _reduced(el: ShuffleElement, memo: dict) -> tuple:
+    """(content, numerator, denominator) of el in lowest terms: el is the
+    Fraction content times the integer numerator polynomial, over
+    z1..z_degree and `_NF_PARAMS`, divided by the product of the
+    denominator's kernel factors.  A factor (a, b, M) is z_b - M*z_a (0-based,
+    a < b when M = 1); none of them divides the numerator.
+
+    Every denominator of a product is a product of these factors, each
+    irreducible and none a multiple of another, so the splitting terms are
+    summed over their lcm and cancelled by trial division."""
+    if id(el) not in memo:
+        memo[id(el)] = _leaf_reduced(el) if el._factors is None else _product_reduced(el, memo)
+    return memo[id(el)]
+
+
+def _product_reduced(el: ShuffleElement, memo: dict) -> tuple:
+    f, g, params = el._factors
+    (fc, fnum, fden), (gc, gnum, gden) = _reduced(f, memo), _reduced(g, memo)
+    if not fc * gc:
+        return _ZERO
+    n, size = f.degree, el.degree
+    M = _KERNEL_M[params.mode]
+    terms = []
+    for I in itertools.combinations(range(size), n):
+        J = [p for p in range(size) if p not in I]
+        # the factors of f and g sit on pairs inside I and inside J, the
+        # kernel's on pairs across: a term's denominator has no repeats
+        den = {(I[a], I[b], m) for a, b, m in fden} | {(J[a], J[b], m) for a, b, m in gden}
+        num = _mul(_embed(fnum, I, size), _embed(gnum, J, size))
+        for i in I:
+            for j in J:
+                zeta_num = {_monomial(size, {i: ei, j: ej}, ps): c
+                            for ei, ej, ps, c in _KERNEL_NUM[params.mode]}
+                # z_j - z_i is the factor (i, j) or minus the factor (j, i)
+                num = _mul(num, zeta_num if i < j else _neg(zeta_num))
+                den |= {(min(i, j), max(i, j), _NO_PARAMS), (i, j, M)}
+        terms.append((num, den))
+    common = set().union(*(den for _, den in terms))
+    total: dict = {}
+    for num, den in terms:
+        for key in common - den:
+            num = _mul(num, _factor_poly(key, size))
+        total = _add(total, num)
+    if not total:
+        return _ZERO
+    # the factors are coprime, so each that divides the sum divides it
+    # after the others are divided out
+    divisors = {key for key in common if _divides(key, total, size)}
+    for key in divisors:
+        total = _divide(total, key, size)
+    return fc * gc, total, frozenset(common - divisors)
+
+
+def _sum_text(terms, names) -> str:
+    """sympy's `sstr(order="lex")` of a sum of (exponents, Fraction) terms in
+    the generators `names`: terms in descending lex order over the names
+    sorted as strings, ** for powers, and no coefficient of 1 or -1."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    by_name = operator.itemgetter(*order)
     pieces = []
-    for monom, coeff in sorted(poly.terms(), reverse=True):
+    for m, c in sorted(terms, key=lambda t: by_name(t[0]), reverse=True):
+        factors = [names[k] if m[k] == 1 else f"{names[k]}**{m[k]}" for k in order if m[k]]
+        p, q = abs(c.numerator), c.denominator
+        body = "*".join([str(p)] * (p != 1) + factors) if factors else str(p)
+        pieces += [" - " if c.numerator < 0 else " + ", body + (f"/{q}" if q != 1 else "")]
+    if not pieces:
+        return "0"
+    return ("-" if pieces[0] == " - " else "") + "".join(pieces[1:])
+
+
+def normal_form_text(el: ShuffleElement) -> str:
+    """The reduced normal form of el as `sympy.sstr(sympy.cancel(
+    sympy.together(el.expr)), order="lex")` prints it, computed without sympy.
+
+    Reduced as sympy's `cancel` reduces: P/Q with P and Q integer
+    polynomials, gcd(content P, content Q) = 1, and a positive lex leading
+    coefficient of Q in the generators z1..z_degree, q1, q2, D, K.  Printed
+    as P when Q is a constant (with rational coefficients), else as
+    (P)/(Q), or P/(Q) for a single term P.  Every leaf of el must be a
+    polynomial in the z's and q1, q2, D, K; anything else is a ValueError.
+    """
+    content, num, den = _reduced(el, {})
+    names = _znames(el.degree) + list(_NF_PARAMS)
+    if not den:
+        return _sum_text([(m, content * c) for m, c in num.items()], names)
+    Q = {_monomial(el.degree, {}): 1}
+    for key in den:
+        Q = _mul(Q, _factor_poly(key, el.degree))
+    # P = top * num/g and Q = bottom * (primitive factors) have coprime
+    # contents top and bottom
+    g = math.gcd(*num.values())
+    sign = 1 if Q[max(Q)] > 0 else -1
+    top, bottom = sign * (content * g).numerator, (content * g).denominator
+    P = [(m, Fraction(top * (c // g))) for m, c in num.items()]
+    P_text = _sum_text(P, names)
+    Q_text = _sum_text([(m, Fraction(sign * bottom * c)) for m, c in Q.items()], names)
+    return f"({P_text})/({Q_text})" if len(P) > 1 else f"{P_text}/({Q_text})"
+
+
+def serialize_element(el: ShuffleElement) -> str:
+    """Canonical text form of a polynomial element: its monomials in
+    z1..z_degree, q1, q2, in descending lex order.  An element whose reduced
+    normal form keeps a denominator, or that uses D or K, is a ValueError."""
+    content, num, den = _reduced(el, {})
+    if den:
+        raise ValueError("element is not a polynomial")
+    n = el.degree
+    if any(m[n + 2:] != (0, 0) for m in num):
+        raise ValueError("element depends on D or K, which have no text form")
+    gens = _znames(n) + ["q1", "q2"]
+    pieces = []
+    for monom, coeff in sorted(num.items(), reverse=True):
+        c = content * coeff
         factors = []
-        c = sympy.nsimplify(coeff, rational=True)
         for g, e in zip(gens, monom):
             if e == 1:
-                factors.append(str(g))
+                factors.append(g)
             elif e > 1:
                 factors.append(f"{g}^{e}")
         body = "*".join(factors)

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, schemas, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -128,6 +129,11 @@ def test_shuffle_mul(capsys):
                              "--degrees", "1,1"], "shuffle-mul")
     (row,) = rows
     assert row["degree"] == 2
+    # sympy's sstr(cancel(together(...)), order="lex"), byte for byte
+    assert row["value"] == (
+        "(-q1**2*q2**2*z1*z2 - q1**2*q2*z1*z2 - q1*q2**2*z1*z2 + 2*q1*q2*z1**2"
+        " + 2*q1*q2*z1*z2 + 2*q1*q2*z2**2 - q1*z1*z2 - q2*z1*z2 - z1*z2)"
+        "/(-q1**2*q2**2*z1*z2 + q1*q2*z1**2 + q1*q2*z2**2 - z1*z2)")
     code2, out2, _ = run(capsys, ["shuffle", "mul", "1", "1",
                                   "--degrees", "1,1"])
     assert json.loads(out2) == row
@@ -265,6 +271,30 @@ def test_r_invariant_multi_vertex_quiver(capsys, tmp_path):
 def test_shuffle_mul_degree_limit_exit_1(capsys, argv):
     # refused before the exact normal form, which runs for minutes here
     assert_one_error_line(*run(capsys, argv))
+
+
+def test_shuffle_mul_at_the_operand_limits(capsys):
+    # z-degree 8: the 66506 bytes printed are those of sympy's cancel
+    code, out, _ = run(capsys, ["shuffle", "mul", "(z1+z2)^8", "z1"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "68289e27e035dabc1a346aff5112104a93d58df6de46badd261721335a278d54")
+    # 8 * 2 term pairs, and 32-bit coefficients
+    for argv, degree in [(["(z1+z2)^3*(1+q1)", "z1+1"], 3), (["4294967295*z1", "2^-31"], 1)]:
+        (row,) = run_json(capsys, ["shuffle", "mul", *argv], "shuffle-mul")
+        assert row["degree"] == degree
+
+
+@pytest.mark.parametrize("argv", [
+    ["(z1+z2)^9", "z1"],
+    ["(z1+z2)^3*(1+q1)", "z1+q1+1"],
+    ["4294967296*z1", "1"],
+    ["z1", "2^-32"],
+])
+def test_shuffle_mul_past_the_operand_limits_exit_1(capsys, argv):
+    code, out, err = run(capsys, ["shuffle", "mul", *argv])
+    assert_one_error_line(code, out, err)
+    assert "above the limit" in err
 
 
 @pytest.mark.parametrize("text", ["z1+", "z1 z2", "2z1", "", "((z1)", "()", "z1**99999",

@@ -49,6 +49,14 @@ def test_shuffle_zeta_does_not_load_sympy():
     assert proc.stdout == '{"value": "63/58"}\n0 False\n'
 
 
+def test_shuffle_mul_does_not_load_sympy():
+    proc = python("-c", "import sys; from hallwin import cli; "
+                        "code = cli.main(['shuffle', 'mul', 'z1+z2', '1', '--degrees', '2,1']); "
+                        "print(code, 'sympy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("\n0 False\n")
+
+
 def test_shuffle_demo_output_unchanged():
     proc = python(str(ROOT / "demos" / "03_shuffle_products.py"))
     assert proc.returncode == 0, proc.stderr

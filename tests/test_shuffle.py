@@ -17,6 +17,7 @@ from hallwin.shuffle import (
     ShuffleElement,
     equals,
     mul,
+    normal_form_text,
     parse_element,
     serialize_element,
     shuffle_eval,
@@ -496,3 +497,89 @@ def test_parser_agrees_with_sympy(text):
 def test_parser_precedence_is_pythons(text, value):
     # texts that the parser must accept, with sympy's (and Python's) value
     assert shuffle_eval(parse_element(text), (), 2, 3) == value == sympy_parse(text)
+
+
+# -- the normal form against sympy's cancel ----------------------------------
+
+FORMAL = KernelParams("formal")
+NF_COEFFICIENTS = ["1", "-1", "2", "-3", "2^-1", "-3*2^-1", "q1", "-q2", "(q1-1)",
+                   "q1*q2^2", "0"]
+
+
+def random_operand(rng, n, most_terms, coefficients=NF_COEFFICIENTS):
+    """A symmetric polynomial text of degree n: coefficients (negative, 1/2,
+    q's, sometimes 0) times symmetric blocks in z1..zn."""
+    zs = [f"z{i}" for i in range(1, n + 1)]
+    blocks = ["1"]
+    if n:
+        blocks += ["(" + "+".join(zs) + ")", "*".join(zs),
+                   "(" + "+".join(z + "^2" for z in zs) + ")"]
+    return "+".join(f"{rng.choice(coefficients)}*{rng.choice(blocks)}"
+                    for _ in range(rng.randint(1, most_terms)))
+
+
+def sympy_normal_form(el):
+    """Oracle: the text `hallwin shuffle mul` printed with sympy."""
+    return sympy.sstr(sympy.cancel(sympy.together(el.expr)), order="lex")
+
+
+# (degrees, products, most terms per operand): every pair of total degree at
+# most 3.  The oracle takes a few ms without a kernel, tens of ms at (1, 1)
+# and about a second at degree 3 with a kernel, hence the counts.
+NF_CASES = [((0, 0), 20, 2), ((0, 1), 24, 2), ((1, 0), 24, 2), ((0, 2), 24, 2),
+            ((2, 0), 24, 2), ((0, 3), 20, 2), ((3, 0), 20, 2), ((1, 1), 40, 2),
+            ((1, 2), 2, 1), ((2, 1), 2, 1)]
+
+
+@pytest.mark.parametrize("degrees, count, most_terms", NF_CASES,
+                         ids=[f"{n}x{m}" for (n, m), _, _ in NF_CASES])
+def test_normal_form_matches_sympy(degrees, count, most_terms):
+    rng = random.Random(10 * degrees[0] + degrees[1])
+    for k in range(count):
+        params = (A2, FORMAL)[k % 2]
+        texts = [random_operand(rng, n, most_terms) for n in degrees]
+        f, g = (parse_element(t, degree=n) for t, n in zip(texts, degrees))
+        h = mul(f, g, params)
+        assert normal_form_text(h) == sympy_normal_form(h), (texts, params.mode)
+
+
+@pytest.mark.parametrize("params", [A2, FORMAL], ids=["a2", "formal"])
+def test_normal_form_of_nested_products_matches_sympy(params):
+    rng = random.Random(params.mode)
+    nonzero = NF_COEFFICIENTS[:-1]
+    x, y, z = (parse_element(random_operand(rng, 1, 1, nonzero), degree=1) for _ in range(3))
+    for h in (mul(mul(x, y, params), z, params), mul(x, mul(y, z, params), params)):
+        assert normal_form_text(h) == sympy_normal_form(h)
+
+
+@pytest.mark.parametrize("texts, degrees, want", [
+    (("0", "z1"), (1, 1), "0"),
+    (("z1-z1", "1"), (1, 1), "0"),
+    (("2^-1", "-3"), (0, 0), "-3/2"),
+    (("2^-1*q1", "z1+z2"), (0, 2), "q1*z1/2 + q1*z2/2"),
+    (("-1", "1"), (0, 3), "-1"),
+])
+def test_normal_form_zero_and_constant_products(texts, degrees, want):
+    f, g = (parse_element(t, degree=n) for t, n in zip(texts, degrees))
+    for params in (A2, FORMAL):
+        h = mul(f, g, params)
+        assert normal_form_text(h) == want == sympy_normal_form(h)
+
+
+def test_normal_form_refuses_a_rational_leaf():
+    z1 = zvars(1)[0]
+    f = ShuffleElement.from_expr(1, 1 / (1 + z1))
+    with pytest.raises(ValueError):
+        normal_form_text(mul(f, const(1), A2))
+
+
+def test_serialize_refuses_a_rational_function():
+    one = parse_element("1", degree=1)
+    with pytest.raises(ValueError, match="not a polynomial"):
+        serialize_element(mul(one, one))
+
+
+def test_serialize_a_product_without_kernel():
+    # one factor of degree 0: no kernel, so the product is a polynomial
+    h = mul(parse_element("2^-1*q1-3"), parse_element("z1*z2+z1+z2", degree=2))
+    assert serialize_element(h) == "1/2*z1*z2*q1-3*z1*z2+1/2*z1*q1-3*z1+1/2*z2*q1-3*z2"
