@@ -8,71 +8,47 @@ dominant weights, partition index sets with a semiorthogonal-style order,
 window counting with a PBW-type recursion, and an exact shuffle product
 with a two-parameter kernel.  All arithmetic is in Fraction / exact
 symbolics; no floats.
+
+`import hallwin` loads no submodule: each public name below is imported
+from its submodule on first use, and each CLI command imports only the
+layers it runs.
 """
 
-from .quiver_weights import (
-    Quiver,
-    Weight,
-    jordan,
-    doubled_jordan,
-    tripled_jordan,
-    builtin_quiver,
-    rep_weights,
-    adjoint_weights,
-    cut_weights,
-    rho,
-    nu,
-    tau,
-    pair,
-    n_lambda,
-    N_positive,
-    adjoint_positive,
-    omega_weight,
-    compositions,
-    composition_cocharacter,
-    cochar_classes,
-    block_decompose,
-)
-from .polytope import WPolytope
-from .standard_form import (
-    StandardForm,
-    Node,
-    decompose,
-    partition_of,
-    tree_of_partition,
-    slope_to_tree,
-    chi_A,
-    delta_Ai,
-    omega_shift,
-)
-from .index_sets import (
-    Truncation,
-    EnumResult,
-    window_generators,
-    enum_V,
-    enum_U,
-    enum_S,
-    enum_T,
-    compare,
-    partition_refines,
-)
-from .pbw import (
-    BijectionReport,
-    window_count,
-    window_count_table,
-    sym_count,
-    primitive_dims,
-    verify_bijection,
-)
+import importlib
+
+_SUBMODULE_NAMES = {
+    "quiver_weights": """Quiver Weight jordan doubled_jordan tripled_jordan builtin_quiver
+        rep_weights adjoint_weights cut_weights rho nu tau pair n_lambda N_positive
+        adjoint_positive omega_weight compositions composition_cocharacter cochar_classes
+        block_decompose""",
+    "polytope": "WPolytope",
+    "standard_form": """StandardForm Node decompose partition_of tree_of_partition
+        slope_to_tree chi_A delta_Ai omega_shift""",
+    "index_sets": """Truncation EnumResult window_generators enum_V enum_U enum_S enum_T
+        compare partition_refines""",
+    "pbw": """BijectionReport window_count window_count_table sym_count primitive_dims
+        verify_bijection""",
+    "lp": "",
+    "shuffle": "",
+}
+# public name -> the submodule that defines it; a submodule's own name maps
+# to itself
+_SUBMODULE = {name: module for module, names in _SUBMODULE_NAMES.items()
+              for name in [module] + names.split()}
+
+__all__ = sorted(_SUBMODULE)
 
 
 def __getattr__(name):
-    # the shuffle layer is imported on first use; it loads sympy itself only
-    # where an element's sympy `expr` is read
-    if name == "shuffle":
-        import importlib
-        return importlib.import_module(".shuffle", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f".{module}", __name__)
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
 
 
-__all__ = sorted([name for name in dir() if not name.startswith("_")] + ["shuffle"])
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -3,6 +3,12 @@
 Every command prints machine-readable output (JSON or TSV) on stdout and
 diagnostics on stderr.  Exit codes: 0 success, 1 domain error (bad input),
 2 verification failure.  Exact rationals travel as strings "p/q".
+
+Each handler imports the layers it runs when it runs, so a command loads
+only those: `shuffle zeta` the kernel, `r-invariant` the weights, the
+polytope and the LP, `decompose` and `omega-shift` also the standard
+forms, `windows`, `index-sets` and `compare` also the index sets, and
+`pbw-table` and `verify-bijection` also the counting layer.
 """
 
 from __future__ import annotations
@@ -12,14 +18,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-
-from .index_sets import Truncation, enum_S, enum_T, enum_U, enum_V, window_generators
-from .index_sets import compare as compare_partitions
-from .pbw import _solve_primitive, verify_bijection, window_count_table
-from .polytope import WPolytope
-from .quiver_weights import Quiver, Weight, builtin_quiver, rho, tau
-from .standard_form import decompose, omega_shift, slope_to_tree, tree_of_partition
-from .standard_form import DecompositionError
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -77,7 +75,9 @@ def _dump(obj) -> str:
     return json.dumps(obj, separators=(", ", ": "))
 
 
-def _load_quiver(name: str) -> Quiver:
+def _load_quiver(name: str):
+    from .quiver_weights import Quiver, builtin_quiver
+
     try:
         return builtin_quiver(name)
     except (KeyError, ValueError):
@@ -93,7 +93,9 @@ def _load_quiver(name: str) -> Quiver:
         return Quiver.from_json(fh.read())
 
 
-def _parse_weight(text: str) -> Weight:
+def _parse_weight(text: str):
+    from .quiver_weights import Weight
+
     try:
         blocks = []
         coords = []
@@ -143,7 +145,9 @@ def _check_d(args, d: int, what: str) -> None:
         raise DomainError(f"--d disagrees with the {what}")
 
 
-def _delta_weight(args, d: int) -> Weight:
+def _delta_weight(args, d: int):
+    from .quiver_weights import tau
+
     return tau((d,)).scale(args.delta or 0)
 
 
@@ -155,6 +159,8 @@ def _print(line: str) -> None:
 
 
 def _cmd_r_invariant(args) -> int:
+    from .polytope import WPolytope
+
     q = _load_quiver(args.quiver)
     chi = _parse_weight(args.weight)
     _check_d(args, sum(chi.blocks), "weight length")
@@ -168,6 +174,8 @@ def _cmd_r_invariant(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .standard_form import decompose
+
     q = _load_quiver(args.quiver)
     chi = _parse_weight(args.weight)
     if not chi.is_integral():
@@ -179,6 +187,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_windows(args) -> int:
+    from .index_sets import window_generators
+
     q = _load_quiver(args.quiver)
     _require_dw(args, "windows")
     delta = _delta_weight(args, args.d)
@@ -193,6 +203,9 @@ def _cmd_windows(args) -> int:
 
 
 def _cmd_index_sets(args) -> int:
+    from .index_sets import Truncation, enum_S, enum_T, enum_U, enum_V
+    from .standard_form import DecompositionError, slope_to_tree, tree_of_partition
+
     q = _load_quiver(args.quiver)
     _require_dw(args, "index-sets")
     d, w = args.d, args.w
@@ -228,6 +241,9 @@ def _cmd_index_sets(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .index_sets import compare as compare_partitions
+    from .standard_form import DecompositionError
+
     q = _load_quiver(args.quiver)
     A = _parse_partition(args.a)
     B = _parse_partition(args.b)
@@ -247,9 +263,11 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_pbw_table(args) -> int:
+    from . import pbw
+
     q = _load_quiver(args.quiver)
-    m = window_count_table(args.dmax, args.wmax, q)
-    p = _solve_primitive(m)
+    m = pbw.window_count_table(args.dmax, args.wmax, q)
+    p = pbw._solve_primitive(m)
     status = "NEGATIVE_P" if any(pv < 0 for pv in p.values()) else "OK"
     _print("d\tw\tm\tp")
     for d in range(1, args.dmax + 1):
@@ -260,6 +278,8 @@ def _cmd_pbw_table(args) -> int:
 
 
 def _cmd_verify_bijection(args) -> int:
+    from .pbw import verify_bijection
+
     q = _load_quiver(args.quiver)
     _require_dw(args, "verify-bijection")
     delta = _delta_weight(args, args.d)
@@ -323,6 +343,8 @@ def _cmd_shuffle(args) -> int:
 
 
 def _cmd_omega_shift(args) -> int:
+    from .standard_form import DecompositionError, omega_shift
+
     q = _load_quiver(args.quiver)
     A = _parse_partition(args.partition)
     d = _partition_dimension(A)

@@ -8,11 +8,11 @@ silently.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 from typing import Iterator, Sequence
 
+from ._record import Record, _set
 from .polytope import cached_polytope
 from .quiver_weights import (
     N_positive,
@@ -34,12 +34,17 @@ from .standard_form import (
 Partition = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class Truncation:
+class Truncation(Record):
     """Explicit enumeration bounds: slope window around w/d and a part cap."""
 
-    slope_bound: Fraction | None = None
-    max_parts: int | None = None
+    __slots__ = ("slope_bound", "max_parts")
+
+    def __init__(self, slope_bound: Fraction | None = None, max_parts: int | None = None):
+        _set(self, "slope_bound", slope_bound)
+        _set(self, "max_parts", max_parts)
+
+    def _values(self) -> tuple:
+        return self.slope_bound, self.max_parts
 
     def admits(self, d: int, w: int, part: tuple[int, int]) -> bool:
         if self.slope_bound is None:
@@ -48,10 +53,15 @@ class Truncation:
         return abs(Fraction(pw, pd) - Fraction(w, d)) <= self.slope_bound
 
 
-@dataclass(frozen=True)
-class EnumResult:
-    items: tuple
-    truncated: bool
+class EnumResult(Record):
+    __slots__ = ("items", "truncated")
+
+    def __init__(self, items: tuple, truncated: bool):
+        _set(self, "items", items)
+        _set(self, "truncated", truncated)
+
+    def _values(self) -> tuple:
+        return self.items, self.truncated
 
     def __iter__(self):
         return iter(self.items)

@@ -8,32 +8,37 @@ cocharacter is simply an integral weight used through the pairing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
+from ._record import Record, _set
 
-@dataclass(frozen=True)
-class Quiver:
+
+class Quiver(Record):
     """A quiver with a distinguished subset of edges (the cut).
 
     ``edges`` are (source, target) pairs of vertex indices; ``cut`` holds
     indices into ``edges``.
     """
 
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-    cut: frozenset[int]
+    __slots__ = ("vertices", "edges", "cut")
 
-    def __post_init__(self) -> None:
-        nv = len(self.vertices)
-        for s, t in self.edges:
+    def __init__(self, vertices: tuple[int, ...], edges: tuple[tuple[int, int], ...],
+                 cut: frozenset[int]) -> None:
+        nv = len(vertices)
+        for s, t in edges:
             if not (0 <= s < nv and 0 <= t < nv):
                 raise ValueError(f"edge ({s},{t}) out of range for {nv} vertices")
-        for c in self.cut:
-            if not (0 <= c < len(self.edges)):
+        for c in cut:
+            if not (0 <= c < len(edges)):
                 raise ValueError(f"cut index {c} out of range")
+        _set(self, "vertices", vertices)
+        _set(self, "edges", edges)
+        _set(self, "cut", cut)
+
+    def _values(self) -> tuple:
+        return self.vertices, self.edges, self.cut
 
     @property
     def num_vertices(self) -> int:
@@ -102,19 +107,22 @@ def block_offsets(dims: Sequence[int]) -> list[int]:
     return offs
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Record):
     """A weight (or cocharacter) of G(d): one Fraction per slot.
 
     ``blocks`` records the vertex block sizes, i.e. the dimension vector.
     """
 
-    coords: tuple[Fraction, ...]
-    blocks: tuple[int, ...]
+    __slots__ = ("coords", "blocks")
 
-    def __post_init__(self) -> None:
-        if sum(self.blocks) != len(self.coords):
+    def __init__(self, coords: tuple[Fraction, ...], blocks: tuple[int, ...]) -> None:
+        if sum(blocks) != len(coords):
             raise ValueError("coordinate count does not match block sizes")
+        _set(self, "coords", coords)
+        _set(self, "blocks", blocks)
+
+    def _values(self) -> tuple:
+        return self.coords, self.blocks
 
     @staticmethod
     def make(values: Iterable, blocks: Sequence[int]) -> "Weight":

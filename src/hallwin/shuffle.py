@@ -19,13 +19,14 @@ first evaluation.  Parameters are keyed by name ("q1", "q2", "D", "K").
 The reduced normal form of a product of polynomials (`normal_form_text`,
 which prints it as sympy does, and `serialize_element`) is computed in
 integer arithmetic: every denominator is a product of known kernel
-factors, cancelled by trial division.  sympy is imported only where an
-`expr` is read: `==`, `hash` and `repr`, exact `equals`, `from_expr` and
-`scalar` on sympy input, `zeta`, and the fallback at non-diagonal poles,
-which builds a product's `expr` (its raw splitting sum).  The module
-attributes `q1`, `q2`, `D_sym` and `K_sym` are sympy symbols made on first
-access.  The exact normal forms of those readers go through the
-module-level `cancel`.
+factors, cancelled by trial division.  Exact `equals` compares these
+normal forms.  sympy is imported only where an `expr` is read: `==`,
+`hash` and `repr`, exact `equals` where a leaf is not a polynomial,
+`from_expr` and `scalar` on sympy input, `zeta`, and the fallback at
+non-diagonal poles, which builds a product's `expr` (its raw splitting
+sum).  The module attributes `q1`, `q2`, `D_sym` and `K_sym` are sympy
+symbols made on first access.  The exact normal forms of those readers go
+through the module-level `cancel`.
 
 Diagonal rule.  Where a splitting term hits a pole and the only vanishing
 denominators are kernel factors 1 - z_a/z_b with z_a = z_b (no leaf
@@ -52,9 +53,9 @@ import math
 import operator
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record, _set
 from .kernel import PoleError, _a2_kernel, zeta_value
 
 _MAX_VARS = 12
@@ -87,19 +88,22 @@ def cancel(expr):
     return sympy.cancel(expr)
 
 
-@dataclass(frozen=True)
-class KernelParams:
+class KernelParams(Record):
     """Choice of kernel coefficients.
 
     mode "a2": two-parameter torus kernel, numerator (1-q1 x)(1-q2 x).
     mode "formal": free parameters D, K in 1 + xD/((1-x)(1-xK)).
     """
 
-    mode: str = "a2"
+    __slots__ = ("mode",)
 
-    def __post_init__(self):
-        if self.mode not in ("formal", "a2"):
-            raise ValueError(f"unknown kernel mode {self.mode!r}")
+    def __init__(self, mode: str = "a2"):
+        if mode not in ("formal", "a2"):
+            raise ValueError(f"unknown kernel mode {mode!r}")
+        _set(self, "mode", mode)
+
+    def _values(self) -> tuple:
+        return self.mode,
 
     @property
     def D(self):
@@ -489,16 +493,23 @@ def _diagonal_line(zs: tuple, env: dict) -> tuple | None:
 def equals(f: ShuffleElement, g: ShuffleElement,
            params: KernelParams = KernelParams(),
            strategy: str = "exact", seed: int = 0, points: int = 5) -> bool:
-    """Exact (cross-multiplied identity) or seeded probabilistic equality.
+    """Exact or seeded probabilistic equality.
 
-    The probabilistic check evaluates both sides in Fraction at seeded random
-    points, skipping a point where any term hits a pole.
+    The exact check compares the two reduced normal forms, which are
+    canonical (`normal_form_text`); where one cannot be computed (a leaf that
+    is not a polynomial, or a reduction over its budget) it asks sympy's
+    `cancel` whether f - g is 0.  The probabilistic check evaluates both
+    sides in Fraction at seeded random points, skipping a point where any
+    term hits a pole.
     """
     if f.degree != g.degree:
         raise ValueError("degrees differ")
     if strategy == "exact":
-        import sympy
-        return cancel(sympy.together(f.expr - g.expr)) == 0
+        try:
+            return normal_form_text(f) == normal_form_text(g)
+        except ValueError:
+            import sympy
+            return cancel(sympy.together(f.expr - g.expr)) == 0
     if strategy != "probabilistic":
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = random.Random(seed)
@@ -585,6 +596,10 @@ _MAX_EXPONENT = 64  # |e| in p^e, and each generator's exponent in its value
 _MAX_TERMS = 100_000  # pairs of terms one product multiplies
 _MAX_BITS = 4096  # numerator and denominator bits of a power's coefficients
 _MAX_NESTING = 50  # parentheses and exponents inside one another
+# pairs of terms the reduced normal form of one product multiplies in all:
+# about 33 000 for the largest products tried that `hallwin shuffle mul`
+# accepts, and 350 000 (one second) for two degree-2 constants
+_MAX_REDUCTION_PAIRS = 400_000
 
 
 def _add(p: dict, q: dict) -> dict:
@@ -605,6 +620,10 @@ def _neg(p: dict) -> dict:
 def _mul(p: dict, q: dict) -> dict:
     if len(p) * len(q) > _MAX_TERMS:
         raise ValueError(f"a product multiplies more than {_MAX_TERMS} pairs of terms")
+    return _times(p, q)
+
+
+def _times(p: dict, q: dict) -> dict:
     out: dict = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
@@ -926,26 +945,36 @@ def _product_reduced(el: ShuffleElement, memo: dict) -> tuple:
         return _ZERO
     n, size = f.degree, el.degree
     M = _KERNEL_M[params.mode]
+    budget = _MAX_REDUCTION_PAIRS
+
+    def times(p: dict, q: dict) -> dict:
+        nonlocal budget
+        budget -= len(p) * len(q)
+        if budget < 0:
+            raise ValueError(f"the reduced normal form of a degree-{size} product multiplies "
+                             f"more than {_MAX_REDUCTION_PAIRS} pairs of terms")
+        return _times(p, q)
+
     terms = []
     for I in itertools.combinations(range(size), n):
         J = [p for p in range(size) if p not in I]
         # the factors of f and g sit on pairs inside I and inside J, the
         # kernel's on pairs across: a term's denominator has no repeats
         den = {(I[a], I[b], m) for a, b, m in fden} | {(J[a], J[b], m) for a, b, m in gden}
-        num = _mul(_embed(fnum, I, size), _embed(gnum, J, size))
+        num = times(_embed(fnum, I, size), _embed(gnum, J, size))
         for i in I:
             for j in J:
                 zeta_num = {_monomial(size, {i: ei, j: ej}, ps): c
                             for ei, ej, ps, c in _KERNEL_NUM[params.mode]}
                 # z_j - z_i is the factor (i, j) or minus the factor (j, i)
-                num = _mul(num, zeta_num if i < j else _neg(zeta_num))
+                num = times(num, zeta_num if i < j else _neg(zeta_num))
                 den |= {(min(i, j), max(i, j), _NO_PARAMS), (i, j, M)}
         terms.append((num, den))
     common = set().union(*(den for _, den in terms))
     total: dict = {}
     for num, den in terms:
         for key in common - den:
-            num = _mul(num, _factor_poly(key, size))
+            num = times(num, _factor_poly(key, size))
         total = _add(total, num)
     if not total:
         return _ZERO
@@ -991,7 +1020,7 @@ def normal_form_text(el: ShuffleElement) -> str:
         return _sum_text([(m, content * c) for m, c in num.items()], names)
     Q = {_monomial(el.degree, {}): 1}
     for key in den:
-        Q = _mul(Q, _factor_poly(key, el.degree))
+        Q = _times(Q, _factor_poly(key, el.degree))
     # P = top * num/g and Q = bottom * (primitive factors) have coprime
     # contents top and bottom
     g = math.gcd(*num.values())

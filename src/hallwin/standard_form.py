@@ -26,11 +26,11 @@ c tau_d for the tripled one-vertex quiver.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+from ._record import Record, _set
 from .polytope import WPolytope, cached_polytope
 from .quiver_weights import (
     N_positive,
@@ -51,8 +51,7 @@ class DecompositionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(Record):
     """One tree node: cocharacter, coefficient, and positive-weight sum.
 
     ``lam`` and ``N`` are embedded in the full slot space (zero outside the
@@ -60,24 +59,41 @@ class Node:
     ``depth`` the distance from the root (0-based).
     """
 
-    lam: Weight
-    r: Fraction
-    N: Weight
-    block: tuple[int, ...]
-    depth: int
+    __slots__ = ("lam", "r", "N", "block", "depth")
+
+    def __init__(self, lam: Weight, r: Fraction, N: Weight, block: tuple[int, ...],
+                 depth: int):
+        _set(self, "lam", lam)
+        _set(self, "r", r)
+        _set(self, "N", N)
+        _set(self, "block", block)
+        _set(self, "depth", depth)
+
+    def _values(self) -> tuple:
+        return self.lam, self.r, self.N, self.block, self.depth
 
 
-@dataclass(frozen=True)
-class StandardForm:
-    quiver: Quiver
-    dims: tuple[int, ...]
-    chi: Weight
-    delta: Weight
-    phi: Weight
-    nodes: tuple[Node, ...]
-    psi: Weight
-    partition: tuple[tuple[int, int], ...]
-    leaf_blocks: tuple[tuple[int, ...], ...]
+class StandardForm(Record):
+    __slots__ = ("quiver", "dims", "chi", "delta", "phi", "nodes", "psi", "partition",
+                 "leaf_blocks")
+
+    def __init__(self, quiver: Quiver, dims: tuple[int, ...], chi: Weight, delta: Weight,
+                 phi: Weight, nodes: tuple[Node, ...], psi: Weight,
+                 partition: tuple[tuple[int, int], ...],
+                 leaf_blocks: tuple[tuple[int, ...], ...]):
+        _set(self, "quiver", quiver)
+        _set(self, "dims", dims)
+        _set(self, "chi", chi)
+        _set(self, "delta", delta)
+        _set(self, "phi", phi)
+        _set(self, "nodes", nodes)
+        _set(self, "psi", psi)
+        _set(self, "partition", partition)
+        _set(self, "leaf_blocks", leaf_blocks)
+
+    def _values(self) -> tuple:
+        return (self.quiver, self.dims, self.chi, self.delta, self.phi, self.nodes, self.psi,
+                self.partition, self.leaf_blocks)
 
     def reconstruct(self) -> Weight:
         acc = self.psi
@@ -281,12 +297,18 @@ def tree_of_partition(quiver: Quiver, dims: Sequence[int],
         partition=tuple((d, w) for d, w in A), leaf_blocks=form.leaf_blocks)
 
 
-@dataclass(frozen=True)
-class SlopeTree:
-    nodes: tuple[Node, ...]          # r stored in window units (s/3 + 1/2)
-    s_values: tuple[Fraction, ...]   # raw adjoint coefficients, one per node
-    c: Fraction
-    partition: tuple[tuple[int, int], ...]
+class SlopeTree(Record):
+    __slots__ = ("nodes", "s_values", "c", "partition")
+
+    def __init__(self, nodes: tuple[Node, ...], s_values: tuple[Fraction, ...], c: Fraction,
+                 partition: tuple[tuple[int, int], ...]):
+        _set(self, "nodes", nodes)  # r stored in window units (s/3 + 1/2)
+        _set(self, "s_values", s_values)  # raw adjoint coefficients, one per node
+        _set(self, "c", c)
+        _set(self, "partition", partition)
+
+    def _values(self) -> tuple:
+        return self.nodes, self.s_values, self.c, self.partition
 
     def r_sequence(self) -> tuple[Fraction, ...]:
         return tuple(sorted((n.r for n in self.nodes), reverse=True))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hallwin import cli
+from hallwin import cli, pbw
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
@@ -103,7 +103,7 @@ def test_pbw_table(capsys):
 
 def test_pbw_table_negative_exit(capsys, monkeypatch):
     # m(2, 0) = 0 leaves p(2, 0) = 0 - sym_count(p(1, 0), 2) = -1
-    monkeypatch.setattr(cli, "window_count_table",
+    monkeypatch.setattr(pbw, "window_count_table",
                         lambda dmax, wmax, quiver=None: {(1, 0): 1, (2, 0): 0})
     code, out, _ = run(capsys, ["pbw-table", "--dmax", "2", "--wmax", "0"])
     assert code == 2

@@ -1,10 +1,14 @@
 """The package as a user meets it: what importing loads, and a demo run."""
 
+import importlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import types
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -30,6 +34,77 @@ def python(*args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=env, timeout=300)
+
+
+# What each command loads: the handler imports only the layers it runs.
+BASE = {"hallwin", "hallwin.cli"}
+WEIGHTS = BASE | {"hallwin._record", "hallwin.quiver_weights", "hallwin.polytope", "hallwin.lp"}
+FORMS = WEIGHTS | {"hallwin.standard_form"}
+SETS = FORMS | {"hallwin.index_sets"}
+COUNTING = SETS | {"hallwin.pbw"}
+COMMAND_MODULES = [
+    (["windows", "--quiver", "tripled-jordan", "--d", "2", "--w", "4"], 0, SETS),
+    (["r-invariant", "--weight", "5,-5"], 0, WEIGHTS),
+    (["decompose", "--weight", "5,-5"], 0, FORMS),
+    (["index-sets", "--set", "S", "--d", "2", "--w", "0", "--slope-bound", "5"], 0, SETS),
+    (["compare", "--d", "2", "--a", "1,5;1,-5", "--b", "1,1;1,-1"], 0, SETS),
+    (["pbw-table", "--dmax", "2", "--wmax", "2"], 0, COUNTING),
+    (["verify-bijection", "--d", "2", "--w", "0", "--bound", "8"], 0, COUNTING),
+    (["shuffle", "zeta", "5", "--q1", "2", "--q2", "3"], 0, BASE | {"hallwin.kernel"}),
+    (["shuffle", "mul", "1", "1", "--degrees", "1,1"], 0,
+     BASE | {"hallwin._record", "hallwin.shuffle", "hallwin.kernel"}),
+    (["omega-shift", "--d", "2", "--partition", "1,5;1,-5"], 0, FORMS),
+    (["windows", "--d", "0", "--w", "1"], 1, SETS),
+    (["compare", "--a", "1,5", "--b", "1,1"], 1, SETS),
+]
+
+# one command in a cold interpreter, its own output discarded; prints the
+# exit code, the hallwin modules loaded, and whether dataclasses was loaded
+# before hallwin and after the command
+RUN_COMMAND = """
+import io, json, sys
+bare = "dataclasses" in sys.modules
+from hallwin import cli
+sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+code = cli.main(json.loads(sys.argv[1]))
+sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("hallwin")),
+                  bare, "dataclasses" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv, exit_code, modules", COMMAND_MODULES,
+                         ids=[" ".join(argv[:2]) for argv, _, _ in COMMAND_MODULES])
+def test_command_loads_only_its_layers(argv, exit_code, modules):
+    proc = python("-c", RUN_COMMAND, json.dumps(argv))
+    assert proc.returncode == 0, proc.stderr
+    code, loaded, bare, dataclasses_loaded = json.loads(proc.stdout)
+    assert code == exit_code
+    assert set(loaded) == modules
+    if not bare:
+        assert not dataclasses_loaded
+
+
+def test_import_loads_no_submodule():
+    proc = python("-c", "import json, sys, hallwin; "
+                        "print(json.dumps(sorted(m for m in sys.modules if 'hallwin' in m)))")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["hallwin"]
+
+
+def test_public_names_resolve_to_their_submodules():
+    import hallwin
+
+    assert set(hallwin.__all__) <= set(dir(hallwin))
+    for name in hallwin.__all__:
+        value = getattr(hallwin, name)
+        if isinstance(value, types.ModuleType):
+            assert value is importlib.import_module(f"hallwin.{name}")
+        else:
+            assert value is getattr(importlib.import_module(value.__module__), name)
+            assert value.__module__.startswith("hallwin.")
+    with pytest.raises(AttributeError, match="has no attribute 'cli_main'"):
+        hallwin.cli_main
 
 
 def test_import_does_not_load_sympy():

@@ -583,3 +583,52 @@ def test_serialize_a_product_without_kernel():
     # one factor of degree 0: no kernel, so the product is a polynomial
     h = mul(parse_element("2^-1*q1-3"), parse_element("z1*z2+z1+z2", degree=2))
     assert serialize_element(h) == "1/2*z1*z2*q1-3*z1*z2+1/2*z1*q1-3*z1+1/2*z2*q1-3*z2"
+
+
+def test_normal_form_budget_names_the_reduction():
+    # degree 4: the splitting sum over the lcm of its kernel factors would
+    # multiply about 2.1 million pairs of terms (8 s, 1.2 MB of text)
+    h = mul(mul(parse_element("1+2*z1"), parse_element("1", degree=1)),
+            parse_element("z1*z2+3", degree=2))
+    with pytest.raises(ValueError, match="the reduced normal form of a degree-4 product "
+                                         "multiplies more than 400000 pairs of terms"):
+        normal_form_text(h)
+
+
+# -- exact equality by normal forms ------------------------------------------
+
+
+def sympy_equal(a, b):
+    """Oracle: exact equality as sympy's cancel decides it."""
+    return sympy.cancel(sympy.together(a.expr - b.expr)) == 0
+
+
+def test_exact_equals_compares_normal_forms(monkeypatch):
+    def forbidden(expr):
+        raise AssertionError("exact equality of polynomial leaves reached sympy")
+    monkeypatch.setattr(shuffle, "cancel", forbidden)
+    one, z1 = parse_element("1", degree=1), parse_element("z1")
+    assert equals(mul(mul(one, z1), one), mul(one, mul(z1, one)), strategy="exact")
+    assert not equals(mul(z1, one), mul(one, z1), strategy="exact")
+
+
+@pytest.mark.parametrize("params", [A2, FORMAL], ids=["a2", "formal"])
+def test_exact_equals_agrees_with_sympy(params):
+    rng = random.Random(f"equals {params.mode}")
+    pairs = []
+    for n, m in [(1, 1)] * 6 + [(0, 2), (2, 0)]:
+        f_text, g_text = random_operand(rng, n, 2), random_operand(rng, m, 1)
+        f, g = parse_element(f_text, degree=n), parse_element(g_text, degree=m)
+        twice_f = parse_element(f"2*({f_text})", degree=n)
+        twice_g = parse_element(f"2*({g_text})", degree=m)
+        pairs += [(mul(f, g, params), mul(g, f, params)),
+                  (mul(twice_f, g, params), mul(f, twice_g, params)),
+                  (mul(f, g, params), mul(f, twice_g, params))]
+    if params is A2:  # sympy takes about three seconds on this difference
+        nonzero = NF_COEFFICIENTS[:-1]
+        x, y, z = (parse_element(random_operand(rng, 1, 1, nonzero), degree=1)
+                   for _ in range(3))
+        pairs.append((mul(mul(x, y, params), z, params), mul(x, mul(y, z, params), params)))
+    verdicts = [equals(a, b, params, strategy="exact") for a, b in pairs]
+    assert verdicts == [sympy_equal(a, b) for a, b in pairs]
+    assert True in verdicts and False in verdicts
