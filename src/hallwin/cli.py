@@ -204,7 +204,7 @@ def _cmd_windows(args) -> int:
 
 def _cmd_index_sets(args) -> int:
     from .index_sets import Truncation, enum_S, enum_T, enum_U, enum_V
-    from .standard_form import DecompositionError, slope_to_tree, tree_of_partition
+    from .standard_form import DecompositionError, _partition_nodes, _r_sequence
 
     q = _load_quiver(args.quiver)
     _require_dw(args, "index-sets")
@@ -228,14 +228,10 @@ def _cmd_index_sets(args) -> int:
         record = {"parts": [[pd, pw] for pd, pw in A],
                   "complete_within_bounds": not res.truncated}
         try:
-            form = tree_of_partition(q, (d,), A, delta)
-            record["r_sequence"] = [_frac(r) for r in form.r_sequence()]
+            nodes = _partition_nodes(q, (d,), A, delta)
+            record["r_sequence"] = [_frac(r) for r in _r_sequence(nodes)]
         except DecompositionError:
-            try:
-                tree = slope_to_tree(q, (d,), A)
-                record["r_sequence"] = [_frac(r) for r in tree.r_sequence()]
-            except DecompositionError:
-                record["r_sequence"] = None
+            record["r_sequence"] = None
         _print(_dump(record))
     return EXIT_OK
 

@@ -24,12 +24,7 @@ from .quiver_weights import (
     omega_weight,
     rho,
 )
-from .standard_form import (
-    DecompositionError,
-    decompose,
-    slope_to_tree,
-    tree_of_partition,
-)
+from .standard_form import _partition_nodes, _r_sequence, decompose
 
 Partition = tuple[tuple[int, int], ...]
 
@@ -229,7 +224,7 @@ def enum_T(quiver: Quiver, d: int, w: int, delta: Weight | None,
     for comp in compositions(d):
         if trunc is not None and trunc.max_parts is not None and len(comp) > trunc.max_parts:
             continue
-        lam = composition_cocharacter(comp) if len(comp) > 1 else Weight.zero(dims)
+        lam = composition_cocharacter(comp)
         omega = omega_weight(quiver, dims, lam)
         omega_sums = Weight(omega.coords, comp).block_sums()
         # Part weights are pinned by the requirement that the cut shift
@@ -269,23 +264,6 @@ def enum_T(quiver: Quiver, d: int, w: int, delta: Weight | None,
 # -- order -----------------------------------------------------------------
 
 
-def _r_sequence(quiver: Quiver, dims: tuple[int, ...], A: Partition,
-                delta: Weight | None):
-    """r-sequence of the standard form associated to a partition.
-
-    Primary route: the decomposition of the partition's slope weight, when
-    its tree reproduces A.  Fallback for strictly-sloped partitions that are
-    not leaf partitions of any standard form: the slope solve.
-    """
-    try:
-        form = tree_of_partition(quiver, dims, A, delta)
-        return form.r_sequence(), tuple(n.lam for n in form.nodes)
-    except DecompositionError:
-        pass
-    tree = slope_to_tree(quiver, dims, A)
-    return tree.r_sequence(), tuple(n.lam for n in tree.nodes)
-
-
 def compare(quiver: Quiver, d: int, A: Partition, B: Partition,
             delta: Weight | None = None) -> str:
     """Order verdict between two partitions: 'A_before_B', 'B_before_A',
@@ -295,9 +273,9 @@ def compare(quiver: Quiver, d: int, A: Partition, B: Partition,
     B = tuple(tuple(p) for p in B)
     if A == B:
         return "equal"
-    ra, la = _r_sequence(quiver, dims, A, delta)
-    rb, lb = _r_sequence(quiver, dims, B, delta)
-    for x, y in itertools.zip_longest(ra, rb):
+    na = _partition_nodes(quiver, dims, A, delta)
+    nb = _partition_nodes(quiver, dims, B, delta)
+    for x, y in itertools.zip_longest(_r_sequence(na), _r_sequence(nb)):
         if x is None:
             return "B_before_A"   # exhausted sequence (window side) is later
         if y is None:
@@ -306,8 +284,8 @@ def compare(quiver: Quiver, d: int, A: Partition, B: Partition,
             return "A_before_B" if x > y else "B_before_A"
     # equal r-sequences: compare cocharacter data, finer before coarser,
     # then lexicographically earlier level vector first.
-    ka = tuple((-len(set(l.coords)), l.coords) for l in la)
-    kb = tuple((-len(set(l.coords)), l.coords) for l in lb)
+    ka = tuple((-len(set(n.lam.coords)), n.lam.coords) for n in na)
+    kb = tuple((-len(set(n.lam.coords)), n.lam.coords) for n in nb)
     if ka != kb:
         return "A_before_B" if ka < kb else "B_before_A"
     return "both"

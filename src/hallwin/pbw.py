@@ -10,13 +10,7 @@ from ._record import Record, _set
 from .index_sets import _dominant_tuples, enum_U, window_generators
 from .polytope import cached_polytope
 from .quiver_weights import Quiver, Weight, builtin_quiver, rho
-from .standard_form import (
-    DecompositionError,
-    StandardForm,
-    decompose,
-    omega_shift,
-    tree_of_partition,
-)
+from .standard_form import DecompositionError, decompose, omega_shift, tree_of_partition
 
 
 def _quiver(quiver: Quiver | None) -> Quiver:
@@ -72,23 +66,6 @@ class BijectionReport(Record):
         return not self.violations
 
 
-def _leaf_shifts(form: StandardForm) -> list[Weight]:
-    """Per-leaf-block shift weights of a partition's tree.
-
-    Each leaf block of the tree sees rho + delta plus r_j N_j summed over
-    its ancestor nodes, restricted to the block.
-    """
-    shift = rho(form.dims) + form.delta
-    for node in form.nodes:
-        shift = shift + node.N.scale(node.r)
-    out = []
-    for block in form.leaf_blocks:
-        block = tuple(block)
-        coords = [shift.coords[i] for i in block]
-        out.append(Weight.make(coords, (len(block),)))
-    return out
-
-
 def verify_bijection(d: int, w: int, bound: int,
                      quiver: Quiver | None = None,
                      delta: Weight | None = None) -> BijectionReport:
@@ -129,7 +106,10 @@ def verify_bijection(d: int, w: int, bound: int,
         if A not in shifts_by_A:
             try:
                 tree = tree_of_partition(q, dims, A, delta)
-                shifts_by_A[A] = _leaf_shifts(tree)
+                # psi - chi = rho + delta + sum_j r_j N_j, which each leaf
+                # block sees restricted to itself
+                shift = tree.psi - tree.chi
+                shifts_by_A[A] = [shift.restrict(b, (len(b),)) for b in tree.leaf_blocks]
                 if tree.r_sequence() != form.r_sequence():
                     violations.append(
                         f"tree of {A} disagrees with decomposition of {chi.coords}")
@@ -148,19 +128,18 @@ def verify_bijection(d: int, w: int, bound: int,
     for A, shifts in shifts_by_A.items():
         if not shifts:
             continue
+        # Generators are dominant, so a combination is dominant once each
+        # seam is non-increasing; prune each block's generators by the bound
+        # and extend a combination only across a good seam.
         combos = [()]
         for (bd, bw), shift in zip(A, shifts):
             block_delta = shift - rho((bd,))
-            block_gens = [g.coords
-                          for g in window_generators(q, (bd,), bw, block_delta)]
-            combos = [c + (g,) for c in combos for g in block_gens]
+            block_gens = [g.coords for g in window_generators(q, (bd,), bw, block_delta)
+                          if all(abs(x) <= bound for x in g.coords)]
+            combos = [c + (g,) for c in combos for g in block_gens
+                      if not c or c[-1][-1] >= g[0]]
+        target += len(combos)
         for combo in combos:
-            flat = tuple(x for g in combo for x in g)
-            if any(a < b for a, b in zip(flat, flat[1:])):
-                continue
-            if any(abs(x) > bound for x in flat):
-                continue
-            target += 1
             if (A, combo) not in image:
                 violations.append(f"unreached image ({A}, {combo})")
     for A in shifts_by_A:

@@ -165,15 +165,6 @@ class Weight(Record):
             off += b
         return True
 
-    def is_antidominant(self) -> bool:
-        off = 0
-        for b in self.blocks:
-            for i in range(off, off + b - 1):
-                if self.coords[i] > self.coords[i + 1]:
-                    return False
-            off += b
-        return True
-
     def total(self) -> Fraction:
         return sum(self.coords, Fraction(0))
 

@@ -105,17 +105,6 @@ class KernelParams(Record):
     def _values(self) -> tuple:
         return self.mode,
 
-    @property
-    def D(self):
-        import sympy
-        q1, q2, D = _symbols("q1", "q2", "D")
-        return D if self.mode == "formal" else sympy.expand((1 - q1) * (1 - q2))
-
-    @property
-    def K(self):
-        q1, q2, K = _symbols("q1", "q2", "K")
-        return K if self.mode == "formal" else q1 * q2
-
 
 def zeta(x, params: KernelParams = KernelParams()):
     """Two-variable kernel as an exact expression in x (symbol or number)."""
@@ -191,13 +180,13 @@ class ShuffleElement:
         return ShuffleElement(0, sympy.nsimplify(sympy.sympify(c), rational=True))
 
     @staticmethod
-    def from_expr(n: int, expr, check_symmetry: bool = True) -> "ShuffleElement":
+    def from_expr(n: int, expr) -> "ShuffleElement":
         if isinstance(expr, (int, Fraction)):
             return ShuffleElement._constant(n, expr)
         import sympy
         expr = sympy.sympify(expr)
         el = ShuffleElement(n, expr)
-        if check_symmetry and not el.is_symmetric():
+        if not el.is_symmetric():
             raise ValueError("expression is not symmetric in its z variables")
         return el
 

@@ -102,7 +102,7 @@ class StandardForm(Record):
         return acc
 
     def r_sequence(self) -> tuple[Fraction, ...]:
-        return tuple(sorted((n.r for n in self.nodes), reverse=True))
+        return _r_sequence(self.nodes)
 
     def to_json(self) -> str:
         def frac(x: Fraction) -> str:
@@ -123,6 +123,11 @@ class StandardForm(Record):
             "A": [[d, w] for d, w in self.partition],
         }
         return json.dumps(data, separators=(", ", ": "))
+
+
+def _r_sequence(nodes: Sequence[Node]) -> tuple[Fraction, ...]:
+    """The nodes' coefficients r_j, largest first."""
+    return tuple(sorted((n.r for n in nodes), reverse=True))
 
 
 def _leaf_partition(chi: Weight, leaf_blocks: Sequence[Sequence[int]]):
@@ -269,8 +274,9 @@ def tree_of_partition(quiver: Quiver, dims: Sequence[int],
     """Standard form attached to a partition via its slope weight.
 
     Runs the decomposition on concat_i w_i tau_{d_i}; the result's leaf
-    partition must reproduce A, otherwise the partition does not arise
-    from a standard form and a DecompositionError is raised.
+    blocks must have A's part sizes (its leaf partition is then A, since
+    the slope weight sums to w_i on part i), otherwise the partition does
+    not arise from a standard form and a DecompositionError is raised.
     """
     dims = tuple(dims)
     _check_partition(sum(dims), A)
@@ -283,18 +289,7 @@ def tree_of_partition(quiver: Quiver, dims: Sequence[int],
     if got != want:
         raise DecompositionError(
             f"partition {tuple(A)} is not realized: tree blocks are {got}")
-    # Recompute the partition against A's own integer weights (chi_star has
-    # fractional slots; block sums reproduce w_i exactly).
-    sums = []
-    for block in form.leaf_blocks:
-        s = sum((chi_star.coords[i] for i in block), Fraction(0))
-        sums.append(s)
-    if tuple(sums) != tuple(Fraction(w) for _d, w in A):
-        raise DecompositionError("partition weights are not reproduced")
-    return StandardForm(
-        quiver=form.quiver, dims=form.dims, chi=form.chi, delta=form.delta,
-        phi=form.phi, nodes=form.nodes, psi=form.psi,
-        partition=tuple((d, w) for d, w in A), leaf_blocks=form.leaf_blocks)
+    return form
 
 
 class SlopeTree(Record):
@@ -311,7 +306,7 @@ class SlopeTree(Record):
         return self.nodes, self.s_values, self.c, self.partition
 
     def r_sequence(self) -> tuple[Fraction, ...]:
-        return tuple(sorted((n.r for n in self.nodes), reverse=True))
+        return _r_sequence(self.nodes)
 
 
 def slope_to_tree(quiver: Quiver, dims: Sequence[int],
@@ -350,6 +345,24 @@ def slope_to_tree(quiver: Quiver, dims: Sequence[int],
                      partition=tuple((d, w) for d, w in A))
 
 
+def _partition_nodes(quiver: Quiver, dims: tuple[int, ...], A: tuple[tuple[int, int], ...],
+                     delta: Weight | None) -> tuple[Node, ...]:
+    """Nodes of the tree of a partition; the one place its route is chosen.
+
+    They are the nodes of the standard form of A's slope weight when that
+    weight is dominant and the form's leaf partition is A, and otherwise
+    those of the slope solve.  The route is picked by comparing values, so
+    an error inside either route is raised as it is.
+    """
+    _check_partition(sum(dims), A)
+    chi_star = _partition_weight(A)
+    if chi_star.is_dominant():
+        form = decompose(quiver, dims, chi_star, delta)
+        if form.partition == A:
+            return form.nodes
+    return slope_to_tree(quiver, dims, A).nodes
+
+
 def _parts_cocharacter(A: Sequence[tuple[int, int]]) -> Weight:
     return composition_cocharacter([d for d, _w in A])
 
@@ -361,12 +374,12 @@ def chi_A(quiver: Quiver, dims: Sequence[int], A: Sequence[tuple[int, int]],
     if delta is None:
         delta = Weight.zero(dims)
     tree = slope_to_tree(quiver, dims, A)
+    # The slope solve's N_j are the Jordan quiver's; each of the quiver's
+    # loops contributes them once.
+    loops = len(quiver.edges)
     acc = Weight.zero(dims)
     for node in tree.nodes:
-        sub_dims = (len(node.block),)
-        lam_local = node.lam.restrict(node.block, sub_dims)
-        N_rep = N_positive(quiver, sub_dims, lam_local)
-        acc = acc - N_rep.embed(node.block, dims).scale(node.r)
+        acc = acc - node.N.scale(loops * node.r)
     # rho^{lam<0}: half the sum of the lam-positive adjoint weights; this
     # sign branch reproduces the reference chi_A values.
     rho_neg = adjoint_positive(quiver, dims, _parts_cocharacter(A)).scale(Fraction(1, 2))

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hallwin import cli, pbw
+from hallwin import builtin_quiver, cli, compare, pbw, tau
+from hallwin.standard_form import DecompositionError, StandardForm
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
@@ -225,6 +226,15 @@ def test_argparse_rejection_is_one_error_line(capsys, argv):
 ])
 def test_compare_inconsistent_input_exit_1(capsys, argv):
     assert_one_error_line(*run(capsys, argv))
+
+
+def test_compare_raises_a_decomposition_fault(capsys, monkeypatch):
+    # A fault inside the decomposition of a partition's slope weight is an
+    # error, not a cue to answer with the slope solve instead.
+    monkeypatch.setattr(StandardForm, "reconstruct", lambda form: form.phi + tau(form.dims))
+    with pytest.raises(DecompositionError, match="reconstruction failed"):
+        compare(builtin_quiver("tripled-jordan"), 2, ((1, 5), (1, -5)), ((1, 1), (1, -1)))
+    assert_one_error_line(*run(capsys, ["compare", "--a", "1,5;1,-5", "--b", "1,1;1,-1"]))
 
 
 @pytest.mark.parametrize("weight", ["1,-1;0", "1,2;3"])

@@ -4,8 +4,9 @@
 `to_json()` lines of `decompose` over every dominant weight with d <= 5 and
 coordinates in [-3, 3] (with delta = 0 and delta = 5/2 tau), and the sha256
 of the `compare` verdicts over all pairs of `enum_V(d, 0, slope_bound=2)`
-for d <= 4.  The `compare` pairs run `tree_of_partition` on fractional
-slope weights.  Regenerate the file with
+for d <= 4.  The `compare` pairs decompose the partitions' fractional
+slope weights, and run the slope solve where that form's leaf partition
+is not the partition.  Regenerate the file with
 
     PYTHONPATH=src python tests/test_decompose_golden.py > tests/golden/decompose_digests.json
 
