@@ -204,20 +204,18 @@ def _cmd_windows(args) -> int:
 
 def _cmd_index_sets(args) -> int:
     from .index_sets import Truncation, enum_S, enum_T, enum_U, enum_V
-    from .standard_form import DecompositionError, _partition_nodes, _r_sequence
+    from .standard_form import _UnorderedSlopes, _partition_nodes, _r_sequence
 
     q = _load_quiver(args.quiver)
     _require_dw(args, "index-sets")
     d, w = args.d, args.w
     delta = _delta_weight(args, d)
-    trunc = Truncation(
-        slope_bound=args.slope_bound,
-        max_parts=args.max_parts)
+    trunc = Truncation(slope_bound=args.slope_bound, max_parts=args.max_parts)
     name = args.set
     if name == "V":
         res = enum_V(d, w, trunc)
     elif name == "U":
-        res = enum_U(d, w)
+        res = enum_U(d, w, trunc)
     elif name == "S":
         res = enum_S(q, d, w, delta, trunc)
     elif name == "T":
@@ -230,7 +228,7 @@ def _cmd_index_sets(args) -> int:
         try:
             nodes = _partition_nodes(q, (d,), A, delta)
             record["r_sequence"] = [_frac(r) for r in _r_sequence(nodes)]
-        except DecompositionError:
+        except _UnorderedSlopes:  # the partition has no tree
             record["r_sequence"] = None
         _print(_dump(record))
     return EXIT_OK

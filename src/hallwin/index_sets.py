@@ -18,13 +18,12 @@ from .quiver_weights import (
     N_positive,
     Quiver,
     Weight,
-    _check_block_count,
     composition_cocharacter,
     compositions,
     omega_weight,
     rho,
 )
-from .standard_form import _partition_nodes, _r_sequence, decompose
+from .standard_form import _invariant_delta, _partition_nodes, _r_sequence, decompose
 
 Partition = tuple[tuple[int, int], ...]
 
@@ -35,17 +34,23 @@ class Truncation(Record):
     __slots__ = ("slope_bound", "max_parts")
 
     def __init__(self, slope_bound: Fraction | None = None, max_parts: int | None = None):
+        if slope_bound is not None and slope_bound < 0:
+            raise ValueError(f"slope bound must be nonnegative, got {slope_bound}")
+        if max_parts is not None and max_parts < 1:
+            raise ValueError(f"max parts must be at least 1, got {max_parts}")
         _set(self, "slope_bound", slope_bound)
         _set(self, "max_parts", max_parts)
 
     def _values(self) -> tuple:
         return self.slope_bound, self.max_parts
 
-    def admits(self, d: int, w: int, part: tuple[int, int]) -> bool:
-        if self.slope_bound is None:
-            return True
-        pd, pw = part
-        return abs(Fraction(pw, pd) - Fraction(w, d)) <= self.slope_bound
+    def admits_count(self, parts: int) -> bool:
+        return self.max_parts is None or parts <= self.max_parts
+
+    def admits(self, d: int, w: int, A: Partition) -> bool:
+        """Does the truncation keep the partition A of (d, w)?"""
+        return self.admits_count(len(A)) and (self.slope_bound is None or all(
+            abs(Fraction(pw, pd) - Fraction(w, d)) <= self.slope_bound for pd, pw in A))
 
 
 class EnumResult(Record):
@@ -65,67 +70,51 @@ class EnumResult(Record):
         return len(self.items)
 
 
-def _dominant_tuples(n: int, total: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    """Non-increasing integer n-tuples with the given sum, coords in [lo, hi]."""
-    def rec(k: int, remaining: int, cap: int):
-        if k == 0:
-            if remaining == 0:
-                yield ()
-            return
-        # next coordinate c: lo <= c <= min(cap, hi), and feasibility
-        # c*k >= remaining - 0 ... need c >= remaining/k (since later <= c)
-        # and c <= remaining - (k-1)*lo.
-        top = min(cap, hi, remaining - (k - 1) * lo)
-        bot = max(lo, -(-remaining // k))
-        for c in range(top, bot - 1, -1):
-            for rest in rec(k - 1, remaining - c, c):
-                yield (c,) + rest
-    yield from rec(n, total, hi)
+def _box_caps(n: int, total: int, lo: int, hi: int) -> list[int]:
+    """The prefix caps, p = 0..n, of the n-tuples with coordinates in [lo, hi]."""
+    return [min(p * hi, total - (n - p) * lo) for p in range(n + 1)]
 
 
-def _window_coordinate_bounds(quiver: Quiver, dims: Sequence[int], w: int,
-                              shift: Weight) -> tuple[int, int]:
-    """Exact coordinate bounds for dominant chi with chi + shift in W/2.
+def _dominant_tuples(n: int, total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Non-increasing integer n-tuples with the given sum and p-th prefix sum
+    at most caps[p] (p = 0..n), in descending lexicographic order.
 
-    Uses the single-slot facets of the one-vertex permutohedron: for the
-    first (largest) coordinate n*phi_1 - sum(phi) <= h/2, where
-    h = L*n*(n-1) is the support of W along (n-1, -1, ..., -1) for L loops,
-    and symmetrically for the last.
+    Of all completions of a head, the balanced one (entries q or q + 1) has
+    the least prefix sums, so a head extends exactly when that completion
+    meets the caps; the walk drops every other head before it branches.
     """
-    _check_block_count(quiver, dims)
-    n = sum(dims)
-    if n == 1:
-        return w, w
-    h = len(quiver.edges) * n * (n - 1)
-    s_total = shift.total()
-    # n*(c1 + shift_1) - (w + s_total) <= h/2
-    c1_max = (Fraction(h, 2) + w + s_total) / n - shift.coords[0]
-    cn_min = -((Fraction(h, 2) - w - s_total) / n) - shift.coords[-1]
-    return ceil(cn_min), floor(c1_max)
+    def walk(head: tuple[int, ...], prefix: int, top: int) -> Iterator[tuple[int, ...]]:
+        k = len(head)
+        q, rem = divmod(total - prefix, n - k)
+        if q + (rem > 0) > top or any(prefix + j * q + min(j, rem) > caps[k + j]
+                                      for j in range(n - k + 1)):
+            return
+        if k == n - 1:
+            yield head + (q,)
+            return
+        for c in range(min(top, caps[k + 1] - prefix), q + (rem > 0) - 1, -1):
+            yield from walk(head + (c,), prefix + c, c)
+
+    yield from walk((), 0, caps[1])
 
 
 def window_generators(quiver: Quiver, dims: Sequence[int], w: int,
                       delta: Weight | None = None) -> tuple[Weight, ...]:
     """Dominant integral chi with sum w and chi + rho + delta in W/2 (closed).
 
-    The coordinate scan range is derived exactly from the polytope's
-    single-slot facets.
+    Walks the polytope's prefix caps and keeps the tuples that pass the exact
+    membership test: all of them when delta is in span tau, since then
+    chi + rho + delta is sorted; for any other delta the caps only prune.
     """
     dims = tuple(dims)
     if len(dims) != 1:
         raise NotImplementedError("window enumeration needs a one-vertex quiver")
-    if delta is None:
-        delta = Weight.zero(dims)
-    shift = rho(dims) + delta
-    lo, hi = _window_coordinate_bounds(quiver, dims, w, shift)
+    shift = rho(dims) if delta is None else rho(dims) + delta
     poly = cached_polytope(quiver, dims)
-    half = Fraction(1, 2)
-    out = []
-    for coords in _dominant_tuples(sum(dims), w, lo, hi):
-        chi = Weight.make(coords, dims)
-        if poly.contains(chi + shift, half):
-            out.append(chi)
-    return tuple(sorted(out, key=lambda g: g.coords))
+    walk = _dominant_tuples(dims[0], w, poly._window_caps(shift, w))
+    # the walk runs in descending order
+    return tuple(chi for chi in reversed([Weight.make(c, dims) for c in walk])
+                 if poly.contains(chi + shift, Fraction(1, 2)))
 
 
 # -- partition families ----------------------------------------------------
@@ -138,7 +127,7 @@ def enum_V(d: int, w: int, trunc: Truncation) -> EnumResult:
     items = []
     base = Fraction(w, d)
     for comp in compositions(d):
-        if trunc.max_parts is not None and len(comp) > trunc.max_parts:
+        if not trunc.admits_count(len(comp)):
             continue
         choices = []
         for di in comp:
@@ -155,14 +144,17 @@ def enum_V(d: int, w: int, trunc: Truncation) -> EnumResult:
     return EnumResult(tuple(items), truncated=(d > 1))
 
 
-def enum_U(d: int, w: int) -> EnumResult:
+def enum_U(d: int, w: int, trunc: Truncation = Truncation()) -> EnumResult:
     """Partitions of (d, w) with all slopes equal to w/d.
 
-    Parts are listed with sizes ascending; the family is always finite.
+    Parts are listed with sizes ascending; the family is always finite.  The
+    truncation's part cap applies (every slope bound admits these slopes).
     """
     items = []
     for k in range(1, d + 1):
-        for sizes in _dominant_tuples(k, d, 1, d):
+        if not trunc.admits_count(k):
+            break
+        for sizes in _dominant_tuples(k, d, _box_caps(k, d, 1, d)):
             if all(di * w % d == 0 for di in sizes):
                 items.append(tuple((di, di * w // d) for di in reversed(sizes)))
     items.sort()
@@ -180,84 +172,63 @@ def enum_S(quiver: Quiver, d: int, w: int, delta: Weight | None,
     if trunc.slope_bound is None:
         raise ValueError("enum_S needs a slope bound (the family is infinite)")
     dims = (d,)
-    if delta is None:
-        delta = Weight.zero(dims)
+    delta = _invariant_delta(dims, delta)
     base = Fraction(w, d)
     # A part's coordinates stay within (window extent of the part) of its
     # slope; bound the scan by slope_bound + the largest extent over part
-    # sizes <= d.
-    margin = Fraction(0)
-    for b in range(1, d + 1):
-        sub = (b,)
-        lo_b, hi_b = _window_coordinate_bounds(quiver, sub, 0, rho(sub))
-        margin = max(margin, Fraction(max(abs(lo_b), abs(hi_b))))
+    # sizes b <= d, the first prefix cap of the weight-0 window of size b.
+    margin = max(abs(cached_polytope(quiver, (b,))._window_caps(rho((b,)), 0)[1])
+                 for b in range(1, d + 1))
     margin += max(abs(v) for v in (rho(dims) + delta).coords) if d > 1 else 0
     lo = ceil(base - trunc.slope_bound - margin)
     hi = floor(base + trunc.slope_bound + margin)
     seen: set[Partition] = set()
-    for coords in _dominant_tuples(d, w, lo, hi):
-        chi = Weight.make(coords, dims)
-        form = decompose(quiver, dims, chi, delta)
-        A = form.partition
-        if trunc.max_parts is not None and len(A) > trunc.max_parts:
-            continue
-        if all(trunc.admits(d, w, part) for part in A):
+    for coords in _dominant_tuples(d, w, _box_caps(d, w, lo, hi)):
+        A = decompose(quiver, dims, Weight.make(coords, dims), delta).partition
+        if trunc.admits(d, w, A):
             seen.add(A)
     return EnumResult(tuple(sorted(seen)), truncated=(d > 1))
 
 
 def enum_T(quiver: Quiver, d: int, w: int, delta: Weight | None,
-           trunc: Truncation | None = None) -> EnumResult:
+           trunc: Truncation = Truncation()) -> EnumResult:
     """Boundary partitions: strictly increasing slopes, cut-shift lands on
     the common slope w/d, and some per-block-dominant chi has
     chi + rho + delta + (1/2) N^{lam<0} strictly inside W/2.
 
-    The family is finite for fixed w; the truncation only filters.
+    One chi is tested per composition, the balanced chi of each part
+    (d_i, w_i) (coordinates differing by at most 1, larger first), which is
+    interior whenever any block-dominant chi is.  Inside a part the shift
+    rho + delta + (1/2) N^{lam<0} does not increase: rho strictly decreases,
+    and delta (a multiple of tau) and N^{lam<0} are constant there.  The
+    balanced integer vector is majorized by every integer vector of its
+    length and sum; adding one non-increasing shift to non-increasing
+    vectors keeps that, and so does concatenation.  The top-p sums that the
+    interior test bounds are Schur-convex, so none is larger at the
+    balanced chi.  The family is finite for fixed w; the truncation only
+    filters.
     """
     dims = (d,)
-    if delta is None:
-        delta = Weight.zero(dims)
+    delta = _invariant_delta(dims, delta)
     poly = cached_polytope(quiver, dims)
     half = Fraction(1, 2)
-    shift_base = rho(dims) + delta
-    out: set[Partition] = set()
+    out = []
     for comp in compositions(d):
-        if trunc is not None and trunc.max_parts is not None and len(comp) > trunc.max_parts:
-            continue
         lam = composition_cocharacter(comp)
-        omega = omega_weight(quiver, dims, lam)
-        omega_sums = Weight(omega.coords, comp).block_sums()
+        omega_sums = Weight(omega_weight(quiver, dims, lam).coords, comp).block_sums()
         # Part weights are pinned by the requirement that the cut shift
         # moves every part onto the slope w/d.
-        parts = []
-        ok = True
-        for di, os in zip(comp, omega_sums):
-            wi = Fraction(di * w, d) - os
-            if wi.denominator != 1:
-                ok = False
-                break
-            parts.append((di, int(wi)))
-        if not ok:
+        weights = [Fraction(di * w, d) - os for di, os in zip(comp, omega_sums)]
+        if any(wi.denominator != 1 for wi in weights):
             continue
-        A = tuple(parts)
-        if len(A) > 1:
-            slopes = [Fraction(pw, pd) for pd, pw in A]
-            if any(a >= b for a, b in zip(slopes, slopes[1:])):
-                continue
-        if trunc is not None and not all(trunc.admits(d, w, p) for p in A):
+        A = tuple((di, int(wi)) for di, wi in zip(comp, weights))
+        slopes = [Fraction(pw, pd) for pd, pw in A]
+        if any(a >= b for a, b in zip(slopes, slopes[1:])) or not trunc.admits(d, w, A):
             continue
-        n_neg = N_positive(quiver, dims, -lam)
-        shift = shift_base + n_neg.scale(half)
-        lo, hi = _window_coordinate_bounds(quiver, dims, w, shift)
-        pad = 1 + max(abs(v) for v in n_neg.coords)
-        lo -= int(pad)
-        hi += int(pad)
-        blocks = [_dominant_tuples(pd, pw, lo, hi) for pd, pw in A]
-        for pieces in itertools.product(*blocks):
-            chi = Weight.make([c for piece in pieces for c in piece], dims)
-            if poly.contains_interior(chi + shift, half):
-                out.add(A)
-                break
+        chi = Weight.make([pw // pd + (j < pw % pd) for pd, pw in A for j in range(pd)], dims)
+        shift = rho(dims) + delta + N_positive(quiver, dims, -lam).scale(half)
+        if poly.contains_interior(chi + shift, half):
+            out.append(A)
     return EnumResult(tuple(sorted(out)), truncated=False)
 
 

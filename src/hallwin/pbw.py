@@ -7,10 +7,16 @@ from fractions import Fraction
 from math import comb
 
 from ._record import Record, _set
-from .index_sets import _dominant_tuples, enum_U, window_generators
+from .index_sets import _box_caps, _dominant_tuples, enum_U, window_generators
 from .polytope import cached_polytope
 from .quiver_weights import Quiver, Weight, builtin_quiver, rho
-from .standard_form import DecompositionError, decompose, omega_shift, tree_of_partition
+from .standard_form import (
+    DecompositionError,
+    _invariant_delta,
+    decompose,
+    omega_shift,
+    tree_of_partition,
+)
 
 
 def _quiver(quiver: Quiver | None) -> Quiver:
@@ -86,13 +92,13 @@ def verify_bijection(d: int, w: int, bound: int,
         raise ValueError("coordinate bound must be positive")
     q = _quiver(quiver)
     dims = (d,)
-    if delta is None:
-        delta = Weight.zero(dims)
+    delta = _invariant_delta(dims, delta)
     half = Fraction(1, 2)
     violations: list[str] = []
     image: dict[tuple, tuple] = {}
     shifts_by_A: dict[tuple, list[Weight]] = {}
-    domain = [Weight.make(c, dims) for c in _dominant_tuples(d, w, -bound, bound)]
+    box = _box_caps(d, w, -bound, bound)
+    domain = [Weight.make(c, dims) for c in _dominant_tuples(d, w, box)]
     for chi in domain:
         form = decompose(q, dims, chi, delta)
         A = form.partition

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 from . import lp
@@ -85,6 +86,18 @@ class WPolytope:
             prefix += ints[p - 1]
             out.append((n * prefix - p * total, h * scale))
         return out
+
+    def _window_caps(self, shift: Weight, w: int) -> list[int]:
+        """Caps c_p (p = 0..n) with P_p(chi) <= c_p exactly when the ordered cut
+        p of chi + shift holds at r = 1/2, for integral chi with sum w.  In
+        _cuts' integers (a = D*shift, S its total) the cut reads
+        2*(n*(D*P_p(chi) + P_p(a)) - p*(D*w + S)) <= h_p*n*D.
+        """
+        ints, den = _scaled_coords(shift.coords)
+        n, top = len(ints), den * w + sum(ints)
+        return [(h * n * den - 2 * n * prefix + 2 * p * top) // (2 * n * den)
+                for p, (h, prefix) in enumerate(zip((0, *self._heights, 0),
+                                                    accumulate(ints, initial=0)))]
 
     # -- LP formulation ----------------------------------------------------
     #

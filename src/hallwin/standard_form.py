@@ -51,6 +51,10 @@ class DecompositionError(ValueError):
     pass
 
 
+class _UnorderedSlopes(DecompositionError):
+    """The slope solve's refusal of slopes that do not strictly decrease."""
+
+
 class Node(Record):
     """One tree node: cocharacter, coefficient, and positive-weight sum.
 
@@ -156,6 +160,15 @@ def _zero(dims: tuple[int, ...]) -> Weight:
     return Weight.zero(dims)
 
 
+def _invariant_delta(dims: tuple[int, ...], delta: Weight | None) -> Weight:
+    """delta, zero for None; refuses one that is not a multiple of tau_d."""
+    if delta is None:
+        return _zero(dims)
+    if delta.blocks != dims or len(set(delta.coords)) > 1:
+        raise ValueError(f"delta ({', '.join(map(str, delta.coords))}) is not a multiple of tau")
+    return delta
+
+
 @lru_cache(maxsize=None)
 def _n_positive(quiver: Quiver, comp: tuple[int, ...]) -> Weight:
     """N_positive of the canonical cocharacter of a one-vertex composition."""
@@ -228,10 +241,9 @@ def decompose(quiver: Quiver, dims: Sequence[int], chi: Weight,
     if not chi.is_dominant():
         raise DecompositionError("weight is not dominant")
     phi = chi + _rho(dims)
-    if delta is None:
-        delta = _zero(dims)
-    elif delta.blocks != dims or not delta.is_zero():
-        phi = phi + delta  # raises on a block mismatch
+    delta = _invariant_delta(dims, delta)
+    if delta.coords[0]:
+        phi = phi + delta
     nodes, psi, leaf_blocks = _tree(quiver, phi, _HALF)
     form = StandardForm(
         quiver=quiver, dims=dims, chi=chi, delta=delta, phi=phi,
@@ -323,7 +335,7 @@ def slope_to_tree(quiver: Quiver, dims: Sequence[int],
     _check_partition(sum(dims), A)
     slopes = [Fraction(w, d) for d, w in A]
     if any(a <= b for a, b in zip(slopes, slopes[1:])):
-        raise DecompositionError("slopes are not strictly decreasing")
+        raise _UnorderedSlopes("slopes are not strictly decreasing")
     psi_A = _partition_weight(A)
     # The adjoint weights are the edge weights of the Jordan quiver.
     nodes, residual, leaf_blocks = _tree(jordan(), psi_A, Fraction(0))
@@ -371,8 +383,7 @@ def chi_A(quiver: Quiver, dims: Sequence[int], A: Sequence[tuple[int, int]],
           delta: Weight | None = None) -> Weight:
     """chi_A = - sum_j r_j N_j - rho^{lam<0} - delta, tree from the slope solve."""
     dims = tuple(dims)
-    if delta is None:
-        delta = Weight.zero(dims)
+    delta = _invariant_delta(dims, delta)
     tree = slope_to_tree(quiver, dims, A)
     # The slope solve's N_j are the Jordan quiver's; each of the quiver's
     # loops contributes them once.

@@ -33,7 +33,7 @@ from hallwin import (
     verify_bijection,
     window_count,
 )
-from hallwin.index_sets import _dominant_tuples
+from hallwin.index_sets import _box_caps, _dominant_tuples
 from hallwin.polytope import cached_polytope
 from hallwin.shuffle import (
     KernelParams,
@@ -136,7 +136,7 @@ def test_ac5_standard_form_soundness():
         # every dominant weight with coordinates in [-6, 6], by total
         totals = range(-6 * d, 6 * d + 1)
         for coords in itertools.chain.from_iterable(
-                _dominant_tuples(d, t, -6, 6) for t in totals):
+                _dominant_tuples(d, t, _box_caps(d, t, -6, 6)) for t in totals):
             chi = Weight.make(coords, dims)
             checked += 1
             form = decompose(Q3, dims, chi)

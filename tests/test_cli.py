@@ -237,6 +237,33 @@ def test_compare_raises_a_decomposition_fault(capsys, monkeypatch):
     assert_one_error_line(*run(capsys, ["compare", "--a", "1,5;1,-5", "--b", "1,1;1,-1"]))
 
 
+def test_index_sets_raises_a_decomposition_fault(capsys, monkeypatch):
+    # Only the slope solve's refusal of slopes that do not strictly decrease
+    # prints "r_sequence": null; any other fault exits 1.
+    rows = run_json(capsys, ["index-sets", "--set", "U", "--d", "2", "--w", "0"], "index-sets")
+    assert [r["r_sequence"] for r in rows] == [None, []]
+    monkeypatch.setattr(StandardForm, "reconstruct", lambda form: form.phi + tau(form.dims))
+    assert_one_error_line(*run(capsys, ["index-sets", "--set", "V", "--d", "2", "--w", "0",
+                                        "--slope-bound", "2"]))
+
+
+def test_index_sets_U_honours_max_parts(capsys):
+    rows = run_json(capsys, ["index-sets", "--set", "U", "--d", "3", "--w", "0",
+                             "--max-parts", "1"], "index-sets")
+    assert [r["parts"] for r in rows] == [[[3, 0]]]
+
+
+@pytest.mark.parametrize("bounds", [["--slope-bound", "-1"],
+                                    ["--slope-bound", "2", "--max-parts", "0"],
+                                    ["--slope-bound", "2", "--max-parts", "-2"]])
+def test_index_sets_empty_truncation_exit_1(capsys, bounds):
+    for name in "VUST":
+        code, out, err = run(capsys, ["index-sets", "--set", name, "--d", "3", "--w", "0",
+                                      *bounds])
+        assert_one_error_line(code, out, err)
+        assert "must be" in err
+
+
 @pytest.mark.parametrize("weight", ["1,-1;0", "1,2;3"])
 def test_block_count_mismatch_exit_1(capsys, weight):
     for command in ("r-invariant", "decompose"):

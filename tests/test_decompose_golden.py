@@ -21,7 +21,7 @@ from collections import Counter
 from fractions import Fraction
 
 from hallwin import Truncation, Weight, builtin_quiver, compare, decompose, enum_V, tau
-from hallwin.index_sets import _dominant_tuples
+from hallwin.index_sets import _box_caps, _dominant_tuples
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "decompose_digests.json"
 Q3 = builtin_quiver("tripled-jordan")
@@ -41,7 +41,7 @@ def decompose_digests() -> dict:
             delta = tau((d,)).scale(c)
             lines = [decompose(Q3, (d,), Weight.make(chi, (d,)), delta).to_json()
                      for total in range(-BOUND * d, BOUND * d + 1)
-                     for chi in _dominant_tuples(d, total, -BOUND, BOUND)]
+                     for chi in _dominant_tuples(d, total, _box_caps(d, total, -BOUND, BOUND))]
             per_d[str(d)] = {"count": len(lines), "sha256": _sha(lines)}
         out[name] = per_d
     return out

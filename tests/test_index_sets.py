@@ -18,7 +18,8 @@ from hallwin import (
     tau,
     window_generators,
 )
-from hallwin.standard_form import omega_shift
+from hallwin.pbw import verify_bijection
+from hallwin.standard_form import DecompositionError, decompose, omega_shift
 
 Q3 = builtin_quiver("tripled-jordan")
 
@@ -147,3 +148,35 @@ def test_partition_refines():
 def test_truncation_requires_bounds_for_S():
     with pytest.raises(ValueError):
         enum_S(Q3, 2, 0, None, Truncation(None))
+
+
+def test_truncation_refuses_bounds_that_admit_nothing():
+    for kwargs in [dict(slope_bound=F(-1)), dict(max_parts=0), dict(max_parts=-2)]:
+        with pytest.raises(ValueError):
+            Truncation(**kwargs)
+    Truncation(slope_bound=F(0), max_parts=1)
+
+
+def test_every_index_set_honours_max_parts():
+    one = Truncation(F(3), max_parts=1)
+    assert list(enum_U(3, 0, one)) == [((3, 0),)]
+    two = Truncation(F(3), max_parts=2)
+    for res in [enum_U(4, 0, two), enum_V(4, 0, two), enum_S(Q3, 4, 0, None, two),
+                enum_T(Q3, 4, 0, None, two)]:
+        assert res.items and all(len(A) <= 2 for A in res)
+
+
+def test_a_delta_off_the_tau_axis_is_refused():
+    # (2, 1, -3) with this delta used to fail deep inside the decomposition
+    # ("no face cocharacter found at positive radius")
+    delta = Weight.make([-1, -6, 4], (3,))
+    with pytest.raises(ValueError, match="not a multiple of tau") as exc:
+        decompose(Q3, (3,), Weight.make([2, 1, -3], (3,)), delta)
+    assert not isinstance(exc.value, DecompositionError)
+    for call in [lambda: enum_T(Q3, 3, 0, delta),
+                 lambda: enum_S(Q3, 3, 0, delta, Truncation(F(1))),
+                 lambda: verify_bijection(3, 0, 2, Q3, delta)]:
+        with pytest.raises(ValueError, match="not a multiple of tau"):
+            call()
+    # window listings take any shift
+    assert window_generators(Q3, (3,), 0, delta)
