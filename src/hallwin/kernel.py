@@ -14,21 +14,33 @@ class PoleError(ZeroDivisionError):
     """An evaluation point annihilates a denominator factor."""
 
 
-def _a2_kernel(a, b, qa, qb):
-    """zeta(a/b) for b != 0, as (b - qa a)(b - qb a) / ((b - qa qb a)(b - a)).
+def _rational(v) -> Fraction:
+    """v as a Fraction.  A float is refused: it is a binary fraction, not
+    the decimal it prints as, so it has no place in exact arithmetic."""
+    if isinstance(v, float):
+        raise TypeError(f"{v!r} is a float; give an int, a Fraction or a string "
+                        "such as '1/10'")
+    return Fraction(v)
 
-    Numerator and denominator are the kernel's times b^2, so for a and b
-    linear in a series parameter eps the factor 1/(b - a) is divided out
-    last: where a = b at eps = 0 it is an exact simple pole and costs no
-    precision.  Division by zero raises ZeroDivisionError.
+
+def _zeta_parts(X, Y, P1, R1, P2, R2) -> tuple:
+    """zeta(X/Y) at q1 = P1/R1 and q2 = P2/R2 as (N, E, F), zeta = N/(E*F):
+
+        N = (R1 Y - P1 X)(R2 Y - P2 X),  E = R1 R2 Y - P1 P2 X,  F = Y - X,
+
+    the kernel times R1 R2 Y^2 above and below.  For integers this clears
+    every denominator; for X and Y linear in a series parameter eps, F is
+    the factor that vanishes on a diagonal X = Y, so the caller divides it
+    out last and its exact simple pole costs no precision.
     """
-    return (b - qa * a) * (b - qb * a) / (b - qa * qb * a) / (b - a)
+    return (R1 * Y - P1 * X) * (R2 * Y - P2 * X), R1 * R2 * Y - P1 * P2 * X, Y - X
 
 
 def zeta_value(x, q1_val, q2_val) -> Fraction:
-    """Evaluate the a2 kernel at exact rational arguments."""
-    x, a, b = Fraction(x), Fraction(q1_val), Fraction(q2_val)
-    try:
-        return _a2_kernel(x, Fraction(1), a, b)
-    except ZeroDivisionError:
-        raise PoleError(f"zeta pole at x={x}") from None
+    """Evaluate the a2 kernel at exact rational arguments (no floats)."""
+    x, a, b = _rational(x), _rational(q1_val), _rational(q2_val)
+    N, E, F = _zeta_parts(x.numerator, x.denominator,
+                          a.numerator, a.denominator, b.numerator, b.denominator)
+    if not E or not F:
+        raise PoleError(f"zeta pole at x={x}")
+    return Fraction(N, E * F)

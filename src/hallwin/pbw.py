@@ -24,11 +24,12 @@ def _quiver(quiver: Quiver | None) -> Quiver:
 
 
 def window_count(d: int, w: int, quiver: Quiver | None = None) -> int:
-    """Number of window generators m(d, w)."""
+    """Number of window generators m(d, w): the tuples of the capped walk,
+    since for delta = 0 the caps are the window test itself."""
     if d <= 0:
         raise ValueError("dimension must be positive")
-    q = _quiver(quiver)
-    return len(window_generators(q, (d,), w))
+    caps = cached_polytope(_quiver(quiver), (d,))._window_caps(rho((d,)), w)
+    return sum(1 for _ in _dominant_tuples(d, w, caps))
 
 
 def window_count_table(d_max: int, w_max: int,

@@ -15,6 +15,12 @@ from each leaf's numerator (and denominator) terms, lists of
 leaf uses, sorted by name.  `parse_element` reads its text straight into
 that form; a leaf built from a sympy expression is converted once, on its
 first evaluation.  Parameters are keyed by name ("q1", "q2", "D", "K").
+The sum is evaluated on integer positions: the point holds its z values
+once, and sub-values and kernel factors are cached by the positions they
+sit at.  Each kernel factor is one `Fraction`, from the kernel with its
+denominators cleared (`hallwin.kernel`), and each splitting term is
+multiplied out in integers before one `Fraction` is built from it.  Every
+argument must be an exact rational: a float is a TypeError.
 
 The reduced normal form of a product of polynomials (`normal_form_text`,
 which prints it as sympy does, and `serialize_element`) is computed in
@@ -54,9 +60,10 @@ import operator
 import random
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 from ._record import Record, _set
-from .kernel import PoleError, _a2_kernel, zeta_value
+from .kernel import PoleError, _rational, _zeta_parts, zeta_value
 
 _MAX_VARS = 12
 # module attribute -> name of the sympy symbol it stands for
@@ -313,7 +320,7 @@ def _poly_value(terms, values):
     for monom, c in terms:
         for v, e in zip(values, monom):
             if e:
-                c *= v ** e
+                c *= v if e == 1 else v ** e
         total += c
     return total
 
@@ -406,44 +413,79 @@ def _vanishes(x) -> bool:
     return x.v > 0 if isinstance(x, _Series) else x == 0
 
 
+@lru_cache(maxsize=None)
+def _splittings(n: int, k: int) -> tuple:
+    """(I, J, I x J) for each order-preserving splitting of range(n) into a
+    k-subset I and its complement J."""
+    out = []
+    for I in itertools.combinations(range(n), k):
+        J = tuple(p for p in range(n) if p not in I)
+        out.append((I, J, tuple((i, j) for i in I for j in J)))
+    return tuple(out)
+
+
 class _Point:
-    """Evaluation at one point: parameter values by name, with the values
-    of sub-elements and kernel factors cached.  The z's are Fractions, or
-    `_Series` on a line through the point; one splitting recursion serves
-    both.  A leaf denominator or kernel factor that vanishes at the point
-    raises ZeroDivisionError (or its subclass PoleError); on a line, the
-    kernel's 1 - z_a/z_b with z_a = z_b is instead a simple pole in eps."""
+    """Evaluation at one point: the z values zs, Fractions or `_Series` on a
+    line through the point, and parameter values by name.  `value` recurses
+    on tuples of positions in zs, so one splitting recursion serves both
+    kinds of z; sub-element values are cached by (element, positions) and
+    kernel factors by (mode, position pair).  A leaf denominator or kernel
+    factor that vanishes at the point raises ZeroDivisionError (or its
+    subclass PoleError); on a line, the kernel's 1 - z_a/z_b with z_a = z_b
+    is instead a simple pole in eps.
 
-    def __init__(self, env: dict):
+    At Fraction z's a kernel factor is kept as the numerator and
+    denominator of one Fraction, and a splitting term multiplies those and
+    the sub-values' as ints before one Fraction is built from it."""
+
+    def __init__(self, env: dict, zs: tuple):
         self.env = env
+        self.zs = zs
+        self.line = bool(zs) and isinstance(zs[0], _Series)
         self.values: dict = {}
-        self.kernels: dict = {}
+        self.kernels: dict = {}  # mode -> factors by i * len(zs) + j
 
-    def kernel(self, a, b, params: KernelParams):
-        key = (params.mode, a, b)
-        if key not in self.kernels:
-            env = self.env
-            if _vanishes(b):
-                raise PoleError("kernel at z = 0")
-            if params.mode == "a2":
-                qa, qb = env["q1"], env["q2"]
-                # at q1 = 1 or q2 = 1 the numerator cancels the denominator,
-                # so zeta is identically 1, also where 1 - x vanishes
-                val = Fraction(1) if 1 in (qa, qb) else _a2_kernel(a, b, qa, qb)
-            else:
-                # 1 + xD/((1-x)(1-xK)) at x = a/b, times b^2/b^2
-                val = 1 + a * b * env["D"] / (b - env["K"] * a) / (b - a)
-            self.kernels[key] = val
-        return self.kernels[key]
+    def kernel(self, i: int, j: int, mode: str):
+        """zeta(z_i / z_j) of the mode's kernel: a series on a line, else
+        the numerator and denominator of its Fraction."""
+        zi, zj = self.zs[i], self.zs[j]
+        if _vanishes(zj):
+            raise PoleError("kernel at z = 0")
+        if self.line:
+            X, Y = zi, zj
+        else:
+            X, Y = zi.numerator * zj.denominator, zi.denominator * zj.numerator
+        env = self.env
+        if mode == "a2":
+            qa, qb = env["q1"], env["q2"]
+            # at q1 = 1 or q2 = 1 the numerator cancels the denominator,
+            # so zeta is identically 1, also where 1 - x vanishes
+            if 1 in (qa, qb):
+                return Fraction(1) if self.line else (1, 1)
+            N, E, F = _zeta_parts(X, Y, qa.numerator, qa.denominator,
+                                  qb.numerator, qb.denominator)
+        else:
+            # 1 + xD/((1-x)(1-xK)) at x = X/Y, times Dd*Kd*Y^2 above and below
+            D, K = env["D"], env["K"]
+            E = D.denominator * (K.denominator * Y - K.numerator * X)
+            F = Y - X
+            N = E * F + D.numerator * K.denominator * X * Y
+        if self.line:
+            return N / E / F
+        if not E or not F:
+            raise ZeroDivisionError("a kernel denominator vanishes")
+        k = Fraction(N, E * F)
+        return k.numerator, k.denominator
 
-    def value(self, el: ShuffleElement, zs: tuple):
-        """Value of el at the z values zs."""
-        key = (id(el), zs)
-        if key in self.values:
-            return self.values[key]
+    def value(self, el: ShuffleElement, pos: tuple):
+        """Value of el at the z's in the given positions."""
+        key = (id(el), pos)
+        val = self.values.get(key)
+        if val is not None:
+            return val
         if el._factors is None:
             params, num, den = _leaf_data(el)
-            values = zs + tuple(self.env[s] for s in params)
+            values = tuple(self.zs[p] for p in pos) + tuple(self.env[s] for s in params)
             val = _poly_value(num, values)
             if den is not None:
                 den_val = _poly_value(den, values)
@@ -452,14 +494,29 @@ class _Point:
                 val = val / den_val
         else:
             f, g, params = el._factors
+            n = len(self.zs)
+            kernels = self.kernels.setdefault(params.mode, [None] * (n * n))
             val = Fraction(0)
-            for I in itertools.combinations(range(el.degree), f.degree):
-                J = [p for p in range(el.degree) if p not in I]
-                term = (self.value(f, tuple(zs[i] for i in I))
-                        * self.value(g, tuple(zs[j] for j in J)))
-                for i in I:
-                    for j in J:
-                        term *= self.kernel(zs[i], zs[j], params)
+            for I, J, pairs in _splittings(len(pos), f.degree):
+                fv = self.value(f, tuple(pos[i] for i in I))
+                gv = self.value(g, tuple(pos[j] for j in J))
+                ks = []
+                for i, j in pairs:
+                    i, j = pos[i], pos[j]
+                    k = kernels[i * n + j]
+                    if k is None:
+                        k = kernels[i * n + j] = self.kernel(i, j, params.mode)
+                    ks.append(k)
+                if self.line:
+                    term = fv * gv
+                    for k in ks:
+                        term = term * k
+                else:
+                    top, bottom = fv.numerator * gv.numerator, fv.denominator * gv.denominator
+                    for kn, kd in ks:
+                        top *= kn
+                        bottom *= kd
+                    term = Fraction(top, bottom)
                 val += term
         self.values[key] = val
         return val
@@ -479,6 +536,16 @@ def _diagonal_line(zs: tuple, env: dict) -> tuple | None:
     return tuple(_Series(0, (z, Fraction(i)), top) for i, z in enumerate(zs))
 
 
+def _degenerate(env: dict) -> bool:
+    """Whether a kernel with its parameters in env loses the information
+    that tells products apart: zeta = 1 at q1 = 1 or q2 = 1 (and at D = 0),
+    and zeta(x) = zeta(1/x) at q1*q2 = 1 (and at K = 1), where the product
+    commutes."""
+    if "q1" in env and "q2" in env and 1 in (env["q1"], env["q2"], env["q1"] * env["q2"]):
+        return True
+    return "D" in env and "K" in env and (env["D"] == 0 or env["K"] == 1)
+
+
 def equals(f: ShuffleElement, g: ShuffleElement,
            params: KernelParams = KernelParams(),
            strategy: str = "exact", seed: int = 0, points: int = 5) -> bool:
@@ -488,8 +555,10 @@ def equals(f: ShuffleElement, g: ShuffleElement,
     canonical (`normal_form_text`); where one cannot be computed (a leaf that
     is not a polynomial, or a reduction over its budget) it asks sympy's
     `cancel` whether f - g is 0.  The probabilistic check evaluates both
-    sides in Fraction at seeded random points, skipping a point where any
-    term hits a pole.
+    sides in Fraction at seeded random points.  It redraws a point where any
+    term hits a pole, and one where a kernel degenerates (`_degenerate`) and
+    so would make products equal that are not; each draw counts as one of
+    at most 50 attempts per point.
     """
     if f.degree != g.degree:
         raise ValueError("degrees differ")
@@ -504,6 +573,7 @@ def equals(f: ShuffleElement, g: ShuffleElement,
     rng = random.Random(seed)
     zs = _znames(f.degree)
     names = sorted(set(zs) | _parameters(f) | _parameters(g))
+    everywhere = tuple(range(f.degree))
     checked = 0
     attempts = 0
     while checked < points:
@@ -511,10 +581,11 @@ def equals(f: ShuffleElement, g: ShuffleElement,
         if attempts > 50 * points:
             raise PoleError("could not find enough pole-free sample points")
         env = {s: Fraction(rng.randint(2, 97), rng.randint(1, 23)) for s in names}
-        point = _Point(env)
-        at = tuple(env[z] for z in zs)
+        if _degenerate(env):
+            continue
+        point = _Point(env, tuple(env[z] for z in zs))
         try:
-            same = point.value(f, at) == point.value(g, at)
+            same = point.value(f, everywhere) == point.value(g, everywhere)
         except ZeroDivisionError:
             continue
         if not same:
@@ -526,30 +597,31 @@ def equals(f: ShuffleElement, g: ShuffleElement,
 def shuffle_eval(f: ShuffleElement, z_values, q1_val, q2_val) -> Fraction:
     """Exact rational value of f at rational z's and kernel parameters.
 
-    Evaluated in Fraction.  At a pole of some splitting term: by the
-    diagonal rule (module docstring) when the only vanishing denominators
-    are kernel factors 1 - z_a/z_b with z_a = z_b, exact for symmetric
-    leaves; otherwise by the sympy normal form, which raises PoleError when
-    its reduced denominator vanishes.
+    Evaluated in Fraction; a float argument is a TypeError.  At a pole of
+    some splitting term: by the diagonal rule (module docstring) when the
+    only vanishing denominators are kernel factors 1 - z_a/z_b with
+    z_a = z_b, exact for symmetric leaves; otherwise by the sympy normal
+    form, which raises PoleError when its reduced denominator vanishes.
     """
     if len(z_values) != f.degree:
         raise ValueError("wrong number of z values")
-    env = {"q1": Fraction(q1_val), "q2": Fraction(q2_val)}
+    env = {"q1": _rational(q1_val), "q2": _rational(q2_val)}
     missing = _parameters(f) - set(env)
     if missing & {"D", "K"}:
         raise ValueError("formal-kernel elements need values for D and K, "
                          "and shuffle_eval takes values for q1 and q2 only")
     if missing:
         raise ValueError(f"no values for {sorted(missing)}")
-    zs = tuple(Fraction(v) for v in z_values)
+    zs = tuple(_rational(v) for v in z_values)
+    everywhere = tuple(range(f.degree))
     try:
-        return _Point(env).value(f, zs)
+        return _Point(env, zs).value(f, everywhere)
     except ZeroDivisionError:
         pass
     line = _diagonal_line(zs, env)
     if line is not None:
         try:
-            val = _Point(env).value(f, line)
+            val = _Point(env, line).value(f, everywhere)
         except ZeroDivisionError:
             pass  # a leaf denominator vanishes at zs
         else:

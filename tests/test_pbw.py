@@ -11,6 +11,7 @@ from hallwin import (
     verify_bijection,
     window_count,
     window_count_table,
+    window_generators,
 )
 
 Q3 = builtin_quiver("tripled-jordan")
@@ -30,6 +31,14 @@ def test_window_count_frozen():
     assert [window_count(2, w) for w in range(4)] == [2, 1, 2, 1]
     assert [window_count(3, w) for w in range(4)] == [5, 3, 3, 5]
     assert [window_count(4, w) for w in range(4)] == [16, 10, 11, 10]
+
+
+def test_window_count_counts_the_window_generators():
+    # window_count counts the capped walk; window_generators also re-tests
+    # each walked tuple with the exact membership test
+    for d in range(1, 8):
+        for w in range(-d, d + 1):
+            assert window_count(d, w) == len(window_generators(Q3, (d,), w)), (d, w)
 
 
 def test_window_count_periodicity():

@@ -190,7 +190,7 @@ def random_point(rng, n):
 
 @pytest.mark.parametrize("degrees", [
     (0, 1), (1, 0), (0, 2), (1, 1), (2, 1), (1, "R"), (2, "R"),
-    (1, 1, 1), (0, 1, 2), ("R", 0, 1),
+    (1, 1, 1), (0, 1, 2), ("R", 0, 1), (1, 1, 2), (2, 1, 1), (2, 1, 2),
 ])
 @pytest.mark.parametrize("qs", [(F(2), F(3)), (F(-1, 2), F(5)), (F(1), F(1))])
 def test_eval_matches_sympy_substitution(degrees, qs):
@@ -270,6 +270,96 @@ def test_eval_formal_kernel_needs_D_and_K():
     one = const(1)
     with pytest.raises(ValueError, match="D and K"):
         shuffle_eval(mul(one, one, FORMAL), (F(5), F(1)), F(2), F(3))
+
+
+def formal_sympy_value(el, zs, D, K):
+    """Oracle for the formal kernel: substitute into the sympy expression."""
+    subs = {shuffle.D_sym: sympy.Rational(D), shuffle.K_sym: sympy.Rational(K)}
+    subs.update({z: sympy.Rational(v) for z, v in zip(zvars(el.degree), zs)})
+    val = el.expr.subs(subs)
+    if val.has(sympy.zoo, sympy.nan, sympy.oo):
+        return None
+    return F(int(val.p), int(val.q))
+
+
+@pytest.mark.parametrize("degrees", [(1, 1), (2, 1), (1, 1, 1), (0, 1, 2)])
+def test_formal_kernel_values_match_sympy(degrees):
+    rng = random.Random(repr(degrees))
+    leaves = [random_leaf(rng, n) for n in degrees]
+    if len(leaves) == 2:
+        products = [mul(*leaves, FORMAL)]
+    else:
+        a, b, c = leaves
+        products = [mul(mul(a, b, FORMAL), c, FORMAL), mul(a, mul(b, c, FORMAL), FORMAL)]
+    for prod in products:
+        checked = 0
+        while checked < 3:
+            D, K = (F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(2))
+            zs = random_point(rng, prod.degree)
+            want = formal_sympy_value(prod, zs, D, K)
+            if want is None:
+                continue
+            point = shuffle._Point({"D": D, "K": K}, zs)
+            assert point.value(prod, tuple(range(prod.degree))) == want
+            checked += 1
+
+
+@pytest.mark.parametrize("degrees", [(1, 1, 1), (1, 1, 2), (2, 1, 2), (1, 2, 1, 1)])
+def test_a_point_computes_each_kernel_factor_once(monkeypatch, degrees):
+    # the kernel factor of a pair of positions is cached across sub-products
+    # and across both sides of a probabilistic equals: at most n(n - 1)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return zeta_parts(*args)
+
+    zeta_parts = shuffle._zeta_parts
+    monkeypatch.setattr(shuffle, "_zeta_parts", counted)
+    rng = random.Random(repr(degrees))
+    leaves = [random_leaf(rng, n) for n in degrees]
+    left = functools.reduce(lambda a, b: mul(a, b, A2), leaves)
+    right = functools.reduce(lambda a, b: mul(b, a, A2), reversed(leaves))
+    n = left.degree
+    zs = random_point(rng, n)
+    shuffle_eval(left, zs, F(2), F(3))
+    assert 0 < len(calls) <= n * (n - 1)
+    calls.clear()
+    assert equals(left, right, A2, strategy="probabilistic", seed=1, points=1)
+    assert 0 < len(calls) <= n * (n - 1)
+
+
+def test_probabilistic_equals_redraws_degenerate_kernels():
+    # zeta = 1 at q1 = 1 or q2 = 1 (D = 0), and zeta(x) = zeta(1/x) at
+    # q1*q2 = 1 (K = 1): products that differ agree there, so such points
+    # are redrawn and a single point still tells them apart for every seed
+    f, g, one = elem(1, "z1"), elem(1, "z1**2 + 1"), const(1)
+    pairs = [(mul(f, one, A2), mul(one, f, A2)), (mul(g, f, A2), mul(f, g, A2)),
+             (mul(f, one, FORMAL), mul(one, f, FORMAL))]
+    for a, b in pairs:
+        wrong = [seed for seed in range(3000)
+                 if equals(a, b, strategy="probabilistic", seed=seed, points=1)]
+        assert wrong == []
+    assert shuffle._degenerate({"q1": F(1), "q2": F(7, 3)})
+    assert shuffle._degenerate({"q1": F(3, 7), "q2": F(7, 3)})
+    assert shuffle._degenerate({"D": F(2), "K": F(1)})
+    assert not shuffle._degenerate({"q1": F(1), "D": F(2), "K": F(3)})
+
+
+def test_floats_are_refused():
+    prod = mul(const(1), const(1), A2)
+    with pytest.raises(TypeError, match="float"):
+        shuffle_eval(prod, (0.1, 2), 2, 3)
+    with pytest.raises(TypeError, match="float"):
+        shuffle_eval(prod, (5, 1), 2.0, 3)
+    with pytest.raises(TypeError, match="float"):
+        zeta_value(0.1, 2, 3)
+    with pytest.raises(TypeError, match="float"):
+        zeta_value(F(1, 10), 2, 3.0)
+    # ints, Fractions and strings Fraction reads exactly are rationals
+    assert shuffle_eval(prod, ("5", 1), "2", F(3)) == F(-12, 29)
+    assert zeta_value("0.1", 2, "3") == zeta_value(F(1, 10), F(2), F(3))
+    assert zeta_value(5, 2, 3) == F(63, 58)
 
 
 # -- diagonal poles z_i = z_j as Laurent series ------------------------------
@@ -391,6 +481,21 @@ def test_diagonal_pole_with_unit_q1q2_falls_back(monkeypatch, blocks, degrees):
             m.setattr(shuffle, "cancel", fallback)
             with pytest.raises(_Fallback):
                 shuffle_eval(prod, zs, *qs)
+
+
+def test_equal_z_values_at_different_positions_stay_apart(monkeypatch):
+    # the line gives each position its own slope, so a sub-element at
+    # positions holding equal z's has different values on it
+    f, g = elem(1, "3*z1 + 1"), elem(2, "z1*z2 + z1 + z2")
+    zs = (F(4, 3), F(5), F(4, 3))
+    env = {"q1": F(2), "q2": F(3)}
+    point = shuffle._Point(env, shuffle._diagonal_line(zs, env))
+    assert point.value(f, (0,)) != point.value(f, (2,))
+    assert point.value(f, (0,)).constant_term() == point.value(f, (2,)).constant_term() == 5
+    monkeypatch.setattr(shuffle, "cancel", no_fallback)
+    rng = random.Random(7)
+    for prod in [mul(f, g, A2), mul(g, f, A2)]:
+        assert shuffle_eval(prod, zs, F(2), F(3)) == line_normal_value(prod, zs, F(2), F(3), rng)
 
 
 def test_non_diagonal_poles_fall_back(monkeypatch):
