@@ -289,13 +289,22 @@ def _cmd_verify_bijection(args) -> int:
 
 
 def _cmd_shuffle(args) -> int:
+    # each action refuses the flags it does not read
+    unread = {"zeta": [("--mode formal", args.mode != "a2"),
+                       ("--degrees", args.degrees is not None)],
+              "mul": [("--q1", args.q1 is not None), ("--q2", args.q2 is not None)]}
+    for flag, given in unread[args.action]:
+        if given:
+            raise DomainError(f"shuffle {args.action} does not take {flag}")
     if args.action == "zeta":
         from .kernel import zeta_value
 
         if len(args.expr) != 1:
             raise DomainError("shuffle zeta takes one evaluation point")
+        q1 = Fraction(2) if args.q1 is None else args.q1
+        q2 = Fraction(3) if args.q2 is None else args.q2
         try:
-            val = zeta_value(Fraction(args.expr[0]), args.q1, args.q2)
+            val = zeta_value(Fraction(args.expr[0]), q1, q2)
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(str(exc)) from exc
         _print(_dump({"value": _frac(val)}))
@@ -404,8 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["a2", "formal"], default="a2")
     p.add_argument("--degrees", default=None,
                    help="declared degrees 'n,m' for shuffle mul operands")
-    p.add_argument("--q1", type=_rational, default="2")
-    p.add_argument("--q2", type=_rational, default="3")
+    p.add_argument("--q1", type=_rational, default=None,
+                   help="shuffle zeta's q1 (default 2)")
+    p.add_argument("--q2", type=_rational, default=None,
+                   help="shuffle zeta's q2 (default 3)")
     p.set_defaults(func=_cmd_shuffle)
 
     p = command("omega-shift", _cmd_omega_shift, "d")

@@ -23,7 +23,13 @@ from .quiver_weights import (
     omega_weight,
     rho,
 )
-from .standard_form import _invariant_delta, _partition_nodes, _r_sequence, decompose
+from .standard_form import (
+    _invariant_delta,
+    _partition_nodes,
+    _r_sequence,
+    _slopes_decrease,
+    decompose,
+)
 
 Partition = tuple[tuple[int, int], ...]
 
@@ -137,8 +143,7 @@ def enum_V(d: int, w: int, trunc: Truncation) -> EnumResult:
         for parts in itertools.product(*choices):
             if sum(p[1] for p in parts) != w:
                 continue
-            slopes = [Fraction(pw, pd) for pd, pw in parts]
-            if all(a > b for a, b in zip(slopes, slopes[1:])):
+            if _slopes_decrease(parts):
                 items.append(tuple(parts))
     items.sort()
     return EnumResult(tuple(items), truncated=(d > 1))
@@ -222,8 +227,7 @@ def enum_T(quiver: Quiver, d: int, w: int, delta: Weight | None,
         if any(wi.denominator != 1 for wi in weights):
             continue
         A = tuple((di, int(wi)) for di, wi in zip(comp, weights))
-        slopes = [Fraction(pw, pd) for pd, pw in A]
-        if any(a >= b for a, b in zip(slopes, slopes[1:])) or not trunc.admits(d, w, A):
+        if not _slopes_decrease(A[::-1]) or not trunc.admits(d, w, A):
             continue
         chi = Weight.make([pw // pd + (j < pw % pd) for pd, pw in A for j in range(pd)], dims)
         shift = rho(dims) + delta + N_positive(quiver, dims, -lam).scale(half)

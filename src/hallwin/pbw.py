@@ -13,6 +13,7 @@ from .quiver_weights import Quiver, Weight, builtin_quiver, rho
 from .standard_form import (
     DecompositionError,
     _invariant_delta,
+    _slopes_decrease,
     decompose,
     omega_shift,
     tree_of_partition,
@@ -151,8 +152,7 @@ def verify_bijection(d: int, w: int, bound: int,
                 violations.append(f"unreached image ({A}, {combo})")
     for A in shifts_by_A:
         shifted = omega_shift(q, dims, A)
-        slopes = [Fraction(pw, pd) for pd, pw in shifted]
-        if any(a <= b for a, b in zip(slopes, slopes[1:])):
+        if not _slopes_decrease(shifted):
             violations.append(f"omega shift of {A} has non-decreasing slopes: {shifted}")
     return BijectionReport(d=d, w=w, bound=bound, domain_size=len(domain),
                            image_size=len(image), target_size=target,

@@ -26,13 +26,14 @@ The reduced normal form of a product of polynomials (`normal_form_text`,
 which prints it as sympy does, and `serialize_element`) is computed in
 integer arithmetic: every denominator is a product of known kernel
 factors, cancelled by trial division.  Exact `equals` compares these
-normal forms.  sympy is imported only where an `expr` is read: `==`,
-`hash` and `repr`, exact `equals` where a leaf is not a polynomial,
-`from_expr` and `scalar` on sympy input, `zeta`, and the fallback at
-non-diagonal poles, which builds a product's `expr` (its raw splitting
-sum).  The module attributes `q1`, `q2`, `D_sym` and `K_sym` are sympy
-symbols made on first access.  The exact normal forms of those readers go
-through the module-level `cancel`.
+normal forms, and `shuffle_eval` evaluates them at the poles that the
+evaluation in Fraction cannot pass.  sympy is read only by the private
+module `hallwin._symbolic`, loaded when a caller passes in or reads a
+sympy object: an element's `expr` (and with it `==`, `hash` and `repr`),
+sympy input to `from_expr` and `scalar`, and the module attributes `q1`,
+`q2`, `D_sym`, `K_sym`, `cancel`, `zeta` and `zvars`.  Where a leaf is not
+a polynomial, or the reduction is over its budget, exact `equals` and
+`shuffle_eval` at a pole ask sympy's `cancel` in that module.
 
 Diagonal rule.  Where a splitting term hits a pole and the only vanishing
 denominators are kernel factors 1 - z_a/z_b with z_a = z_b (no leaf
@@ -48,7 +49,7 @@ along any line.  Each kernel pair occurs once in a fully expanded term,
 so a value with p poles is computed up to O(eps^(C+1-p)) and the eps^0
 coefficient of the whole is exact.  A negative power that survives
 raises PoleError.  Every other pole (z_i = q1*q2*z_j, a leaf denominator
-0, z = 0, and so q1*q2 = 1 on a diagonal) goes to the sympy `cancel`
+0, z = 0, and so q1*q2 = 1 on a diagonal) is evaluated on the reduced
 normal form.
 """
 
@@ -66,33 +67,32 @@ from ._record import Record, _set
 from .kernel import PoleError, _rational, _zeta_parts, zeta_value
 
 _MAX_VARS = 12
-# module attribute -> name of the sympy symbol it stands for
-_SYMBOL_ATTRS = {"q1": "q1", "q2": "q2", "D_sym": "D", "K_sym": "K"}
+# the names this module re-exports from its sympy readers (`_sympy`)
+_SYMPY_NAMES = ("q1", "q2", "D_sym", "K_sym", "cancel", "zeta", "zvars")
 
 
 def __getattr__(name):
-    # the sympy symbols are made on first access, so importing this module
-    # does not load sympy
-    if name in _SYMBOL_ATTRS:
-        return _symbols(_SYMBOL_ATTRS[name])[0]
+    # read from the sympy readers on first access, so importing this
+    # module does not load sympy
+    if name in _SYMPY_NAMES:
+        return getattr(_sympy(), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _symbols(*names) -> list:
-    import sympy
-    return [sympy.Symbol(name) for name in names]
+def _sympy():
+    """`hallwin._symbolic`, the sympy readers, loaded on first use."""
+    try:
+        from . import _symbolic
+    except ImportError as exc:
+        raise ImportError(f"reading or passing a sympy expression needs sympy, "
+                          f"which cannot be imported: {exc}") from exc
+    return _symbolic
 
 
 def _znames(n: int) -> list[str]:
     if n > _MAX_VARS:
         raise ValueError(f"degree {n} exceeds the supported maximum {_MAX_VARS}")
     return [f"z{i}" for i in range(1, n + 1)]
-
-
-def cancel(expr):
-    """sympy's `cancel`: the exact normal form, the one this module computes."""
-    import sympy
-    return sympy.cancel(expr)
 
 
 class KernelParams(Record):
@@ -111,20 +111,6 @@ class KernelParams(Record):
 
     def _values(self) -> tuple:
         return self.mode,
-
-
-def zeta(x, params: KernelParams = KernelParams()):
-    """Two-variable kernel as an exact expression in x (symbol or number)."""
-    q1, q2, D, K = _symbols("q1", "q2", "D", "K")
-    if params.mode == "a2":
-        expr = ((1 - q1 * x) * (1 - q2 * x)) / ((1 - x) * (1 - q1 * q2 * x))
-    else:
-        expr = 1 + x * D / ((1 - x) * (1 - x * K))
-    return expr
-
-
-def zvars(n: int):
-    return tuple(_symbols(*_znames(n)))
 
 
 class ShuffleElement:
@@ -155,7 +141,7 @@ class ShuffleElement:
 
     @staticmethod
     def _constant(degree: int, c) -> "ShuffleElement":
-        c = Fraction(c)
+        c = _rational(c)
         monom = (0,) * len(_znames(degree))  # _znames checks the degree
         return ShuffleElement._polynomial(degree, (), [(monom, c)] if c else [])
 
@@ -163,9 +149,9 @@ class ShuffleElement:
     def expr(self):
         if self._expr is None:
             if self._factors is not None:
-                self._expr = _splitting_sum(*self._factors)
+                self._expr = _sympy().splitting_sum(*self._factors)
             else:
-                self._expr = _leaf_expr(self)
+                self._expr = _sympy().leaf_expr(self)
         return self._expr
 
     def __eq__(self, other):
@@ -181,84 +167,38 @@ class ShuffleElement:
 
     @staticmethod
     def scalar(c) -> "ShuffleElement":
-        if isinstance(c, (int, Fraction)):
+        """A degree-0 element: an int, a Fraction or a string `Fraction`
+        reads, or a sympy expression; a float is a TypeError."""
+        if isinstance(c, (int, float, str, Fraction)):
             return ShuffleElement._constant(0, c)
-        import sympy
-        return ShuffleElement(0, sympy.nsimplify(sympy.sympify(c), rational=True))
+        return ShuffleElement(0, _sympy().exact(c))
 
     @staticmethod
     def from_expr(n: int, expr) -> "ShuffleElement":
-        if isinstance(expr, (int, Fraction)):
+        """An element of degree n from a rational constant or a sympy
+        expression (checked for symmetry); a float, also inside the
+        expression, is a TypeError."""
+        if isinstance(expr, (int, float, Fraction)):
             return ShuffleElement._constant(n, expr)
-        import sympy
-        expr = sympy.sympify(expr)
-        el = ShuffleElement(n, expr)
+        el = ShuffleElement(n, _sympy().exact(expr))
         if not el.is_symmetric():
             raise ValueError("expression is not symmetric in its z variables")
         return el
 
     def is_symmetric(self) -> bool:
         """Symmetry under all adjacent transpositions (hence under S_n)."""
-        if self._expr is None and self._factors is None:
-            # a polynomial leaf: its terms under each swap of exponents
-            terms = dict(self._leaf[1])
-            for i in range(self.degree - 1):
-                swapped = {m[:i] + (m[i + 1], m[i]) + m[i + 2:]: c for m, c in terms.items()}
-                if swapped != terms:
-                    return False
-            return True
-        import sympy
-        zs = zvars(self.degree)
+        if self._expr is not None or self._factors is not None:
+            return _sympy().is_symmetric(self)
+        # a polynomial leaf: its terms under each swap of exponents
+        terms = dict(self._leaf[1])
         for i in range(self.degree - 1):
-            a, b = zs[i], zs[i + 1]
-            t = sympy.Symbol("_swap_tmp")
-            swapped = self.expr.subs({a: t, b: a}).subs({t: b})
-            if cancel(sympy.together(self.expr - swapped)) != 0:
+            swapped = {m[:i] + (m[i + 1], m[i]) + m[i + 2:]: c for m, c in terms.items()}
+            if swapped != terms:
                 return False
         return True
 
 
 unit = ShuffleElement._constant(0, 1)
-
-
-def _leaf_expr(el: ShuffleElement):
-    """The sympy expression of a polynomial leaf, in the form sympy's
-    `expand` gives it."""
-    import sympy
-    params, num, _ = el._leaf
-    gens = _symbols(*_znames(el.degree), *params)
-    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
-                       * sympy.Mul(*(g ** e for g, e in zip(gens, monom) if e))
-                       for monom, c in num))
-
-
-def _relabel(expr, n: int, positions) -> object:
-    """Substitute z_1..z_n of expr by the z's at the given 1-based positions."""
-    if n == 0:
-        return expr
-    zs = zvars(n)
-    tmp = _symbols(*(f"_t{i}" for i in range(1, n + 1)))
-    targets = _symbols(*(f"z{p}" for p in positions))
-    return expr.subs(dict(zip(zs, tmp))).subs(dict(zip(tmp, targets)))
-
-
-def _splitting_sum(f: ShuffleElement, g: ShuffleElement, params: KernelParams):
-    """The sympy expression of the product f * g."""
-    import sympy
-    n, m = f.degree, g.degree
-    zs = zvars(n + m)
-    acc = sympy.Integer(0)
-    universe = list(range(1, n + m + 1))
-    for I in itertools.combinations(universe, n):
-        J = tuple(p for p in universe if p not in I)
-        term = _relabel(f.expr, n, I) * _relabel(g.expr, m, J)
-        for i in I:
-            for j in J:
-                term *= zeta(zs[i - 1] / zs[j - 1], params)
-        acc += term
-    # kept as a raw sum: a global exact cancellation is exponential in the
-    # degree, and evaluation / equality checks do not need it
-    return acc
 
 
 def mul(f: ShuffleElement, g: ShuffleElement,
@@ -274,33 +214,12 @@ def mul(f: ShuffleElement, g: ShuffleElement,
 # -- exact evaluation in Fraction ------------------------------------------
 
 
-def _terms(poly, gens) -> list:
-    """A sympy polynomial as (exponents, Fraction coefficient) pairs in gens."""
-    import sympy
-    try:
-        terms = sympy.Poly(poly, *gens).terms() if gens else [((), poly)]
-    except sympy.PolynomialError as exc:
-        raise ValueError(f"element is not a rational function: {exc}") from exc
-    out = []
-    for monom, c in terms:
-        if not c.is_Rational:
-            raise ValueError(f"element coefficient {c} is not rational")
-        out.append((monom, Fraction(int(c.p), int(c.q))))
-    return out
-
-
 def _leaf_data(el: ShuffleElement) -> tuple:
     """(parameter names, numerator terms, denominator terms or None for 1)
     of a non-product element, in the generators z1..z_degree followed by
     the parameters."""
     if el._leaf is None:
-        import sympy
-        expr = sympy.sympify(el.expr)
-        zs = list(zvars(el.degree))
-        params = sorted(expr.free_symbols - set(zs), key=lambda s: s.name)
-        num, den = sympy.fraction(sympy.together(expr))
-        den_terms = None if den == 1 else _terms(den, zs + params)
-        el._leaf = ([s.name for s in params], _terms(num, zs + params), den_terms)
+        el._leaf = _sympy().leaf_data(el)
     return el._leaf
 
 
@@ -566,8 +485,7 @@ def equals(f: ShuffleElement, g: ShuffleElement,
         try:
             return normal_form_text(f) == normal_form_text(g)
         except ValueError:
-            import sympy
-            return cancel(sympy.together(f.expr - g.expr)) == 0
+            return _sympy().equal(f, g)
     if strategy != "probabilistic":
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = random.Random(seed)
@@ -600,8 +518,12 @@ def shuffle_eval(f: ShuffleElement, z_values, q1_val, q2_val) -> Fraction:
     Evaluated in Fraction; a float argument is a TypeError.  At a pole of
     some splitting term: by the diagonal rule (module docstring) when the
     only vanishing denominators are kernel factors 1 - z_a/z_b with
-    z_a = z_b, exact for symmetric leaves; otherwise by the sympy normal
-    form, which raises PoleError when its reduced denominator vanishes.
+    z_a = z_b, exact for symmetric leaves; otherwise as content * P/Q, the
+    reduced normal form of `normal_form_text`, which is generic in q1 and
+    q2 as sympy's cancel-then-substitute is, and a PoleError names the
+    factor of Q that vanishes.  Only where that form cannot be computed (a
+    leaf that is not a polynomial, or a reduction over its budget) does
+    sympy's `cancel` give it.
     """
     if len(z_values) != f.degree:
         raise ValueError("wrong number of z values")
@@ -626,21 +548,14 @@ def shuffle_eval(f: ShuffleElement, z_values, q1_val, q2_val) -> Fraction:
             pass  # a leaf denominator vanishes at zs
         else:
             return val.constant_term()
-    # any other pole: the full cancelled form may still be regular there,
-    # so fall back to the exact normal form
-    import sympy
-    env.update(zip(_znames(f.degree), zs))
-    expr = cancel(sympy.together(f.expr))
-    subs = {s: sympy.Rational(env[s.name]) for s in expr.free_symbols if s.name in env}
-    num, den = sympy.fraction(expr)
-    den_val = den.subs(subs)
-    if den_val == 0:
-        for factor in sympy.Mul.make_args(sympy.factor(den)):
-            if factor.subs(subs) == 0:
-                raise PoleError(f"denominator factor {factor} vanishes")
-        raise PoleError("denominator vanishes")
-    val = sympy.nsimplify(num.subs(subs) / den_val, rational=True)
-    return Fraction(int(val.p), int(val.q))
+    # any other pole: the reduced form may still be regular there
+    try:
+        reduced = _reduced(f, {})
+    except ValueError:  # a leaf that is not a polynomial, or over the budget
+        env.update(zip(_znames(f.degree), zs))
+        return _sympy().pole_value(f, env)
+    # D and K, refused above, do not occur in the form
+    return _reduced_value(f.degree, reduced, zs + tuple(env.get(p, 0) for p in _NF_PARAMS))
 
 
 # -- text mini-language ----------------------------------------------------
@@ -1091,6 +1006,22 @@ def normal_form_text(el: ShuffleElement) -> str:
     P_text = _sum_text(P, names)
     Q_text = _sum_text([(m, Fraction(sign * bottom * c)) for m, c in Q.items()], names)
     return f"({P_text})/({Q_text})" if len(P) > 1 else f"{P_text}/({Q_text})"
+
+
+def _reduced_value(n: int, reduced: tuple, values: tuple) -> Fraction:
+    """The value of `_reduced`'s (content, numerator, denominator) of a
+    degree-n element at values for z1..z_n and `_NF_PARAMS`; PoleError
+    naming the first factor of the denominator that vanishes there."""
+    content, num, den = reduced
+    below = Fraction(1)
+    for key in sorted(den):
+        factor = [(m, Fraction(c)) for m, c in _factor_poly(key, n).items()]
+        value = _poly_value(factor, values)
+        if not value:
+            text = _sum_text(factor, _znames(n) + list(_NF_PARAMS))
+            raise PoleError(f"denominator factor {text} vanishes")
+        below *= value
+    return content * _poly_value(num.items(), values) / below
 
 
 def serialize_element(el: ShuffleElement) -> str:

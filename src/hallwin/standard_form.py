@@ -272,6 +272,12 @@ def _check_partition(quiver_dims_total: int, A: Sequence[tuple[int, int]]) -> No
         raise ValueError("partition does not sum to the dimension")
 
 
+def _slopes_decrease(A: Sequence[tuple[int, int]]) -> bool:
+    """Whether the slopes w/d of the parts (d, w) of A, all d > 0, strictly
+    decrease."""
+    return all(w * e > v * d for (d, w), (e, v) in zip(A, A[1:]))
+
+
 def _partition_weight(A: Sequence[tuple[int, int]]) -> Weight:
     """concat_i w_i tau_{d_i} as a weight of the total dimension."""
     coords: list[Fraction] = []
@@ -333,8 +339,7 @@ def slope_to_tree(quiver: Quiver, dims: Sequence[int],
     if len(dims) != 1 or len(quiver.edges) != 3:
         raise NotImplementedError("slope solve requires the tripled one-vertex quiver")
     _check_partition(sum(dims), A)
-    slopes = [Fraction(w, d) for d, w in A]
-    if any(a <= b for a, b in zip(slopes, slopes[1:])):
+    if not _slopes_decrease(A):
         raise _UnorderedSlopes("slopes are not strictly decreasing")
     psi_A = _partition_weight(A)
     # The adjoint weights are the edge weights of the Jordan quiver.

@@ -140,6 +140,26 @@ def test_shuffle_mul(capsys):
     assert json.loads(out2) == row
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["zeta", "5", "--mode", "formal"], "--mode formal"),
+    (["zeta", "5", "--degrees", "1,1"], "--degrees"),
+    (["mul", "1", "1", "--degrees", "1,1", "--q1", "7"], "--q1"),
+    (["mul", "1", "1", "--degrees", "1,1", "--q2", "2"], "--q2"),
+])
+def test_shuffle_refuses_a_flag_it_does_not_read(capsys, argv, flag):
+    code, out, err = run(capsys, ["shuffle", *argv])
+    assert_one_error_line(code, out, err)
+    assert err == f"error: shuffle {argv[0]} does not take {flag}\n"
+
+
+def test_shuffle_zeta_defaults_and_a2_mode(capsys):
+    for argv in (["5"], ["5", "--mode", "a2"], ["5", "--q1", "2"], ["5", "--q2", "3"]):
+        assert run_json(capsys, ["shuffle", "zeta", *argv], "shuffle-zeta") == [
+            {"value": "63/58"}]
+    assert run_json(capsys, ["shuffle", "zeta", "5", "--q1", "5"], "shuffle-zeta") == [
+        {"value": "42/37"}]
+
+
 def test_bad_weight_exit_1(capsys):
     code, out, err = run(capsys, ["r-invariant", "--weight", "bogus"])
     assert code == 1

@@ -139,32 +139,66 @@ def test_shuffle_demo_output_unchanged():
     assert proc.stdout == golden.read_text()
 
 
-# The Fraction paths of the shuffle layer (parsing, products, probabilistic
-# equality, evaluation at a regular point and at a diagonal z1 = z3); then
-# the readers of `expr`, which load sympy.
+# The shuffle layer with sympy's import blocked: parsing, scalars, products,
+# probabilistic and exact equality, the normal form and its text, and
+# evaluation at a regular point, at a diagonal z1 = z3, at z3 = q1*q2*z1,
+# at z = 0 and at q1*q2 = 1 on a diagonal; then a reader of `expr`, which
+# needs sympy.
 SHUFFLE_WITHOUT_SYMPY = """
 import json, sys
+from fractions import Fraction
+
+
+class NoSympy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "sympy":
+            raise ImportError("blocked")
+
+
+sys.meta_path.insert(0, NoSympy())
 from hallwin import shuffle
 f = shuffle.parse_element("1 + 2*z1", degree=1)
 g = shuffle.parse_element("z1*z2 + 3", degree=2)
 one = shuffle.parse_element("1", degree=1)
 left = shuffle.mul(shuffle.mul(f, g), one)
 right = shuffle.mul(f, shuffle.mul(g, one))
+fg = shuffle.mul(f, g)
+
+
+def value(el, zs, q1=2, q2=3):
+    try:
+        return str(shuffle.shuffle_eval(el, zs, q1, q2))
+    except shuffle.PoleError as exc:
+        return f"PoleError: {exc}"
+
+
 values = [shuffle.equals(left, right, strategy="probabilistic", seed=1),
-          str(shuffle.shuffle_eval(left, (2, 3, 5, 7), 2, 3)),
-          str(shuffle.shuffle_eval(left, (2, 5, 2, 7), 2, 3))]
-loaded = "sympy" in sys.modules
-values += [str(g.expr), shuffle.serialize_element(g),
-           shuffle.equals(shuffle.mul(shuffle.unit, g), g, strategy="exact"),
-           shuffle.equals(shuffle.mul(f, one), shuffle.mul(one, f), strategy="exact")]
-print(json.dumps([loaded, values]))
+          value(left, (2, 3, 5, 7)), value(left, (2, 5, 2, 7)),
+          value(fg, (2, 3, 12)), value(fg, (2, 12, 3)), value(fg, (0, 3, 5)),
+          value(fg, (0, 0, 5)), value(fg, (3, 3, 5), 2, Fraction(1, 2)),
+          shuffle.normal_form_text(shuffle.mul(one, one)), shuffle.serialize_element(g),
+          shuffle.serialize_element(shuffle.ShuffleElement.scalar("-3/2")),
+          shuffle.equals(shuffle.mul(shuffle.unit, g), g, strategy="exact"),
+          shuffle.equals(shuffle.mul(f, one), shuffle.mul(one, f), strategy="exact")]
+try:
+    error = repr(g.expr)
+except ImportError as exc:
+    error = str(exc)
+print(json.dumps(["sympy" in sys.modules, values, error]))
 """
 
 
 def test_shuffle_fraction_paths_do_not_load_sympy():
     proc = python("-c", SHUFFLE_WITHOUT_SYMPY)
     assert proc.returncode == 0, proc.stderr
-    loaded, values = json.loads(proc.stdout)
+    loaded, values, error = json.loads(proc.stdout)
     assert not loaded
-    assert values == [True, "4516530151547/4983328350", "637095108332/912165625",
-                      "z1*z2 + 3", "z1*z2+3", True, False]
+    qq = "PoleError: denominator factor -q1*q2*z1 + {} vanishes"
+    assert values == [
+        True, "4516530151547/4983328350", "637095108332/912165625",
+        qq.format("z3"), qq.format("z2"), "2578/39", qq.format("z2"), qq.format("z2"),
+        "(-q1**2*q2**2*z1*z2 - q1**2*q2*z1*z2 - q1*q2**2*z1*z2 + 2*q1*q2*z1**2"
+        " + 2*q1*q2*z1*z2 + 2*q1*q2*z2**2 - q1*z1*z2 - q2*z1*z2 - z1*z2)"
+        "/(-q1**2*q2**2*z1*z2 + q1*q2*z1**2 + q1*q2*z2**2 - z1*z2)",
+        "z1*z2+3", "-3/2", True, False]
+    assert error.startswith("reading or passing a sympy expression needs sympy")

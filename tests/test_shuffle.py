@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hallwin import shuffle
+from hallwin import _symbolic, shuffle
 from hallwin.shuffle import (
     KernelParams,
     PoleError,
@@ -240,8 +240,8 @@ def test_eval_does_not_build_sympy_sum(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the sympy sum was built")
 
-    monkeypatch.setattr(shuffle, "zeta", forbidden)
-    monkeypatch.setattr(shuffle, "cancel", forbidden)
+    monkeypatch.setattr(_symbolic, "zeta", forbidden)
+    monkeypatch.setattr(_symbolic, "cancel", forbidden)
     assert equals(left, right, A2, strategy="probabilistic", seed=1)
     shuffle_eval(left, (F(2), F(3), F(5), F(7)), F(2), F(3))
 
@@ -356,7 +356,19 @@ def test_floats_are_refused():
         zeta_value(0.1, 2, 3)
     with pytest.raises(TypeError, match="float"):
         zeta_value(F(1, 10), 2, 3.0)
+    # a float is not turned into the decimal it prints as, nor taken into
+    # an element, also inside a sympy expression
+    z1 = zvars(1)[0]
+    for make in (lambda: ShuffleElement.scalar(0.1), lambda: ShuffleElement.from_expr(1, 0.1),
+                 lambda: ShuffleElement.scalar(sympy.Float(0.5)),
+                 lambda: ShuffleElement.from_expr(1, 0.5 * z1 + 1),
+                 lambda: ShuffleElement.from_expr(2, "z1 + z2 + 0.25")):
+        with pytest.raises(TypeError, match="float"):
+            make()
     # ints, Fractions and strings Fraction reads exactly are rationals
+    for c in (3, F(3, 2), "3/2", "1.5", "-7"):
+        s = ShuffleElement.scalar(c)
+        assert s._expr is None and s.expr == sympy.Rational(F(c).numerator, F(c).denominator)
     assert shuffle_eval(prod, ("5", 1), "2", F(3)) == F(-12, 29)
     assert zeta_value("0.1", 2, "3") == zeta_value(F(1, 10), F(2), F(3))
     assert zeta_value(5, 2, 3) == F(63, 58)
@@ -435,7 +447,7 @@ def bracketings(rng, degrees):
 
 
 def no_fallback(*args, **kwargs):
-    raise AssertionError("the sympy fallback ran at a diagonal pole")
+    raise AssertionError("the sympy fallback ran")
 
 
 @pytest.mark.parametrize("blocks, degrees", COLLISIONS)
@@ -448,7 +460,7 @@ def test_diagonal_pole_matches_normal_form(monkeypatch, blocks, degrees):
             want = line_normal_value(prod, zs, *qs, rng)
             assert want is not None
             with monkeypatch.context() as m:
-                m.setattr(shuffle, "cancel", no_fallback)
+                m.setattr(_symbolic, "cancel", no_fallback)
                 assert shuffle_eval(prod, zs, *qs) == want
 
 
@@ -460,27 +472,66 @@ def fallback(*args, **kwargs):
     raise _Fallback()
 
 
+def substituted(expr, n, zs, qa, qb):
+    """Oracle: a cancelled sympy expression at the point; None where its
+    denominator vanishes."""
+    subs = {shuffle.q1: sympy.Rational(qa), shuffle.q2: sympy.Rational(qb)}
+    subs.update({z: sympy.Rational(v) for z, v in zip(zvars(n), zs)})
+    num, den = sympy.fraction(expr)
+    den = den.subs(subs)
+    if den == 0:
+        return None
+    val = num.subs(subs) / den
+    return F(int(val.p), int(val.q))
+
+
+def normal_form_value(el, zs, qa, qb):
+    """Oracle: sympy's reading of normal_form_text (equal to its cancel,
+    test_normal_form_matches_sympy) with the point substituted for the
+    symbols; None where the denominator vanishes."""
+    values = {"q1": sympy.Rational(qa), "q2": sympy.Rational(qb)}
+    values.update({f"z{i}": sympy.Rational(v) for i, v in enumerate(zs, 1)})
+    val = sympy.parse_expr(normal_form_text(el), local_dict=values)
+    if val.has(sympy.zoo, sympy.nan):
+        return None
+    return F(int(val.p), int(val.q))
+
+
+def assert_pole_value(el, zs, qs, want):
+    """shuffle_eval gives want, or a PoleError naming a factor for None."""
+    if want is None:
+        with pytest.raises(PoleError, match="denominator factor"):
+            shuffle_eval(el, zs, *qs)
+    else:
+        assert shuffle_eval(el, zs, *qs) == want
+
+
 @pytest.mark.parametrize("blocks, degrees", COLLISIONS)
 def test_diagonal_pole_with_unit_q1q2_falls_back(monkeypatch, blocks, degrees):
     # at q1*q2 = 1 the kernel has (1 - x)^2 below, a double pole on the
-    # diagonal, so the point goes to the normal form
+    # diagonal, so the point falls back from the line to the reduced normal
+    # form, without sympy; the oracle is sympy's cancel-then-substitute at
+    # degree 2, and past it (a cancel of seconds) `normal_form_value`
     rng = random.Random(repr(blocks))
     qs = (F(2), F(1, 2))
     zs = collision_point(rng, blocks, sum(degrees), F(1))
     for prod in bracketings(rng, degrees):
         if prod.degree == 2:
-            want = line_normal_value(prod, zs, *qs, rng)
-            if want is None:
-                with pytest.raises(PoleError):
+            want = substituted(sympy.cancel(sympy.together(prod.expr)), 2, zs, *qs)
+        elif prod.degree == 3:
+            want = normal_form_value(prod, zs, *qs)
+        else:
+            # degree 4: the reduction is over its budget, so sympy's cancel
+            # is asked, and it would take minutes
+            with monkeypatch.context() as m:
+                m.setattr(_symbolic, "cancel", fallback)
+                with pytest.raises(_Fallback):
                     shuffle_eval(prod, zs, *qs)
-            else:
-                assert shuffle_eval(prod, zs, *qs) == want
             continue
-        # the normal form itself takes seconds from degree 3 on
         with monkeypatch.context() as m:
-            m.setattr(shuffle, "cancel", fallback)
-            with pytest.raises(_Fallback):
-                shuffle_eval(prod, zs, *qs)
+            m.setattr(_symbolic, "pole_value", no_fallback)
+            m.setattr(_symbolic, "cancel", no_fallback)
+            assert_pole_value(prod, zs, qs, want)
 
 
 def test_equal_z_values_at_different_positions_stay_apart(monkeypatch):
@@ -492,28 +543,39 @@ def test_equal_z_values_at_different_positions_stay_apart(monkeypatch):
     point = shuffle._Point(env, shuffle._diagonal_line(zs, env))
     assert point.value(f, (0,)) != point.value(f, (2,))
     assert point.value(f, (0,)).constant_term() == point.value(f, (2,)).constant_term() == 5
-    monkeypatch.setattr(shuffle, "cancel", no_fallback)
+    monkeypatch.setattr(_symbolic, "cancel", no_fallback)
     rng = random.Random(7)
     for prod in [mul(f, g, A2), mul(g, f, A2)]:
         assert shuffle_eval(prod, zs, F(2), F(3)) == line_normal_value(prod, zs, F(2), F(3), rng)
 
 
 def test_non_diagonal_poles_fall_back(monkeypatch):
+    # every pole but a diagonal one falls back to the reduced normal form,
+    # without sympy, and agrees with sympy's cancel-then-substitute; a leaf
+    # that is not a polynomial still goes to sympy's cancel
     a, b, c = elem(1, "z1 + 2"), elem(1, "z1"), const(1)
     prod = mul(mul(a, b, A2), c, A2)
     rational = mul(elem(2, "(z1*z2 + 1)/(z1 + z2 + 4)"), const(1), A2)
-    monkeypatch.setattr(shuffle, "cancel", fallback)
-    for el, zs in [(prod, (F(2), F(2), F(12))),   # z3 = q1*q2*z1 besides z1 = z2
-                   (prod, (F(0), F(0), F(5))),    # z = 0
-                   (rational, (F(-2), F(-2), F(3)))]:  # a leaf denominator is 0
-        with pytest.raises(_Fallback):
-            shuffle_eval(el, zs, F(2), F(3))
+    cancelled = sympy.cancel(sympy.together(prod.expr))
+    points = [(F(2), F(2), F(12)),  # z3 = q1*q2*z1 besides z1 = z2
+              (F(0), F(3), F(5)),  # z = 0
+              (F(1), F(6), F(5))]  # z2 = q1*q2*z1 alone
+    wants = [substituted(cancelled, 3, zs, 2, 3) for zs in points]
+    assert wants == [None, F(5084, 117), None]
+    with monkeypatch.context() as m:
+        m.setattr(_symbolic, "pole_value", no_fallback)
+        m.setattr(_symbolic, "cancel", no_fallback)
+        for zs, want in zip(points, wants):
+            assert_pole_value(prod, zs, (F(2), F(3)), want)
+    monkeypatch.setattr(_symbolic, "cancel", fallback)
+    with pytest.raises(_Fallback):  # a leaf denominator is 0
+        shuffle_eval(rational, (F(-2), F(-2), F(3)), F(2), F(3))
 
 
 def test_degree_four_diagonal_pole_without_normal_form(monkeypatch):
     # the (1,1,2) product whose normal form runs for minutes
     a, b, c = elem(1, "-1"), elem(1, "2 - 2*z1"), elem(2, "z1*z2 - 2*z1 - 2*z2 + 3")
-    monkeypatch.setattr(shuffle, "cancel", no_fallback)
+    monkeypatch.setattr(_symbolic, "cancel", no_fallback)
     zs = (F(1), F(3), F(1), F(17, 2))
     for prod in [mul(mul(a, b, A2), c, A2), mul(a, mul(b, c, A2), A2)]:
         assert shuffle_eval(prod, zs, F(-1, 2), F(4)) == F(12596720611, 136416000)
@@ -524,7 +586,7 @@ def test_surviving_diagonal_pole_raises(monkeypatch):
     # pole on z1 = z3, where the normal form's denominator vanishes too
     z = zvars(2)
     prod = mul(ShuffleElement(2, z[0] ** 2 + 3 * z[1]), const(1), A2)
-    monkeypatch.setattr(shuffle, "cancel", no_fallback)
+    monkeypatch.setattr(_symbolic, "cancel", no_fallback)
     rng = random.Random(5)
     with pytest.raises(PoleError, match="survives"):
         shuffle_eval(prod, (F(2), F(5), F(2)), F(2), F(3))
@@ -711,7 +773,7 @@ def sympy_equal(a, b):
 def test_exact_equals_compares_normal_forms(monkeypatch):
     def forbidden(expr):
         raise AssertionError("exact equality of polynomial leaves reached sympy")
-    monkeypatch.setattr(shuffle, "cancel", forbidden)
+    monkeypatch.setattr(_symbolic, "cancel", forbidden)
     one, z1 = parse_element("1", degree=1), parse_element("z1")
     assert equals(mul(mul(one, z1), one), mul(one, mul(z1, one)), strategy="exact")
     assert not equals(mul(z1, one), mul(one, z1), strategy="exact")
