@@ -11,8 +11,6 @@ all values exact rationals.
 
 from fractions import Fraction
 
-import sympy
-
 from hallwin.shuffle import (
     KernelParams,
     ShuffleElement,
@@ -38,7 +36,7 @@ for x in (Fraction(5), Fraction(1, 5)):
 # The degree-1 constant function multiplied with itself symmetrizes the
 # kernel over the two orderings of (z1, z2); evaluation stays exact.
 
-one = ShuffleElement.from_expr(1, sympy.Integer(1))
+one = ShuffleElement.from_expr(1, 1)
 prod = mul(one, one, params)
 print(f"(1 * 1)(5, 1) at q=(2,3): {shuffle_eval(prod, (5, 1), 2, 3)}")
 

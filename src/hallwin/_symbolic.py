@@ -1,24 +1,25 @@
 """The sympy readers of the shuffle layer: the one module of hallwin that
-imports sympy.
+imports sympy, which is an optional dependency.
 
 `hallwin.shuffle` loads it on first use, which comes only when a caller
-passes in or reads a sympy object: a `ShuffleElement`'s `expr` (and with
-it `==`, `hash` and `repr`), sympy input to `from_expr` and `scalar`, the
-symmetry check of such an element, and exact `equals` and the pole value
-of `shuffle_eval` where a leaf is not a polynomial or the integer
-reduction is over its budget.  `hallwin.shuffle` re-exports `q1`, `q2`,
-`D_sym`, `K_sym`, `cancel`, `zeta` and `zvars` from here.
+passes in, holds or asks for a sympy object: a `ShuffleElement`'s `expr`,
+sympy input to `from_expr` and `scalar`, the symmetry check of an element
+built from such input, and exact `equals` and the pole value of
+`shuffle_eval` where a leaf is not a polynomial or the integer reduction
+is over its budget.  `hash` and `repr` of elements never read it, and
+`==` only through exact `equals`.
+`hallwin.shuffle` re-exports `q1`, `q2`, `D_sym`, `K_sym`, `cancel`,
+`zeta` and `zvars` from here.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 import sympy
 
 from .kernel import PoleError, _rational
-from .shuffle import KernelParams, ShuffleElement, _znames
+from .shuffle import KernelParams, ShuffleElement, _splittings, _znames
 
 q1, q2, D_sym, K_sym = sympy.symbols("q1 q2 D K")
 
@@ -70,12 +71,11 @@ def leaf_expr(el: ShuffleElement):
                        for monom, c in num))
 
 
-def _relabel(expr, n: int, positions):
-    """Substitute z_1..z_n of expr by the z's at the given 1-based positions."""
+def _relabel(expr, n: int, targets):
+    """Substitute z_1..z_n of expr by the given symbols."""
     if n == 0:
         return expr
     tmp = [sympy.Symbol(f"_t{i}") for i in range(1, n + 1)]
-    targets = [sympy.Symbol(f"z{p}") for p in positions]
     return expr.subs(dict(zip(zvars(n), tmp))).subs(dict(zip(tmp, targets)))
 
 
@@ -84,13 +84,10 @@ def splitting_sum(f: ShuffleElement, g: ShuffleElement, params: KernelParams):
     n, m = f.degree, g.degree
     zs = zvars(n + m)
     acc = sympy.Integer(0)
-    universe = list(range(1, n + m + 1))
-    for I in itertools.combinations(universe, n):
-        J = tuple(p for p in universe if p not in I)
-        term = _relabel(f.expr, n, I) * _relabel(g.expr, m, J)
-        for i in I:
-            for j in J:
-                term *= zeta(zs[i - 1] / zs[j - 1], params)
+    for I, J, pairs in _splittings(n + m, n):
+        term = _relabel(f.expr, n, [zs[i] for i in I]) * _relabel(g.expr, m, [zs[j] for j in J])
+        for i, j in pairs:
+            term *= zeta(zs[i] / zs[j], params)
         acc += term
     # kept as a raw sum: a global exact cancellation is exponential in the
     # degree, and evaluation / equality checks do not need it

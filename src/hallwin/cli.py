@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -44,7 +45,15 @@ class DomainError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises DomainError on a bad command line, so it ends as one error line."""
+    """Raises DomainError on a bad command line, so it ends as one error line.
+
+    A token that starts with "-" and a digit, or "-." and a digit, is a
+    value, never a flag, as in `--delta -1/2` and `--weight -5,5`; argparse
+    alone reads only integers and decimals such as `-2` that way."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise DomainError(message)

@@ -36,6 +36,10 @@ def window_count(d: int, w: int, quiver: Quiver | None = None) -> int:
 def window_count_table(d_max: int, w_max: int,
                        quiver: Quiver | None = None) -> dict[tuple[int, int], int]:
     """m(d, w) for 1 <= d <= d_max and |w| <= w_max."""
+    if d_max < 1:
+        raise ValueError(f"d_max must be at least 1, got {d_max}")
+    if w_max < 0:
+        raise ValueError(f"w_max must be at least 0, got {w_max}")
     table = {}
     for d in range(1, d_max + 1):
         for w in range(-w_max, w_max + 1):

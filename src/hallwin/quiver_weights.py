@@ -211,14 +211,13 @@ def _slot_ranges(dims: Sequence[int]) -> list[range]:
     return [range(offs[i], offs[i + 1]) for i in range(len(dims))]
 
 
-def _edge_weights(quiver: Quiver, dims: Sequence[int], edge_indices: Iterable[int]) -> list[Weight]:
-    """Weights e^(t)_l - e^(s)_m of Hom(C^{d_s}, C^{d_t}) per edge."""
+def _edge_weights(dims: Sequence[int], edges: Iterable[tuple[int, int]]) -> list[Weight]:
+    """Weights e^(t)_l - e^(s)_m of Hom(C^{d_s}, C^{d_t}) per edge (s, t)."""
     blocks = tuple(dims)
     n = sum(dims)
     ranges = _slot_ranges(dims)
     out = []
-    for e in edge_indices:
-        s, t = quiver.edges[e]
+    for s, t in edges:
         for l in ranges[t]:
             for m in ranges[s]:
                 coords = [Fraction(0)] * n
@@ -230,26 +229,16 @@ def _edge_weights(quiver: Quiver, dims: Sequence[int], edge_indices: Iterable[in
 
 def rep_weights(quiver: Quiver, dims: Sequence[int]) -> list[Weight]:
     """All torus weights of the edge representation R(d)."""
-    return _edge_weights(quiver, dims, range(len(quiver.edges)))
+    return _edge_weights(dims, quiver.edges)
 
 
 def cut_weights(quiver: Quiver, dims: Sequence[int]) -> list[Weight]:
-    return _edge_weights(quiver, dims, sorted(quiver.cut))
+    return _edge_weights(dims, [quiver.edges[e] for e in sorted(quiver.cut)])
 
 
 def adjoint_weights(quiver: Quiver, dims: Sequence[int]) -> list[Weight]:
     """Weights e_l - e_m (all l, m per vertex) of the adjoint g(d)."""
-    blocks = tuple(dims)
-    n = sum(dims)
-    out = []
-    for rng in _slot_ranges(dims):
-        for l in rng:
-            for m in rng:
-                coords = [Fraction(0)] * n
-                coords[l] += 1
-                coords[m] -= 1
-                out.append(Weight(tuple(coords), blocks))
-    return out
+    return _edge_weights(dims, [(v, v) for v in range(len(dims))])
 
 
 def rho(dims: Sequence[int]) -> Weight:

@@ -27,13 +27,16 @@ which prints it as sympy does, and `serialize_element`) is computed in
 integer arithmetic: every denominator is a product of known kernel
 factors, cancelled by trial division.  Exact `equals` compares these
 normal forms, and `shuffle_eval` evaluates them at the poles that the
-evaluation in Fraction cannot pass.  sympy is read only by the private
-module `hallwin._symbolic`, loaded when a caller passes in or reads a
-sympy object: an element's `expr` (and with it `==`, `hash` and `repr`),
-sympy input to `from_expr` and `scalar`, and the module attributes `q1`,
-`q2`, `D_sym`, `K_sym`, `cancel`, `zeta` and `zvars`.  Where a leaf is not
-a polynomial, or the reduction is over its budget, exact `equals` and
-`shuffle_eval` at a pole ask sympy's `cancel` in that module.
+evaluation in Fraction cannot pass.  `==` on elements is exact `equals`.
+
+sympy is optional.  It is read only by the private module
+`hallwin._symbolic`, loaded when a caller passes in, holds or asks for a
+sympy object: an element's `expr`, an element built from sympy input to
+`from_expr` or `scalar`, and the module attributes `q1`, `q2`, `D_sym`,
+`K_sym`, `cancel`, `zeta` and `zvars`.  Where a leaf is not a polynomial,
+or the reduction is over its budget, exact `equals` and `shuffle_eval` at
+a pole ask sympy's `cancel` in that module.  Where sympy cannot be
+imported, each of these raises an ImportError that says what needed it.
 
 Diagonal rule.  Where a splitting term hits a pole and the only vanishing
 denominators are kernel factors 1 - z_a/z_b with z_a = z_b (no leaf
@@ -75,17 +78,17 @@ def __getattr__(name):
     # read from the sympy readers on first access, so importing this
     # module does not load sympy
     if name in _SYMPY_NAMES:
-        return getattr(_sympy(), name)
+        return getattr(_sympy(f"the sympy object {name}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _sympy():
-    """`hallwin._symbolic`, the sympy readers, loaded on first use."""
+def _sympy(need: str):
+    """`hallwin._symbolic`, the sympy readers, loaded on first use; `need`
+    says what needs them, for the ImportError where sympy is missing."""
     try:
         from . import _symbolic
     except ImportError as exc:
-        raise ImportError(f"reading or passing a sympy expression needs sympy, "
-                          f"which cannot be imported: {exc}") from exc
+        raise ImportError(f"{need} needs sympy, which cannot be imported: {exc}") from exc
     return _symbolic
 
 
@@ -120,6 +123,11 @@ class ShuffleElement:
     product made by `mul` records its two factors and its kernel instead,
     and a polynomial leaf made by `parse_element` (or a rational constant)
     its terms; either builds `expr` only when something reads it.
+
+    Elements of equal degree are `==` when exact `equals` says so; all
+    elements of one degree hash alike.  `repr` prints the tree as it is
+    held: a product as `mul(f, g, params)`, a polynomial leaf by its
+    terms and a leaf built from sympy by its `expr`.
     """
 
     __slots__ = ("degree", "_expr", "_factors", "_leaf")
@@ -148,22 +156,34 @@ class ShuffleElement:
     @property
     def expr(self):
         if self._expr is None:
-            if self._factors is not None:
-                self._expr = _sympy().splitting_sum(*self._factors)
-            else:
-                self._expr = _sympy().leaf_expr(self)
+            need = "reading an element's expr, a sympy expression,"
+            if self._factors is None:
+                # not cached, so that only a leaf built from sympy holds an
+                # `_expr`, and `repr` prints the others by their terms
+                return _sympy(need).leaf_expr(self)
+            self._expr = _sympy(need).splitting_sum(*self._factors)
         return self._expr
 
     def __eq__(self, other):
         if not isinstance(other, ShuffleElement):
             return NotImplemented
-        return (self.degree, self.expr) == (other.degree, other.expr)
+        return self.degree == other.degree and equals(self, other)
 
     def __hash__(self):
-        return hash((self.degree, self.expr))
+        # a hash of the normal form would split equal elements: one equal
+        # to a product may have none (a leaf built from its sympy `expr`)
+        return hash(self.degree)
 
     def __repr__(self):
-        return f"ShuffleElement(degree={self.degree!r}, expr={self.expr!r})"
+        if self._factors is not None:
+            f, g, params = self._factors
+            return f"mul({f!r}, {g!r}, {params!r})"
+        if self._expr is not None:
+            text = repr(self._expr)
+        else:
+            params, terms, _ = self._leaf
+            text = _sum_text(terms, _znames(self.degree) + params)
+        return f"ShuffleElement(degree={self.degree!r}, expr={text})"
 
     @staticmethod
     def scalar(c) -> "ShuffleElement":
@@ -171,7 +191,7 @@ class ShuffleElement:
         reads, or a sympy expression; a float is a TypeError."""
         if isinstance(c, (int, float, str, Fraction)):
             return ShuffleElement._constant(0, c)
-        return ShuffleElement(0, _sympy().exact(c))
+        return ShuffleElement(0, _sympy("passing a sympy expression").exact(c))
 
     @staticmethod
     def from_expr(n: int, expr) -> "ShuffleElement":
@@ -180,22 +200,28 @@ class ShuffleElement:
         expression, is a TypeError."""
         if isinstance(expr, (int, float, Fraction)):
             return ShuffleElement._constant(n, expr)
-        el = ShuffleElement(n, _sympy().exact(expr))
+        el = ShuffleElement(n, _sympy("passing a sympy expression").exact(expr))
         if not el.is_symmetric():
             raise ValueError("expression is not symmetric in its z variables")
         return el
 
     def is_symmetric(self) -> bool:
         """Symmetry under all adjacent transpositions (hence under S_n)."""
-        if self._expr is not None or self._factors is not None:
-            return _sympy().is_symmetric(self)
-        # a polynomial leaf: its terms under each swap of exponents
-        terms = dict(self._leaf[1])
-        for i in range(self.degree - 1):
-            swapped = {m[:i] + (m[i + 1], m[i]) + m[i + 2:]: c for m, c in terms.items()}
-            if swapped != terms:
-                return False
-        return True
+        if self._factors is not None:
+            f, g, _ = self._factors
+            # a product of symmetric functions is symmetric
+            if f.is_symmetric() and g.is_symmetric():
+                return True
+        elif self._expr is None:
+            # a polynomial leaf: its terms under each swap of exponents
+            terms = dict(self._leaf[1])
+            for i in range(self.degree - 1):
+                swapped = {m[:i] + (m[i + 1], m[i]) + m[i + 2:]: c for m, c in terms.items()}
+                if swapped != terms:
+                    return False
+            return True
+        return _sympy("the symmetry check of a sympy expression "
+                      "or of a product with an asymmetric factor").is_symmetric(self)
 
 
 unit = ShuffleElement._constant(0, 1)
@@ -219,7 +245,7 @@ def _leaf_data(el: ShuffleElement) -> tuple:
     of a non-product element, in the generators z1..z_degree followed by
     the parameters."""
     if el._leaf is None:
-        el._leaf = _sympy().leaf_data(el)
+        el._leaf = _sympy("evaluating a sympy expression").leaf_data(el)
     return el._leaf
 
 
@@ -313,13 +339,6 @@ class _Series:
 
     def __rtruediv__(self, other):
         return self._inverse() * other
-
-    def __eq__(self, other):
-        return (isinstance(other, _Series)
-                and (self.v, self.c, self.top) == (other.v, other.c, other.top))
-
-    def __hash__(self):
-        return hash((self.v, self.c))
 
     def constant_term(self) -> Fraction:
         if self.v < 0:
@@ -484,8 +503,8 @@ def equals(f: ShuffleElement, g: ShuffleElement,
     if strategy == "exact":
         try:
             return normal_form_text(f) == normal_form_text(g)
-        except ValueError:
-            return _sympy().equal(f, g)
+        except ValueError as exc:
+            return _sympy(f"exact equality, where {exc},").equal(f, g)
     if strategy != "probabilistic":
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = random.Random(seed)
@@ -551,9 +570,9 @@ def shuffle_eval(f: ShuffleElement, z_values, q1_val, q2_val) -> Fraction:
     # any other pole: the reduced form may still be regular there
     try:
         reduced = _reduced(f, {})
-    except ValueError:  # a leaf that is not a polynomial, or over the budget
+    except ValueError as exc:  # a leaf that is not a polynomial, or over the budget
         env.update(zip(_znames(f.degree), zs))
-        return _sympy().pole_value(f, env)
+        return _sympy(f"the value at a pole, where {exc},").pole_value(f, env)
     # D and K, refused above, do not occur in the form
     return _reduced_value(f.degree, reduced, zs + tuple(env.get(p, 0) for p in _NF_PARAMS))
 
@@ -932,19 +951,17 @@ def _product_reduced(el: ShuffleElement, memo: dict) -> tuple:
         return _times(p, q)
 
     terms = []
-    for I in itertools.combinations(range(size), n):
-        J = [p for p in range(size) if p not in I]
+    for I, J, pairs in _splittings(size, n):
         # the factors of f and g sit on pairs inside I and inside J, the
         # kernel's on pairs across: a term's denominator has no repeats
         den = {(I[a], I[b], m) for a, b, m in fden} | {(J[a], J[b], m) for a, b, m in gden}
         num = times(_embed(fnum, I, size), _embed(gnum, J, size))
-        for i in I:
-            for j in J:
-                zeta_num = {_monomial(size, {i: ei, j: ej}, ps): c
-                            for ei, ej, ps, c in _KERNEL_NUM[params.mode]}
-                # z_j - z_i is the factor (i, j) or minus the factor (j, i)
-                num = times(num, zeta_num if i < j else _neg(zeta_num))
-                den |= {(min(i, j), max(i, j), _NO_PARAMS), (i, j, M)}
+        for i, j in pairs:
+            zeta_num = {_monomial(size, {i: ei, j: ej}, ps): c
+                        for ei, ej, ps, c in _KERNEL_NUM[params.mode]}
+            # z_j - z_i is the factor (i, j) or minus the factor (j, i)
+            num = times(num, zeta_num if i < j else _neg(zeta_num))
+            den |= {(min(i, j), max(i, j), _NO_PARAMS), (i, j, M)}
         terms.append((num, den))
     common = set().union(*(den for _, den in terms))
     total: dict = {}
@@ -967,9 +984,8 @@ def _sum_text(terms, names) -> str:
     the generators `names`: terms in descending lex order over the names
     sorted as strings, ** for powers, and no coefficient of 1 or -1."""
     order = sorted(range(len(names)), key=names.__getitem__)
-    by_name = operator.itemgetter(*order)
     pieces = []
-    for m, c in sorted(terms, key=lambda t: by_name(t[0]), reverse=True):
+    for m, c in sorted(terms, key=lambda t: [t[0][k] for k in order], reverse=True):
         factors = [names[k] if m[k] == 1 else f"{names[k]}**{m[k]}" for k in order if m[k]]
         p, q = abs(c.numerator), c.denominator
         body = "*".join([str(p)] * (p != 1) + factors) if factors else str(p)

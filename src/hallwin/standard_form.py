@@ -297,16 +297,29 @@ def tree_of_partition(quiver: Quiver, dims: Sequence[int],
     not arise from a standard form and a DecompositionError is raised.
     """
     dims = tuple(dims)
-    _check_partition(sum(dims), A)
+    form = _realizing_form(quiver, dims, A, delta)
+    if form is not None:
+        return form
     chi_star = _partition_weight(A)
     if not chi_star.is_dominant():
         raise DecompositionError("partition slopes are not non-increasing")
+    # built again only to name its blocks
+    got = tuple(len(b) for b in decompose(quiver, dims, chi_star, delta).leaf_blocks)
+    raise DecompositionError(f"partition {tuple(A)} is not realized: tree blocks are {got}")
+
+
+def _realizing_form(quiver: Quiver, dims: tuple[int, ...], A: Sequence[tuple[int, int]],
+                    delta: Weight | None) -> StandardForm | None:
+    """The standard form of A's slope weight when that weight is dominant
+    and the form's leaf blocks have A's part sizes, so that its leaf
+    partition is A; otherwise None."""
+    _check_partition(sum(dims), A)
+    chi_star = _partition_weight(A)
+    if not chi_star.is_dominant():
+        return None
     form = decompose(quiver, dims, chi_star, delta)
-    got = tuple(len(b) for b in form.leaf_blocks)
-    want = tuple(d for d, _w in A)
-    if got != want:
-        raise DecompositionError(
-            f"partition {tuple(A)} is not realized: tree blocks are {got}")
+    if tuple(len(b) for b in form.leaf_blocks) != tuple(d for d, _w in A):
+        return None
     return form
 
 
@@ -371,12 +384,9 @@ def _partition_nodes(quiver: Quiver, dims: tuple[int, ...], A: tuple[tuple[int, 
     those of the slope solve.  The route is picked by comparing values, so
     an error inside either route is raised as it is.
     """
-    _check_partition(sum(dims), A)
-    chi_star = _partition_weight(A)
-    if chi_star.is_dominant():
-        form = decompose(quiver, dims, chi_star, delta)
-        if form.partition == A:
-            return form.nodes
+    form = _realizing_form(quiver, dims, A, delta)
+    if form is not None:
+        return form.nodes
     return slope_to_tree(quiver, dims, A).nodes
 
 

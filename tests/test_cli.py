@@ -240,6 +240,36 @@ def test_argparse_rejection_is_one_error_line(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["windows", "--d", "2", "--w", "0", "--delta", "-1/2"],
+    ["windows", "--d", "2", "--w", "0", "--delta", "-.5"],
+    ["shuffle", "zeta", "5", "--q1", "-1/2"],
+    ["r-invariant", "--weight", "-5,5"],
+    ["compare", "--a", "-1,5", "--b", "1,1"],
+])
+def test_value_starting_with_minus(capsys, argv):
+    # a value that starts with "-" and a digit reads as the flag's value,
+    # as the "--flag=value" spelling does
+    joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+    assert run(capsys, argv) == run(capsys, joined)
+
+
+def test_shuffle_mul_operand_starting_with_minus(capsys):
+    # "-2*z1" reads as an operand, "-z1" as an unknown flag unless "--" comes first
+    code, out, _ = run(capsys, ["shuffle", "mul", "-2*z1", "1"])
+    assert (code, out) == (0, '{"degree": 1, "value": "-2*z1"}\n')
+    assert_one_error_line(*run(capsys, ["shuffle", "mul", "-z1", "1"]))
+    code, out, _ = run(capsys, ["shuffle", "mul", "--", "-z1", "1"])
+    assert (code, out) == (0, '{"degree": 1, "value": "-z1"}\n')
+
+
+@pytest.mark.parametrize("bounds", [["--dmax", "0", "--wmax", "0"],
+                                    ["--dmax", "-3", "--wmax", "1"],
+                                    ["--dmax", "1", "--wmax", "-1"]])
+def test_pbw_table_empty_range_exit_1(capsys, bounds):
+    assert_one_error_line(*run(capsys, ["pbw-table", *bounds]))
+
+
+@pytest.mark.parametrize("argv", [
     ["compare", "--a", "1,5", "--b", "1,1"],
     ["compare", "--d", "3", "--a", "1,5;1,-5", "--b", "1,1;1,-1"],
     ["omega-shift", "--d", "3", "--partition", "1,5;1,-5"],

@@ -58,31 +58,50 @@ COMMAND_MODULES = [
     (["compare", "--a", "1,5", "--b", "1,1"], 1, SETS),
 ]
 
-# one command in a cold interpreter, its own output discarded; prints the
-# exit code, the hallwin modules loaded, and whether dataclasses was loaded
-# before hallwin and after the command
-RUN_COMMAND = """
-import io, json, sys
+# a meta path finder that makes every import of sympy fail, as where sympy
+# is not installed, once a script inserts it into sys.meta_path
+NO_SYMPY = """
+import sys
+
+
+class NoSympy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "sympy":
+            raise ImportError("blocked")
+"""
+
+# one command in a cold interpreter, with sympy blocked when argv[2] says
+# so; prints the exit code, the hallwin modules loaded, whether dataclasses
+# was loaded before hallwin and after the command, and the command's stdout
+RUN_COMMAND = NO_SYMPY + """
+import io, json
+if json.loads(sys.argv[2]):
+    sys.meta_path.insert(0, NoSympy())
 bare = "dataclasses" in sys.modules
 from hallwin import cli
 sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
 code = cli.main(json.loads(sys.argv[1]))
+out = sys.stdout.getvalue()
 sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("hallwin")),
-                  bare, "dataclasses" in sys.modules]))
+                  bare, "dataclasses" in sys.modules, out]))
 """
 
 
 @pytest.mark.parametrize("argv, exit_code, modules", COMMAND_MODULES,
                          ids=[" ".join(argv[:2]) for argv, _, _ in COMMAND_MODULES])
 def test_command_loads_only_its_layers(argv, exit_code, modules):
-    proc = python("-c", RUN_COMMAND, json.dumps(argv))
-    assert proc.returncode == 0, proc.stderr
-    code, loaded, bare, dataclasses_loaded = json.loads(proc.stdout)
-    assert code == exit_code
-    assert set(loaded) == modules
-    if not bare:
-        assert not dataclasses_loaded
+    outputs = []
+    for blocked in (False, True):  # the same run without sympy
+        proc = python("-c", RUN_COMMAND, json.dumps(argv), json.dumps(blocked))
+        assert proc.returncode == 0, proc.stderr
+        code, loaded, bare, dataclasses_loaded, out = json.loads(proc.stdout)
+        assert code == exit_code
+        assert set(loaded) == modules
+        if not bare:
+            assert not dataclasses_loaded
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_import_loads_no_submodule():
@@ -142,24 +161,20 @@ def test_shuffle_demo_output_unchanged():
 # The shuffle layer with sympy's import blocked: parsing, scalars, products,
 # probabilistic and exact equality, the normal form and its text, and
 # evaluation at a regular point, at a diagonal z1 = z3, at z3 = q1*q2*z1,
-# at z = 0 and at q1*q2 = 1 on a diagonal; then a reader of `expr`, which
-# needs sympy.
-SHUFFLE_WITHOUT_SYMPY = """
-import json, sys
+# at z = 0 and at q1*q2 = 1 on a diagonal; `==`, `hash`, `repr` and the
+# symmetry of products; then the readers of `expr` and `shuffle.q1`, and
+# the exact equality and a pole value of a degree-4 product whose reduction
+# is over its budget, which need sympy.
+SHUFFLE_WITHOUT_SYMPY = NO_SYMPY + """
+import json
 from fractions import Fraction
-
-
-class NoSympy:
-    def find_spec(self, name, path=None, target=None):
-        if name.partition(".")[0] == "sympy":
-            raise ImportError("blocked")
-
 
 sys.meta_path.insert(0, NoSympy())
 from hallwin import shuffle
 f = shuffle.parse_element("1 + 2*z1", degree=1)
 g = shuffle.parse_element("z1*z2 + 3", degree=2)
 one = shuffle.parse_element("1", degree=1)
+z1 = shuffle.parse_element("z1")
 left = shuffle.mul(shuffle.mul(f, g), one)
 right = shuffle.mul(f, shuffle.mul(g, one))
 fg = shuffle.mul(f, g)
@@ -172,6 +187,13 @@ def value(el, zs, q1=2, q2=3):
         return f"PoleError: {exc}"
 
 
+def error(read):
+    try:
+        read()
+    except ImportError as exc:
+        return str(exc)
+
+
 values = [shuffle.equals(left, right, strategy="probabilistic", seed=1),
           value(left, (2, 3, 5, 7)), value(left, (2, 5, 2, 7)),
           value(fg, (2, 3, 12)), value(fg, (2, 12, 3)), value(fg, (0, 3, 5)),
@@ -180,18 +202,22 @@ values = [shuffle.equals(left, right, strategy="probabilistic", seed=1),
           shuffle.serialize_element(shuffle.ShuffleElement.scalar("-3/2")),
           shuffle.equals(shuffle.mul(shuffle.unit, g), g, strategy="exact"),
           shuffle.equals(shuffle.mul(f, one), shuffle.mul(one, f), strategy="exact")]
-try:
-    error = repr(g.expr)
-except ImportError as exc:
-    error = str(exc)
-print(json.dumps(["sympy" in sys.modules, values, error]))
+a, b = shuffle.mul(shuffle.mul(one, z1), one), shuffle.mul(one, shuffle.mul(z1, one))
+compared = [a == b, hash(a) == hash(b), shuffle.mul(z1, one) == shuffle.mul(one, z1),
+            fg == fg, fg == g, shuffle.mul(z1, one).is_symmetric(), left.is_symmetric(),
+            repr(shuffle.mul(z1, shuffle.ShuffleElement.scalar("-3/2"))),
+            repr(shuffle.parse_element("z1+z2")), repr(g)]
+big = shuffle.mul(shuffle.mul(f, one), g)
+errors = [error(lambda: g.expr), error(lambda: shuffle.q1), error(lambda: big == big),
+          error(lambda: shuffle.shuffle_eval(big, (1, 6, 2, 3), 2, 3))]
+print(json.dumps(["sympy" in sys.modules, values, compared, errors]))
 """
 
 
 def test_shuffle_fraction_paths_do_not_load_sympy():
     proc = python("-c", SHUFFLE_WITHOUT_SYMPY)
     assert proc.returncode == 0, proc.stderr
-    loaded, values, error = json.loads(proc.stdout)
+    loaded, values, compared, errors = json.loads(proc.stdout)
     assert not loaded
     qq = "PoleError: denominator factor -q1*q2*z1 + {} vanishes"
     assert values == [
@@ -201,4 +227,23 @@ def test_shuffle_fraction_paths_do_not_load_sympy():
         " + 2*q1*q2*z1*z2 + 2*q1*q2*z2**2 - q1*z1*z2 - q2*z1*z2 - z1*z2)"
         "/(-q1**2*q2**2*z1*z2 + q1*q2*z1**2 + q1*q2*z2**2 - z1*z2)",
         "z1*z2+3", "-3/2", True, False]
-    assert error.startswith("reading or passing a sympy expression needs sympy")
+    assert compared == [
+        True, True, False, True, False, True, True,
+        "mul(ShuffleElement(degree=1, expr=z1), ShuffleElement(degree=0, expr=-3/2), "
+        "KernelParams(mode='a2'))",
+        "ShuffleElement(degree=2, expr=z1 + z2)", "ShuffleElement(degree=2, expr=z1*z2 + 3)"]
+    assert errors == [
+        "reading an element's expr, a sympy expression, needs sympy, "
+        "which cannot be imported: blocked",
+        "the sympy object q1 needs sympy, which cannot be imported: blocked",
+        "exact equality, where the reduced normal form of a degree-4 product multiplies "
+        "more than 400000 pairs of terms, needs sympy, which cannot be imported: blocked",
+        "the value at a pole, where the reduced normal form of a degree-4 product multiplies "
+        "more than 400000 pairs of terms, needs sympy, which cannot be imported: blocked"]
+
+
+def test_sympy_is_an_optional_test_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
+    assert any(req.startswith("sympy") for req in project["optional-dependencies"]["test"])

@@ -54,6 +54,13 @@ def test_window_count_table_shape():
     assert set(table) == {(d, w) for d in (1, 2, 3) for w in range(-4, 5)}
 
 
+@pytest.mark.parametrize("d_max, w_max", [(0, 0), (-3, 1), (1, -1)])
+def test_count_tables_refuse_an_empty_range(d_max, w_max):
+    for table in (window_count_table, primitive_dims):
+        with pytest.raises(ValueError, match="d_max|w_max"):
+            table(d_max, w_max)
+
+
 def test_primitive_dims_frozen():
     p = primitive_dims(4, 4)
     assert p[(1, 0)] == 1

@@ -230,6 +230,7 @@ def test_probabilistic_equals_agrees_with_exact():
     for a, b, same in pairs:
         assert equals(a, b, A2, strategy="exact") is same
         assert equals(a, b, A2, strategy="probabilistic", seed=3) is same
+        assert (a == b) is same and (not same or hash(a) == hash(b))
 
 
 def test_eval_does_not_build_sympy_sum(monkeypatch):
@@ -775,8 +776,33 @@ def test_exact_equals_compares_normal_forms(monkeypatch):
         raise AssertionError("exact equality of polynomial leaves reached sympy")
     monkeypatch.setattr(_symbolic, "cancel", forbidden)
     one, z1 = parse_element("1", degree=1), parse_element("z1")
-    assert equals(mul(mul(one, z1), one), mul(one, mul(z1, one)), strategy="exact")
+    left, right = mul(mul(one, z1), one), mul(one, mul(z1, one))
+    assert equals(left, right, strategy="exact")
+    assert left == right and hash(left) == hash(right)
     assert not equals(mul(z1, one), mul(one, z1), strategy="exact")
+    assert mul(z1, one) != mul(one, z1)
+
+
+def test_repr_and_product_symmetry_compute_nothing(monkeypatch):
+    z1, one = parse_element("z1"), parse_element("1", degree=1)
+    shifted = elem(1, "z1 + 1")
+    # a product with a factor that is not symmetric still asks sympy
+    assert not mul(shuffle._parse_leaf("z1", 2), one, A2).is_symmetric()
+
+    def forbidden(*args):
+        raise AssertionError("repr or a product's symmetry computed something")
+    monkeypatch.setattr(shuffle, "_reduced", forbidden)
+    for name in ("is_symmetric", "splitting_sum", "leaf_expr", "leaf_data"):
+        monkeypatch.setattr(_symbolic, name, forbidden)
+    inner = mul(z1, one, FORMAL)
+    prod = mul(inner, shifted, A2)
+    assert repr(prod) == (
+        "mul(mul(ShuffleElement(degree=1, expr=z1), ShuffleElement(degree=1, expr=1), "
+        "KernelParams(mode='formal')), ShuffleElement(degree=1, expr=z1 + 1), "
+        "KernelParams(mode='a2'))")
+    assert repr(parse_element("2*q1*z1 - 3")) == "ShuffleElement(degree=1, expr=2*q1*z1 - 3)"
+    assert repr(ShuffleElement.scalar(F(-3, 2))) == "ShuffleElement(degree=0, expr=-3/2)"
+    assert mul(inner, z1, A2).is_symmetric()
 
 
 @pytest.mark.parametrize("params", [A2, FORMAL], ids=["a2", "formal"])
@@ -799,3 +825,6 @@ def test_exact_equals_agrees_with_sympy(params):
     verdicts = [equals(a, b, params, strategy="exact") for a, b in pairs]
     assert verdicts == [sympy_equal(a, b) for a, b in pairs]
     assert True in verdicts and False in verdicts
+    # == is exact equality, and equal elements hash alike
+    assert [a == b for a, b in pairs] == verdicts
+    assert all(hash(a) == hash(b) for (a, b), same in zip(pairs, verdicts) if same)
