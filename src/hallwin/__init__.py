@@ -15,6 +15,7 @@ layers it runs.
 """
 
 import importlib
+from fractions import Fraction as _Fraction
 
 _SUBMODULE_NAMES = {
     "quiver_weights": """Quiver Weight jordan doubled_jordan tripled_jordan builtin_quiver
@@ -37,6 +38,17 @@ _SUBMODULE = {name: module for module, names in _SUBMODULE_NAMES.items()
               for name in [module] + names.split()}
 
 __all__ = sorted(_SUBMODULE)
+
+
+def _rational(v) -> _Fraction:
+    """v as a Fraction.  A float is refused: it is a binary fraction, not
+    the decimal it prints as, so it has no place in exact arithmetic.  It
+    lives here, in the package every module loads, so that the weight layer
+    and the kernel share it without loading each other."""
+    if isinstance(v, float):
+        raise TypeError(f"{v!r} is a float; give an int, a Fraction or a string "
+                        "such as '1/10'")
+    return _Fraction(v)
 
 
 def __getattr__(name):

@@ -18,7 +18,8 @@ from fractions import Fraction
 
 import sympy
 
-from .kernel import PoleError, _rational
+from . import _rational
+from .kernel import PoleError
 from .shuffle import KernelParams, ShuffleElement, _splittings, _znames
 
 q1, q2, D_sym, K_sym = sympy.symbols("q1 q2 D K")

@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import Iterator, Sequence
 
+from . import _rational
 from ._record import Record, _set
 from .polytope import cached_polytope
 from .quiver_weights import (
@@ -24,6 +25,7 @@ from .quiver_weights import (
     rho,
 )
 from .standard_form import (
+    _check_partition,
     _invariant_delta,
     _partition_nodes,
     _r_sequence,
@@ -35,13 +37,18 @@ Partition = tuple[tuple[int, int], ...]
 
 
 class Truncation(Record):
-    """Explicit enumeration bounds: slope window around w/d and a part cap."""
+    """Explicit enumeration bounds: slope window around w/d and a part cap.
+
+    The slope bound is an int, a Fraction or a string `Fraction` reads; a
+    float is a TypeError."""
 
     __slots__ = ("slope_bound", "max_parts")
 
     def __init__(self, slope_bound: Fraction | None = None, max_parts: int | None = None):
-        if slope_bound is not None and slope_bound < 0:
-            raise ValueError(f"slope bound must be nonnegative, got {slope_bound}")
+        if slope_bound is not None:
+            slope_bound = _rational(slope_bound)
+            if slope_bound < 0:
+                raise ValueError(f"slope bound must be nonnegative, got {slope_bound}")
         if max_parts is not None and max_parts < 1:
             raise ValueError(f"max parts must be at least 1, got {max_parts}")
         _set(self, "slope_bound", slope_bound)
@@ -126,27 +133,44 @@ def window_generators(quiver: Quiver, dims: Sequence[int], w: int,
 # -- partition families ----------------------------------------------------
 
 
+def _partition_walk(d: int, w: int, trunc: Truncation, strict: bool) -> Iterator[Partition]:
+    """The ordered partitions of (d, w) that trunc admits whose slopes do
+    not increase, or strictly decrease when strict is set.
+
+    Parts are chosen left to right.  A head extends by (d_i, w_i) only when
+    the rest (D, W) can still be filled by admitted parts no steeper than
+    w_i/d_i, D*(w/d - bound) <= W <= D*w_i/d_i, and the last part the cap
+    allows takes all the rest; so a head is a dead end only on a tie under
+    the strict rule.
+    """
+    low = Fraction(w, d) - trunc.slope_bound
+
+    def walk(head: Partition, D: int, W: int, top: Fraction) -> Iterator[Partition]:
+        if not D:
+            yield head
+            return
+        for di in range(1 if trunc.admits_count(len(head) + 2) else D, D + 1):
+            for wi in range(max(ceil(di * low), ceil(Fraction(di * W, D))),
+                            min(floor(di * top), floor(W - (D - di) * low)) + 1):
+                if not strict or _slopes_decrease(head[-1:] + ((di, wi),)):
+                    yield from walk(head + ((di, wi),), D - di, W - wi, Fraction(wi, di))
+
+    yield from walk((), d, w, Fraction(w, d) + trunc.slope_bound)
+
+
+def _balanced_weight(A: Partition) -> Weight:
+    """The parts (d_i, w_i) of A written out as d_i entries floor(w_i/d_i)
+    or ceil(w_i/d_i) summing to w_i, larger first."""
+    coords = [pw // pd + (j < pw % pd) for pd, pw in A for j in range(pd)]
+    return Weight.make(coords, (len(coords),))
+
+
 def enum_V(d: int, w: int, trunc: Truncation) -> EnumResult:
     """Ordered partitions of (d, w) with strictly decreasing slopes."""
     if trunc.slope_bound is None:
         raise ValueError("enum_V needs a slope bound (the family is infinite)")
-    items = []
-    base = Fraction(w, d)
-    for comp in compositions(d):
-        if not trunc.admits_count(len(comp)):
-            continue
-        choices = []
-        for di in comp:
-            lo = ceil(di * (base - trunc.slope_bound))
-            hi = floor(di * (base + trunc.slope_bound))
-            choices.append([(di, wi) for wi in range(lo, hi + 1)])
-        for parts in itertools.product(*choices):
-            if sum(p[1] for p in parts) != w:
-                continue
-            if _slopes_decrease(parts):
-                items.append(tuple(parts))
-    items.sort()
-    return EnumResult(tuple(items), truncated=(d > 1))
+    return EnumResult(tuple(sorted(_partition_walk(d, w, trunc, strict=True))),
+                      truncated=(d > 1))
 
 
 def enum_U(d: int, w: int, trunc: Truncation = Truncation()) -> EnumResult:
@@ -170,29 +194,42 @@ def enum_S(quiver: Quiver, d: int, w: int, delta: Weight | None,
            trunc: Truncation) -> EnumResult:
     """Partitions arising as leaf partitions of standard forms.
 
-    Computed by scanning dominant integral chi within bounds derived from
-    the slope bound plus the window extent, and collecting the partitions
-    of their decompositions.
+    The leaf blocks of a dominant chi are runs of it, so their slopes do not
+    increase.  The walk lists the partitions A of (d, w) with such slopes
+    that the truncation admits, and A is kept when its balanced weight
+    (`_balanced_weight`) is dominant and decomposes with leaf partition A:
+    one decomposition per candidate.  That weight decomposes onto A whenever
+    any dominant chi does:
+
+    1. On a leaf block of chi's standard form, psi - chi is the block's rho
+       plus a constant: it is rho + delta + sum_j r_j N_j there, rho differs
+       from the block's rho by a constant, each N_j is constant on lam_j's
+       level blocks (the leaf block lies inside one or outside N_j's
+       block), and delta is a multiple of tau.  So the block's window is a
+       window shifted by a multiple of tau, which is exactly its prefix
+       caps (`window_generators`).
+    2. Among the integer tuples of one length and sum, the balanced tuple
+       has the least prefix sums, the least first entry and the greatest
+       last entry.  So it meets every cap any block generator meets, and
+       it can replace each leaf block's generator: every seam stays
+       non-increasing, and so the concatenation stays dominant.
+    3. The one assumption is the bijection that `verify_bijection` checks:
+       chi <-> (its leaf partition, chi on each leaf block) maps the
+       dominant weights onto the partitions together with one window
+       generator per leaf block whose concatenation is dominant, the tree
+       and the windows depending only on the partition.  By it, the
+       balanced concatenation of step 2 decomposes onto A.
     """
     if trunc.slope_bound is None:
         raise ValueError("enum_S needs a slope bound (the family is infinite)")
     dims = (d,)
     delta = _invariant_delta(dims, delta)
-    base = Fraction(w, d)
-    # A part's coordinates stay within (window extent of the part) of its
-    # slope; bound the scan by slope_bound + the largest extent over part
-    # sizes b <= d, the first prefix cap of the weight-0 window of size b.
-    margin = max(abs(cached_polytope(quiver, (b,))._window_caps(rho((b,)), 0)[1])
-                 for b in range(1, d + 1))
-    margin += max(abs(v) for v in (rho(dims) + delta).coords) if d > 1 else 0
-    lo = ceil(base - trunc.slope_bound - margin)
-    hi = floor(base + trunc.slope_bound + margin)
-    seen: set[Partition] = set()
-    for coords in _dominant_tuples(d, w, _box_caps(d, w, lo, hi)):
-        A = decompose(quiver, dims, Weight.make(coords, dims), delta).partition
-        if trunc.admits(d, w, A):
-            seen.add(A)
-    return EnumResult(tuple(sorted(seen)), truncated=(d > 1))
+    items = []
+    for A in _partition_walk(d, w, trunc, strict=False):
+        chi = _balanced_weight(A)
+        if chi.is_dominant() and decompose(quiver, dims, chi, delta).partition == A:
+            items.append(A)
+    return EnumResult(tuple(sorted(items)), truncated=(d > 1))
 
 
 def enum_T(quiver: Quiver, d: int, w: int, delta: Weight | None,
@@ -229,7 +266,7 @@ def enum_T(quiver: Quiver, d: int, w: int, delta: Weight | None,
         A = tuple((di, int(wi)) for di, wi in zip(comp, weights))
         if not _slopes_decrease(A[::-1]) or not trunc.admits(d, w, A):
             continue
-        chi = Weight.make([pw // pd + (j < pw % pd) for pd, pw in A for j in range(pd)], dims)
+        chi = _balanced_weight(A)
         shift = rho(dims) + delta + N_positive(quiver, dims, -lam).scale(half)
         if poly.contains_interior(chi + shift, half):
             out.append(A)
@@ -246,6 +283,8 @@ def compare(quiver: Quiver, d: int, A: Partition, B: Partition,
     dims = (d,)
     A = tuple(tuple(p) for p in A)
     B = tuple(tuple(p) for p in B)
+    _check_partition(d, A)
+    _check_partition(d, B)
     if A == B:
         return "equal"
     na = _partition_nodes(quiver, dims, A, delta)

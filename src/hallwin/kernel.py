@@ -9,18 +9,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import _rational
+
 
 class PoleError(ZeroDivisionError):
     """An evaluation point annihilates a denominator factor."""
-
-
-def _rational(v) -> Fraction:
-    """v as a Fraction.  A float is refused: it is a binary fraction, not
-    the decimal it prints as, so it has no place in exact arithmetic."""
-    if isinstance(v, float):
-        raise TypeError(f"{v!r} is a float; give an int, a Fraction or a string "
-                        "such as '1/10'")
-    return Fraction(v)
 
 
 def _zeta_parts(X, Y, P1, R1, P2, R2) -> tuple:

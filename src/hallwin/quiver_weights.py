@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
+from . import _rational
 from ._record import Record, _set
 
 
@@ -126,7 +127,9 @@ class Weight(Record):
 
     @staticmethod
     def make(values: Iterable, blocks: Sequence[int]) -> "Weight":
-        return Weight(tuple(Fraction(v) for v in values), tuple(blocks))
+        """A weight from ints, Fractions or strings `Fraction` reads; a float
+        is a TypeError."""
+        return Weight(tuple(_rational(v) for v in values), tuple(blocks))
 
     @staticmethod
     def zero(blocks: Sequence[int]) -> "Weight":

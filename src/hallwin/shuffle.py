@@ -66,8 +66,9 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
+from . import _rational
 from ._record import Record, _set
-from .kernel import PoleError, _rational, _zeta_parts, zeta_value
+from .kernel import PoleError, _zeta_parts, zeta_value
 
 _MAX_VARS = 12
 # the names this module re-exports from its sympy readers (`_sympy`)
@@ -130,7 +131,7 @@ class ShuffleElement:
     terms and a leaf built from sympy by its `expr`.
     """
 
-    __slots__ = ("degree", "_expr", "_factors", "_leaf")
+    __slots__ = ("degree", "_expr", "_factors", "_leaf", "_reduction")
 
     def __init__(self, degree: int, expr):
         if degree < 0:
@@ -139,6 +140,7 @@ class ShuffleElement:
         self._expr = expr
         self._factors = None  # (f, g, params) when self is a product
         self._leaf = None  # _leaf_data(self), computed once
+        self._reduction = None  # _reduced(self), computed once
 
     @staticmethod
     def _polynomial(degree: int, params, terms) -> "ShuffleElement":
@@ -489,10 +491,10 @@ def equals(f: ShuffleElement, g: ShuffleElement,
            strategy: str = "exact", seed: int = 0, points: int = 5) -> bool:
     """Exact or seeded probabilistic equality.
 
-    The exact check compares the two reduced normal forms, which are
-    canonical (`normal_form_text`); where one cannot be computed (a leaf that
-    is not a polynomial, or a reduction over its budget) it asks sympy's
-    `cancel` whether f - g is 0.  The probabilistic check evaluates both
+    The exact check compares the two reduced normal forms (`_reduced`),
+    which are canonical and kept on each element; where one cannot be
+    computed (a leaf that is not a polynomial, or a reduction over its
+    budget) it asks sympy's `cancel` whether f - g is 0.  The probabilistic check evaluates both
     sides in Fraction at seeded random points.  It redraws a point where any
     term hits a pole, and one where a kernel degenerates (`_degenerate`) and
     so would make products equal that are not; each draw counts as one of
@@ -502,7 +504,7 @@ def equals(f: ShuffleElement, g: ShuffleElement,
         raise ValueError("degrees differ")
     if strategy == "exact":
         try:
-            return normal_form_text(f) == normal_form_text(g)
+            return _reduced(f) == _reduced(g)
         except ValueError as exc:
             return _sympy(f"exact equality, where {exc},").equal(f, g)
     if strategy != "probabilistic":
@@ -569,7 +571,7 @@ def shuffle_eval(f: ShuffleElement, z_values, q1_val, q2_val) -> Fraction:
             return val.constant_term()
     # any other pole: the reduced form may still be regular there
     try:
-        reduced = _reduced(f, {})
+        reduced = _reduced(f)
     except ValueError as exc:  # a leaf that is not a polynomial, or over the budget
         env.update(zip(_znames(f.degree), zs))
         return _sympy(f"the value at a pole, where {exc},").pole_value(f, env)
@@ -897,16 +899,14 @@ def _leaf_reduced(el: ShuffleElement) -> tuple:
         return _ZERO
     n = el.degree
     slots = [_NF_PARAMS.index(p) for p in params]
-    top = math.gcd(*(c.numerator for _, c in num))
     bottom = math.lcm(*(c.denominator for _, c in num))
     poly = {}
     for m, c in num:
         tail = [0] * len(_NF_PARAMS)
         for slot, e in zip(slots, m[n:]):
             tail[slot] = e
-        poly[m[:n] + tuple(tail)] = c.numerator * (bottom // c.denominator) // top
-    content = Fraction(top, bottom)
-    return (content if den is None else content / den[0][1]), poly, frozenset()
+        poly[m[:n] + tuple(tail)] = c.numerator * (bottom // c.denominator)
+    return Fraction(1, bottom if den is None else bottom * den[0][1]), poly, frozenset()
 
 
 def leaf_size(el: ShuffleElement) -> tuple[int, int, int]:
@@ -918,24 +918,34 @@ def leaf_size(el: ShuffleElement) -> tuple[int, int, int]:
                 default=0))
 
 
-def _reduced(el: ShuffleElement, memo: dict) -> tuple:
+def _reduced(el: ShuffleElement) -> tuple:
     """(content, numerator, denominator) of el in lowest terms: el is the
     Fraction content times the integer numerator polynomial, over
     z1..z_degree and `_NF_PARAMS`, divided by the product of the
     denominator's kernel factors.  A factor (a, b, M) is z_b - M*z_a (0-based,
-    a < b when M = 1); none of them divides the numerator.
+    a < b when M = 1); none of them divides the numerator, whose
+    coefficients have gcd 1 and whose lex leading coefficient is positive.
+    So the form is canonical: elements are equal exactly when their forms
+    are.
 
     Every denominator of a product is a product of these factors, each
     irreducible and none a multiple of another, so the splitting terms are
-    summed over their lcm and cancelled by trial division."""
-    if id(el) not in memo:
-        memo[id(el)] = _leaf_reduced(el) if el._factors is None else _product_reduced(el, memo)
-    return memo[id(el)]
+    summed over their lcm and cancelled by trial division.
+
+    Elements are immutable, so the result is kept on el once computed; a
+    reduction that raises keeps nothing."""
+    if el._reduction is None:
+        content, num, den = _leaf_reduced(el) if el._factors is None else _product_reduced(el)
+        if num:
+            g = math.gcd(*num.values()) * (1 if num[max(num)] > 0 else -1)
+            content, num = content * g, {m: c // g for m, c in num.items()}
+        el._reduction = content, num, den
+    return el._reduction
 
 
-def _product_reduced(el: ShuffleElement, memo: dict) -> tuple:
+def _product_reduced(el: ShuffleElement) -> tuple:
     f, g, params = el._factors
-    (fc, fnum, fden), (gc, gnum, gden) = _reduced(f, memo), _reduced(g, memo)
+    (fc, fnum, fden), (gc, gnum, gden) = _reduced(f), _reduced(g)
     if not fc * gc:
         return _ZERO
     n, size = f.degree, el.degree
@@ -1006,19 +1016,18 @@ def normal_form_text(el: ShuffleElement) -> str:
     (P)/(Q), or P/(Q) for a single term P.  Every leaf of el must be a
     polynomial in the z's and q1, q2, D, K; anything else is a ValueError.
     """
-    content, num, den = _reduced(el, {})
+    content, num, den = _reduced(el)
     names = _znames(el.degree) + list(_NF_PARAMS)
     if not den:
         return _sum_text([(m, content * c) for m, c in num.items()], names)
     Q = {_monomial(el.degree, {}): 1}
     for key in den:
         Q = _times(Q, _factor_poly(key, el.degree))
-    # P = top * num/g and Q = bottom * (primitive factors) have coprime
+    # P = top * num and Q = bottom * (primitive factors) have coprime
     # contents top and bottom
-    g = math.gcd(*num.values())
     sign = 1 if Q[max(Q)] > 0 else -1
-    top, bottom = sign * (content * g).numerator, (content * g).denominator
-    P = [(m, Fraction(top * (c // g))) for m, c in num.items()]
+    top, bottom = sign * content.numerator, content.denominator
+    P = [(m, Fraction(top * c)) for m, c in num.items()]
     P_text = _sum_text(P, names)
     Q_text = _sum_text([(m, Fraction(sign * bottom * c)) for m, c in Q.items()], names)
     return f"({P_text})/({Q_text})" if len(P) > 1 else f"{P_text}/({Q_text})"
@@ -1044,7 +1053,7 @@ def serialize_element(el: ShuffleElement) -> str:
     """Canonical text form of a polynomial element: its monomials in
     z1..z_degree, q1, q2, in descending lex order.  An element whose reduced
     normal form keeps a denominator, or that uses D or K, is a ValueError."""
-    content, num, den = _reduced(el, {})
+    content, num, den = _reduced(el)
     if den:
         raise ValueError("element is not a polynomial")
     n = el.degree

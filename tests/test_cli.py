@@ -273,6 +273,9 @@ def test_pbw_table_empty_range_exit_1(capsys, bounds):
     ["compare", "--a", "1,5", "--b", "1,1"],
     ["compare", "--d", "3", "--a", "1,5;1,-5", "--b", "1,1;1,-1"],
     ["omega-shift", "--d", "3", "--partition", "1,5;1,-5"],
+    # equal partitions that are not partitions used to be called "equal"
+    ["compare", "--a", "0,1;2,-1", "--b", "0,1;2,-1"],
+    ["compare", "--a", "-1,1;3,-1", "--b", "-1,1;3,-1"],
 ])
 def test_compare_inconsistent_input_exit_1(capsys, argv):
     assert_one_error_line(*run(capsys, argv))

@@ -127,6 +127,14 @@ def test_compare_equal_and_window_last():
     assert compare(Q3, 2, A, ((2, 0),)) == "A_before_B"
 
 
+def test_compare_checks_partitions_before_equality():
+    for A in [((1, 1),), ((0, 1), (2, -1)), ((-1, 1), (3, -1)), ()]:
+        with pytest.raises(ValueError):
+            compare(Q3, 2, A, A)
+    with pytest.raises(ValueError, match="does not sum to the dimension"):
+        compare(Q3, 2, ((2, 0),), ((1, 1),))
+
+
 def test_compare_total_on_enum_S():
     s20 = list(enum_S(Q3, 2, 0, None, Truncation(F(5))))
     flip = {"A_before_B": "B_before_A", "B_before_A": "A_before_B",

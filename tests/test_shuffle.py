@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hallwin import _symbolic, shuffle
+from hallwin import Truncation, Weight, _symbolic, shuffle
 from hallwin.shuffle import (
     KernelParams,
     PoleError,
@@ -370,6 +370,18 @@ def test_floats_are_refused():
     for c in (3, F(3, 2), "3/2", "1.5", "-7"):
         s = ShuffleElement.scalar(c)
         assert s._expr is None and s.expr == sympy.Rational(F(c).numerator, F(c).denominator)
+    # the weight layer refuses a float with the kernel's message: it used to
+    # give decompose a psi over 2**55 and a slope bound in float
+    with pytest.raises(TypeError) as kernel_error:
+        zeta_value(0.5, 2, 3)
+    for make in (lambda: Weight.make([0.5, -0.5], (2,)), lambda: Truncation(0.5),
+                 lambda: Truncation(slope_bound=0.5, max_parts=2)):
+        with pytest.raises(TypeError) as exc:
+            make()
+        assert str(exc.value) == str(kernel_error.value)
+    for c in (1, F(1, 2), "1/2"):
+        assert Truncation(c).slope_bound == F(c)
+        assert Weight.make([c, "-1/2", 0], (3,)).coords == (F(c), F(-1, 2), F(0))
     assert shuffle_eval(prod, ("5", 1), "2", F(3)) == F(-12, 29)
     assert zeta_value("0.1", 2, "3") == zeta_value(F(1, 10), F(2), F(3))
     assert zeta_value(5, 2, 3) == F(63, 58)
@@ -781,6 +793,36 @@ def test_exact_equals_compares_normal_forms(monkeypatch):
     assert left == right and hash(left) == hash(right)
     assert not equals(mul(z1, one), mul(one, z1), strategy="exact")
     assert mul(z1, one) != mul(one, z1)
+
+
+def test_equality_reduces_each_product_once(monkeypatch):
+    calls = []
+    reduce = shuffle._product_reduced
+    monkeypatch.setattr(shuffle, "_product_reduced", lambda el: calls.append(el) or reduce(el))
+    one, z1 = parse_element("1", degree=1), parse_element("z1")
+    inner_left, inner_right = mul(one, z1), mul(z1, one)
+    left, right = mul(inner_left, one), mul(one, inner_right)
+    for _ in range(3):
+        assert left == right and right == left
+        assert inner_left != inner_right
+    assert sorted(map(id, calls)) == sorted(map(id, [left, right, inner_left, inner_right]))
+    # a reduction that raises is not kept, and raises again
+    h = mul(mul(parse_element("1+2*z1"), one), parse_element("z1*z2+3", degree=2))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="pairs of terms"):
+            normal_form_text(h)
+    assert h._reduction is None
+
+
+def test_reduced_forms_are_canonical():
+    # z1/(-2) with its sign in a leaf's constant denominator, against -z1/2
+    # and products of the same function; equal elements reduce alike
+    below = ShuffleElement(1, None)
+    below._leaf = ([], [((1,), F(1))], [((0,), F(-2))])
+    half = parse_element("-z1*2^-1", degree=1)
+    same = [below, half, mul(half, unit), mul(ShuffleElement.scalar(-1), parse_element("z1*2^-1"))]
+    assert len({repr(shuffle._reduced(el)) for el in same}) == 1
+    assert all(a == b for a in same for b in same)
 
 
 def test_repr_and_product_symmetry_compute_nothing(monkeypatch):
