@@ -8,7 +8,8 @@ Each handler imports the layers it runs when it runs, so a command loads
 only those: `shuffle zeta` the kernel, `r-invariant` the weights, the
 polytope and the LP, `decompose` and `omega-shift` also the standard
 forms, `windows`, `index-sets` and `compare` also the index sets, and
-`pbw-table` and `verify-bijection` also the counting layer.
+`pbw-table` and `verify-bijection` also the counting layer.  A missing or
+non-positive --d or a missing --w is refused before any layer is loaded.
 """
 
 from __future__ import annotations
@@ -196,10 +197,10 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_windows(args) -> int:
+    _require_dw(args, "windows")
     from .index_sets import window_generators
 
     q = _load_quiver(args.quiver)
-    _require_dw(args, "windows")
     delta = _delta_weight(args, args.d)
     gens = window_generators(q, (args.d,), args.w, delta)
     if args.format == "tsv":
@@ -212,11 +213,11 @@ def _cmd_windows(args) -> int:
 
 
 def _cmd_index_sets(args) -> int:
+    _require_dw(args, "index-sets")
     from .index_sets import Truncation, enum_S, enum_T, enum_U, enum_V
     from .standard_form import _UnorderedSlopes, _partition_nodes, _r_sequence
 
     q = _load_quiver(args.quiver)
-    _require_dw(args, "index-sets")
     d, w = args.d, args.w
     delta = _delta_weight(args, d)
     trunc = Truncation(slope_bound=args.slope_bound, max_parts=args.max_parts)
@@ -231,6 +232,9 @@ def _cmd_index_sets(args) -> int:
         res = enum_T(q, d, w, delta, trunc)
     else:
         raise DomainError(f"unknown index set {name!r}")
+    # every line is built before any is printed, so a fault in a later
+    # partition's tree leaves stdout empty
+    lines = []
     for A in res:
         record = {"parts": [[pd, pw] for pd, pw in A],
                   "complete_within_bounds": not res.truncated}
@@ -239,7 +243,9 @@ def _cmd_index_sets(args) -> int:
             record["r_sequence"] = [_frac(r) for r in _r_sequence(nodes)]
         except _UnorderedSlopes:  # the partition has no tree
             record["r_sequence"] = None
-        _print(_dump(record))
+        lines.append(_dump(record))
+    for line in lines:
+        _print(line)
     return EXIT_OK
 
 
@@ -281,10 +287,10 @@ def _cmd_pbw_table(args) -> int:
 
 
 def _cmd_verify_bijection(args) -> int:
+    _require_dw(args, "verify-bijection")
     from .pbw import verify_bijection
 
     q = _load_quiver(args.quiver)
-    _require_dw(args, "verify-bijection")
     delta = _delta_weight(args, args.d)
     report = verify_bijection(args.d, args.w, args.bound, q, delta)
     _print(_dump({

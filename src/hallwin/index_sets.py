@@ -26,11 +26,11 @@ from .quiver_weights import (
 )
 from .standard_form import (
     _check_partition,
+    _form_onto,
     _invariant_delta,
     _partition_nodes,
     _r_sequence,
     _slopes_decrease,
-    decompose,
 )
 
 Partition = tuple[tuple[int, int], ...]
@@ -115,9 +115,10 @@ def window_generators(quiver: Quiver, dims: Sequence[int], w: int,
                       delta: Weight | None = None) -> tuple[Weight, ...]:
     """Dominant integral chi with sum w and chi + rho + delta in W/2 (closed).
 
-    Walks the polytope's prefix caps and keeps the tuples that pass the exact
-    membership test: all of them when delta is in span tau, since then
-    chi + rho + delta is sorted; for any other delta the caps only prune.
+    Walks the polytope's prefix caps.  When delta is in span tau, the caps
+    are the window test, since then chi + rho + delta is sorted, and every
+    walked tuple is a generator; for any other delta the caps only prune,
+    and each tuple is re-tested by exact membership.
     """
     dims = tuple(dims)
     if len(dims) != 1:
@@ -126,8 +127,10 @@ def window_generators(quiver: Quiver, dims: Sequence[int], w: int,
     poly = cached_polytope(quiver, dims)
     walk = _dominant_tuples(dims[0], w, poly._window_caps(shift, w))
     # the walk runs in descending order
-    return tuple(chi for chi in reversed([Weight.make(c, dims) for c in walk])
-                 if poly.contains(chi + shift, Fraction(1, 2)))
+    gens = [Weight.make(c, dims) for c in reversed(list(walk))]
+    if delta is None or len(set(delta.coords)) == 1:
+        return tuple(gens)
+    return tuple(chi for chi in gens if poly.contains(chi + shift, Fraction(1, 2)))
 
 
 # -- partition families ----------------------------------------------------
@@ -158,11 +161,10 @@ def _partition_walk(d: int, w: int, trunc: Truncation, strict: bool) -> Iterator
     yield from walk((), d, w, Fraction(w, d) + trunc.slope_bound)
 
 
-def _balanced_weight(A: Partition) -> Weight:
+def _balanced_coords(A: Partition) -> list[int]:
     """The parts (d_i, w_i) of A written out as d_i entries floor(w_i/d_i)
-    or ceil(w_i/d_i) summing to w_i, larger first."""
-    coords = [pw // pd + (j < pw % pd) for pd, pw in A for j in range(pd)]
-    return Weight.make(coords, (len(coords),))
+    or ceil(w_i/d_i) summing to w_i, larger first: A's balanced weight."""
+    return [pw // pd + (j < pw % pd) for pd, pw in A for j in range(pd)]
 
 
 def enum_V(d: int, w: int, trunc: Truncation) -> EnumResult:
@@ -197,9 +199,14 @@ def enum_S(quiver: Quiver, d: int, w: int, delta: Weight | None,
     The leaf blocks of a dominant chi are runs of it, so their slopes do not
     increase.  The walk lists the partitions A of (d, w) with such slopes
     that the truncation admits, and A is kept when its balanced weight
-    (`_balanced_weight`) is dominant and decomposes with leaf partition A:
-    one decomposition per candidate.  That weight decomposes onto A whenever
-    any dominant chi does:
+    (`_balanced_coords`) is dominant and decomposes with leaf partition A
+    (`standard_form._form_onto`).  By the root-radius rule, a candidate of
+    more than one part whose balanced weight has root radius at most 1/2
+    has the one-part leaf partition and is dropped without a
+    decomposition; the radius is decided on integers (the balanced weight
+    and 2*rho are integral, and delta, a multiple of tau, moves no cut).
+    Every other dominant candidate is decomposed once.  The balanced weight
+    decomposes onto A whenever any dominant chi does:
 
     1. On a leaf block of chi's standard form, psi - chi is the block's rho
        plus a constant: it is rho + delta + sum_j r_j N_j there, rho differs
@@ -226,8 +233,9 @@ def enum_S(quiver: Quiver, d: int, w: int, delta: Weight | None,
     delta = _invariant_delta(dims, delta)
     items = []
     for A in _partition_walk(d, w, trunc, strict=False):
-        chi = _balanced_weight(A)
-        if chi.is_dominant() and decompose(quiver, dims, chi, delta).partition == A:
+        chi = _balanced_coords(A)
+        if (all(a >= b for a, b in zip(chi, chi[1:]))
+                and _form_onto(quiver, dims, chi, 1, A, delta) is not None):
             items.append(A)
     return EnumResult(tuple(sorted(items)), truncated=(d > 1))
 
@@ -266,7 +274,7 @@ def enum_T(quiver: Quiver, d: int, w: int, delta: Weight | None,
         A = tuple((di, int(wi)) for di, wi in zip(comp, weights))
         if not _slopes_decrease(A[::-1]) or not trunc.admits(d, w, A):
             continue
-        chi = _balanced_weight(A)
+        chi = Weight.make(_balanced_coords(A), dims)
         shift = rho(dims) + delta + N_positive(quiver, dims, -lam).scale(half)
         if poly.contains_interior(chi + shift, half):
             out.append(A)

@@ -60,23 +60,30 @@ class WPolytope:
     # -- one-vertex prefix-sum form ----------------------------------------
 
     def _cuts(self, chi: Weight, *, ordered: bool) -> list[tuple[int, int]]:
-        """Integer cuts (k_p, h_p) for p = 1..n-1 of a one-vertex weight.
+        """Integer cuts (k_p, h_p) for p = 1..n-1 of a one-vertex weight,
+        `_int_cuts` of its coordinates over their lcm denominator.  Raises
+        ValueError on a weight whose block structure is not the polytope's.
+        """
+        self._check_blocks(chi)
+        return self._int_cuts(*_scaled_coords(chi.coords), ordered=ordered)
 
-        With D the lcm of chi's denominators, a = D*chi is integral and the
-        cut p of chi' = chi - mean(chi) reads, scaled by n*D,
+    def _int_cuts(self, ints: list[int], den: int, *, ordered: bool) -> list[tuple[int, int]]:
+        """Integer cuts (k_p, h_p) for p = 1..n-1 of the weight ints/den.
 
-            k_p = n*P_p - p*S,    h_p = L*p*(n-p) * n*D,
+        With a = ints (den a common denominator of the weight, not
+        necessarily the least) the cut p of chi' = chi - mean(chi) reads,
+        scaled by n*den,
+
+            k_p = n*P_p - p*S,    h_p = L*p*(n-p) * n*den,
 
         where P_p is the p-th prefix sum of a and S its total.  So
         prefix_p(chi') <= r*L*p*(n-p) exactly when k_p * r.den <= r.num * h_p.
         With ordered=False the prefixes run over a sorted descending, i.e.
-        k_p / (n*D) is top_p(chi').  Raises ValueError on a weight whose
-        block structure is not the polytope's.
+        k_p / (n*den) is top_p(chi').  Adding a multiple of tau to chi moves
+        no cut.
         """
-        self._check_blocks(chi)
-        ints, den = _scaled_coords(chi.coords)
         if not ordered:
-            ints.sort(reverse=True)
+            ints = sorted(ints, reverse=True)
         n = len(ints)
         total = sum(ints)
         scale = n * den
@@ -177,12 +184,7 @@ class WPolytope:
         cuts; other quivers go through r_invariant_lp.
         """
         if self._closed_form:
-            # every top_k(chi') >= 0, so the arg-max starts at r = 0/1
-            best_k, best_h = 0, 1
-            for k, h in self._cuts(chi, ordered=False):
-                if k * best_h > best_k * h:
-                    best_k, best_h = k, h
-            return Fraction(best_k, best_h)
+            return Fraction(*_widest_cut(self._cuts(chi, ordered=False)))
         return self.r_invariant_lp(chi)
 
     def r_invariant_lp(self, chi: Weight) -> Fraction:
@@ -211,18 +213,35 @@ class WPolytope:
         cuts = self._cuts(chi, ordered=True)
         if r == 0:
             return None
-        num, den = r.numerator, r.denominator
-        comp = []
-        last = 0
-        for p, (k, h) in enumerate(cuts, 1):
-            if h and k * den == num * h:
-                comp.append(p - last)
-                last = p
-        if not comp:
-            return None
-        comp.append(self.dims[0] - last)
-        comp = tuple(comp)
-        return comp, composition_cocharacter(comp)
+        comp = _tight_composition(cuts, r.numerator, r.denominator)
+        return None if comp is None else (comp, composition_cocharacter(comp))
+
+
+def _widest_cut(cuts: list[tuple[int, int]]) -> tuple[int, int]:
+    """A cut (k, h) of largest ratio k/h, or (0, 1) when none is positive:
+    the radius r_invariant of sorted cuts, as an unreduced fraction."""
+    # every top_k(chi') >= 0, so the arg-max starts at r = 0/1
+    best_k, best_h = 0, 1
+    for k, h in cuts:
+        if k * best_h > best_k * h:
+            best_k, best_h = k, h
+    return best_k, best_h
+
+
+def _tight_composition(cuts: list[tuple[int, int]], num: int,
+                       den: int) -> tuple[int, ...] | None:
+    """The composition of n that cuts at every p whose ordered cut is tight
+    at r = num/den > 0, k_p * den = num * h_p; None when no cut is."""
+    comp = []
+    last = 0
+    for p, (k, h) in enumerate(cuts, 1):
+        if h and k * den == num * h:
+            comp.append(p - last)
+            last = p
+    if not comp:
+        return None
+    comp.append(len(cuts) + 1 - last)
+    return tuple(comp)
 
 
 @lru_cache(maxsize=None)

@@ -14,13 +14,23 @@ of each node's cocharacter; a block stops once its residual radius drops to
 there: when it is at most 1/2 the form is the root leaf, psi = phi, with no
 node built.
 
+The root-radius rule.  The form is the single root leaf exactly when the
+root radius of chi + rho + delta is at most 1/2: a larger radius makes a
+root node, whose face cuts the block at least once.  So the leaf partition
+is the one part (d, sum chi) exactly then, and a partition of more than one
+part is not realized by a chi whose root radius is at most 1/2.
+`_form_onto` reads that off the radius, on integers, before any
+decomposition; `compare`, `index-sets`, `tree_of_partition` and `enum_S`
+ask for a partition's form through it.
+
 Each node's radius and cocharacter come from the polytope's prefix-sum
-form (one sort per block, no LP).  Below the root the residuals are carried
-as integers over one common denominator; Fractions are built only for the
-weights the output holds.  The same engine on the Jordan quiver,
-whose edge weights are the adjoint weights, with threshold 0 solves the
-slope problem: writing sum_i w_i tau_{d_i} as -sum_j (3 r_j - 3/2) g_j +
-c tau_d for the tripled one-vertex quiver.
+form (no LP).  Below the root the residuals are carried as integers over
+one common denominator, and each block's radius and face are read off one
+list of its integer cuts; Fractions are built only for the nodes and the
+leaves' part of psi.  The same engine on the Jordan quiver, whose edge
+weights are the adjoint weights, with threshold 0 solves the slope
+problem: writing sum_i w_i tau_{d_i} as -sum_j (3 r_j - 3/2) g_j + c tau_d
+for the tripled one-vertex quiver.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from ._record import Record, _set
-from .polytope import WPolytope, cached_polytope
+from .polytope import _tight_composition, _widest_cut, cached_polytope
 from .quiver_weights import (
     N_positive,
     Quiver,
@@ -43,7 +53,6 @@ from .quiver_weights import (
     jordan,
     omega_weight,
     rho,
-    tau,
 )
 
 
@@ -170,9 +179,12 @@ def _invariant_delta(dims: tuple[int, ...], delta: Weight | None) -> Weight:
 
 
 @lru_cache(maxsize=None)
-def _n_positive(quiver: Quiver, comp: tuple[int, ...]) -> Weight:
-    """N_positive of the canonical cocharacter of a one-vertex composition."""
-    return N_positive(quiver, (sum(comp),), composition_cocharacter(comp))
+def _face_weights(quiver: Quiver, comp: tuple[int, ...]) -> tuple[Weight, Weight, tuple[int, ...]]:
+    """lam, N_positive(lam) and N's integer coordinates for the canonical
+    cocharacter lam of a one-vertex composition."""
+    lam = composition_cocharacter(comp)
+    N = N_positive(quiver, (sum(comp),), lam)
+    return lam, N, tuple(v.numerator for v in N.coords)
 
 
 def _tree(quiver: Quiver, phi: Weight, threshold: Fraction):
@@ -183,7 +195,18 @@ def _tree(quiver: Quiver, phi: Weight, threshold: Fraction):
     (lam, r, N), phi + r*N splits along lam's level blocks, and each part
     recurses, its radius bounded by r.  The root radius is computed once: a
     root within the threshold is returned as the one leaf, psi = phi, and
-    nothing else is built.
+    nothing else is built.  So the tree is the single root leaf exactly
+    when the root radius is at most the threshold; a larger radius makes a
+    node whose face cuts at least once, hence at least two leaves (or
+    raises).
+
+    phi is non-increasing, as every caller's is (a dominant chi plus rho
+    and a multiple of tau, or a slope weight with decreasing slopes), and
+    so is each part of phi + r*N, N being constant on lam's level blocks.
+    So a block's ordered cuts are its sorted cuts, and one list of them,
+    on the integers phi is carried in below the root, gives both its
+    radius and its face.  Fractions are built only for the nodes and the
+    leaves' part of psi.
     """
     dims = phi.blocks
     poly = cached_polytope(quiver, dims)
@@ -193,46 +216,49 @@ def _tree(quiver: Quiver, phi: Weight, threshold: Fraction):
     nodes: list[Node] = []
     psi = list(phi.coords)
     leaves: list[tuple[int, ...]] = []
+    t_num, t_den = threshold.numerator, threshold.denominator
 
-    def grow(poly: WPolytope, block_phi: Weight, ints: list[int], den: int, start: int,
-             r: Fraction, depth: int, parent_r: Fraction | None) -> None:
-        # block_phi = ints/den on the slots start..start+len(ints)-1; its
-        # radius in poly is r, above the threshold
+    def grow(ints: list[int], den: int, start: int, cuts: list[tuple[int, int]],
+             radius: tuple[int, int], depth: int, parent: tuple[int, int] | None) -> None:
+        # the block ints/den on the slots start..start+len(ints)-1; its
+        # ordered cuts are cuts and its radius k/h, above the threshold
         slots = tuple(range(start, start + len(ints)))
-        face = poly.face_cocharacter(block_phi, r)
-        if face is None:
+        k, h = radius
+        comp = _tight_composition(cuts, k, h)
+        if comp is None:
             raise DecompositionError("no face cocharacter found at positive radius")
-        comp, lam = face
-        if parent_r is not None and not r < parent_r:
+        if parent is not None and not k * parent[1] < parent[0] * h:
             raise DecompositionError("coefficients fail to decrease along the path")
-        N = _n_positive(quiver, comp)
+        r = Fraction(k, h)
+        lam, N, n_ints = _face_weights(quiver, comp)
         nodes.append(Node(lam=lam.embed(slots, dims), r=r, N=N.embed(slots, dims),
                           block=slots, depth=depth))
         # phi + r*N over the common denominator den * r.den
         num, rden = r.numerator, r.denominator
-        reduced = [x * rden + num * den * v.numerator for x, v in zip(ints, N.coords)]
+        reduced = [x * rden + num * den * v for x, v in zip(ints, n_ints)]
         den *= rden
         off = 0
         for size in comp:
             part = reduced[off:off + size]
-            child = Weight(tuple([Fraction(x, den) for x in part]), (size,))
-            child_poly = cached_polytope(quiver, child.blocks)
-            child_r = child_poly.r_invariant(child)
-            if child_r <= threshold:
-                psi[start + off:start + off + size] = child.coords
+            part_cuts = cached_polytope(quiver, (size,))._int_cuts(part, den, ordered=True)
+            part_k, part_h = _widest_cut(part_cuts)
+            if part_k * t_den <= t_num * part_h:
+                psi[start + off:start + off + size] = [Fraction(x, den) for x in part]
                 leaves.append(slots[off:off + size])
             else:
-                grow(child_poly, child, part, den, start + off, child_r, depth + 1, r)
+                grow(part, den, start + off, part_cuts, (part_k, part_h), depth + 1, radius)
             off += size
 
-    grow(poly, phi, *_scaled_coords(phi.coords), 0, r, 0, None)
+    ints, den = _scaled_coords(phi.coords)
+    grow(ints, den, 0, poly._int_cuts(ints, den, ordered=True), (r.numerator, r.denominator),
+         0, None)
     return tuple(nodes), Weight(tuple(psi), dims), tuple(leaves)
 
 
-def decompose(quiver: Quiver, dims: Sequence[int], chi: Weight,
-              delta: Weight | None = None) -> StandardForm:
-    """Standard form of chi + rho + delta.  chi must be dominant."""
-    dims = tuple(dims)
+def _check_decomposable(quiver: Quiver, dims: tuple[int, ...], chi: Weight,
+                        delta: Weight | None) -> Weight:
+    """decompose's refusals of its input, in its order; returns delta
+    (zero for None)."""
     _check_block_count(quiver, dims)
     if len(dims) != 1:
         raise NotImplementedError("decomposition implemented for one-vertex quivers")
@@ -240,8 +266,15 @@ def decompose(quiver: Quiver, dims: Sequence[int], chi: Weight,
         raise ValueError("weight has wrong block structure")
     if not chi.is_dominant():
         raise DecompositionError("weight is not dominant")
+    return _invariant_delta(dims, delta)
+
+
+def decompose(quiver: Quiver, dims: Sequence[int], chi: Weight,
+              delta: Weight | None = None) -> StandardForm:
+    """Standard form of chi + rho + delta.  chi must be dominant."""
+    dims = tuple(dims)
+    delta = _check_decomposable(quiver, dims, chi, delta)
     phi = chi + _rho(dims)
-    delta = _invariant_delta(dims, delta)
     if delta.coords[0]:
         phi = phi + delta
     nodes, psi, leaf_blocks = _tree(quiver, phi, _HALF)
@@ -253,6 +286,40 @@ def decompose(quiver: Quiver, dims: Sequence[int], chi: Weight,
     if form.reconstruct() != phi:
         raise DecompositionError("reconstruction failed")
     return form
+
+
+def _root_within_half(quiver: Quiver, ints: Sequence[int], den: int) -> bool:
+    """Whether the root radius of chi + rho + delta is at most 1/2, for the
+    dominant one-vertex chi = ints/den and delta a multiple of tau.
+
+    Decided on integers: 2*den*(chi + rho) is integral, delta moves no cut,
+    and chi + rho is sorted, so the radius is at most 1/2 exactly when
+    2*k_p <= h_p for every ordered cut of it.
+    """
+    n = len(ints)
+    doubled = [2 * x + den * (n - 1 - 2 * i) for i, x in enumerate(ints)]
+    cuts = cached_polytope(quiver, (n,))._int_cuts(doubled, 2 * den, ordered=True)
+    return all(2 * k <= h for k, h in cuts)
+
+
+def _form_onto(quiver: Quiver, dims: tuple[int, ...], ints: Sequence[int], den: int,
+               A: tuple[tuple[int, int], ...], delta: Weight | None) -> StandardForm | None:
+    """The standard form of chi = ints/den when its leaf partition is A,
+    otherwise None.
+
+    chi must be dominant and delta None or a multiple of tau.  By the
+    root-radius rule of `_tree`, the form is the single root leaf, whose
+    leaf partition is the one part (d, sum chi), exactly when the root
+    radius of chi + rho + delta is at most 1/2.  So when A has more than
+    one part and that radius is at most 1/2 the answer is None, read off
+    the radius alone, on integers, with no decomposition; otherwise chi is
+    built and decomposed.
+    """
+    if len(A) > 1 and _root_within_half(quiver, ints, den):
+        return None
+    chi = Weight(tuple(Fraction(x, den) for x in ints), dims)
+    form = decompose(quiver, dims, chi, delta)
+    return form if form.partition == A else None
 
 
 def partition_of(form: StandardForm) -> tuple[tuple[int, int], ...]:
@@ -303,7 +370,7 @@ def tree_of_partition(quiver: Quiver, dims: Sequence[int],
     chi_star = _partition_weight(A)
     if not chi_star.is_dominant():
         raise DecompositionError("partition slopes are not non-increasing")
-    # built again only to name its blocks
+    # built (again, unless the root radius decided) only to name its blocks
     got = tuple(len(b) for b in decompose(quiver, dims, chi_star, delta).leaf_blocks)
     raise DecompositionError(f"partition {tuple(A)} is not realized: tree blocks are {got}")
 
@@ -311,16 +378,19 @@ def tree_of_partition(quiver: Quiver, dims: Sequence[int],
 def _realizing_form(quiver: Quiver, dims: tuple[int, ...], A: Sequence[tuple[int, int]],
                     delta: Weight | None) -> StandardForm | None:
     """The standard form of A's slope weight when that weight is dominant
-    and the form's leaf blocks have A's part sizes, so that its leaf
-    partition is A; otherwise None."""
+    and the form's leaf partition is A; otherwise None.
+
+    decompose's refusals come first, then `_form_onto`: by the root-radius
+    rule a partition of more than one part whose slope weight has root
+    radius at most 1/2 is answered None without a decomposition.
+    """
     _check_partition(sum(dims), A)
     chi_star = _partition_weight(A)
     if not chi_star.is_dominant():
         return None
-    form = decompose(quiver, dims, chi_star, delta)
-    if tuple(len(b) for b in form.leaf_blocks) != tuple(d for d, _w in A):
-        return None
-    return form
+    _check_decomposable(quiver, dims, chi_star, delta)
+    return _form_onto(quiver, dims, *_scaled_coords(chi_star.coords),
+                      tuple((d, w) for d, w in A), delta)
 
 
 class SlopeTree(Record):
@@ -340,6 +410,10 @@ class SlopeTree(Record):
         return _r_sequence(self.nodes)
 
 
+# The adjoint weights are the edge weights of the Jordan quiver.
+_JORDAN = jordan()
+
+
 def slope_to_tree(quiver: Quiver, dims: Sequence[int],
                   A: Sequence[tuple[int, int]]) -> SlopeTree:
     """Solve sum_i w_i tau_{d_i} = - sum_j (3 r_j - 3/2) g_j + c tau_d.
@@ -355,21 +429,21 @@ def slope_to_tree(quiver: Quiver, dims: Sequence[int],
     if not _slopes_decrease(A):
         raise _UnorderedSlopes("slopes are not strictly decreasing")
     psi_A = _partition_weight(A)
-    # The adjoint weights are the edge weights of the Jordan quiver.
-    nodes, residual, leaf_blocks = _tree(jordan(), psi_A, Fraction(0))
+    nodes, residual, leaf_blocks = _tree(_JORDAN, psi_A, Fraction(0))
     got = tuple(len(b) for b in leaf_blocks)
     if got != tuple(d for d, _w in A):
         raise DecompositionError("slope data does not reproduce the partition")
-    # Residual must be a single multiple of tau; every leaf piece is the
-    # constant w_i/d_i on its block only if the parts were fully separated,
-    # and the subtraction of traceless g_j keeps the total equal to sum w_i.
-    c = residual.total()
-    if residual != tau(dims).scale(c):
+    # Each leaf of radius 0 is constant on its block.  The residual must be
+    # c*tau, and it is exactly when all leaf values are equal; the
+    # subtraction of traceless g_j keeps c equal to sum w_i.
+    if len(set(residual.coords)) > 1:
         raise DecompositionError("slope residual is not on the axis")
+    c = Fraction(sum(w for _d, w in A))
     s_values = tuple(n.r for n in nodes)
+    # window units r/3 + 1/2 = (2r + 3)/6
     window_nodes = tuple(
-        Node(lam=n.lam, r=n.r / 3 + Fraction(1, 2), N=n.N,
-             block=n.block, depth=n.depth)
+        Node(lam=n.lam, r=Fraction(2 * n.r.numerator + 3 * n.r.denominator, 6 * n.r.denominator),
+             N=n.N, block=n.block, depth=n.depth)
         for n in nodes)
     return SlopeTree(nodes=window_nodes, s_values=s_values, c=c,
                      partition=tuple((d, w) for d, w in A))

@@ -54,7 +54,7 @@ COMMAND_MODULES = [
     (["shuffle", "mul", "1", "1", "--degrees", "1,1"], 0,
      BASE | {"hallwin._record", "hallwin.shuffle", "hallwin.kernel"}),
     (["omega-shift", "--d", "2", "--partition", "1,5;1,-5"], 0, FORMS),
-    (["windows", "--d", "0", "--w", "1"], 1, SETS),
+    (["windows", "--d", "0", "--w", "1"], 1, BASE),  # refused before any layer loads
     (["compare", "--a", "1,5", "--b", "1,1"], 1, SETS),
 ]
 

@@ -1,0 +1,164 @@
+"""A partition's tree by its root radius, against the routes it replaced.
+
+`_partition_nodes` and `enum_S` answer a partition of more than one part
+whose weight has root radius at most 1/2 without decomposing it (the
+root-radius rule in `hallwin.standard_form`).  The slow oracles are the
+old routes: decompose the slope weight in full, check its leaf sizes and
+otherwise run the slope solve; and decompose every dominant balanced
+candidate of the partition walk.  `_tree` grows its blocks on integers;
+its oracle grows them in `Fraction` through the polytope's public
+`r_invariant` and `face_cocharacter`.
+"""
+
+import itertools
+from fractions import Fraction as F
+
+import pytest
+
+from hallwin import Truncation, Weight, builtin_quiver, enum_V, rho, tau
+from hallwin import standard_form
+from hallwin.index_sets import _balanced_coords, _partition_walk, compare, enum_S
+from hallwin.polytope import cached_polytope
+from hallwin.quiver_weights import N_positive, jordan
+from hallwin.standard_form import (
+    Node,
+    _check_partition,
+    _partition_nodes,
+    _partition_weight,
+    _tree,
+    decompose,
+    slope_to_tree,
+)
+
+QUIVERS = ["jordan", "doubled-jordan", "tripled-jordan"]
+Q3 = builtin_quiver("tripled-jordan")
+DELTAS = [F(0), F(1, 2), F(-1, 3)]
+BOUNDS = [F(2), F(3)]
+
+
+def old_partition_nodes(quiver, dims, A, delta):
+    """The route before the root-radius rule: a full decomposition of the
+    slope weight, its leaf sizes checked, and otherwise the slope solve."""
+    _check_partition(sum(dims), A)
+    chi = _partition_weight(A)
+    if chi.is_dominant():
+        form = decompose(quiver, dims, chi, delta)
+        if tuple(len(b) for b in form.leaf_blocks) == tuple(d for d, _w in A):
+            return form.nodes
+    return slope_to_tree(quiver, dims, A).nodes
+
+
+def outcome(route, *args):
+    """The route's nodes, or the type of the exception it raised."""
+    try:
+        return route(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+
+
+def old_enum_S(quiver, d, w, delta, trunc):
+    """enum_S by decomposing every dominant balanced candidate."""
+    items = []
+    for A in _partition_walk(d, w, trunc, strict=False):
+        chi = Weight.make(_balanced_coords(A), (d,))
+        if chi.is_dominant() and decompose(quiver, (d,), chi, delta).partition == A:
+            items.append(A)
+    return tuple(sorted(items))
+
+
+@pytest.mark.parametrize("name", QUIVERS)
+def test_routes_agree_with_the_full_decomposition(name):
+    quiver = builtin_quiver(name)
+    checked = 0
+    for d, w, bound, c in itertools.product(range(1, 6), range(-2, 3), BOUNDS, DELTAS):
+        dims = (d,)
+        delta = tau(dims).scale(c)
+        trunc = Truncation(bound)
+        S = enum_S(quiver, d, w, delta, trunc)
+        assert S.items == old_enum_S(quiver, d, w, delta, trunc)
+        candidates = set(enum_V(d, w, trunc)) | set(_partition_walk(d, w, trunc, strict=False))
+        for A in sorted(candidates):
+            assert outcome(_partition_nodes, quiver, dims, A, delta) == \
+                outcome(old_partition_nodes, quiver, dims, A, delta), (d, w, c, A)
+            checked += 1
+    assert checked > 1000
+
+
+def test_compare_decomposes_no_multi_part_partition_within_half(monkeypatch):
+    # Work count: over all pairs of enum_V(4, 0), decompose runs only for
+    # one-part partitions and partitions whose root radius exceeds 1/2.
+    d, dims = 4, (4,)
+    V = enum_V(d, 0, Truncation(F(2))).items
+    by_weight = {_partition_weight(A).coords: A for A in V}
+    poly = cached_polytope(Q3, dims)
+
+    def needs_form(A):
+        return len(A) == 1 or poly.r_invariant(_partition_weight(A) + rho(dims)) > F(1, 2)
+
+    calls = []
+
+    def counted(quiver, dims, chi, delta=None):
+        calls.append(by_weight[chi.coords])
+        return decompose(quiver, dims, chi, delta)
+
+    monkeypatch.setattr(standard_form, "decompose", counted)
+    pairs = [(A, B) for A, B in itertools.product(V, repeat=2) if A != B]
+    for A, B in pairs:
+        compare(Q3, d, A, B)
+    assert all(needs_form(A) for A in calls)
+    assert len(calls) == sum(needs_form(A) + needs_form(B) for A, B in pairs)
+    assert 0 < len(calls) < 2 * len(pairs)
+
+
+def fraction_tree(quiver, phi, threshold):
+    """`_tree` grown in Fraction: each block's radius and face from the
+    polytope's public r_invariant and face_cocharacter."""
+    dims = phi.blocks
+    nodes, leaves, psi = [], [], list(phi.coords)
+
+    def grow(block, start, depth, parent_r):
+        poly = cached_polytope(quiver, block.blocks)
+        r = poly.r_invariant(block)
+        slots = tuple(range(start, start + len(block.coords)))
+        if r <= threshold:
+            psi[start:start + len(slots)] = block.coords
+            leaves.append(slots)
+            return
+        comp, lam = poly.face_cocharacter(block, r)
+        assert parent_r is None or r < parent_r
+        N = N_positive(quiver, block.blocks, lam)
+        nodes.append(Node(lam=lam.embed(slots, dims), r=r, N=N.embed(slots, dims),
+                          block=slots, depth=depth))
+        moved = block + N.scale(r)
+        off = 0
+        for size in comp:
+            part = Weight(moved.coords[off:off + size], (size,))
+            grow(part, start + off, depth + 1, r)
+            off += size
+
+    grow(phi, 0, 0, None)
+    return tuple(nodes), Weight(tuple(psi), dims), tuple(leaves)
+
+
+@pytest.mark.parametrize("name", QUIVERS)
+def test_integer_tree_matches_fraction_tree(name):
+    quiver = builtin_quiver(name)
+    grown = 0
+    for d in range(1, 6):
+        dims = (d,)
+        for coords in itertools.product(range(-3, 4), repeat=d):
+            if list(coords) != sorted(coords, reverse=True):
+                continue
+            for c in DELTAS:
+                phi = Weight.make(coords, dims) + rho(dims) + tau(dims).scale(c)
+                tree = _tree(quiver, phi, F(1, 2))
+                assert tree == fraction_tree(quiver, phi, F(1, 2)), (coords, c)
+                grown += bool(tree[0])
+    assert grown > 100
+
+
+def test_slope_trees_match_fraction_tree():
+    for d, w in itertools.product(range(1, 7), range(-3, 4)):
+        for A in enum_V(d, w, Truncation(F(3))):
+            phi = _partition_weight(A)
+            assert _tree(jordan(), phi, F(0)) == fraction_tree(jordan(), phi, F(0)), A
