@@ -250,10 +250,6 @@ def _cmd_index_sets(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .index_sets import compare as compare_partitions
-    from .standard_form import DecompositionError
-
-    q = _load_quiver(args.quiver)
     A = _parse_partition(args.a)
     B = _parse_partition(args.b)
     d = _partition_dimension(A)
@@ -262,6 +258,10 @@ def _cmd_compare(args) -> int:
     if sum(p[1] for p in A) != sum(p[1] for p in B):
         raise DomainError("partitions have different total weight")
     _check_d(args, d, "partitions' total dimension")
+    from .index_sets import compare as compare_partitions
+    from .standard_form import DecompositionError
+
+    q = _load_quiver(args.quiver)
     delta = _delta_weight(args, d)
     try:
         verdict = compare_partitions(q, d, A, B, delta)
@@ -361,12 +361,12 @@ def _cmd_shuffle(args) -> int:
 
 
 def _cmd_omega_shift(args) -> int:
-    from .standard_form import DecompositionError, omega_shift
-
-    q = _load_quiver(args.quiver)
     A = _parse_partition(args.partition)
     d = _partition_dimension(A)
     _check_d(args, d, "partition's total dimension")
+    from .standard_form import DecompositionError, omega_shift
+
+    q = _load_quiver(args.quiver)
     try:
         shifted = omega_shift(q, (d,), A)
     except (DecompositionError, ValueError) as exc:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import ceil, floor
 from typing import Iterator, Sequence
 
 from . import _rational
@@ -146,19 +145,22 @@ def _partition_walk(d: int, w: int, trunc: Truncation, strict: bool) -> Iterator
     allows takes all the rest; so a head is a dead end only on a tie under
     the strict rule.
     """
-    low = Fraction(w, d) - trunc.slope_bound
+    bn, bd = trunc.slope_bound.numerator, trunc.slope_bound.denominator
+    ln, ld = w * bd - d * bn, d * bd  # w/d - bound = ln/ld, and ld > 0
 
-    def walk(head: Partition, D: int, W: int, top: Fraction) -> Iterator[Partition]:
+    def walk(head: Partition, D: int, W: int, tn: int, td: int) -> Iterator[Partition]:
+        # the next part's slope is at most tn/td (td > 0); the bounds on its
+        # weight are floor and ceiling divisions, -(-a // b) = ceil(a/b)
         if not D:
             yield head
             return
         for di in range(1 if trunc.admits_count(len(head) + 2) else D, D + 1):
-            for wi in range(max(ceil(di * low), ceil(Fraction(di * W, D))),
-                            min(floor(di * top), floor(W - (D - di) * low)) + 1):
+            for wi in range(max(-(-di * ln // ld), -(-di * W // D)),
+                            min(di * tn // td, (W * ld - (D - di) * ln) // ld) + 1):
                 if not strict or _slopes_decrease(head[-1:] + ((di, wi),)):
-                    yield from walk(head + ((di, wi),), D - di, W - wi, Fraction(wi, di))
+                    yield from walk(head + ((di, wi),), D - di, W - wi, wi, di)
 
-    yield from walk((), d, w, Fraction(w, d) + trunc.slope_bound)
+    yield from walk((), d, w, w * bd + d * bn, ld)
 
 
 def _balanced_coords(A: Partition) -> list[int]:

@@ -9,25 +9,25 @@ Setting q1 = q2 = 1 kills the kernel numerator, zeta collapses to 1, and
 the product degenerates to plain symmetrization.
 
 A product is a lazy tree: `mul` records its factors, and `shuffle_eval` and
-probabilistic `equals` evaluate the splitting sum directly in `Fraction`
-from each leaf's numerator (and denominator) terms, lists of
-(exponents, Fraction) pairs in z1..z_degree followed by the parameters the
-leaf uses, sorted by name.  `parse_element` reads its text straight into
-that form; a leaf built from a sympy expression is converted once, on its
-first evaluation.  Parameters are keyed by name ("q1", "q2", "D", "K").
-The sum is evaluated on integer positions: the point holds its z values
-once, and sub-values and kernel factors are cached by the positions they
-sit at.  Each kernel factor is one `Fraction`, from the kernel with its
-denominators cleared (`hallwin.kernel`), and each splitting term is
-multiplied out in integers before one `Fraction` is built from it.  Every
-argument must be an exact rational: a float is a TypeError.
+probabilistic `equals` evaluate the splitting sum directly from each
+leaf's numerator (and denominator) terms, lists of (exponents, Fraction)
+pairs in z1..z_degree followed by the parameters the leaf uses, sorted by
+name.  `parse_element` reads its text straight into that form; a leaf
+built from a sympy expression is converted once, on its first evaluation.
+Parameters are keyed by name ("q1", "q2", "D", "K").  The sum is
+evaluated on integer positions, with sub-values and kernel factors cached
+by the positions they sit at, and every value is an integer pair
+(numerator, denominator); kernel factors come from the kernel with its
+denominators cleared (`hallwin.kernel`), and only the answer is built as
+a `Fraction`.  Every argument must be an exact rational: a float is a
+TypeError.
 
 The reduced normal form of a product of polynomials (`normal_form_text`,
 which prints it as sympy does, and `serialize_element`) is computed in
 integer arithmetic: every denominator is a product of known kernel
 factors, cancelled by trial division.  Exact `equals` compares these
 normal forms, and `shuffle_eval` evaluates them at the poles that the
-evaluation in Fraction cannot pass.  `==` on elements is exact `equals`.
+splitting sum cannot pass.  `==` on elements is exact `equals`.
 
 sympy is optional.  It is read only by the private module
 `hallwin._symbolic`, loaded when a caller passes in, holds or asks for a
@@ -239,7 +239,7 @@ def mul(f: ShuffleElement, g: ShuffleElement,
     return prod
 
 
-# -- exact evaluation in Fraction ------------------------------------------
+# -- exact evaluation on integer pairs -------------------------------------
 
 
 def _leaf_data(el: ShuffleElement) -> tuple:
@@ -262,20 +262,27 @@ def _parameters(el: ShuffleElement) -> set:
     return _parameters(f) | _parameters(g) | kernel
 
 
-def _poly_value(terms, values):
-    total = Fraction(0)
+def _poly_value(terms, values) -> tuple:
+    """The sum of (exponents, coefficient) terms at values given as
+    (numerator, denominator) pairs, as an unreduced pair over the lcm of
+    the terms' (positive) denominators; a numerator may be a series."""
+    top, bottom = 0, 1
     for monom, c in terms:
-        for v, e in zip(values, monom):
+        tn, td = c.numerator, c.denominator
+        for (vn, vd), e in zip(values, monom):
             if e:
-                c *= v if e == 1 else v ** e
-        total += c
-    return total
+                tn *= vn ** e
+                td *= vd ** e
+        h = math.gcd(bottom, td)
+        top, bottom = top * (td // h) + tn * (bottom // h), bottom // h * td
+    return top, bottom
 
 
 class _Series:
     """A Laurent series sum_k c[k] eps^(v+k) over Fraction, with every term
     above eps^top dropped.  Leading zeros are stripped, so v is the valuation
-    (top + 1 for zero).  Fractions mix in as constants."""
+    (top + 1 for zero).  Ints and Fractions mix in as constants, lifted to
+    Fraction, so no operation gives a float."""
 
     __slots__ = ("v", "c", "top")
 
@@ -288,7 +295,7 @@ class _Series:
         self.top = top
 
     def _lift(self, x) -> "_Series":
-        return x if isinstance(x, _Series) else _Series(0, (x,), self.top)
+        return x if isinstance(x, _Series) else _Series(0, (Fraction(x),), self.top)
 
     def __add__(self, other):
         other = self._lift(other)
@@ -330,10 +337,11 @@ class _Series:
         if not self.c:
             raise ZeroDivisionError("division by a zero series")
         c, v = self.c, -self.v
-        inv = [1 / c[0]]
+        first = 1 / Fraction(c[0])
+        inv = [first]
         for k in range(1, self.top - v + 1):
             acc = sum(c[j] * inv[k - j] for j in range(1, min(k, len(c) - 1) + 1))
-            inv.append(-acc / c[0])
+            inv.append(-acc * first)
         return _Series(v, inv, self.top)
 
     def __truediv__(self, other):
@@ -366,7 +374,7 @@ def _splittings(n: int, k: int) -> tuple:
 
 class _Point:
     """Evaluation at one point: the z values zs, Fractions or `_Series` on a
-    line through the point, and parameter values by name.  `value` recurses
+    line through the point, and parameter values by name.  `pair` recurses
     on tuples of positions in zs, so one splitting recursion serves both
     kinds of z; sub-element values are cached by (element, positions) and
     kernel factors by (mode, position pair).  A leaf denominator or kernel
@@ -374,91 +382,93 @@ class _Point:
     subclass PoleError); on a line, the kernel's 1 - z_a/z_b with z_a = z_b
     is instead a simple pole in eps.
 
-    At Fraction z's a kernel factor is kept as the numerator and
-    denominator of one Fraction, and a splitting term multiplies those and
-    the sub-values' as ints before one Fraction is built from it."""
+    Values, z's and parameters are pairs (numerator, denominator) of ints,
+    or (series, int) on a line; a kernel factor is (N, E*F) of
+    `_zeta_parts`.  Sums run over the lcm of their terms' denominators, not
+    their product, which grows with the number of splittings.  At a point
+    each cached value is reduced by one gcd to a positive denominator, so
+    equal values are equal pairs; `value` builds the answer's one Fraction
+    (or series)."""
 
     def __init__(self, env: dict, zs: tuple):
-        self.env = env
-        self.zs = zs
         self.line = bool(zs) and isinstance(zs[0], _Series)
+        self.zs = [(z, 1) if self.line else (z.numerator, z.denominator) for z in zs]
+        self.env = {s: (v.numerator, v.denominator) for s, v in env.items()}
         self.values: dict = {}
         self.kernels: dict = {}  # mode -> factors by i * len(zs) + j
 
-    def kernel(self, i: int, j: int, mode: str):
-        """zeta(z_i / z_j) of the mode's kernel: a series on a line, else
-        the numerator and denominator of its Fraction."""
-        zi, zj = self.zs[i], self.zs[j]
-        if _vanishes(zj):
+    def kernel(self, i: int, j: int, mode: str) -> tuple:
+        """zeta(z_i / z_j) of the mode's kernel as a pair."""
+        (xn, xd), (yn, yd) = self.zs[i], self.zs[j]
+        if _vanishes(yn):
             raise PoleError("kernel at z = 0")
-        if self.line:
-            X, Y = zi, zj
-        else:
-            X, Y = zi.numerator * zj.denominator, zi.denominator * zj.numerator
-        env = self.env
+        X, Y = xn * yd, xd * yn
         if mode == "a2":
-            qa, qb = env["q1"], env["q2"]
+            (P1, R1), (P2, R2) = self.env["q1"], self.env["q2"]
             # at q1 = 1 or q2 = 1 the numerator cancels the denominator,
             # so zeta is identically 1, also where 1 - x vanishes
-            if 1 in (qa, qb):
-                return Fraction(1) if self.line else (1, 1)
-            N, E, F = _zeta_parts(X, Y, qa.numerator, qa.denominator,
-                                  qb.numerator, qb.denominator)
+            if P1 == R1 or P2 == R2:
+                return 1, 1
+            N, E, F = _zeta_parts(X, Y, P1, R1, P2, R2)
         else:
             # 1 + xD/((1-x)(1-xK)) at x = X/Y, times Dd*Kd*Y^2 above and below
-            D, K = env["D"], env["K"]
-            E = D.denominator * (K.denominator * Y - K.numerator * X)
+            (Dn, Dd), (Kn, Kd) = self.env["D"], self.env["K"]
+            E = Dd * (Kd * Y - Kn * X)
             F = Y - X
-            N = E * F + D.numerator * K.denominator * X * Y
+            N = E * F + Dn * Kd * X * Y
         if self.line:
-            return N / E / F
+            return N / E / F, 1
         if not E or not F:
             raise ZeroDivisionError("a kernel denominator vanishes")
-        k = Fraction(N, E * F)
-        return k.numerator, k.denominator
+        return N, E * F
 
     def value(self, el: ShuffleElement, pos: tuple):
-        """Value of el at the z's in the given positions."""
+        """Value of el at the z's in the given positions: a Fraction, or a
+        series on a line."""
+        top, bottom = self.pair(el, pos)
+        return top * Fraction(1, bottom) if self.line else Fraction(top, bottom)
+
+    def pair(self, el: ShuffleElement, pos: tuple) -> tuple:
+        """Value of el at the z's in the given positions as a pair."""
         key = (id(el), pos)
         val = self.values.get(key)
         if val is not None:
             return val
         if el._factors is None:
             params, num, den = _leaf_data(el)
-            values = tuple(self.zs[p] for p in pos) + tuple(self.env[s] for s in params)
-            val = _poly_value(num, values)
+            values = [self.zs[p] for p in pos] + [self.env[s] for s in params]
+            top, bottom = _poly_value(num, values)
             if den is not None:
-                den_val = _poly_value(den, values)
-                if _vanishes(den_val):
+                dn, dd = _poly_value(den, values)
+                if _vanishes(dn):
                     raise ZeroDivisionError("a leaf denominator vanishes")
-                val = val / den_val
+                if isinstance(dn, _Series):
+                    top, bottom = top * dd / dn, bottom
+                else:
+                    top, bottom = top * dd, bottom * dn
         else:
             f, g, params = el._factors
             n = len(self.zs)
             kernels = self.kernels.setdefault(params.mode, [None] * (n * n))
-            val = Fraction(0)
+            top, bottom = 0, 1
             for I, J, pairs in _splittings(len(pos), f.degree):
-                fv = self.value(f, tuple(pos[i] for i in I))
-                gv = self.value(g, tuple(pos[j] for j in J))
-                ks = []
+                fn, fd = self.pair(f, tuple(pos[i] for i in I))
+                gn, gd = self.pair(g, tuple(pos[j] for j in J))
+                tn, td = fn * gn, fd * gd
                 for i, j in pairs:
                     i, j = pos[i], pos[j]
                     k = kernels[i * n + j]
                     if k is None:
                         k = kernels[i * n + j] = self.kernel(i, j, params.mode)
-                    ks.append(k)
-                if self.line:
-                    term = fv * gv
-                    for k in ks:
-                        term = term * k
-                else:
-                    top, bottom = fv.numerator * gv.numerator, fv.denominator * gv.denominator
-                    for kn, kd in ks:
-                        top *= kn
-                        bottom *= kd
-                    term = Fraction(top, bottom)
-                val += term
-        self.values[key] = val
+                    tn *= k[0]
+                    td *= k[1]
+                h = math.gcd(bottom, td)
+                top, bottom = top * (td // h) + tn * (bottom // h), bottom // h * td
+        if not self.line:
+            d = math.gcd(top, bottom)
+            d = -d if bottom < 0 else d
+            top, bottom = top // d, bottom // d
+        val = self.values[key] = top, bottom
         return val
 
 
@@ -494,11 +504,11 @@ def equals(f: ShuffleElement, g: ShuffleElement,
     The exact check compares the two reduced normal forms (`_reduced`),
     which are canonical and kept on each element; where one cannot be
     computed (a leaf that is not a polynomial, or a reduction over its
-    budget) it asks sympy's `cancel` whether f - g is 0.  The probabilistic check evaluates both
-    sides in Fraction at seeded random points.  It redraws a point where any
-    term hits a pole, and one where a kernel degenerates (`_degenerate`) and
-    so would make products equal that are not; each draw counts as one of
-    at most 50 attempts per point.
+    budget) it asks sympy's `cancel` whether f - g is 0.  The probabilistic
+    check compares both sides' reduced integer pairs at seeded random
+    points.  It redraws a point where any term hits a pole, and one where a
+    kernel degenerates (`_degenerate`) and so would make products equal
+    that are not; each draw counts as one of at most 50 attempts per point.
     """
     if f.degree != g.degree:
         raise ValueError("degrees differ")
@@ -524,7 +534,7 @@ def equals(f: ShuffleElement, g: ShuffleElement,
             continue
         point = _Point(env, tuple(env[z] for z in zs))
         try:
-            same = point.value(f, everywhere) == point.value(g, everywhere)
+            same = point.pair(f, everywhere) == point.pair(g, everywhere)
         except ZeroDivisionError:
             continue
         if not same:
@@ -536,7 +546,8 @@ def equals(f: ShuffleElement, g: ShuffleElement,
 def shuffle_eval(f: ShuffleElement, z_values, q1_val, q2_val) -> Fraction:
     """Exact rational value of f at rational z's and kernel parameters.
 
-    Evaluated in Fraction; a float argument is a TypeError.  At a pole of
+    The splitting sum is evaluated on integer pairs, and one Fraction is
+    built for the answer; a float argument is a TypeError.  At a pole of
     some splitting term: by the diagonal rule (module docstring) when the
     only vanishing denominators are kernel factors 1 - z_a/z_b with
     z_a = z_b, exact for symmetric leaves; otherwise as content * P/Q, the
@@ -1038,15 +1049,17 @@ def _reduced_value(n: int, reduced: tuple, values: tuple) -> Fraction:
     degree-n element at values for z1..z_n and `_NF_PARAMS`; PoleError
     naming the first factor of the denominator that vanishes there."""
     content, num, den = reduced
-    below = Fraction(1)
+    values = [(v.numerator, v.denominator) for v in values]
+    qn, qd = 1, 1  # the denominator's value is qn / qd
     for key in sorted(den):
-        factor = [(m, Fraction(c)) for m, c in _factor_poly(key, n).items()]
-        value = _poly_value(factor, values)
-        if not value:
+        factor = _factor_poly(key, n).items()
+        fn, fd = _poly_value(factor, values)
+        if not fn:
             text = _sum_text(factor, _znames(n) + list(_NF_PARAMS))
             raise PoleError(f"denominator factor {text} vanishes")
-        below *= value
-    return content * _poly_value(num.items(), values) / below
+        qn, qd = qn * fn, qd * fd
+    top, bottom = _poly_value(num.items(), values)
+    return content * Fraction(top * qd, bottom * qn)
 
 
 def serialize_element(el: ShuffleElement) -> str:

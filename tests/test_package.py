@@ -54,8 +54,10 @@ COMMAND_MODULES = [
     (["shuffle", "mul", "1", "1", "--degrees", "1,1"], 0,
      BASE | {"hallwin._record", "hallwin.shuffle", "hallwin.kernel"}),
     (["omega-shift", "--d", "2", "--partition", "1,5;1,-5"], 0, FORMS),
-    (["windows", "--d", "0", "--w", "1"], 1, BASE),  # refused before any layer loads
-    (["compare", "--a", "1,5", "--b", "1,1"], 1, SETS),
+    # refused before any layer loads
+    (["windows", "--d", "0", "--w", "1"], 1, BASE),
+    (["compare", "--a", "1,5", "--b", "1,1"], 1, BASE),
+    (["omega-shift", "--partition", "1,5;x"], 1, BASE),
 ]
 
 # a meta path finder that makes every import of sympy fail, as where sympy

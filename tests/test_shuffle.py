@@ -1,13 +1,14 @@
 """Shuffle product over the two-parameter kernel."""
 
 import functools
+import math
 import operator
 import random
 from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hallwin import Truncation, Weight, _symbolic, shuffle
@@ -606,6 +607,157 @@ def test_surviving_diagonal_pole_raises(monkeypatch):
     assert line_normal_value(prod, (F(2), F(5), F(2)), F(2), F(3), rng) is None
     zs = (F(2), F(2), F(5))
     assert shuffle_eval(prod, zs, F(2), F(3)) == line_normal_value(prod, zs, F(2), F(3), rng)
+
+
+# -- integer pairs against a plain Fraction oracle ---------------------------
+
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+NONZERO = RATIONALS.filter(bool)
+
+
+def oracle_value(el, env, zs):
+    """Oracle: the splitting sum of el at zs in plain Fraction arithmetic,
+    recursing over `_splittings`, with `zeta_value` for the a2 kernel and
+    1 + x*D/((1 - x)(1 - x*K)) for the formal one; ZeroDivisionError at a
+    pole of any term."""
+    if el._factors is None:
+        params, num, den = shuffle._leaf_data(el)
+        values = list(zs) + [env[s] for s in params]
+
+        def poly(terms):
+            return sum((c * math.prod(v ** e for v, e in zip(values, m)) for m, c in terms), F(0))
+
+        return poly(num) if den is None else poly(num) / poly(den)
+    f, g, params = el._factors
+    total = F(0)
+    for I, J, pairs in shuffle._splittings(len(zs), f.degree):
+        term = oracle_value(f, env, [zs[i] for i in I]) * oracle_value(g, env, [zs[j] for j in J])
+        for i, j in pairs:
+            x = zs[i] / zs[j]
+            if params.mode == "a2":
+                term *= zeta_value(x, env["q1"], env["q2"])
+            else:
+                term *= 1 + x * env["D"] / ((1 - x) * (1 - x * env["K"]))
+        total += term
+    return total
+
+
+@st.composite
+def symmetric_leaves(draw, n):
+    """A symmetric leaf of degree n with rational coefficients, c0*q1^k +
+    c1*e1 + c2*p2 + c3*z1*..*zn (e1 and p2 the sums of the z's and of their
+    squares), and maybe a denominator sign*(d0 + p2) with d0 > 0, negative
+    at every point for sign = -1."""
+    c0, c1, c2, c3 = (draw(RATIONALS) for _ in range(4))
+    k = draw(st.integers(0, 2))
+    unit = [tuple(int(i == p) for i in range(n)) for p in range(n)]
+    num: dict = {}
+    for m, c in ([((0,) * n + (k,), c0)] + [(u + (0,), c1) for u in unit]
+                 + [(tuple(2 * e for e in u) + (0,), c2) for u in unit]
+                 + [((1,) * n + (0,), c3)] * (n > 0)):
+        num[m] = num.get(m, 0) + c
+    el = ShuffleElement._polynomial(n, ["q1"], [(m, c) for m, c in num.items() if c])
+    if n and draw(st.booleans()):
+        sign, d0 = draw(st.sampled_from([1, -1])), draw(NONZERO.map(abs))
+        den = [((0,) * n + (0,), sign * d0)] + [(tuple(2 * e for e in u) + (0,), F(sign))
+                                                  for u in unit]
+        el._leaf = (["q1"], el._leaf[1], den)
+    return el
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_integer_pairs_match_a_fraction_oracle(data):
+    # shuffle_eval (a2), the point's value (formal kernel) and the verdict
+    # of probabilistic equals against the oracle, at q1 = 1 and q1*q2 = 1 too
+    params = KernelParams(data.draw(st.sampled_from(["a2", "formal"])))
+    degrees = data.draw(st.sampled_from([(1, 1), (2, 1), (1, 1, 1), (0, 1, 2), (1, 2, 1)]))
+    a, b, *c = (data.draw(symmetric_leaves(n)) for n in degrees)
+    if c:
+        products = [mul(mul(a, b, params), c[0], params), mul(a, mul(b, c[0], params), params),
+                    mul(mul(b, a, params), c[0], params)]
+    else:
+        products = [mul(a, b, params), mul(b, a, params)]
+    n = sum(degrees)
+    zs = tuple(data.draw(st.lists(NONZERO, min_size=n, max_size=n, unique=True)))
+    q2 = data.draw(NONZERO)
+    q1 = data.draw(st.sampled_from([NONZERO, st.just(F(1)), st.just(1 / q2)]).flatmap(lambda s: s))
+    env = {"q1": q1, "q2": q2}
+    if params.mode == "formal":
+        env.update(D=data.draw(RATIONALS), K=data.draw(NONZERO))
+    try:
+        wants = [oracle_value(prod, env, zs) for prod in products]
+    except ZeroDivisionError:
+        assume(False)
+    everywhere = tuple(range(n))
+    for prod, want in zip(products, wants):
+        if params.mode == "a2":
+            got = shuffle_eval(prod, zs, q1, q2)
+        else:
+            got = shuffle._Point(env, zs).value(prod, everywhere)
+        assert got == want and type(got) is F
+    # equals decides at the last point it builds
+    seen = []
+
+    class Recording(shuffle._Point):
+        def __init__(self, env, zs):
+            seen.append(env)
+            super().__init__(env, zs)
+
+    seed = data.draw(st.integers(0, 1000))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(shuffle, "_Point", Recording)
+        for other in products[1:]:
+            seen.clear()
+            same = equals(products[0], other, params, strategy="probabilistic",
+                          seed=seed, points=1)
+            at = seen[-1]
+            point = [at[z] for z in shuffle._znames(n)]
+            assert same == (oracle_value(products[0], at, point) == oracle_value(other, at, point))
+
+
+def test_values_are_fractions_at_regular_points_and_diagonal_poles(monkeypatch):
+    # a leaf built from sympy keeps its integer denominator: 1/3 is 1 over 3
+    a, b = parse_element("3*z1 + 1"), parse_element("z1*z2 + z1 + z2")
+    third = ShuffleElement.from_expr(1, sympy.Rational(1, 3))
+    monkeypatch.setattr(_symbolic, "cancel", no_fallback)
+    rng = random.Random(3)
+    for prod in [mul(a, b, A2), mul(third, b, A2)]:
+        regular = shuffle_eval(prod, (F(2), F(5), F(-7, 3)), F(2), F(3))
+        diagonal = shuffle_eval(prod, (F(4, 3), F(5), F(4, 3)), F(2), F(3))
+        assert type(regular) is F and type(diagonal) is F
+        assert regular == oracle_value(prod, {"q1": F(2), "q2": F(3)}, (F(2), F(5), F(-7, 3)))
+        assert diagonal == line_normal_value(prod, (F(4, 3), F(5), F(4, 3)), F(2), F(3), rng)
+
+
+def test_series_keep_fractions():
+    # an int lifted into a series, and the inverse of an int coefficient,
+    # stay Fractions: 1 / 2 would be the float 0.5
+    series = shuffle._Series(0, (F(3), F(1)), 2) / 2
+    assert series.c == (F(3, 2), F(1, 2), 0)
+    assert all(type(x) is F for x in series.c)
+    for series in (2 / shuffle._Series(0, (3, 1), 2), shuffle._Series(0, (4,), 2) / 3):
+        assert all(type(x) is F for x in series.c)
+    assert (2 / shuffle._Series(0, (3, 1), 2)).c == (F(2, 3), F(-2, 9), F(2, 27))
+
+
+def test_a_regular_point_builds_one_fraction(monkeypatch):
+    # the splitting sum of a degree-4 product runs on integer pairs, and
+    # only the answer is a Fraction
+    a, b, c = parse_element("1 + 2*z1"), parse_element("z1*z2 + 3"), parse_element("3*z1 + 1")
+    prod = mul(mul(a, b, A2), c, A2)
+    zs, qs = (F(2), F(3, 5), F(-7, 2), F(11, 3)), (F(2, 3), F(7))
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return F(*args)
+
+    monkeypatch.setattr(shuffle, "Fraction", counted)
+    value = shuffle_eval(prod, zs, *qs)
+    assert len(built) <= 1
+    monkeypatch.undo()
+    assert value == oracle_value(prod, dict(zip(("q1", "q2"), qs)), zs)
 
 
 # -- the text parser against sympy -------------------------------------------
