@@ -8,8 +8,17 @@ Each handler imports the layers it runs when it runs, so a command loads
 only those: `shuffle zeta` the kernel, `r-invariant` the weights, the
 polytope and the LP, `decompose` and `omega-shift` also the standard
 forms, `windows`, `index-sets` and `compare` also the index sets, and
-`pbw-table` and `verify-bijection` also the counting layer.  A missing or
-non-positive --d or a missing --w is refused before any layer is loaded.
+`pbw-table` and `verify-bijection` also the counting layer.
+
+argparse reads every flag before any layer is loaded.  Each command, and
+each `shuffle` action (`shuffle mul` and `shuffle zeta` are sub-commands,
+whose flags follow the action), takes only the flags it reads, and
+argparse checks every value that needs no layer: the rationals, --d (a
+positive integer), --degrees (two integers) and the partitions --a, --b
+and --partition (parts of dimension at least 1, with dimensions adding up
+to at most PARTITION_MAX_DIMENSION).  The handlers check only what takes
+more than one flag: that two partitions have the same totals, and that
+--d agrees with the weight or the partition.
 """
 
 from __future__ import annotations
@@ -77,8 +86,52 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
+def _positive_int(text: str) -> int:
+    """argparse type for --d, an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _int_pair(text: str) -> tuple[int, int] | None:
+    """argparse type for --degrees, two comma-separated integers; an empty
+    text declares no degrees."""
+    if not text:
+        return None
+    try:
+        first, second = (int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not two comma-separated integers: {text!r}") from None
+    return first, second
+
+
+def _partition(text: str) -> tuple[tuple[int, int], ...]:
+    """argparse type for a partition "d,w;d,w;...": parts of dimension at
+    least 1, whose dimensions add up to at most PARTITION_MAX_DIMENSION."""
+    try:
+        parts = []
+        for piece in text.split(";"):
+            piece = piece.strip()
+            if not piece:
+                continue
+            d_str, w_str = piece.split(",")
+            parts.append((int(d_str), int(w_str)))
+        if not parts:
+            raise ValueError("empty partition")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"malformed partition {text!r}: {exc}") from None
+    if any(d < 1 for d, _w in parts):
+        raise argparse.ArgumentTypeError("partition parts must have positive dimension")
+    d = sum(d for d, _w in parts)
+    if d > PARTITION_MAX_DIMENSION:
+        raise argparse.ArgumentTypeError(
+            f"partition dimension {d} exceeds the limit {PARTITION_MAX_DIMENSION}")
+    return tuple(parts)
 
 
 def _dump(obj) -> str:
@@ -120,36 +173,6 @@ def _parse_weight(text: str):
         raise DomainError(f"malformed weight {text!r}: {exc}") from exc
 
 
-def _partition_dimension(A) -> int:
-    d = sum(p[0] for p in A)
-    if d > PARTITION_MAX_DIMENSION:
-        raise DomainError(f"partition dimension {d} exceeds the limit {PARTITION_MAX_DIMENSION}")
-    return d
-
-
-def _parse_partition(text: str) -> tuple[tuple[int, int], ...]:
-    try:
-        parts = []
-        for piece in text.split(";"):
-            piece = piece.strip()
-            if not piece:
-                continue
-            d_str, w_str = piece.split(",")
-            parts.append((int(d_str), int(w_str)))
-        if not parts:
-            raise ValueError("empty partition")
-        return tuple(parts)
-    except ValueError as exc:
-        raise DomainError(f"malformed partition {text!r}: {exc}") from exc
-
-
-def _require_dw(args, command: str) -> None:
-    if args.d is None or args.w is None:
-        raise DomainError(f"{command} needs --d and --w")
-    if args.d <= 0:
-        raise DomainError(f"--d must be positive, got {args.d}")
-
-
 def _check_d(args, d: int, what: str) -> None:
     if args.d is not None and args.d != d:
         raise DomainError(f"--d disagrees with the {what}")
@@ -158,11 +181,7 @@ def _check_d(args, d: int, what: str) -> None:
 def _delta_weight(args, d: int):
     from .quiver_weights import tau
 
-    return tau((d,)).scale(args.delta or 0)
-
-
-def _print(line: str) -> None:
-    sys.stdout.write(line + "\n")
+    return tau((d,)).scale(args.delta)
 
 
 # -- command handlers ------------------------------------------------------
@@ -179,7 +198,7 @@ def _cmd_r_invariant(args) -> int:
     # faces are computed for one vertex only; the LP gives r for the rest
     face = poly.face_cocharacter(chi, r) if len(chi.blocks) == 1 else None
     lam = [int(v) for v in face[1].coords] if face is not None else None
-    _print(_dump({"r": _frac(r), "lambda": lam}))
+    print(_dump({"r": str(r), "lambda": lam}))
     return EXIT_OK
 
 
@@ -192,12 +211,11 @@ def _cmd_decompose(args) -> int:
         raise DomainError("decompose expects an integral weight")
     d = sum(chi.blocks)
     form = decompose(q, chi.blocks, chi, _delta_weight(args, d))
-    _print(form.to_json())
+    print(form.to_json())
     return EXIT_OK
 
 
 def _cmd_windows(args) -> int:
-    _require_dw(args, "windows")
     from .index_sets import window_generators
 
     q = _load_quiver(args.quiver)
@@ -205,15 +223,14 @@ def _cmd_windows(args) -> int:
     gens = window_generators(q, (args.d,), args.w, delta)
     if args.format == "tsv":
         for g in gens:
-            _print("\t".join(str(int(v)) for v in g.coords))
+            print("\t".join(str(int(v)) for v in g.coords))
     else:
         for g in gens:
-            _print(_dump({"chi": [int(v) for v in g.coords]}))
+            print(_dump({"chi": [int(v) for v in g.coords]}))
     return EXIT_OK
 
 
 def _cmd_index_sets(args) -> int:
-    _require_dw(args, "index-sets")
     from .index_sets import Truncation, enum_S, enum_T, enum_U, enum_V
     from .standard_form import _UnorderedSlopes, _partition_nodes, _r_sequence
 
@@ -228,10 +245,8 @@ def _cmd_index_sets(args) -> int:
         res = enum_U(d, w, trunc)
     elif name == "S":
         res = enum_S(q, d, w, delta, trunc)
-    elif name == "T":
-        res = enum_T(q, d, w, delta, trunc)
     else:
-        raise DomainError(f"unknown index set {name!r}")
+        res = enum_T(q, d, w, delta, trunc)
     # every line is built before any is printed, so a fault in a later
     # partition's tree leaves stdout empty
     lines = []
@@ -240,19 +255,18 @@ def _cmd_index_sets(args) -> int:
                   "complete_within_bounds": not res.truncated}
         try:
             nodes = _partition_nodes(q, (d,), A, delta)
-            record["r_sequence"] = [_frac(r) for r in _r_sequence(nodes)]
+            record["r_sequence"] = [str(r) for r in _r_sequence(nodes)]
         except _UnorderedSlopes:  # the partition has no tree
             record["r_sequence"] = None
         lines.append(_dump(record))
     for line in lines:
-        _print(line)
+        print(line)
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
-    A = _parse_partition(args.a)
-    B = _parse_partition(args.b)
-    d = _partition_dimension(A)
+    A, B = args.a, args.b
+    d = sum(p[0] for p in A)
     if sum(p[0] for p in B) != d:
         raise DomainError("partitions have different total dimension")
     if sum(p[1] for p in A) != sum(p[1] for p in B):
@@ -267,7 +281,7 @@ def _cmd_compare(args) -> int:
         verdict = compare_partitions(q, d, A, B, delta)
     except DecompositionError as exc:
         raise DomainError(str(exc)) from exc
-    _print(_dump({"verdict": verdict}))
+    print(_dump({"verdict": verdict}))
     return EXIT_OK
 
 
@@ -278,22 +292,21 @@ def _cmd_pbw_table(args) -> int:
     m = pbw.window_count_table(args.dmax, args.wmax, q)
     p = pbw._solve_primitive(m)
     status = "NEGATIVE_P" if any(pv < 0 for pv in p.values()) else "OK"
-    _print("d\tw\tm\tp")
+    print("d\tw\tm\tp")
     for d in range(1, args.dmax + 1):
         for w in range(-args.wmax, args.wmax + 1):
-            _print(f"{d}\t{w}\t{m[(d, w)]}\t{p[(d, w)]}")
-    _print(status)
+            print(f"{d}\t{w}\t{m[(d, w)]}\t{p[(d, w)]}")
+    print(status)
     return EXIT_OK if status == "OK" else EXIT_VERIFY
 
 
 def _cmd_verify_bijection(args) -> int:
-    _require_dw(args, "verify-bijection")
     from .pbw import verify_bijection
 
     q = _load_quiver(args.quiver)
     delta = _delta_weight(args, args.d)
     report = verify_bijection(args.d, args.w, args.bound, q, delta)
-    _print(_dump({
+    print(_dump({
         "d": report.d, "w": report.w, "bound": report.bound,
         "domain_size": report.domain_size,
         "image_size": report.image_size,
@@ -303,66 +316,44 @@ def _cmd_verify_bijection(args) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
-def _cmd_shuffle(args) -> int:
-    # each action refuses the flags it does not read
-    unread = {"zeta": [("--mode formal", args.mode != "a2"),
-                       ("--degrees", args.degrees is not None)],
-              "mul": [("--q1", args.q1 is not None), ("--q2", args.q2 is not None)]}
-    for flag, given in unread[args.action]:
-        if given:
-            raise DomainError(f"shuffle {args.action} does not take {flag}")
-    if args.action == "zeta":
-        from .kernel import zeta_value
+def _cmd_shuffle_zeta(args) -> int:
+    from .kernel import zeta_value
 
-        if len(args.expr) != 1:
-            raise DomainError("shuffle zeta takes one evaluation point")
-        q1 = Fraction(2) if args.q1 is None else args.q1
-        q2 = Fraction(3) if args.q2 is None else args.q2
-        try:
-            val = zeta_value(Fraction(args.expr[0]), q1, q2)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(str(exc)) from exc
-        _print(_dump({"value": _frac(val)}))
-        return EXIT_OK
+    try:
+        val = zeta_value(args.point, args.q1, args.q2)
+    except ZeroDivisionError as exc:  # a pole
+        raise DomainError(str(exc)) from exc
+    print(_dump({"value": str(val)}))
+    return EXIT_OK
 
+
+def _cmd_shuffle_mul(args) -> int:
     from . import shuffle as shuffle_mod
 
-    params = shuffle_mod.KernelParams(mode=args.mode)
-    if args.action == "mul":
-        if len(args.expr) != 2:
-            raise DomainError("shuffle mul takes exactly two expressions")
-        degs: list[int | None] = [None, None]
-        if args.degrees:
-            try:
-                degs = [int(v) for v in args.degrees.split(",")]
-            except ValueError as exc:
-                raise DomainError(f"bad --degrees {args.degrees!r}") from exc
-            if len(degs) != 2:
-                raise DomainError("--degrees takes two comma-separated integers")
-        try:
-            f = shuffle_mod.parse_element(args.expr[0], degree=degs[0])
-            g = shuffle_mod.parse_element(args.expr[1], degree=degs[1])
-        except ValueError as exc:
-            raise DomainError(str(exc)) from exc
-        (f_terms, f_z, f_bits), (g_terms, g_z, g_bits) = map(shuffle_mod.leaf_size, (f, g))
-        for what, value, limit in [
-                ("the total degree", f.degree + g.degree, SHUFFLE_MUL_MAX_DEGREE),
-                ("the operands' term counts multiplied", f_terms * g_terms,
-                 SHUFFLE_MUL_MAX_TERM_PAIRS),
-                ("an operand's degree in the z's", max(f_z, g_z), SHUFFLE_MUL_MAX_Z_DEGREE),
-                ("an operand's coefficient bits", max(f_bits, g_bits),
-                 SHUFFLE_MUL_MAX_COEFFICIENT_BITS)]:
-            if value > limit:
-                raise DomainError(f"shuffle mul: {what} is {value}, above the limit {limit}")
-        h = shuffle_mod.mul(f, g, params)
-        _print(_dump({"degree": h.degree, "value": shuffle_mod.normal_form_text(h)}))
-        return EXIT_OK
-    raise DomainError(f"unknown shuffle action {args.action!r}")
+    degrees = args.degrees or (None, None)
+    try:
+        f, g = (shuffle_mod.parse_element(text, degree=n)
+                for text, n in zip(args.expr, degrees))
+    except ValueError as exc:
+        raise DomainError(str(exc)) from exc
+    (f_terms, f_z, f_bits), (g_terms, g_z, g_bits) = map(shuffle_mod.leaf_size, (f, g))
+    for what, value, limit in [
+            ("the total degree", f.degree + g.degree, SHUFFLE_MUL_MAX_DEGREE),
+            ("the operands' term counts multiplied", f_terms * g_terms,
+             SHUFFLE_MUL_MAX_TERM_PAIRS),
+            ("an operand's degree in the z's", max(f_z, g_z), SHUFFLE_MUL_MAX_Z_DEGREE),
+            ("an operand's coefficient bits", max(f_bits, g_bits),
+             SHUFFLE_MUL_MAX_COEFFICIENT_BITS)]:
+        if value > limit:
+            raise DomainError(f"shuffle mul: {what} is {value}, above the limit {limit}")
+    h = shuffle_mod.mul(f, g, shuffle_mod.KernelParams(mode=args.mode))
+    print(_dump({"degree": h.degree, "value": shuffle_mod.normal_form_text(h)}))
+    return EXIT_OK
 
 
 def _cmd_omega_shift(args) -> int:
-    A = _parse_partition(args.partition)
-    d = _partition_dimension(A)
+    A = args.partition
+    d = sum(p[0] for p in A)
     _check_d(args, d, "partition's total dimension")
     from .standard_form import DecompositionError, omega_shift
 
@@ -371,7 +362,7 @@ def _cmd_omega_shift(args) -> int:
         shifted = omega_shift(q, (d,), A)
     except (DecompositionError, ValueError) as exc:
         raise DomainError(str(exc)) from exc
-    _print(_dump({"partition": [[pd, pw] for pd, pw in shifted]}))
+    print(_dump({"partition": [[pd, pw] for pd, pw in shifted]}))
     return EXIT_OK
 
 
@@ -382,60 +373,64 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     flags = {
-        "d": dict(type=int, default=None),
-        "w": dict(type=int, default=None),
-        "delta": dict(type=_rational, default=None,
+        "d": dict(type=_positive_int),
+        "w": dict(type=int),
+        "delta": dict(type=_rational, default=Fraction(0),
                       help="rational c: delta = c * tau_d"),
-        "weight": dict(required=True,
-                       help="comma-separated slots; ';' between blocks"),
+        "weight": dict(help="comma-separated slots; ';' between blocks"),
     }
 
     # no prefix matching: an unknown flag must not pass as a known one
-    def command(name, func, *names):
+    def command(name, func, *names, required=()):
         p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--quiver", default="tripled-jordan",
                        help="builtin name or JSON file path")
         for flag in names:
-            p.add_argument("--" + flag, **flags[flag])
+            p.add_argument("--" + flag, required=flag in required, **flags[flag])
         p.set_defaults(func=func)
         return p
 
-    command("r-invariant", _cmd_r_invariant, "weight", "d")
-    command("decompose", _cmd_decompose, "weight", "delta")
+    command("r-invariant", _cmd_r_invariant, "weight", "d", required=["weight"])
+    command("decompose", _cmd_decompose, "weight", "delta", required=["weight"])
 
-    p = command("windows", _cmd_windows, "d", "w", "delta")
+    p = command("windows", _cmd_windows, "d", "w", "delta", required=["d", "w"])
     p.add_argument("--format", choices=["json", "tsv"], default="json")
 
-    p = command("index-sets", _cmd_index_sets, "d", "w", "delta")
+    p = command("index-sets", _cmd_index_sets, "d", "w", "delta", required=["d", "w"])
     p.add_argument("--set", choices=["V", "U", "S", "T"], required=True)
     p.add_argument("--slope-bound", type=_rational, default=None)
     p.add_argument("--max-parts", type=int, default=None)
 
     p = command("compare", _cmd_compare, "d", "delta")
-    p.add_argument("--a", required=True, help="partition 'd,w;d,w;...'")
-    p.add_argument("--b", required=True)
+    p.add_argument("--a", type=_partition, required=True, help="partition 'd,w;d,w;...'")
+    p.add_argument("--b", type=_partition, required=True)
 
     p = command("pbw-table", _cmd_pbw_table)
     p.add_argument("--dmax", type=int, required=True)
     p.add_argument("--wmax", type=int, required=True)
 
-    p = command("verify-bijection", _cmd_verify_bijection, "d", "w", "delta")
+    p = command("verify-bijection", _cmd_verify_bijection, "d", "w", "delta",
+                required=["d", "w"])
     p.add_argument("--bound", type=int, default=8)
 
-    p = sub.add_parser("shuffle", allow_abbrev=False)
-    p.add_argument("action", choices=["mul", "zeta"])
-    p.add_argument("expr", nargs="+")
+    actions = sub.add_parser("shuffle", allow_abbrev=False).add_subparsers(
+        dest="action", required=True)
+    p = actions.add_parser("mul", allow_abbrev=False)
+    p.add_argument("expr", nargs=2)
     p.add_argument("--mode", choices=["a2", "formal"], default="a2")
-    p.add_argument("--degrees", default=None,
-                   help="declared degrees 'n,m' for shuffle mul operands")
-    p.add_argument("--q1", type=_rational, default=None,
-                   help="shuffle zeta's q1 (default 2)")
-    p.add_argument("--q2", type=_rational, default=None,
-                   help="shuffle zeta's q2 (default 3)")
-    p.set_defaults(func=_cmd_shuffle)
+    p.add_argument("--degrees", type=_int_pair, default=None,
+                   help="declared degrees 'n,m' of the operands")
+    p.set_defaults(func=_cmd_shuffle_mul)
+    p = actions.add_parser("zeta", allow_abbrev=False)
+    p.add_argument("point", type=_rational)
+    p.add_argument("--q1", type=_rational, default=Fraction(2))
+    p.add_argument("--q2", type=_rational, default=Fraction(3))
+    p.add_argument("--mode", choices=["a2"], default="a2",
+                   help="the kernel evaluated, a2 only")
+    p.set_defaults(func=_cmd_shuffle_zeta)
 
     p = command("omega-shift", _cmd_omega_shift, "d")
-    p.add_argument("--partition", required=True, help="'d,w;d,w;...'")
+    p.add_argument("--partition", type=_partition, required=True, help="'d,w;d,w;...'")
 
     return top
 

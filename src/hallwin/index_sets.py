@@ -20,11 +20,11 @@ from .quiver_weights import (
     Weight,
     composition_cocharacter,
     compositions,
-    omega_weight,
     rho,
 )
 from .standard_form import (
     _check_partition,
+    _cut_twist_sums,
     _form_onto,
     _invariant_delta,
     _partition_nodes,
@@ -267,10 +267,10 @@ def enum_T(quiver: Quiver, d: int, w: int, delta: Weight | None,
     out = []
     for comp in compositions(d):
         lam = composition_cocharacter(comp)
-        omega_sums = Weight(omega_weight(quiver, dims, lam).coords, comp).block_sums()
         # Part weights are pinned by the requirement that the cut shift
         # moves every part onto the slope w/d.
-        weights = [Fraction(di * w, d) - os for di, os in zip(comp, omega_sums)]
+        weights = [Fraction(di * w, d) - os
+                   for di, os in zip(comp, _cut_twist_sums(quiver, dims, comp))]
         if any(wi.denominator != 1 for wi in weights):
             continue
         A = tuple((di, int(wi)) for di, wi in zip(comp, weights))

@@ -507,14 +507,16 @@ def omega_shift(quiver: Quiver, dims: Sequence[int],
     """
     dims = tuple(dims)
     _check_partition(sum(dims), A)
-    lam = _parts_cocharacter(A)
-    om = omega_weight(quiver, dims, lam)
-    out = []
-    off = 0
-    for d, w in A:
-        shift = sum((om.coords[i] for i in range(off, off + d)), Fraction(0))
-        if shift.denominator != 1:
-            raise ValueError("cut twist has non-integral block sum")
-        out.append((d, w + int(shift)))
-        off += d
-    return tuple(out)
+    shifts = _cut_twist_sums(quiver, dims, [d for d, _w in A])
+    return tuple((d, w + shift) for (d, w), shift in zip(A, shifts))
+
+
+def _cut_twist_sums(quiver: Quiver, dims: Sequence[int],
+                    comp: Sequence[int]) -> list[int]:
+    """The block sums over comp's blocks of the cut-edge twist omega_lam,
+    lam the cocharacter of the composition comp."""
+    om = omega_weight(quiver, dims, composition_cocharacter(comp))
+    sums = Weight(om.coords, tuple(comp)).block_sums()
+    if any(s.denominator != 1 for s in sums):
+        raise ValueError("cut twist has non-integral block sum")
+    return [int(s) for s in sums]

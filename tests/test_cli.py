@@ -140,6 +140,15 @@ def test_shuffle_mul(capsys):
     assert json.loads(out2) == row
 
 
+# argparse's refusal of each flag, by the flag
+FLAG_REFUSALS = {
+    "--mode formal": "argument --mode: invalid choice: 'formal' (choose from 'a2')",
+    "--degrees": "unrecognized arguments: --degrees 1,1",
+    "--q1": "unrecognized arguments: --q1 7",
+    "--q2": "unrecognized arguments: --q2 2",
+}
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["zeta", "5", "--mode", "formal"], "--mode formal"),
     (["zeta", "5", "--degrees", "1,1"], "--degrees"),
@@ -149,7 +158,7 @@ def test_shuffle_mul(capsys):
 def test_shuffle_refuses_a_flag_it_does_not_read(capsys, argv, flag):
     code, out, err = run(capsys, ["shuffle", *argv])
     assert_one_error_line(code, out, err)
-    assert err == f"error: shuffle {argv[0]} does not take {flag}\n"
+    assert err == f"error: {FLAG_REFUSALS[flag]}\n"
 
 
 def test_shuffle_zeta_defaults_and_a2_mode(capsys):

@@ -58,6 +58,13 @@ COMMAND_MODULES = [
     (["windows", "--d", "0", "--w", "1"], 1, BASE),
     (["compare", "--a", "1,5", "--b", "1,1"], 1, BASE),
     (["omega-shift", "--partition", "1,5;x"], 1, BASE),
+    (["compare", "--a", "0,5;2,0", "--b", "2,5"], 1, BASE),
+    (["omega-shift", "--partition", "0,1;2,3"], 1, BASE),
+    (["r-invariant", "--weight", "5,-5", "--d", "0"], 1, BASE),
+    (["shuffle", "mul", "1"], 1, BASE),
+    (["shuffle", "mul", "1", "1", "--degrees", "1"], 1, BASE),
+    (["shuffle", "zeta", "abc"], 1, BASE),
+    (["shuffle", "zeta", "5", "--degrees", "1,1"], 1, BASE),
 ]
 
 # a meta path finder that makes every import of sympy fail, as where sympy
@@ -90,8 +97,19 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("hallwin")
 """
 
 
+def command_ids(entries):
+    """Each command line's first two words, or all of it where an earlier
+    entry starts with the same two."""
+    seen, ids = set(), []
+    for argv, _, _ in entries:
+        short = " ".join(argv[:2])
+        ids.append(" ".join(argv) if short in seen else short)
+        seen.add(short)
+    return ids
+
+
 @pytest.mark.parametrize("argv, exit_code, modules", COMMAND_MODULES,
-                         ids=[" ".join(argv[:2]) for argv, _, _ in COMMAND_MODULES])
+                         ids=command_ids(COMMAND_MODULES))
 def test_command_loads_only_its_layers(argv, exit_code, modules):
     outputs = []
     for blocked in (False, True):  # the same run without sympy

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from hallwin import (
     N_positive,
+    Quiver,
     Weight,
     adjoint_weights,
     builtin_quiver,
@@ -232,6 +233,21 @@ def test_membership_matches_lp(q, coords):
         if n > 1:
             # modulo the axis, the interior of radius*W is {r_lp < radius}
             assert poly.contains_interior(chi, radius) == (r < radius)
+
+
+def test_contains_on_a_two_vertex_quiver_solves_the_lp(monkeypatch):
+    # two vertices have no closed form: membership is an LP feasibility
+    q = Quiver.from_json('{"vertices": [0, 1], "edges": [[0, 1], [1, 0]]}')
+    poly = WPolytope(q, (1, 1))
+    chi = Weight.make([F(1), F(2)], (1, 1))
+    r = poly.r_invariant_lp(chi)
+    assert r == F(1, 2)
+    solved = []
+    feasible = lp.feasible
+    monkeypatch.setattr(lp, "feasible", lambda *args: solved.append(args) or feasible(*args))
+    assert poly.contains(chi, r) and poly.contains(chi, r + 1)
+    assert not poly.contains(chi, r - F(1, 10))
+    assert len(solved) == 3
 
 
 @settings(max_examples=60, deadline=None)

@@ -586,6 +586,36 @@ def test_non_diagonal_poles_fall_back(monkeypatch):
         shuffle_eval(rational, (F(-2), F(-2), F(3)), F(2), F(3))
 
 
+def test_non_polynomial_leaf_pole_goes_to_sympy(monkeypatch):
+    # a leaf with a z in its denominator has no integer normal form, so a
+    # non-diagonal pole of its product is valued by sympy's cancel
+    lone = ShuffleElement.from_expr(1, 1 / (zvars(1)[0] + 3))
+    prod = mul(lone, parse_element("1", degree=1), A2)
+    cancelled = sympy.cancel(sympy.together(prod.expr))
+    assert substituted(cancelled, 2, (F(0), F(5)), 2, 3) == F(11, 24)
+    assert substituted(cancelled, 2, (F(-3), F(5)), 2, 3) is None
+    asked = []
+    pole_value = _symbolic.pole_value
+    monkeypatch.setattr(_symbolic, "pole_value",
+                        lambda *args: asked.append(args) or pole_value(*args))
+    assert shuffle_eval(prod, (F(0), F(5)), F(2), F(3)) == F(11, 24)
+    with pytest.raises(PoleError, match=r"denominator factor z1 \+ 3 vanishes"):
+        shuffle_eval(prod, (F(-3), F(5)), F(2), F(3))
+    assert len(asked) == 2
+
+
+def test_diagonal_pole_with_a_z_dependent_leaf_denominator(monkeypatch):
+    # on the line the leaf's denominator is a series, which divides the
+    # leaf's numerator as a series
+    lone = ShuffleElement.from_expr(1, 1 / (zvars(1)[0] + 3))
+    prod = mul(lone, lone, A2)
+    zs = (F(2), F(2))
+    want = line_normal_value(prod, zs, F(2), F(3), random.Random(1))
+    assert want == F(36, 625)
+    monkeypatch.setattr(_symbolic, "cancel", no_fallback)
+    assert shuffle_eval(prod, zs, F(2), F(3)) == want
+
+
 def test_degree_four_diagonal_pole_without_normal_form(monkeypatch):
     # the (1,1,2) product whose normal form runs for minutes
     a, b, c = elem(1, "-1"), elem(1, "2 - 2*z1"), elem(2, "z1*z2 - 2*z1 - 2*z2 + 3")
