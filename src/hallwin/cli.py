@@ -50,6 +50,10 @@ SHUFFLE_MUL_MAX_COEFFICIENT_BITS = 32  # of any coefficient's numerator or denom
 PARTITION_MAX_DIMENSION = 400
 
 
+# a token argparse reads as a value, not a flag, though it starts with "-"
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
 class DomainError(ValueError):
     pass
 
@@ -63,19 +67,38 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         raise DomainError(message)
 
     def parse_args(self, args=None, namespace=None):
-        parsed = super().parse_args(args, namespace)
+        args = sys.argv[1:] if args is None else args
+        try:
+            parsed = super().parse_args(args, namespace)
+        except DomainError as exc:
+            raise DomainError(_cause(args, str(exc))) from None
         # argparse drops "--" given as a flag's value (--weight=--) and
         # stores an empty list in its place
         for name, value in vars(parsed).items():
             if value == []:
                 self.error(f"argument --{name.replace('_', '-')}: expected one argument")
         return parsed
+
+
+def _cause(argv, message: str) -> str:
+    """The refusal of argv, naming the cause where argparse's message names
+    only a symptom: a `shuffle` flag written before the action, and a
+    `shuffle mul` operand that starts with "-" written without "--"."""
+    if argv[:1] == ["shuffle"] and argv[1:2] and argv[1].startswith("-"):
+        return "shuffle's flags follow the action, as in: hallwin shuffle mul 1 1 --mode formal"
+    if argv[:2] == ["shuffle", "mul"] and message.endswith("required: expr"):
+        before_dashes = argv[2:argv.index("--")] if "--" in argv else argv[2:]
+        if any(a[:1] == "-" and a[1:2] != "-" and not _NEGATIVE_NUMBER.match(a)
+               for a in before_dashes):
+            return ("an operand starting with '-' must come after '--', as in: "
+                    "hallwin shuffle mul -- -z1 1")
+    return message
 
 
 def _rational(text: str) -> Fraction:
@@ -152,8 +175,12 @@ def _load_quiver(name: str):
             path = os.path.join(qdir, name)
         else:
             raise DomainError(f"unknown quiver {name!r} (not a builtin or file)")
-    with open(path, encoding="utf-8") as fh:
-        return Quiver.from_json(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise DomainError(f"cannot read quiver file {path!r}: {exc.strerror}") from None
+    return Quiver.from_json(text)
 
 
 def _parse_weight(text: str):
@@ -306,13 +333,7 @@ def _cmd_verify_bijection(args) -> int:
     q = _load_quiver(args.quiver)
     delta = _delta_weight(args, args.d)
     report = verify_bijection(args.d, args.w, args.bound, q, delta)
-    print(_dump({
-        "d": report.d, "w": report.w, "bound": report.bound,
-        "domain_size": report.domain_size,
-        "image_size": report.image_size,
-        "target_size": report.target_size,
-        "violations": list(report.violations),
-    }))
+    print(_dump({name: getattr(report, name) for name in report.__slots__}))
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 

@@ -53,9 +53,6 @@ class Truncation(Record):
         _set(self, "slope_bound", slope_bound)
         _set(self, "max_parts", max_parts)
 
-    def _values(self) -> tuple:
-        return self.slope_bound, self.max_parts
-
     def admits_count(self, parts: int) -> bool:
         return self.max_parts is None or parts <= self.max_parts
 
@@ -66,14 +63,10 @@ class Truncation(Record):
 
 
 class EnumResult(Record):
+    """The partitions an enumeration found (``items: tuple``), and whether
+    its truncation cut any off (``truncated: bool``)."""
+
     __slots__ = ("items", "truncated")
-
-    def __init__(self, items: tuple, truncated: bool):
-        _set(self, "items", items)
-        _set(self, "truncated", truncated)
-
-    def _values(self) -> tuple:
-        return self.items, self.truncated
 
     def __iter__(self):
         return iter(self.items)

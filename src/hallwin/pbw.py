@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 from math import comb
 
-from ._record import Record, _set
+from ._record import Record
 from .index_sets import _box_caps, _dominant_tuples, enum_U, window_generators
 from .polytope import cached_polytope
 from .quiver_weights import Quiver, Weight, builtin_quiver, rho
@@ -57,21 +57,11 @@ def sym_count(p: int, ell: int) -> int:
 
 
 class BijectionReport(Record):
+    """The window bijection checked at (``d: int``, ``w: int``) up to
+    ``bound: int``: the sizes of its domain, image and target (each an
+    ``int``), and one line per violation (``violations: tuple[str, ...]``)."""
+
     __slots__ = ("d", "w", "bound", "domain_size", "image_size", "target_size", "violations")
-
-    def __init__(self, d: int, w: int, bound: int, domain_size: int, image_size: int,
-                 target_size: int, violations: tuple[str, ...]):
-        _set(self, "d", d)
-        _set(self, "w", w)
-        _set(self, "bound", bound)
-        _set(self, "domain_size", domain_size)
-        _set(self, "image_size", image_size)
-        _set(self, "target_size", target_size)
-        _set(self, "violations", violations)
-
-    def _values(self) -> tuple:
-        return (self.d, self.w, self.bound, self.domain_size, self.image_size,
-                self.target_size, self.violations)
 
     @property
     def ok(self) -> bool:

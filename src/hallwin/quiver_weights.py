@@ -38,9 +38,6 @@ class Quiver(Record):
         _set(self, "edges", edges)
         _set(self, "cut", cut)
 
-    def _values(self) -> tuple:
-        return self.vertices, self.edges, self.cut
-
     @property
     def num_vertices(self) -> int:
         return len(self.vertices)
@@ -121,9 +118,6 @@ class Weight(Record):
             raise ValueError("coordinate count does not match block sizes")
         _set(self, "coords", coords)
         _set(self, "blocks", blocks)
-
-    def _values(self) -> tuple:
-        return self.coords, self.blocks
 
     @staticmethod
     def make(values: Iterable, blocks: Sequence[int]) -> "Weight":

@@ -113,9 +113,6 @@ class KernelParams(Record):
             raise ValueError(f"unknown kernel mode {mode!r}")
         _set(self, "mode", mode)
 
-    def _values(self) -> tuple:
-        return self.mode,
-
 
 class ShuffleElement:
     """A symmetric rational function of the given degree.
@@ -509,6 +506,8 @@ def equals(f: ShuffleElement, g: ShuffleElement,
     points.  It redraws a point where any term hits a pole, and one where a
     kernel degenerates (`_degenerate`) and so would make products equal
     that are not; each draw counts as one of at most 50 attempts per point.
+
+    `params` is not read: each product carries the kernel `mul` gave it.
     """
     if f.degree != g.degree:
         raise ValueError("degrees differ")

@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from ._record import Record, _set
+from ._record import Record
 from .polytope import _tight_composition, _widest_cut, cached_polytope
 from .quiver_weights import (
     N_positive,
@@ -67,46 +67,26 @@ class _UnorderedSlopes(DecompositionError):
 class Node(Record):
     """One tree node: cocharacter, coefficient, and positive-weight sum.
 
-    ``lam`` and ``N`` are embedded in the full slot space (zero outside the
-    node's block); ``block`` lists the global slot indices it refines and
-    ``depth`` the distance from the root (0-based).
+    ``lam: Weight`` and ``N: Weight`` are embedded in the full slot space
+    (zero outside the node's block); ``r: Fraction`` is the coefficient,
+    ``block: tuple[int, ...]`` lists the global slot indices it refines and
+    ``depth: int`` the distance from the root (0-based).
     """
 
     __slots__ = ("lam", "r", "N", "block", "depth")
 
-    def __init__(self, lam: Weight, r: Fraction, N: Weight, block: tuple[int, ...],
-                 depth: int):
-        _set(self, "lam", lam)
-        _set(self, "r", r)
-        _set(self, "N", N)
-        _set(self, "block", block)
-        _set(self, "depth", depth)
-
-    def _values(self) -> tuple:
-        return self.lam, self.r, self.N, self.block, self.depth
-
 
 class StandardForm(Record):
+    """The decomposition of ``chi: Weight`` on ``quiver: Quiver`` with
+    dimension vector ``dims: tuple[int, ...]`` and shift ``delta: Weight``:
+    ``phi: Weight`` is chi + rho + delta, ``nodes: tuple[Node, ...]`` the
+    tree, ``psi: Weight`` the residual, ``partition: tuple[tuple[int, int],
+    ...]`` the leaf partition and ``leaf_blocks: tuple[tuple[int, ...], ...]``
+    the slot indices of each leaf.
+    """
+
     __slots__ = ("quiver", "dims", "chi", "delta", "phi", "nodes", "psi", "partition",
                  "leaf_blocks")
-
-    def __init__(self, quiver: Quiver, dims: tuple[int, ...], chi: Weight, delta: Weight,
-                 phi: Weight, nodes: tuple[Node, ...], psi: Weight,
-                 partition: tuple[tuple[int, int], ...],
-                 leaf_blocks: tuple[tuple[int, ...], ...]):
-        _set(self, "quiver", quiver)
-        _set(self, "dims", dims)
-        _set(self, "chi", chi)
-        _set(self, "delta", delta)
-        _set(self, "phi", phi)
-        _set(self, "nodes", nodes)
-        _set(self, "psi", psi)
-        _set(self, "partition", partition)
-        _set(self, "leaf_blocks", leaf_blocks)
-
-    def _values(self) -> tuple:
-        return (self.quiver, self.dims, self.chi, self.delta, self.phi, self.nodes, self.psi,
-                self.partition, self.leaf_blocks)
 
     def reconstruct(self) -> Weight:
         acc = self.psi
@@ -394,17 +374,14 @@ def _realizing_form(quiver: Quiver, dims: tuple[int, ...], A: Sequence[tuple[int
 
 
 class SlopeTree(Record):
+    """The tree of ``partition: tuple[tuple[int, int], ...]``:
+    ``nodes: tuple[Node, ...]`` with r stored in window units (s/3 + 1/2),
+    ``s_values: tuple[Fraction, ...]`` the raw adjoint coefficients, one per
+    node, and ``c: Fraction`` the coefficient of tau_d, the sum of the
+    partition's weights.
+    """
+
     __slots__ = ("nodes", "s_values", "c", "partition")
-
-    def __init__(self, nodes: tuple[Node, ...], s_values: tuple[Fraction, ...], c: Fraction,
-                 partition: tuple[tuple[int, int], ...]):
-        _set(self, "nodes", nodes)  # r stored in window units (s/3 + 1/2)
-        _set(self, "s_values", s_values)  # raw adjoint coefficients, one per node
-        _set(self, "c", c)
-        _set(self, "partition", partition)
-
-    def _values(self) -> tuple:
-        return self.nodes, self.s_values, self.c, self.partition
 
     def r_sequence(self) -> tuple[Fraction, ...]:
         return _r_sequence(self.nodes)

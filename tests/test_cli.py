@@ -210,6 +210,19 @@ def test_quiver_dir_env(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["r"] == "5/3"
 
 
+@pytest.mark.parametrize("env_dir", [False, True], ids=["path", "HALLWIN_QUIVER_DIR"])
+def test_unreadable_quiver_path_exit_1(capsys, tmp_path, monkeypatch, env_dir):
+    (tmp_path / "sub").mkdir()
+    if env_dir:  # "sub" is not in the working directory, only under the env dir
+        monkeypatch.chdir(tmp_path.parent)
+        monkeypatch.setenv("HALLWIN_QUIVER_DIR", str(tmp_path))
+    name = "sub" if env_dir else str(tmp_path)
+    path = str(tmp_path / "sub") if env_dir else str(tmp_path)
+    code, out, err = run(capsys, ["r-invariant", "--quiver", name, "--weight", "1,2"])
+    assert_one_error_line(code, out, err)
+    assert err == f"error: cannot read quiver file {path!r}: Is a directory\n"
+
+
 def test_index_sets_missing_bound_exit_1(capsys):
     code, _, err = run(capsys, ["index-sets", "--set", "S", "--d", "2",
                                 "--w", "0"])
@@ -269,6 +282,25 @@ def test_shuffle_mul_operand_starting_with_minus(capsys):
     assert_one_error_line(*run(capsys, ["shuffle", "mul", "-z1", "1"]))
     code, out, _ = run(capsys, ["shuffle", "mul", "--", "-z1", "1"])
     assert (code, out) == (0, '{"degree": 1, "value": "-z1"}\n')
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["shuffle", "mul", "-z1", "1"], "an operand starting with '-' must come after '--', "
+                                     "as in: hallwin shuffle mul -- -z1 1"),
+    (["shuffle", "mul", "1", "-z1"], "an operand starting with '-' must come after '--', "
+                                     "as in: hallwin shuffle mul -- -z1 1"),
+    (["shuffle", "--mode", "formal", "mul", "1", "1"],
+     "shuffle's flags follow the action, as in: hallwin shuffle mul 1 1 --mode formal"),
+    # one operand, or an unknown long flag, is not an operand needing "--"
+    (["shuffle", "mul", "1"], "the following arguments are required: expr"),
+    (["shuffle", "mul", "1", "--bogus"], "the following arguments are required: expr"),
+    (["shuffle", "mul", "--", "-z1"], "the following arguments are required: expr"),
+], ids=["operand first", "operand second", "flag before action", "one operand",
+        "unknown flag", "one operand after --"])
+def test_shuffle_refusal_names_the_cause(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert_one_error_line(code, out, err)
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("bounds", [["--dmax", "0", "--wmax", "0"],

@@ -65,6 +65,8 @@ COMMAND_MODULES = [
     (["shuffle", "mul", "1", "1", "--degrees", "1"], 1, BASE),
     (["shuffle", "zeta", "abc"], 1, BASE),
     (["shuffle", "zeta", "5", "--degrees", "1,1"], 1, BASE),
+    (["shuffle", "mul", "-z1", "1"], 1, BASE),
+    (["shuffle", "--mode", "formal", "mul", "1", "1"], 1, BASE),
 ]
 
 # a meta path finder that makes every import of sympy fail, as where sympy
@@ -144,6 +146,33 @@ def test_public_names_resolve_to_their_submodules():
             assert value.__module__.startswith("hallwin.")
     with pytest.raises(AttributeError, match="has no attribute 'cli_main'"):
         hallwin.cli_main
+
+
+def test_records_name_their_fields_once():
+    # every record takes its fields, in slot order, as its parameters, and
+    # reads its values from __slots__; the five that check nothing have a
+    # generated __init__
+    import inspect
+
+    from hallwin import (BijectionReport, EnumResult, Node, Quiver, StandardForm,
+                         Truncation, Weight)
+    from hallwin.shuffle import KernelParams
+    from hallwin.standard_form import SlopeTree
+
+    defaults = {Truncation: (None, None), KernelParams: ("a2",)}
+    for cls in (Quiver, Weight, Truncation, EnumResult, BijectionReport, Node,
+                StandardForm, SlopeTree, KernelParams):
+        params = inspect.signature(cls).parameters.values()
+        assert [p.name for p in params] == list(cls.__slots__)
+        assert {p.kind for p in params} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+        assert tuple(p.default for p in params if p.default is not p.empty) == \
+            defaults.get(cls, ())
+        assert isinstance(vars(cls)["_values"], property)
+        generated = cls.__init__.__code__.co_filename == "<string>"
+        assert generated == (cls in (EnumResult, BijectionReport, Node, StandardForm,
+                                     SlopeTree))
+        assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+        assert cls.__init__.__module__ == cls.__module__
 
 
 def test_import_does_not_load_sympy():

@@ -250,6 +250,19 @@ def test_contains_on_a_two_vertex_quiver_solves_the_lp(monkeypatch):
     assert len(solved) == 3
 
 
+def test_solve_lp_reports_an_unbounded_objective():
+    # minimize -x0 subject to x0 - x1 = 0: x0 = x1 grows without bound
+    assert lp.solve_lp([[F(1), F(-1)]], [F(0)], [F(-1), F(0)]) == ("unbounded", None, None)
+
+
+def test_r_invariant_refuses_a_weight_off_the_segments_span():
+    # no edges: the segments span nothing, and (1, 0) is off the axis
+    q = Quiver.from_json('{"vertices": [0, 1], "edges": []}')
+    with pytest.raises(ValueError) as exc:
+        WPolytope(q, (1, 1)).r_invariant(Weight.make([1, 0], (1, 1)))
+    assert str(exc.value) == "weight does not lie in span(segments) + axis"
+
+
 @settings(max_examples=60, deadline=None)
 @given(weights(6))
 def test_r_invariant_scales_with_loop_count(coords):

@@ -143,6 +143,34 @@ def test_parse_rejects_bad_input():
         parse_element("z3", degree=2)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("01", "integer '01' has a leading zero"),
+    ("1" * 5000, "integer of 5000 digits is too long"),
+    ("z1^(2^-1)", "exponent 1/2 is not an integer"),
+    ("(z1+z2+z3+1)^7*(z4+z5+z6+1)^7*(z7+z8+z9+1)^7",
+     "a product multiplies more than 100000 pairs of terms"),
+], ids=["leading zero", "long integer", "fractional exponent", "term pairs"])
+def test_parse_refusals(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_element(text)
+    assert str(exc.value) == message
+
+
+def test_serialize_and_normal_form_refuse_unknown_parameters():
+    z1 = zvars(1)[0]
+    with pytest.raises(ValueError) as exc:
+        serialize_element(ShuffleElement.from_expr(1, shuffle.D_sym * z1))
+    assert str(exc.value) == "element depends on D or K, which have no text form"
+    with pytest.raises(ValueError) as exc:
+        normal_form_text(ShuffleElement.from_expr(1, sympy.Symbol("t") * z1))
+    assert str(exc.value) == "parameters ['t'] are not among ['q1', 'q2', 'D', 'K']"
+
+
+def test_serialize_a_negative_leading_term_and_zero():
+    assert serialize_element(parse_element("-z1")) == "-z1"
+    assert serialize_element(parse_element("z1-z1", degree=1)) == "0"
+
+
 def test_scalar_and_unit():
     assert unit.degree == 0
     assert unit.expr == 1
