@@ -177,10 +177,10 @@ def _load_quiver(name: str):
             raise DomainError(f"unknown quiver {name!r} (not a builtin or file)")
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DomainError(f"cannot read quiver file {path!r}: {exc.strerror}") from None
-    return Quiver.from_json(text)
+            return Quiver.from_json(fh.read())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise DomainError(f"cannot read quiver file {path!r}: {reason}") from None
 
 
 def _parse_weight(text: str):

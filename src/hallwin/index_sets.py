@@ -209,7 +209,9 @@ def enum_S(quiver: Quiver, d: int, w: int, delta: Weight | None,
        level blocks (the leaf block lies inside one or outside N_j's
        block), and delta is a multiple of tau.  So the block's window is a
        window shifted by a multiple of tau, which is exactly its prefix
-       caps (`window_generators`).
+       caps (`window_generators`).  `verify_bijection` checks this shape
+       of the shift on every partition it meets, and reads the windows as
+       these caps.
     2. Among the integer tuples of one length and sum, the balanced tuple
        has the least prefix sums, the least first entry and the greatest
        last entry.  So it meets every cap any block generator meets, and

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from math import comb
 
 from ._record import Record
-from .index_sets import _box_caps, _dominant_tuples, enum_U, window_generators
+from .index_sets import _box_caps, _dominant_tuples, enum_U
 from .polytope import cached_polytope
 from .quiver_weights import Quiver, Weight, builtin_quiver, rho
 from .standard_form import (
@@ -75,12 +74,20 @@ def verify_bijection(d: int, w: int, bound: int,
 
     Domain: dominant integral chi with coordinate sum w and |coords| <=
     bound.  Each chi maps to its leaf partition together with the
-    restrictions of chi to the leaf blocks.  The report checks that every
-    block restriction is a window generator for the block's shifted
-    window, that the map is injective, that trees depend only on the
-    partition, that every (partition, generator tuple) whose concatenation
-    is dominant and within bound is hit, and that the shifted partitions
-    have strictly decreasing slopes.
+    restrictions of chi to the leaf blocks.  The report checks that the
+    map is injective, that trees depend only on the partition, that the
+    image is the target: the (partition, generator tuple) pairs whose
+    generators lie in their blocks' shifted windows and whose
+    concatenation is dominant and within bound; and that the shifted
+    partitions have strictly decreasing slopes.
+
+    The windows are read as integer prefix caps.  On a leaf block the
+    shift psi - chi is the block's rho plus a constant (step 1 of
+    `enum_S`'s proof, checked here per partition), so the block's window
+    is exactly its caps (`WPolytope._window_caps`), and the bound is caps
+    too (`_box_caps`).  Both bound prefix sums of a non-increasing tuple,
+    so their elementwise minimum is the intersection, which
+    `_dominant_tuples` walks.
     """
     if d <= 0:
         raise ValueError("dimension must be positive")
@@ -89,67 +96,60 @@ def verify_bijection(d: int, w: int, bound: int,
     q = _quiver(quiver)
     dims = (d,)
     delta = _invariant_delta(dims, delta)
-    half = Fraction(1, 2)
     violations: list[str] = []
-    image: dict[tuple, tuple] = {}
-    shifts_by_A: dict[tuple, list[Weight]] = {}
-    box = _box_caps(d, w, -bound, bound)
-    domain = [Weight.make(c, dims) for c in _dominant_tuples(d, w, box)]
+    image: dict[tuple, tuple[int, ...]] = {}
+    # each partition's leaf-block caps, None when it has none to check
+    caps_by_A: dict[tuple, list[list[int]] | None] = {}
+    domain = list(_dominant_tuples(d, w, _box_caps(d, w, -bound, bound)))
     for chi in domain:
-        form = decompose(q, dims, chi, delta)
+        form = decompose(q, dims, Weight.make(chi, dims), delta)
         A = form.partition
-        blocks = tuple(tuple(b) for b in form.leaf_blocks)
-        gens = tuple(tuple(chi.coords[i] for i in b) for b in blocks)
-        key = (A, gens)
+        key = (A, tuple(tuple(chi[i] for i in b) for b in form.leaf_blocks))
         if key in image:
-            violations.append(f"not injective: {chi.coords} and "
-                              f"{image[key]} share image {key}")
-        image[key] = chi.coords
-        if A not in shifts_by_A:
-            try:
-                tree = tree_of_partition(q, dims, A, delta)
-                # psi - chi = rho + delta + sum_j r_j N_j, which each leaf
-                # block sees restricted to itself
-                shift = tree.psi - tree.chi
-                shifts_by_A[A] = [shift.restrict(b, (len(b),)) for b in tree.leaf_blocks]
-                if tree.r_sequence() != form.r_sequence():
-                    violations.append(
-                        f"tree of {A} disagrees with decomposition of {chi.coords}")
-            except DecompositionError as exc:
-                violations.append(f"partition {A} of {chi.coords}: {exc}")
-                shifts_by_A[A] = []
-        shifts = shifts_by_A[A]
-        for gen, shift in zip(gens, shifts):
-            b = len(gen)
-            poly = cached_polytope(q, (b,))
-            if not poly.contains(Weight.make(gen, (b,)) + shift, half):
-                violations.append(
-                    f"block weight {gen} of {chi.coords} is outside its window")
-    # Surjectivity onto the bounded sub-product.
-    target = 0
-    for A, shifts in shifts_by_A.items():
-        if not shifts:
+            violations.append(f"not injective: {chi} and {image[key]} share image {key}")
+        image[key] = chi
+        if A in caps_by_A:
+            continue
+        caps_by_A[A] = None
+        try:
+            tree = tree_of_partition(q, dims, A, delta)
+        except DecompositionError as exc:
+            violations.append(f"partition {A} of {chi}: {exc}")
+            continue
+        if tree.r_sequence() != form.r_sequence():
+            violations.append(f"tree of {A} disagrees with decomposition of {chi}")
+        # psi - chi = rho + delta + sum_j r_j N_j; on a leaf block it must
+        # step down by 1, as the block's rho does
+        shift = tree.psi - tree.chi
+        shifts = [shift.restrict(b, (len(b),)) for b in tree.leaf_blocks]
+        if any(a - b != 1 for s in shifts for a, b in zip(s.coords, s.coords[1:])):
+            violations.append(f"shift {shift.coords} of {A} is not rho plus a constant "
+                              "on a leaf block")
+            continue
+        caps_by_A[A] = [cached_polytope(q, (bd,))._window_caps(s, bw)
+                        for (bd, bw), s in zip(A, shifts)]
+    target = set()
+    for A, caps in caps_by_A.items():
+        if caps is None:
             continue
         # Generators are dominant, so a combination is dominant once each
-        # seam is non-increasing; prune each block's generators by the bound
-        # and extend a combination only across a good seam.
+        # seam is non-increasing.
         combos = [()]
-        for (bd, bw), shift in zip(A, shifts):
-            block_delta = shift - rho((bd,))
-            block_gens = [g.coords for g in window_generators(q, (bd,), bw, block_delta)
-                          if all(abs(x) <= bound for x in g.coords)]
-            combos = [c + (g,) for c in combos for g in block_gens
-                      if not c or c[-1][-1] >= g[0]]
-        target += len(combos)
-        for combo in combos:
-            if (A, combo) not in image:
-                violations.append(f"unreached image ({A}, {combo})")
-    for A in shifts_by_A:
+        for (bd, bw), window in zip(A, caps):
+            box = _box_caps(bd, bw, -bound, bound)
+            gens = list(_dominant_tuples(bd, bw, list(map(min, window, box))))
+            combos = [c + (g,) for c in combos for g in gens if not c or c[-1][-1] >= g[0]]
+        target.update((A, c) for c in combos)
+    checked = {key for key in image if caps_by_A[key[0]] is not None}
+    violations += [f"unreached image {key}" for key in sorted(target - checked)]
+    violations += [f"block weights {gens} of {image[A, gens]} are outside their windows"
+                   for A, gens in sorted(checked - target)]
+    for A in caps_by_A:
         shifted = omega_shift(q, dims, A)
         if not _slopes_decrease(shifted):
             violations.append(f"omega shift of {A} has non-decreasing slopes: {shifted}")
     return BijectionReport(d=d, w=w, bound=bound, domain_size=len(domain),
-                           image_size=len(image), target_size=target,
+                           image_size=len(image), target_size=len(target),
                            violations=tuple(violations))
 
 

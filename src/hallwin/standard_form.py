@@ -400,6 +400,7 @@ def slope_to_tree(quiver: Quiver, dims: Sequence[int],
     every r_j comes out > 1/2 and c = sum_i w_i.
     """
     dims = tuple(dims)
+    _check_block_count(quiver, dims)
     if len(dims) != 1 or len(quiver.edges) != 3:
         raise NotImplementedError("slope solve requires the tripled one-vertex quiver")
     _check_partition(sum(dims), A)
@@ -483,6 +484,7 @@ def omega_shift(quiver: Quiver, dims: Sequence[int],
     weights alpha with <lam, alpha> < 0 for the parts cocharacter lam.
     """
     dims = tuple(dims)
+    _check_block_count(quiver, dims)
     _check_partition(sum(dims), A)
     shifts = _cut_twist_sums(quiver, dims, [d for d, _w in A])
     return tuple((d, w + shift) for (d, w), shift in zip(A, shifts))

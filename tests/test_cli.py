@@ -223,6 +223,33 @@ def test_unreadable_quiver_path_exit_1(capsys, tmp_path, monkeypatch, env_dir):
     assert err == f"error: cannot read quiver file {path!r}: Is a directory\n"
 
 
+@pytest.mark.parametrize("data, reason", [
+    (b"not json", "Expecting value: line 1 column 1 (char 0)"),
+    (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (b"[" * 100000, "maximum recursion depth exceeded"),
+], ids=["not-json", "not-utf8", "nested-too-deep"])
+def test_undecodable_quiver_file_exit_1(capsys, tmp_path, data, reason):
+    qfile = tmp_path / "bad.json"
+    qfile.write_bytes(data)
+    code, out, err = run(capsys, ["r-invariant", "--quiver", str(qfile), "--weight", "1,2"])
+    assert_one_error_line(code, out, err)
+    assert err.startswith(f"error: cannot read quiver file {str(qfile)!r}: {reason}")
+
+
+@pytest.mark.parametrize("text", [
+    '{"vertices": [0, 1], "edges": [[0, 1], [1, 0], [0, 0]], "cut": [0]}',
+    '{"vertices": [0, 1], "edges": [[0, 0], [0, 0], [0, 0]], "cut": [2]}',
+], ids=["cut-cycle", "cut-loop"])
+def test_omega_shift_two_vertex_quiver_exit_1(capsys, tmp_path, text):
+    qfile = tmp_path / "two.json"
+    qfile.write_text(text)
+    code, out, err = run(capsys, ["omega-shift", "--partition", "1,1;1,-1",
+                                  "--quiver", str(qfile)])
+    assert_one_error_line(code, out, err)
+    assert err == ("error: weight has 1 blocks but the quiver has 2 vertices "
+                   "(one block per vertex)\n")
+
+
 def test_index_sets_missing_bound_exit_1(capsys):
     code, _, err = run(capsys, ["index-sets", "--set", "S", "--d", "2",
                                 "--w", "0"])

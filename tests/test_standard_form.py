@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hallwin import Weight, builtin_quiver, rho
+from hallwin import Quiver, Weight, builtin_quiver, rho
 from hallwin.standard_form import (
     DecompositionError,
     chi_A,
@@ -127,6 +127,21 @@ def test_omega_shift_preserves_total():
         shifted = omega_shift(Q3, (d,), A)
         assert sum(p[1] for p in shifted) == sum(p[1] for p in A)
         assert [p[0] for p in shifted] == [p[0] for p in A]
+
+
+# Two vertices, so a one-block dimension vector does not fit either quiver;
+# the first once ended in an IndexError, the second in a silent answer.
+TWO_VERTEX_QUIVERS = [
+    Quiver.from_json('{"vertices": [0, 1], "edges": [[0, 1], [1, 0], [0, 0]], "cut": [0]}'),
+    Quiver.from_json('{"vertices": [0, 1], "edges": [[0, 0], [0, 0], [0, 0]], "cut": [2]}'),
+]
+
+
+@pytest.mark.parametrize("quiver", TWO_VERTEX_QUIVERS, ids=["cut-cycle", "cut-loop"])
+@pytest.mark.parametrize("func", [omega_shift, slope_to_tree, chi_A, delta_Ai])
+def test_partition_attachments_refuse_a_block_count_mismatch(func, quiver):
+    with pytest.raises(ValueError, match="1 blocks but the quiver has 2 vertices"):
+        func(quiver, (2,), ((1, 1), (1, -1)))
 
 
 def test_partition_validation():
