@@ -18,6 +18,7 @@ from .quiver_weights import (
     N_positive,
     Quiver,
     Weight,
+    _check_dimension,
     composition_cocharacter,
     compositions,
     rho,
@@ -115,6 +116,7 @@ def window_generators(quiver: Quiver, dims: Sequence[int], w: int,
     dims = tuple(dims)
     if len(dims) != 1:
         raise NotImplementedError("window enumeration needs a one-vertex quiver")
+    _check_dimension(dims[0])
     shift = rho(dims) if delta is None else rho(dims) + delta
     poly = cached_polytope(quiver, dims)
     walk = _dominant_tuples(dims[0], w, poly._window_caps(shift, w))
@@ -128,15 +130,15 @@ def window_generators(quiver: Quiver, dims: Sequence[int], w: int,
 # -- partition families ----------------------------------------------------
 
 
-def _partition_walk(d: int, w: int, trunc: Truncation, strict: bool) -> Iterator[Partition]:
-    """The ordered partitions of (d, w) that trunc admits whose slopes do
-    not increase, or strictly decrease when strict is set.
+def _partition_walk(d: int, w: int, trunc: Truncation) -> Iterator[Partition]:
+    """The ordered partitions of (d, w) that trunc admits whose slopes
+    strictly decrease: all of `enum_V`, and the candidates of `enum_S`.
 
     Parts are chosen left to right.  A head extends by (d_i, w_i) only when
     the rest (D, W) can still be filled by admitted parts no steeper than
     w_i/d_i, D*(w/d - bound) <= W <= D*w_i/d_i, and the last part the cap
-    allows takes all the rest; so a head is a dead end only on a tie under
-    the strict rule.
+    allows takes all the rest; so a head is a dead end only on a tie of
+    slopes.
     """
     bn, bd = trunc.slope_bound.numerator, trunc.slope_bound.denominator
     ln, ld = w * bd - d * bn, d * bd  # w/d - bound = ln/ld, and ld > 0
@@ -150,7 +152,7 @@ def _partition_walk(d: int, w: int, trunc: Truncation, strict: bool) -> Iterator
         for di in range(1 if trunc.admits_count(len(head) + 2) else D, D + 1):
             for wi in range(max(-(-di * ln // ld), -(-di * W // D)),
                             min(di * tn // td, (W * ld - (D - di) * ln) // ld) + 1):
-                if not strict or _slopes_decrease(head[-1:] + ((di, wi),)):
+                if _slopes_decrease(head[-1:] + ((di, wi),)):
                     yield from walk(head + ((di, wi),), D - di, W - wi, wi, di)
 
     yield from walk((), d, w, w * bd + d * bn, ld)
@@ -164,10 +166,10 @@ def _balanced_coords(A: Partition) -> list[int]:
 
 def enum_V(d: int, w: int, trunc: Truncation) -> EnumResult:
     """Ordered partitions of (d, w) with strictly decreasing slopes."""
+    _check_dimension(d)
     if trunc.slope_bound is None:
         raise ValueError("enum_V needs a slope bound (the family is infinite)")
-    return EnumResult(tuple(sorted(_partition_walk(d, w, trunc, strict=True))),
-                      truncated=(d > 1))
+    return EnumResult(tuple(sorted(_partition_walk(d, w, trunc))), truncated=(d > 1))
 
 
 def enum_U(d: int, w: int, trunc: Truncation = Truncation()) -> EnumResult:
@@ -176,6 +178,7 @@ def enum_U(d: int, w: int, trunc: Truncation = Truncation()) -> EnumResult:
     Parts are listed with sizes ascending; the family is always finite.  The
     truncation's part cap applies (every slope bound admits these slopes).
     """
+    _check_dimension(d)
     items = []
     for k in range(1, d + 1):
         if not trunc.admits_count(k):
@@ -191,17 +194,16 @@ def enum_S(quiver: Quiver, d: int, w: int, delta: Weight | None,
            trunc: Truncation) -> EnumResult:
     """Partitions arising as leaf partitions of standard forms.
 
-    The leaf blocks of a dominant chi are runs of it, so their slopes do not
-    increase.  The walk lists the partitions A of (d, w) with such slopes
-    that the truncation admits, and A is kept when its balanced weight
-    (`_balanced_coords`) is dominant and decomposes with leaf partition A
-    (`standard_form._form_onto`).  By the root-radius rule, a candidate of
-    more than one part whose balanced weight has root radius at most 1/2
-    has the one-part leaf partition and is dropped without a
-    decomposition; the radius is decided on integers (the balanced weight
-    and 2*rho are integral, and delta, a multiple of tau, moves no cut).
-    Every other dominant candidate is decomposed once.  The balanced weight
-    decomposes onto A whenever any dominant chi does:
+    Leaf partitions have strictly decreasing slopes (the lemma below), so
+    the candidates are the partitions of `enum_V`, and A is kept when its
+    balanced weight (`_balanced_coords`) is dominant and decomposes with
+    leaf partition A (`standard_form._form_onto`).  By the root-radius
+    rule, a candidate of more than one part whose balanced weight has root
+    radius at most 1/2 has the one-part leaf partition and is dropped
+    without a decomposition; the radius is decided on integers (the
+    balanced weight and 2*rho are integral, and delta, a multiple of tau,
+    moves no cut).  Every other dominant candidate is decomposed once.  The
+    balanced weight decomposes onto A whenever any dominant chi does:
 
     1. On a leaf block of chi's standard form, psi - chi is the block's rho
        plus a constant: it is rho + delta + sum_j r_j N_j there, rho differs
@@ -223,18 +225,36 @@ def enum_S(quiver: Quiver, d: int, w: int, delta: Weight | None,
        generator per leaf block whose concatenation is dominant, the tree
        and the windows depending only on the partition.  By it, the
        balanced concatenation of step 2 decomposes onto A.
+
+    Lemma: on a one-vertex quiver with L >= 1 loops, no node's face cuts
+    between two equal coordinates of chi.  Take a node of radius r > 1/2
+    on a block of size m.  The argument of step 1 holds on every node's
+    block (it lies inside one level block of each ancestor), so the
+    block's current weight x is chi's block, plus the block's rho, plus a
+    constant; x is non-increasing.  Let f(p) be the p-th prefix sum of
+    x - mean(x) and h(p) = L*p*(m - p), p = 0..m.  Then f <= r*h
+    everywhere, with equality at every cut of the face.  Suppose chi is
+    equal on both sides of a tight cut p.  Then x_p = x_{p+1} + 1; put
+    s = x_{p+1} - mean(x).  f(p+1) <= r*h(p+1) gives
+    s <= r*L*(m - 2p - 1), and f(p-1) <= r*h(p-1) gives
+    s >= r*L*(m - 2p + 1) - 1.  Together they give 2*r*L <= 1, so
+    r <= 1/2, a contradiction.  Corollary: chi is non-increasing, so two
+    adjacent leaves of equal slope would make chi constant across their
+    seam, which is a cut of the face of the deepest node above both; the
+    lemma rules that out.  So every leaf partition has strictly
+    decreasing slopes.
     """
     if trunc.slope_bound is None:
         raise ValueError("enum_S needs a slope bound (the family is infinite)")
-    dims = (d,)
-    delta = _invariant_delta(dims, delta)
+    delta = _invariant_delta((d,), delta)
+    candidates = enum_V(d, w, trunc)
     items = []
-    for A in _partition_walk(d, w, trunc, strict=False):
+    for A in candidates:
         chi = _balanced_coords(A)
         if (all(a >= b for a, b in zip(chi, chi[1:]))
-                and _form_onto(quiver, dims, chi, 1, A, delta) is not None):
+                and _form_onto(quiver, (d,), chi, 1, A, delta) is not None):
             items.append(A)
-    return EnumResult(tuple(sorted(items)), truncated=(d > 1))
+    return EnumResult(tuple(items), truncated=candidates.truncated)
 
 
 def enum_T(quiver: Quiver, d: int, w: int, delta: Weight | None,
@@ -255,6 +275,7 @@ def enum_T(quiver: Quiver, d: int, w: int, delta: Weight | None,
     balanced chi.  The family is finite for fixed w; the truncation only
     filters.
     """
+    _check_dimension(d)
     dims = (d,)
     delta = _invariant_delta(dims, delta)
     poly = cached_polytope(quiver, dims)

@@ -8,7 +8,7 @@ from math import comb
 from ._record import Record
 from .index_sets import _box_caps, _dominant_tuples, enum_U
 from .polytope import cached_polytope
-from .quiver_weights import Quiver, Weight, builtin_quiver, rho
+from .quiver_weights import Quiver, Weight, _check_dimension, builtin_quiver, rho
 from .standard_form import (
     DecompositionError,
     _invariant_delta,
@@ -26,8 +26,7 @@ def _quiver(quiver: Quiver | None) -> Quiver:
 def window_count(d: int, w: int, quiver: Quiver | None = None) -> int:
     """Number of window generators m(d, w): the tuples of the capped walk,
     since for delta = 0 the caps are the window test itself."""
-    if d <= 0:
-        raise ValueError("dimension must be positive")
+    _check_dimension(d)
     caps = cached_polytope(_quiver(quiver), (d,))._window_caps(rho((d,)), w)
     return sum(1 for _ in _dominant_tuples(d, w, caps))
 
@@ -89,8 +88,7 @@ def verify_bijection(d: int, w: int, bound: int,
     so their elementwise minimum is the intersection, which
     `_dominant_tuples` walks.
     """
-    if d <= 0:
-        raise ValueError("dimension must be positive")
+    _check_dimension(d)
     if bound <= 0:
         raise ValueError("coordinate bound must be positive")
     q = _quiver(quiver)

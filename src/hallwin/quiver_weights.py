@@ -203,6 +203,12 @@ def _check_block_count(quiver: Quiver, dims: Sequence[int]) -> None:
                          f"{quiver.num_vertices} vertices (one block per vertex)")
 
 
+def _check_dimension(d: int) -> None:
+    """Refuse a one-vertex dimension below 1."""
+    if d < 1:
+        raise ValueError("dimension must be positive")
+
+
 def _slot_ranges(dims: Sequence[int]) -> list[range]:
     offs = block_offsets(dims)
     return [range(offs[i], offs[i + 1]) for i in range(len(dims))]

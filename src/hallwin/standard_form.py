@@ -24,13 +24,13 @@ decomposition; `compare`, `index-sets`, `tree_of_partition` and `enum_S`
 ask for a partition's form through it.
 
 Each node's radius and cocharacter come from the polytope's prefix-sum
-form (no LP).  Below the root the residuals are carried as integers over
-one common denominator, and each block's radius and face are read off one
-list of its integer cuts; Fractions are built only for the nodes and the
-leaves' part of psi.  The same engine on the Jordan quiver, whose edge
-weights are the adjoint weights, with threshold 0 solves the slope
-problem: writing sum_i w_i tau_{d_i} as -sum_j (3 r_j - 3/2) g_j + c tau_d
-for the tripled one-vertex quiver.
+form (no LP).  The weight and the residuals below it are carried as
+integers over one common denominator, and each block's radius and face,
+the root's included, are read off one list of its integer cuts; Fractions
+are built only for the nodes and the leaves' part of psi.  The same
+engine on the Jordan quiver, whose edge weights are the adjoint weights,
+with threshold 0 solves the slope problem: writing sum_i w_i tau_{d_i} as
+-sum_j (3 r_j - 3/2) g_j + c tau_d for the tripled one-vertex quiver.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .quiver_weights import (
     Quiver,
     Weight,
     _check_block_count,
+    _check_dimension,
     _scaled_coords,
     adjoint_positive,
     composition_cocharacter,
@@ -184,19 +185,21 @@ def _tree(quiver: Quiver, phi: Weight, threshold: Fraction):
     and a multiple of tau, or a slope weight with decreasing slopes), and
     so is each part of phi + r*N, N being constant on lam's level blocks.
     So a block's ordered cuts are its sorted cuts, and one list of them,
-    on the integers phi is carried in below the root, gives both its
+    on the integers phi is carried in from the root down, gives both its
     radius and its face.  Fractions are built only for the nodes and the
-    leaves' part of psi.
+    leaves' part of psi.  On a quiver without loops every cut has height
+    0, so a block that is not constant has no face and raises.
     """
     dims = phi.blocks
-    poly = cached_polytope(quiver, dims)
-    r = poly.r_invariant(phi)
-    if r <= threshold:
+    ints, den = _scaled_coords(phi.coords)
+    cuts = cached_polytope(quiver, dims)._int_cuts(ints, den, ordered=True)
+    k, h = _widest_cut(cuts)
+    t_num, t_den = threshold.numerator, threshold.denominator
+    if k * t_den <= t_num * h:
         return (), phi, (tuple(range(dims[0])),)
     nodes: list[Node] = []
     psi = list(phi.coords)
     leaves: list[tuple[int, ...]] = []
-    t_num, t_den = threshold.numerator, threshold.denominator
 
     def grow(ints: list[int], den: int, start: int, cuts: list[tuple[int, int]],
              radius: tuple[int, int], depth: int, parent: tuple[int, int] | None) -> None:
@@ -229,9 +232,7 @@ def _tree(quiver: Quiver, phi: Weight, threshold: Fraction):
                 grow(part, den, start + off, part_cuts, (part_k, part_h), depth + 1, radius)
             off += size
 
-    ints, den = _scaled_coords(phi.coords)
-    grow(ints, den, 0, poly._int_cuts(ints, den, ordered=True), (r.numerator, r.denominator),
-         0, None)
+    grow(ints, den, 0, cuts, (k, h), 0, None)
     return tuple(nodes), Weight(tuple(psi), dims), tuple(leaves)
 
 
@@ -242,6 +243,7 @@ def _check_decomposable(quiver: Quiver, dims: tuple[int, ...], chi: Weight,
     _check_block_count(quiver, dims)
     if len(dims) != 1:
         raise NotImplementedError("decomposition implemented for one-vertex quivers")
+    _check_dimension(dims[0])
     if chi.blocks != dims:
         raise ValueError("weight has wrong block structure")
     if not chi.is_dominant():

@@ -250,6 +250,38 @@ def test_omega_shift_two_vertex_quiver_exit_1(capsys, tmp_path, text):
                    "(one block per vertex)\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["windows", "--d", "4", "--w", "1"],
+    ["index-sets", "--set", "S", "--d", "4", "--w", "0", "--slope-bound", "2"],
+    ["index-sets", "--set", "T", "--d", "4", "--w", "0"],
+    ["index-sets", "--set", "U", "--d", "4", "--w", "0"],
+    ["index-sets", "--set", "V", "--d", "4", "--w", "0", "--slope-bound", "1"],
+    ["compare", "--a", "1,5;1,-5", "--b", "1,1;1,-1"],
+    ["verify-bijection", "--d", "4", "--w", "0", "--bound", "3"],
+], ids=["windows", "index-sets-S", "index-sets-T", "index-sets-U", "index-sets-V", "compare",
+        "verify-bijection"])
+def test_delta_moves_no_cut(capsys, argv):
+    # delta = C*tau_d moves no cut of the polytope, so only decompose's psi
+    # depends on C
+    outs = set()
+    for c in ["0", "5/2", "-1/3"]:
+        code, out, _ = run(capsys, argv + [f"--delta={c}"])
+        assert code == 0 and out
+        outs.add(out)
+    assert len(outs) == 1
+
+
+def test_decompose_on_a_quiver_without_loops_exit_1(capsys, tmp_path):
+    qfile = tmp_path / "point.json"
+    qfile.write_text('{"vertices": [0], "edges": [], "cut": []}')
+    for weight in ["1,0", "0,0", "2,1,0"]:
+        assert_one_error_line(*run(capsys, ["decompose", "--weight", weight,
+                                            "--quiver", str(qfile)]))
+    rows = run_json(capsys, ["decompose", "--weight", "3", "--quiver", str(qfile)],
+                    "decompose")
+    assert rows == [{"nodes": [], "psi": ["3"], "A": [[1, 3]]}]
+
+
 def test_index_sets_missing_bound_exit_1(capsys):
     code, _, err = run(capsys, ["index-sets", "--set", "S", "--d", "2",
                                 "--w", "0"])

@@ -174,6 +174,21 @@ def test_every_index_set_honours_max_parts():
         assert res.items and all(len(A) <= 2 for A in res)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: enum_V(0, 0, Truncation(F(1))),
+    lambda: enum_V(-2, 1, Truncation(F(1))),
+    lambda: enum_U(0, 0),
+    lambda: enum_S(Q3, 0, 0, None, Truncation(F(1))),
+    lambda: enum_T(Q3, 0, 0, None),
+    lambda: window_generators(Q3, (0,), 0),
+    lambda: decompose(Q3, (0,), Weight((), (0,))),
+], ids=["enum_V", "enum_V-negative", "enum_U", "enum_S", "enum_T", "window_generators",
+        "decompose"])
+def test_a_dimension_below_one_is_refused(call):
+    with pytest.raises(ValueError, match="^dimension must be positive$"):
+        call()
+
+
 def test_a_delta_off_the_tau_axis_is_refused():
     # (2, 1, -3) with this delta used to fail deep inside the decomposition
     # ("no face cocharacter found at positive radius")

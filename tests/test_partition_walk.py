@@ -3,10 +3,11 @@
 `enum_V` is checked against the product of each part's weight range,
 filtered by total weight and slope order; `enum_S` against the
 decomposition of every dominant weight in a box widened by the extent of
-the windows.  A test checks step 1 of `enum_S`'s proof on every leaf block
-of a grid of standard forms, and cost guards pin the number of
-decompositions `enum_S` makes and the size of a `enum_V` too large for its
-oracle, so a loss of pruning shows without a clock.
+the windows.  A test checks step 1 of `enum_S`'s proof and its lemma on
+every leaf block and seam of a grid of standard forms, and cost guards pin
+the candidates, root radii and decompositions `enum_S` goes through and the
+size of a `enum_V` too large for its oracle, so a loss of pruning shows
+without a clock.
 """
 
 import itertools
@@ -17,7 +18,7 @@ from math import ceil, floor
 import pytest
 
 from hallwin import Truncation, Weight, builtin_quiver, compositions, enum_S, enum_V, rho, tau
-from hallwin import standard_form
+from hallwin import index_sets, standard_form
 from hallwin.index_sets import _box_caps, _dominant_tuples
 from hallwin.polytope import cached_polytope
 from hallwin.standard_form import _slopes_decrease, decompose
@@ -92,8 +93,10 @@ def test_enum_S_matches_box_scan(name):
 
 def test_leaf_block_shift_is_its_rho_plus_a_constant():
     # Step 1 of enum_S's proof: on each leaf block, psi - chi minus the
-    # block's rho is constant.
-    blocks = 0
+    # block's rho is constant.  Its lemma: no seam between adjacent leaf
+    # blocks joins equal coordinates of chi, so the leaf slopes strictly
+    # decrease.
+    blocks = seams = 0
     for name, d_max in [("tripled-jordan", 6), ("jordan", 4), ("doubled-jordan", 4)]:
         quiver = builtin_quiver(name)
         for d in range(1, d_max + 1):
@@ -109,22 +112,40 @@ def test_leaf_block_shift_is_its_rho_plus_a_constant():
                             rest = shift.restrict(block, (size,)) - rho((size,))
                             assert len(set(rest.coords)) == 1, (name, coords, c, block)
                             blocks += 1
+                        for left, right in zip(form.leaf_blocks, form.leaf_blocks[1:]):
+                            assert coords[left[-1]] != coords[right[0]], (name, coords, c)
+                            seams += 1
+                        assert _slopes_decrease(form.partition), (name, coords, c)
     assert blocks == 9840
+    assert seams == 2721
 
 
 def test_enum_S_makes_one_decomposition_per_dominant_candidate(monkeypatch):
-    # Cost guard: the scan of a box decomposed 16 968 weights here, and one
-    # decomposition per dominant candidate 3 578; the root-radius rule
-    # answers 1 535 multi-part candidates without one.
-    calls = []
+    # Cost guard: enum_S takes one balanced weight per partition of enum_V,
+    # tests the root radius of the dominant multi-part ones, and decomposes
+    # only where the radius does not decide.  The box scan decomposed
+    # 16 968 weights at (6, 1, 6); the walk over non-increasing slopes had
+    # 3 606 candidates there and 72 440 at (10, 0, 3).
+    counts = {}
 
-    def counted(*args):
-        calls.append(args)
-        return decompose(*args)
+    def counted(key, fn):
+        def call(*args):
+            counts[key] += 1
+            return fn(*args)
+        return call
 
-    monkeypatch.setattr(standard_form, "decompose", counted)
-    assert len(enum_S(Q3, 6, 1, None, Truncation(F(6)))) == 41
-    assert len(calls) <= 3578 - 1535
+    monkeypatch.setattr(index_sets, "_balanced_coords",
+                        counted("walked", index_sets._balanced_coords))
+    monkeypatch.setattr(standard_form, "_root_within_half",
+                        counted("radii", standard_form._root_within_half))
+    monkeypatch.setattr(standard_form, "decompose", counted("decompositions", decompose))
+    for d, w, bound, size, walked, radii, decompositions in [(6, 1, 6, 41, 1686, 1681, 987),
+                                                             (10, 0, 3, 1, 11678, 10575, 1)]:
+        counts.update(walked=0, radii=0, decompositions=0)
+        assert len(enum_S(Q3, d, w, None, Truncation(F(bound)))) == size
+        assert counts["walked"] == walked == len(enum_V(d, w, Truncation(F(bound))))
+        assert counts["radii"] <= radii
+        assert counts["decompositions"] <= decompositions
 
 
 def test_enum_V_size_past_its_oracle():

@@ -5,9 +5,10 @@ whose weight has root radius at most 1/2 without decomposing it (the
 root-radius rule in `hallwin.standard_form`).  The slow oracles are the
 old routes: decompose the slope weight in full, check its leaf sizes and
 otherwise run the slope solve; and decompose every dominant balanced
-candidate of the partition walk.  `_tree` grows its blocks on integers;
-its oracle grows them in `Fraction` through the polytope's public
-`r_invariant` and `face_cocharacter`.
+candidate of the walk over partitions with non-increasing slopes, which
+`enum_S` walked before its lemma showed leaf slopes strictly decrease.
+`_tree` grows its blocks on integers; its oracle grows them in `Fraction`
+through the polytope's public `r_invariant` and `face_cocharacter`.
 """
 
 import itertools
@@ -17,7 +18,7 @@ import pytest
 
 from hallwin import Truncation, Weight, builtin_quiver, enum_V, rho, tau
 from hallwin import standard_form
-from hallwin.index_sets import _balanced_coords, _partition_walk, compare, enum_S
+from hallwin.index_sets import _balanced_coords, compare, enum_S
 from hallwin.polytope import cached_polytope
 from hallwin.quiver_weights import N_positive, jordan
 from hallwin.standard_form import (
@@ -25,6 +26,7 @@ from hallwin.standard_form import (
     _check_partition,
     _partition_nodes,
     _partition_weight,
+    _slopes_decrease,
     _tree,
     decompose,
     slope_to_tree,
@@ -56,10 +58,30 @@ def outcome(route, *args):
         return type(exc)
 
 
+def nonincreasing_walk(d, w, trunc):
+    """The ordered partitions of (d, w) that trunc admits whose slopes do not
+    increase, part by part: `index_sets._partition_walk` without its test
+    that slopes strictly decrease."""
+    bn, bd = trunc.slope_bound.numerator, trunc.slope_bound.denominator
+    ln, ld = w * bd - d * bn, d * bd  # w/d - bound = ln/ld
+
+    def walk(head, D, W, tn, td):
+        if not D:
+            yield head
+            return
+        for di in range(1 if trunc.admits_count(len(head) + 2) else D, D + 1):
+            for wi in range(max(-(-di * ln // ld), -(-di * W // D)),
+                            min(di * tn // td, (W * ld - (D - di) * ln) // ld) + 1):
+                yield from walk(head + ((di, wi),), D - di, W - wi, wi, di)
+
+    yield from walk((), d, w, w * bd + d * bn, ld)
+
+
 def old_enum_S(quiver, d, w, delta, trunc):
-    """enum_S by decomposing every dominant balanced candidate."""
+    """enum_S by decomposing every dominant balanced candidate of the
+    non-increasing walk."""
     items = []
-    for A in _partition_walk(d, w, trunc, strict=False):
+    for A in nonincreasing_walk(d, w, trunc):
         chi = Weight.make(_balanced_coords(A), (d,))
         if chi.is_dominant() and decompose(quiver, (d,), chi, delta).partition == A:
             items.append(A)
@@ -76,8 +98,9 @@ def test_routes_agree_with_the_full_decomposition(name):
         trunc = Truncation(bound)
         S = enum_S(quiver, d, w, delta, trunc)
         assert S.items == old_enum_S(quiver, d, w, delta, trunc)
-        candidates = set(enum_V(d, w, trunc)) | set(_partition_walk(d, w, trunc, strict=False))
-        for A in sorted(candidates):
+        candidates = sorted(nonincreasing_walk(d, w, trunc))
+        assert [A for A in candidates if _slopes_decrease(A)] == list(enum_V(d, w, trunc))
+        for A in candidates:
             assert outcome(_partition_nodes, quiver, dims, A, delta) == \
                 outcome(old_partition_nodes, quiver, dims, A, delta), (d, w, c, A)
             checked += 1
