@@ -23,8 +23,9 @@ def _zeta_parts(X, Y, P1, R1, P2, R2) -> tuple:
 
     the kernel times R1 R2 Y^2 above and below.  For integers this clears
     every denominator; for X and Y linear in a series parameter eps, F is
-    the factor that vanishes on a diagonal X = Y, so the caller divides it
-    out last and its exact simple pole costs no precision.
+    the factor that vanishes on a diagonal X = Y, so the caller moves its
+    power of eps into N before multiplying it by E, and its exact simple
+    pole costs no precision.
     """
     return (R1 * Y - P1 * X) * (R2 * Y - P2 * X), R1 * R2 * Y - P1 * P2 * X, Y - X
 

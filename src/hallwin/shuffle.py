@@ -42,8 +42,10 @@ Diagonal rule.  Where a splitting term hits a pole and the only vanishing
 denominators are kernel factors 1 - z_a/z_b with z_a = z_b (no leaf
 denominator is 0, no z is 0 and no z_b = q1*q2*z_a), `shuffle_eval`
 evaluates the same splitting tree along the line z + eps*(0, 1, ..., n-1)
-in Laurent series over Fraction, truncated at eps^C for C pairs with
-z_a = z_b, and returns the eps^0 coefficient.  This is exact when the
+and returns the eps^0 coefficient.  Every value there is a pair as at a
+point: an integer Laurent series in eps over an integer series whose
+eps^0 term is not 0, both truncated at eps^C for C pairs with z_a = z_b,
+so only that coefficient is a Fraction.  This is exact when the
 leaves are symmetric, which `from_expr` and `parse_element` check: a
 product of symmetric functions is symmetric, and each splitting term has
 at most a simple pole along each diagonal, so those poles are removable;
@@ -276,10 +278,10 @@ def _poly_value(terms, values) -> tuple:
 
 
 class _Series:
-    """A Laurent series sum_k c[k] eps^(v+k) over Fraction, with every term
-    above eps^top dropped.  Leading zeros are stripped, so v is the valuation
-    (top + 1 for zero).  Ints and Fractions mix in as constants, lifted to
-    Fraction, so no operation gives a float."""
+    """A Laurent series sum_k c[k] eps^(v+k) with int coefficients, with
+    every term above eps^top dropped.  Leading zeros are stripped, so v is
+    the valuation (top + 1 for zero).  An int mixes in as a constant.  There
+    is no division: a quotient on a line is a pair (`_Point`)."""
 
     __slots__ = ("v", "c", "top")
 
@@ -291,13 +293,11 @@ class _Series:
         self.v = v + k if self.c else top + 1
         self.top = top
 
-    def _lift(self, x) -> "_Series":
-        return x if isinstance(x, _Series) else _Series(0, (Fraction(x),), self.top)
-
     def __add__(self, other):
-        other = self._lift(other)
+        if not isinstance(other, _Series):
+            other = _Series(0, (other,), self.top)
         v = min(self.v, other.v)
-        c = [Fraction(0)] * (self.top - v + 1)
+        c = [0] * (self.top - v + 1)
         for s in (self, other):
             for k, x in enumerate(s.c, s.v - v):
                 c[k] += x
@@ -309,14 +309,14 @@ class _Series:
         return _Series(self.v, [-x for x in self.c], self.top)
 
     def __sub__(self, other):
-        return self + -self._lift(other)
+        return self + -other
 
     def __mul__(self, other):
         if not isinstance(other, _Series):
             return _Series(self.v, [x * other for x in self.c], self.top)
         v = self.v + other.v
         n = self.top - v + 1
-        c = [Fraction(0)] * max(n, 0)
+        c = [0] * max(n, 0)
         for i, x in enumerate(self.c[:n]):
             for j, y in enumerate(other.c[:n - i]):
                 c[i + j] += x * y
@@ -329,28 +329,6 @@ class _Series:
         for _ in range(e - 1):
             out = out * self
         return out
-
-    def _inverse(self) -> "_Series":
-        if not self.c:
-            raise ZeroDivisionError("division by a zero series")
-        c, v = self.c, -self.v
-        first = 1 / Fraction(c[0])
-        inv = [first]
-        for k in range(1, self.top - v + 1):
-            acc = sum(c[j] * inv[k - j] for j in range(1, min(k, len(c) - 1) + 1))
-            inv.append(-acc * first)
-        return _Series(v, inv, self.top)
-
-    def __truediv__(self, other):
-        return self * self._lift(other)._inverse()
-
-    def __rtruediv__(self, other):
-        return self._inverse() * other
-
-    def constant_term(self) -> Fraction:
-        if self.v < 0:
-            raise PoleError(f"a pole of order {-self.v} survives at the point")
-        return Fraction(self.c[0]) if self.v == 0 else Fraction(0)
 
 
 def _vanishes(x) -> bool:
@@ -370,26 +348,27 @@ def _splittings(n: int, k: int) -> tuple:
 
 
 class _Point:
-    """Evaluation at one point: the z values zs, Fractions or `_Series` on a
-    line through the point, and parameter values by name.  `pair` recurses
-    on tuples of positions in zs, so one splitting recursion serves both
-    kinds of z; sub-element values are cached by (element, positions) and
-    kernel factors by (mode, position pair).  A leaf denominator or kernel
-    factor that vanishes at the point raises ZeroDivisionError (or its
-    subclass PoleError); on a line, the kernel's 1 - z_a/z_b with z_a = z_b
-    is instead a simple pole in eps.
+    """Evaluation at one point, or on a line through it: the z values zs
+    (Fractions, or the pairs of `_diagonal_line`) and parameter values by
+    name.  `pair` recurses on tuples of positions in zs, so one splitting
+    recursion serves both; sub-element values are cached by (element,
+    positions) and kernel factors by (mode, position pair).  A leaf
+    denominator or kernel factor that vanishes at the point raises
+    ZeroDivisionError (or its subclass PoleError); on a line, the kernel's
+    1 - z_a/z_b with z_a = z_b is instead a simple pole in eps.
 
-    Values, z's and parameters are pairs (numerator, denominator) of ints,
-    or (series, int) on a line; a kernel factor is (N, E*F) of
-    `_zeta_parts`.  Sums run over the lcm of their terms' denominators, not
-    their product, which grows with the number of splittings.  At a point
-    each cached value is reduced by one gcd to a positive denominator, so
-    equal values are equal pairs; `value` builds the answer's one Fraction
-    (or series)."""
+    Values, z's and parameters are pairs (numerator, denominator) of ints;
+    a kernel factor is (N, E*F) of `_zeta_parts`.  On a line a numerator is
+    a `_Series` and a denominator a unit, a `_Series` (or int) that is not
+    0 at eps = 0: F's power of eps moves into N, and sums cross-multiply.
+    At a point sums run over the lcm of their terms' denominators, not
+    their product, which grows with the number of splittings, and each
+    cached value is reduced by one gcd to a positive denominator, so equal
+    values are equal pairs; `value` builds the answer's one Fraction."""
 
     def __init__(self, env: dict, zs: tuple):
-        self.line = bool(zs) and isinstance(zs[0], _Series)
-        self.zs = [(z, 1) if self.line else (z.numerator, z.denominator) for z in zs]
+        self.line = bool(zs) and isinstance(zs[0], tuple)
+        self.zs = list(zs) if self.line else [(z.numerator, z.denominator) for z in zs]
         self.env = {s: (v.numerator, v.denominator) for s, v in env.items()}
         self.values: dict = {}
         self.kernels: dict = {}  # mode -> factors by i * len(zs) + j
@@ -414,16 +393,16 @@ class _Point:
             F = Y - X
             N = E * F + Dn * Kd * X * Y
         if self.line:
-            return N / E / F, 1
+            # F = Y - X is linear in eps, so its power of eps moves into N
+            # exactly; E multiplies F after the move, so no term of E*F is lost
+            return _Series(N.v - F.v, N.c, N.top), E * _Series(0, F.c, F.top)
         if not E or not F:
             raise ZeroDivisionError("a kernel denominator vanishes")
         return N, E * F
 
-    def value(self, el: ShuffleElement, pos: tuple):
-        """Value of el at the z's in the given positions: a Fraction, or a
-        series on a line."""
-        top, bottom = self.pair(el, pos)
-        return top * Fraction(1, bottom) if self.line else Fraction(top, bottom)
+    def value(self, el: ShuffleElement, pos: tuple) -> Fraction:
+        """Value of el at the z's in the given positions, at a point."""
+        return Fraction(*self.pair(el, pos))
 
     def pair(self, el: ShuffleElement, pos: tuple) -> tuple:
         """Value of el at the z's in the given positions as a pair."""
@@ -439,10 +418,7 @@ class _Point:
                 dn, dd = _poly_value(den, values)
                 if _vanishes(dn):
                     raise ZeroDivisionError("a leaf denominator vanishes")
-                if isinstance(dn, _Series):
-                    top, bottom = top * dd / dn, bottom
-                else:
-                    top, bottom = top * dd, bottom * dn
+                top, bottom = top * dd, bottom * dn
         else:
             f, g, params = el._factors
             n = len(self.zs)
@@ -459,8 +435,11 @@ class _Point:
                         k = kernels[i * n + j] = self.kernel(i, j, params.mode)
                     tn *= k[0]
                     td *= k[1]
-                h = math.gcd(bottom, td)
-                top, bottom = top * (td // h) + tn * (bottom // h), bottom // h * td
+                if self.line:
+                    top, bottom = top * td + tn * bottom, bottom * td
+                else:
+                    h = math.gcd(bottom, td)
+                    top, bottom = top * (td // h) + tn * (bottom // h), bottom // h * td
         if not self.line:
             d = math.gcd(top, bottom)
             d = -d if bottom < 0 else d
@@ -470,9 +449,10 @@ class _Point:
 
 
 def _diagonal_line(zs: tuple, env: dict) -> tuple | None:
-    """The line z + eps*(0, 1, ..., n-1) as series truncated at eps^C, C the
-    number of pairs with z_a = z_b, when those diagonals are the only kernel
-    poles at zs; None when C = 0, a z is 0 or some z_b = q1*q2*z_a."""
+    """The line z + eps*(0, 1, ..., n-1) as pairs (a + i*b*eps, b) for
+    z_i = a/b, the numerators series truncated at eps^C, C the number of
+    pairs with z_a = z_b, when those diagonals are the only kernel poles at
+    zs; None when C = 0, a z is 0 or some z_b = q1*q2*z_a."""
     k = env["q1"] * env["q2"]
     n = len(zs)
     if 0 in zs or any(zs[b] == k * zs[a] for a in range(n) for b in range(n) if a != b):
@@ -480,7 +460,8 @@ def _diagonal_line(zs: tuple, env: dict) -> tuple | None:
     top = sum(zs[a] == zs[b] for a in range(n) for b in range(a + 1, n))
     if not top:
         return None
-    return tuple(_Series(0, (z, Fraction(i)), top) for i, z in enumerate(zs))
+    return tuple((_Series(0, (z.numerator, i * z.denominator), top), z.denominator)
+                 for i, z in enumerate(zs))
 
 
 def _degenerate(env: dict) -> bool:
@@ -506,6 +487,7 @@ def equals(f: ShuffleElement, g: ShuffleElement,
     points.  It redraws a point where any term hits a pole, and one where a
     kernel degenerates (`_degenerate`) and so would make products equal
     that are not; each draw counts as one of at most 50 attempts per point.
+    It needs at least one point: none would check nothing.
 
     `params` is not read: each product carries the kernel `mul` gave it.
     """
@@ -518,6 +500,8 @@ def equals(f: ShuffleElement, g: ShuffleElement,
             return _sympy(f"exact equality, where {exc},").equal(f, g)
     if strategy != "probabilistic":
         raise ValueError(f"unknown strategy {strategy!r}")
+    if points < 1:
+        raise ValueError(f"probabilistic equals needs at least one point, not {points}")
     rng = random.Random(seed)
     zs = _znames(f.degree)
     names = sorted(set(zs) | _parameters(f) | _parameters(g))
@@ -574,11 +558,14 @@ def shuffle_eval(f: ShuffleElement, z_values, q1_val, q2_val) -> Fraction:
     line = _diagonal_line(zs, env)
     if line is not None:
         try:
-            val = _Point(env, line).value(f, everywhere)
+            top, bottom = _Point(env, line).pair(f, everywhere)
         except ZeroDivisionError:
             pass  # a leaf denominator vanishes at zs
         else:
-            return val.constant_term()
+            # bottom is a unit, so top / bottom has top's valuation
+            if top.v < 0:
+                raise PoleError(f"a pole of order {-top.v} survives at the point")
+            return Fraction(top.c[0], bottom.c[0]) if top.v == 0 else Fraction(0)
     # any other pole: the reduced form may still be regular there
     try:
         reduced = _reduced(f)

@@ -188,12 +188,15 @@ def _tree(quiver: Quiver, phi: Weight, threshold: Fraction):
     on the integers phi is carried in from the root down, gives both its
     radius and its face.  Fractions are built only for the nodes and the
     leaves' part of psi.  On a quiver without loops every cut has height
-    0, so a block that is not constant has no face and raises.
+    0, so a root that is not constant has no finite radius: it raises the
+    LP's refusal, that the weight is not in span(segments) + axis.
     """
     dims = phi.blocks
     ints, den = _scaled_coords(phi.coords)
     cuts = cached_polytope(quiver, dims)._int_cuts(ints, den, ordered=True)
     k, h = _widest_cut(cuts)
+    if not h:
+        raise DecompositionError("weight does not lie in span(segments) + axis")
     t_num, t_den = threshold.numerator, threshold.denominator
     if k * t_den <= t_num * h:
         return (), phi, (tuple(range(dims[0])),)

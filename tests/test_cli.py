@@ -274,9 +274,15 @@ def test_delta_moves_no_cut(capsys, argv):
 def test_decompose_on_a_quiver_without_loops_exit_1(capsys, tmp_path):
     qfile = tmp_path / "point.json"
     qfile.write_text('{"vertices": [0], "edges": [], "cut": []}')
-    for weight in ["1,0", "0,0", "2,1,0"]:
-        assert_one_error_line(*run(capsys, ["decompose", "--weight", weight,
-                                            "--quiver", str(qfile)]))
+    # no loops: at d >= 2 no weight has a radius, which the LP refuses
+    commands = [["decompose", "--weight", weight] for weight in ["1,0", "0,0", "2,1,0"]] + [
+        ["index-sets", "--set", s, "--d", "2", "--w", "0", "--slope-bound", "3"] for s in "SV"
+    ] + [["compare", "--d", "2", "--a", "1,1;1,-1", "--b", "2,0"],
+         ["verify-bijection", "--d", "2", "--w", "0", "--bound", "3"]]
+    for argv in commands:
+        code, out, err = run(capsys, argv + ["--quiver", str(qfile)])
+        assert_one_error_line(code, out, err)
+        assert err == "error: weight does not lie in span(segments) + axis\n", argv
     rows = run_json(capsys, ["decompose", "--weight", "3", "--quiver", str(qfile)],
                     "decompose")
     assert rows == [{"nodes": [], "psi": ["3"], "A": [[1, 3]]}]

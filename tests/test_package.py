@@ -200,10 +200,12 @@ def test_shuffle_mul_does_not_load_sympy():
     assert proc.stdout.endswith("\n0 False\n")
 
 
-def test_shuffle_demo_output_unchanged():
-    proc = python(str(ROOT / "demos" / "03_shuffle_products.py"))
+@pytest.mark.parametrize("demo", ["01_windows_and_standard_forms",
+                                  "02_counting_and_bijection", "03_shuffle_products"])
+def test_shuffle_demo_output_unchanged(demo):
+    proc = python(str(ROOT / "demos" / f"{demo}.py"))
     assert proc.returncode == 0, proc.stderr
-    golden = ROOT / "tests" / "golden" / "demo_03_shuffle_products.txt"
+    golden = ROOT / "tests" / "golden" / f"demo_{demo}.txt"
     assert proc.stdout == golden.read_text()
 
 

@@ -376,6 +376,15 @@ def test_probabilistic_equals_redraws_degenerate_kernels():
     assert not shuffle._degenerate({"q1": F(1), "D": F(2), "K": F(3)})
 
 
+@pytest.mark.parametrize("points", [0, -1])
+def test_probabilistic_equals_needs_a_point(points):
+    # with no point it would check nothing and call different products equal
+    left, right = mul(elem(1, "z1"), const(1), A2), mul(const(1), const(1), A2)
+    assert not equals(left, right, strategy="probabilistic", points=1)
+    with pytest.raises(ValueError, match="at least one point"):
+        equals(left, right, strategy="probabilistic", points=points)
+
+
 def test_floats_are_refused():
     prod = mul(const(1), const(1), A2)
     with pytest.raises(TypeError, match="float"):
@@ -583,8 +592,10 @@ def test_equal_z_values_at_different_positions_stay_apart(monkeypatch):
     zs = (F(4, 3), F(5), F(4, 3))
     env = {"q1": F(2), "q2": F(3)}
     point = shuffle._Point(env, shuffle._diagonal_line(zs, env))
-    assert point.value(f, (0,)) != point.value(f, (2,))
-    assert point.value(f, (0,)).constant_term() == point.value(f, (2,)).constant_term() == 5
+    (top0, bottom0), (top2, bottom2) = point.pair(f, (0,)), point.pair(f, (2,))
+    assert (top0.v, top0.c, bottom0) != (top2.v, top2.c, bottom2)
+    assert top0.v == top2.v == 0
+    assert F(top0.c[0], bottom0) == F(top2.c[0], bottom2) == 5
     monkeypatch.setattr(_symbolic, "cancel", no_fallback)
     rng = random.Random(7)
     for prod in [mul(f, g, A2), mul(g, f, A2)]:
@@ -633,8 +644,8 @@ def test_non_polynomial_leaf_pole_goes_to_sympy(monkeypatch):
 
 
 def test_diagonal_pole_with_a_z_dependent_leaf_denominator(monkeypatch):
-    # on the line the leaf's denominator is a series, which divides the
-    # leaf's numerator as a series
+    # on the line the leaf's denominator is a series, which joins the
+    # denominator of the leaf's pair
     lone = ShuffleElement.from_expr(1, 1 / (zvars(1)[0] + 3))
     prod = mul(lone, lone, A2)
     zs = (F(2), F(2))
@@ -788,34 +799,50 @@ def test_values_are_fractions_at_regular_points_and_diagonal_poles(monkeypatch):
         assert diagonal == line_normal_value(prod, (F(4, 3), F(5), F(4, 3)), F(2), F(3), rng)
 
 
-def test_series_keep_fractions():
-    # an int lifted into a series, and the inverse of an int coefficient,
-    # stay Fractions: 1 / 2 would be the float 0.5
-    series = shuffle._Series(0, (F(3), F(1)), 2) / 2
-    assert series.c == (F(3, 2), F(1, 2), 0)
-    assert all(type(x) is F for x in series.c)
-    for series in (2 / shuffle._Series(0, (3, 1), 2), shuffle._Series(0, (4,), 2) / 3):
-        assert all(type(x) is F for x in series.c)
-    assert (2 / shuffle._Series(0, (3, 1), 2)).c == (F(2, 3), F(-2, 9), F(2, 27))
+def test_values_on_a_line_hold_only_ints():
+    # every value on a diagonal line is an integer pair: its numerator's
+    # and denominator's coefficients are ints, also for a leaf denominator
+    # in the z's and a kernel factor with its pole in eps moved out
+    a, b = parse_element("3*z1 + 1"), parse_element("z1*z2 + z1 + z2")
+    lone = ShuffleElement.from_expr(1, 1 / (zvars(1)[0] + 3))
+    env = {"q1": F(2), "q2": F(3)}
+    for prod, zs in [(mul(mul(a, lone, A2), a, A2), (F(4, 3), F(5), F(4, 3))),
+                     (mul(a, b, A2), (F(-2, 5), F(-2, 5), F(-2, 5)))]:
+        point = shuffle._Point(env, shuffle._diagonal_line(zs, env))
+        point.pair(prod, (0, 1, 2))
+        kernels = [k for k in point.kernels["a2"] if k is not None]
+        assert any(k[0].v < 0 for k in kernels)
+        parts = [x for pair in [*point.zs, *point.values.values(), *kernels] for x in pair]
+        assert any(isinstance(x, shuffle._Series) for x in parts)
+        for x in parts:
+            assert all(type(c) is int for c in (x.c if isinstance(x, shuffle._Series) else [x]))
 
 
 def test_a_regular_point_builds_one_fraction(monkeypatch):
     # the splitting sum of a degree-4 product runs on integer pairs, and
-    # only the answer is a Fraction
+    # only the answer is a Fraction; so does a diagonal pole, on its line
     a, b, c = parse_element("1 + 2*z1"), parse_element("z1*z2 + 3"), parse_element("3*z1 + 1")
     prod = mul(mul(a, b, A2), c, A2)
-    zs, qs = (F(2), F(3, 5), F(-7, 2), F(11, 3)), (F(2, 3), F(7))
-    built = []
+    qs = (F(2, 3), F(7))
+    rng = random.Random(11)
+    for el, zs in [(prod, (F(2), F(3, 5), F(-7, 2), F(11, 3))),
+                   (prod, (F(2), F(3, 5), F(2), F(11, 3))),
+                   (mul(a, b, A2), (F(2), F(3, 5), F(2)))]:
+        built = []
 
-    def counted(*args):
-        built.append(args)
-        return F(*args)
+        def counted(*args):
+            built.append(args)
+            return F(*args)
 
-    monkeypatch.setattr(shuffle, "Fraction", counted)
-    value = shuffle_eval(prod, zs, *qs)
-    assert len(built) <= 1
-    monkeypatch.undo()
-    assert value == oracle_value(prod, dict(zip(("q1", "q2"), qs)), zs)
+        with monkeypatch.context() as m:
+            m.setattr(shuffle, "Fraction", counted)
+            m.setattr(_symbolic, "cancel", no_fallback)
+            value = shuffle_eval(el, zs, *qs)
+        assert len(built) <= 1
+        if len(set(zs)) == len(zs):
+            assert value == oracle_value(el, dict(zip(("q1", "q2"), qs)), zs)
+        else:
+            assert value == line_normal_value(el, zs, *qs, rng)
 
 
 # -- the text parser against sympy -------------------------------------------
