@@ -224,7 +224,7 @@ def _cmd_r_invariant(args) -> int:
     r = poly.r_invariant(chi)
     # faces are computed for one vertex only; the LP gives r for the rest
     face = poly.face_cocharacter(chi, r) if len(chi.blocks) == 1 else None
-    lam = [int(v) for v in face[1].coords] if face is not None else None
+    lam = list(face[1].coords) if face is not None else None
     print(_dump({"r": str(r), "lambda": lam}))
     return EXIT_OK
 
@@ -250,10 +250,10 @@ def _cmd_windows(args) -> int:
     gens = window_generators(q, (args.d,), args.w, delta)
     if args.format == "tsv":
         for g in gens:
-            print("\t".join(str(int(v)) for v in g.coords))
+            print("\t".join(map(str, g.coords)))
     else:
         for g in gens:
-            print(_dump({"chi": [int(v) for v in g.coords]}))
+            print(_dump({"chi": list(g.coords)}))
     return EXIT_OK
 
 

@@ -121,7 +121,7 @@ def window_generators(quiver: Quiver, dims: Sequence[int], w: int,
     poly = cached_polytope(quiver, dims)
     walk = _dominant_tuples(dims[0], w, poly._window_caps(shift, w))
     # the walk runs in descending order
-    gens = [Weight.make(c, dims) for c in reversed(list(walk))]
+    gens = [Weight(c, dims) for c in reversed(list(walk))]
     if delta is None or len(set(delta.coords)) == 1:
         return tuple(gens)
     return tuple(chi for chi in gens if poly.contains(chi + shift, Fraction(1, 2)))
@@ -284,12 +284,11 @@ def enum_T(quiver: Quiver, d: int, w: int, delta: Weight | None,
     for comp in compositions(d):
         lam = composition_cocharacter(comp)
         # Part weights are pinned by the requirement that the cut shift
-        # moves every part onto the slope w/d.
-        weights = [Fraction(di * w, d) - os
-                   for di, os in zip(comp, _cut_twist_sums(quiver, dims, comp))]
-        if any(wi.denominator != 1 for wi in weights):
+        # moves every part onto the slope w/d; the shifts are integers.
+        if any(di * w % d for di in comp):
             continue
-        A = tuple((di, int(wi)) for di, wi in zip(comp, weights))
+        A = tuple((di, di * w // d - os)
+                  for di, os in zip(comp, _cut_twist_sums(quiver, dims, comp)))
         if not _slopes_decrease(A[::-1]) or not trunc.admits(d, w, A):
             continue
         chi = Weight.make(_balanced_coords(A), dims)

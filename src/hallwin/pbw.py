@@ -100,7 +100,7 @@ def verify_bijection(d: int, w: int, bound: int,
     caps_by_A: dict[tuple, list[list[int]] | None] = {}
     domain = list(_dominant_tuples(d, w, _box_caps(d, w, -bound, bound)))
     for chi in domain:
-        form = decompose(q, dims, Weight.make(chi, dims), delta)
+        form = decompose(q, dims, Weight(chi, dims), delta)
         A = form.partition
         key = (A, tuple(tuple(chi[i] for i in b) for b in form.leaf_blocks))
         if key in image:
@@ -121,8 +121,8 @@ def verify_bijection(d: int, w: int, bound: int,
         shift = tree.psi - tree.chi
         shifts = [shift.restrict(b, (len(b),)) for b in tree.leaf_blocks]
         if any(a - b != 1 for s in shifts for a, b in zip(s.coords, s.coords[1:])):
-            violations.append(f"shift {shift.coords} of {A} is not rho plus a constant "
-                              "on a leaf block")
+            violations.append(f"shift ({', '.join(map(str, shift.coords))}) of {A} is not "
+                              "rho plus a constant on a leaf block")
             continue
         caps_by_A[A] = [cached_polytope(q, (bd,))._window_caps(s, bw)
                         for (bd, bw), s in zip(A, shifts)]

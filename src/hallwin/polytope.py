@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Sequence
 
-from . import lp
+from . import _rational, lp
 from .quiver_weights import (
     Quiver,
     Weight,
@@ -157,8 +157,8 @@ class WPolytope:
         return A, b, ncols
 
     def contains(self, chi: Weight, r) -> bool:
-        """Is chi in r*W (closed)?"""
-        r = Fraction(r)
+        """Is chi in r*W (closed)?  A float r is a TypeError."""
+        r = _rational(r)
         if r < 0:
             raise ValueError("radius must be nonnegative")
         if self._closed_form:
@@ -169,10 +169,11 @@ class WPolytope:
         return lp.feasible(A, b, ncols)
 
     def contains_interior(self, chi: Weight, r) -> bool:
-        """Strict membership modulo the axis (one-vertex quivers)."""
+        """Strict membership modulo the axis (one-vertex quivers).  A float r
+        is a TypeError."""
         if len(self.dims) != 1:
             raise NotImplementedError("interior test implemented for one-vertex quivers")
-        r = Fraction(r)
+        r = _rational(r)
         num, den = r.numerator, r.denominator
         return all(k * den < num * h for k, h in self._cuts(chi, ordered=False))
 

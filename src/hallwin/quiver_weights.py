@@ -1,8 +1,14 @@
 """Quivers, dimension vectors, and exact-rational weight arithmetic.
 
 Weights of G(d) = prod_i GL(d_i) live on "slots": one coordinate per row of
-each vertex block, ordered vertex by vertex.  Everything is a Fraction; a
-cocharacter is simply an integral weight used through the pairing.
+each vertex block, ordered vertex by vertex.  A coordinate is an int where
+it is integral and a Fraction only where it is not, so the integer cores
+(`_scaled_coords` and the polytope's cuts) read integral weights as they
+are.  No float enters: `Weight.make` and `Weight.scale` refuse one, and no
+coordinate is divided by `/`.  The scalars read off a weight (`total`,
+`block_sums`, `pair`) are Fractions, so that dividing one by an int stays
+exact.  A cocharacter is simply an integral weight used through the
+pairing.
 """
 
 from __future__ import annotations
@@ -10,6 +16,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
 from . import _rational
@@ -106,14 +113,20 @@ def block_offsets(dims: Sequence[int]) -> list[int]:
 
 
 class Weight(Record):
-    """A weight (or cocharacter) of G(d): one Fraction per slot.
+    """A weight (or cocharacter) of G(d): one coordinate per slot, an int
+    where integral and a Fraction only where not.
 
     ``blocks`` records the vertex block sizes, i.e. the dimension vector.
+    The constructor takes coordinates in that form; `make` builds them from
+    any exact input, and the arithmetic keeps them in it.  An int and the
+    Fraction of the same value are equal, hash alike and print alike, so
+    the form changes no comparison and no output; `repr` prints every
+    coordinate as a Fraction.
     """
 
     __slots__ = ("coords", "blocks")
 
-    def __init__(self, coords: tuple[Fraction, ...], blocks: tuple[int, ...]) -> None:
+    def __init__(self, coords: tuple[int | Fraction, ...], blocks: tuple[int, ...]) -> None:
         if sum(blocks) != len(coords):
             raise ValueError("coordinate count does not match block sizes")
         _set(self, "coords", coords)
@@ -121,9 +134,9 @@ class Weight(Record):
 
     @staticmethod
     def make(values: Iterable, blocks: Sequence[int]) -> "Weight":
-        """A weight from ints, Fractions or strings `Fraction` reads; a float
-        is a TypeError."""
-        return Weight(tuple(_rational(v) for v in values), tuple(blocks))
+        """A weight from ints, Fractions or strings `Fraction` reads, each
+        coordinate an int where integral; a float is a TypeError."""
+        return Weight(tuple(map(_coord, values)), tuple(blocks))
 
     @staticmethod
     def zero(blocks: Sequence[int]) -> "Weight":
@@ -132,19 +145,20 @@ class Weight(Record):
     def __add__(self, other: "Weight") -> "Weight":
         if self.blocks != other.blocks:
             raise ValueError("block mismatch")
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)), self.blocks)
+        return Weight(tuple(map(_coord, map(add, self.coords, other.coords))), self.blocks)
 
     def __sub__(self, other: "Weight") -> "Weight":
         if self.blocks != other.blocks:
             raise ValueError("block mismatch")
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)), self.blocks)
+        return Weight(tuple(map(_coord, map(sub, self.coords, other.coords))), self.blocks)
 
     def __neg__(self) -> "Weight":
         return Weight(tuple(-a for a in self.coords), self.blocks)
 
     def scale(self, k) -> "Weight":
-        k = Fraction(k)
-        return Weight(tuple(k * a for a in self.coords), self.blocks)
+        """k times the weight; a float k is a TypeError."""
+        k = _coord(k)
+        return Weight(tuple(_coord(k * a) for a in self.coords), self.blocks)
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
@@ -166,18 +180,17 @@ class Weight(Record):
         return sum(self.coords, Fraction(0))
 
     def block_sums(self) -> tuple[Fraction, ...]:
-        sums = []
-        off = 0
-        for b in self.blocks:
-            sums.append(sum(self.coords[off:off + b], Fraction(0)))
-            off += b
-        return tuple(sums)
+        return tuple(sum((self.coords[i] for i in r), Fraction(0))
+                     for r in _slot_ranges(self.blocks))
+
+    def __repr__(self) -> str:
+        return f"Weight(coords={tuple(map(Fraction, self.coords))!r}, blocks={self.blocks!r})"
 
     def restrict(self, slots: Sequence[int], blocks: Sequence[int]) -> "Weight":
         return Weight(tuple(self.coords[i] for i in slots), tuple(blocks))
 
     def embed(self, slots: Sequence[int], blocks: Sequence[int]) -> "Weight":
-        coords = [Fraction(0)] * sum(blocks)
+        coords = [0] * sum(blocks)
         for local, g in enumerate(slots):
             coords[g] = self.coords[local]
         return Weight(tuple(coords), tuple(blocks))
@@ -189,11 +202,29 @@ def pair(lam: Weight, chi: Weight) -> Fraction:
     return sum((a * b for a, b in zip(lam.coords, chi.coords)), Fraction(0))
 
 
-def _scaled_coords(coords: Sequence[Fraction]) -> tuple[list[int], int]:
+def _coord(v) -> int | Fraction:
+    """v as a weight coordinate: an int where integral, else a Fraction.
+    A float is a TypeError (`hallwin._rational`)."""
+    if type(v) is int:
+        return v
+    v = v if type(v) is Fraction else _rational(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def _scaled_coords(coords: Sequence[int | Fraction]) -> tuple[list[int], int]:
     """(D*coords, D) with D the lcm of the denominators: the coordinates as
-    integers over one common denominator."""
+    integers over one common denominator.  D is 1, and no coordinate is
+    touched, when all are ints."""
+    if all(type(c) is int for c in coords):
+        return list(coords), 1
     den = lcm(*[c.denominator for c in coords])
     return [c.numerator * (den // c.denominator) for c in coords], den
+
+
+def _unscaled(ints: Sequence[int], den: int) -> tuple[int | Fraction, ...]:
+    """The coordinates ints/den, the inverse of `_scaled_coords`: an int
+    where den divides, else a Fraction."""
+    return tuple(Fraction(x, den) if x % den else x // den for x in ints)
 
 
 def _check_block_count(quiver: Quiver, dims: Sequence[int]) -> None:
@@ -223,7 +254,7 @@ def _edge_weights(dims: Sequence[int], edges: Iterable[tuple[int, int]]) -> list
     for s, t in edges:
         for l in ranges[t]:
             for m in ranges[s]:
-                coords = [Fraction(0)] * n
+                coords = [0] * n
                 coords[l] += 1
                 coords[m] -= 1
                 out.append(Weight(tuple(coords), blocks))
@@ -245,10 +276,11 @@ def adjoint_weights(quiver: Quiver, dims: Sequence[int]) -> list[Weight]:
 
 
 def rho(dims: Sequence[int]) -> Weight:
-    """Half-sum weight: ((n-1)/2, ..., -(n-1)/2) on each vertex block."""
+    """Half-sum weight: ((n-1)/2, ..., -(n-1)/2) on each vertex block, ints
+    on a block of odd size."""
     coords = []
     for b in dims:
-        coords.extend(Fraction(b - 1 - 2 * j, 2) for j in range(b))
+        coords.extend(_unscaled(range(b - 1, -b, -2), 2))
     return Weight(tuple(coords), tuple(dims))
 
 

@@ -26,9 +26,12 @@ ask for a partition's form through it.
 Each node's radius and cocharacter come from the polytope's prefix-sum
 form (no LP).  The weight and the residuals below it are carried as
 integers over one common denominator, and each block's radius and face,
-the root's included, are read off one list of its integer cuts; Fractions
-are built only for the nodes and the leaves' part of psi.  The same
-engine on the Jordan quiver, whose edge weights are the adjoint weights,
+the root's included, are read off one list of its integer cuts.  Weight
+coordinates are ints where integral, so Fractions are built only for the
+nodes' radii, their multiples in the reconstruction check, and the
+non-integral coordinates; an integral chi at odd d (whose rho is
+integral) with delta 0 and a root leaf builds none.  The same engine on
+the Jordan quiver, whose edge weights are the adjoint weights,
 with threshold 0 solves the slope problem: writing sum_i w_i tau_{d_i} as
 -sum_j (3 r_j - 3/2) g_j + c tau_d for the tripled one-vertex quiver.
 """
@@ -49,6 +52,7 @@ from .quiver_weights import (
     _check_block_count,
     _check_dimension,
     _scaled_coords,
+    _unscaled,
     adjoint_positive,
     composition_cocharacter,
     jordan,
@@ -99,21 +103,18 @@ class StandardForm(Record):
         return _r_sequence(self.nodes)
 
     def to_json(self) -> str:
-        def frac(x: Fraction) -> str:
-            return str(x)
-
         data = {
             "nodes": [
                 {
-                    "lambda": [int(v) for v in node.lam.coords],
-                    "r": frac(node.r),
-                    "N": [frac(v) for v in node.N.coords],
+                    "lambda": list(node.lam.coords),
+                    "r": str(node.r),
+                    "N": [str(v) for v in node.N.coords],
                     "block": list(node.block),
                     "depth": node.depth,
                 }
                 for node in self.nodes
             ],
-            "psi": [frac(v) for v in self.psi.coords],
+            "psi": [str(v) for v in self.psi.coords],
             "A": [[d, w] for d, w in self.partition],
         }
         return json.dumps(data, separators=(", ", ": "))
@@ -127,11 +128,10 @@ def _r_sequence(nodes: Sequence[Node]) -> tuple[Fraction, ...]:
 def _leaf_partition(chi: Weight, leaf_blocks: Sequence[Sequence[int]]):
     parts = []
     for block in leaf_blocks:
-        ints, den = _scaled_coords([chi.coords[i] for i in block])
-        w, rem = divmod(sum(ints), den)
-        if rem:
+        w = sum(chi.coords[i] for i in block)
+        if w.denominator != 1:
             raise DecompositionError("partition weight is not an integer")
-        parts.append((len(block), w))
+        parts.append((len(block), int(w)))
     return tuple(parts)
 
 
@@ -160,12 +160,11 @@ def _invariant_delta(dims: tuple[int, ...], delta: Weight | None) -> Weight:
 
 
 @lru_cache(maxsize=None)
-def _face_weights(quiver: Quiver, comp: tuple[int, ...]) -> tuple[Weight, Weight, tuple[int, ...]]:
-    """lam, N_positive(lam) and N's integer coordinates for the canonical
-    cocharacter lam of a one-vertex composition."""
+def _face_weights(quiver: Quiver, comp: tuple[int, ...]) -> tuple[Weight, Weight]:
+    """lam and N_positive(lam), both integral, for the canonical cocharacter
+    lam of a one-vertex composition."""
     lam = composition_cocharacter(comp)
-    N = N_positive(quiver, (sum(comp),), lam)
-    return lam, N, tuple(v.numerator for v in N.coords)
+    return lam, N_positive(quiver, (sum(comp),), lam)
 
 
 def _tree(quiver: Quiver, phi: Weight, threshold: Fraction):
@@ -186,10 +185,11 @@ def _tree(quiver: Quiver, phi: Weight, threshold: Fraction):
     so is each part of phi + r*N, N being constant on lam's level blocks.
     So a block's ordered cuts are its sorted cuts, and one list of them,
     on the integers phi is carried in from the root down, gives both its
-    radius and its face.  Fractions are built only for the nodes and the
-    leaves' part of psi.  On a quiver without loops every cut has height
-    0, so a root that is not constant has no finite radius: it raises the
-    LP's refusal, that the weight is not in span(segments) + axis.
+    radius and its face.  Fractions are built only for the nodes' radii and
+    the leaves' non-integral part of psi.  On a quiver without loops every
+    cut has height 0, so a root that is not constant has no finite radius:
+    it raises the LP's refusal, that the weight is not in span(segments) +
+    axis.
     """
     dims = phi.blocks
     ints, den = _scaled_coords(phi.coords)
@@ -216,12 +216,12 @@ def _tree(quiver: Quiver, phi: Weight, threshold: Fraction):
         if parent is not None and not k * parent[1] < parent[0] * h:
             raise DecompositionError("coefficients fail to decrease along the path")
         r = Fraction(k, h)
-        lam, N, n_ints = _face_weights(quiver, comp)
+        lam, N = _face_weights(quiver, comp)
         nodes.append(Node(lam=lam.embed(slots, dims), r=r, N=N.embed(slots, dims),
                           block=slots, depth=depth))
         # phi + r*N over the common denominator den * r.den
         num, rden = r.numerator, r.denominator
-        reduced = [x * rden + num * den * v for x, v in zip(ints, n_ints)]
+        reduced = [x * rden + num * den * v for x, v in zip(ints, N.coords)]
         den *= rden
         off = 0
         for size in comp:
@@ -229,7 +229,7 @@ def _tree(quiver: Quiver, phi: Weight, threshold: Fraction):
             part_cuts = cached_polytope(quiver, (size,))._int_cuts(part, den, ordered=True)
             part_k, part_h = _widest_cut(part_cuts)
             if part_k * t_den <= t_num * part_h:
-                psi[start + off:start + off + size] = [Fraction(x, den) for x in part]
+                psi[start + off:start + off + size] = _unscaled(part, den)
                 leaves.append(slots[off:off + size])
             else:
                 grow(part, den, start + off, part_cuts, (part_k, part_h), depth + 1, radius)
@@ -302,7 +302,7 @@ def _form_onto(quiver: Quiver, dims: tuple[int, ...], ints: Sequence[int], den: 
     """
     if len(A) > 1 and _root_within_half(quiver, ints, den):
         return None
-    chi = Weight(tuple(Fraction(x, den) for x in ints), dims)
+    chi = Weight(_unscaled(ints, den), dims)
     form = decompose(quiver, dims, chi, delta)
     return form if form.partition == A else None
 
@@ -332,9 +332,9 @@ def _slopes_decrease(A: Sequence[tuple[int, int]]) -> bool:
 
 def _partition_weight(A: Sequence[tuple[int, int]]) -> Weight:
     """concat_i w_i tau_{d_i} as a weight of the total dimension."""
-    coords: list[Fraction] = []
+    coords = []
     for d, w in A:
-        coords.extend([Fraction(w, d)] * d)
+        coords.extend(_unscaled((w,), d) * d)
     return Weight(tuple(coords), (len(coords),))
 
 
@@ -498,9 +498,7 @@ def omega_shift(quiver: Quiver, dims: Sequence[int],
 def _cut_twist_sums(quiver: Quiver, dims: Sequence[int],
                     comp: Sequence[int]) -> list[int]:
     """The block sums over comp's blocks of the cut-edge twist omega_lam,
-    lam the cocharacter of the composition comp."""
+    lam the cocharacter of the composition comp; omega_lam is integral, a
+    sum of edge weights."""
     om = omega_weight(quiver, dims, composition_cocharacter(comp))
-    sums = Weight(om.coords, tuple(comp)).block_sums()
-    if any(s.denominator != 1 for s in sums):
-        raise ValueError("cut twist has non-integral block sum")
-    return [int(s) for s in sums]
+    return [int(s) for s in Weight(om.coords, tuple(comp)).block_sums()]
