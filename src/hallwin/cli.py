@@ -7,7 +7,7 @@ diagnostics on stderr.  Exit codes: 0 success, 1 domain error (bad input),
 Each handler imports the layers it runs when it runs, so a command loads
 only those: `shuffle zeta` the kernel, `r-invariant` the weights, the
 polytope and the LP, `decompose` and `omega-shift` also the standard
-forms, `windows`, `index-sets` and `compare` also the index sets, and
+forms, `index-sets` and `compare` also the index sets, and `windows`,
 `pbw-table` and `verify-bijection` also the counting layer.
 
 argparse reads every flag before any layer is loaded.  Each command, and
@@ -48,6 +48,12 @@ SHUFFLE_MUL_MAX_COEFFICIENT_BITS = 32  # of any coefficient's numerator or denom
 # dimension d (about half a second at d = 800); a larger d is refused
 # before any of it.
 PARTITION_MAX_DIMENSION = 400
+
+# `windows` prints one line per generator, m(d, w) of them: 716 542 at
+# d = 11 and 3 868 142 at d = 12, about 5 times more per extra d.  The
+# count is taken first (`pbw.window_count`, without listing), and an
+# output of more lines is refused before any is built.
+WINDOWS_MAX_LINES = 1_000_000
 
 
 # a token argparse reads as a value, not a flag, though it starts with "-"
@@ -244,8 +250,14 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_windows(args) -> int:
     from .index_sets import window_generators
+    from .pbw import window_count
 
     q = _load_quiver(args.quiver)
+    # delta is a multiple of tau, so the window has window_count generators
+    lines = window_count(args.d, args.w, q)
+    if lines > WINDOWS_MAX_LINES:
+        raise DomainError(f"windows --d {args.d} --w {args.w} would print {lines} lines, "
+                          f"over the budget of {WINDOWS_MAX_LINES}")
     delta = _delta_weight(args, args.d)
     gens = window_generators(q, (args.d,), args.w, delta)
     if args.format == "tsv":

@@ -19,6 +19,7 @@ from .quiver_weights import (
     Quiver,
     Weight,
     _check_dimension,
+    _scaled_coords,
     composition_cocharacter,
     compositions,
     rho,
@@ -81,50 +82,98 @@ def _box_caps(n: int, total: int, lo: int, hi: int) -> list[int]:
     return [min(p * hi, total - (n - p) * lo) for p in range(n + 1)]
 
 
+def _least_next(n: int, total: int, caps: Sequence[int], k: int, prefix: int,
+                top: int) -> int | None:
+    """For a head of length k < n with prefix sum `prefix` and last entry
+    `top`, the least entry that can follow it; None when the head has no
+    completion, a non-increasing n-tuple with the given sum and p-th prefix
+    sum at most caps[p].  The walk and the count-only DP share it.
+
+    Of all completions of a head, the balanced one (entries q or q + 1) has
+    the least prefix sums, so the head extends exactly when that completion
+    meets the caps, and its largest entry is the least next entry.
+    """
+    q, rem = divmod(total - prefix, n - k)
+    least = q + (rem > 0)
+    if least > top or any(prefix + j * q + min(j, rem) > caps[k + j]
+                          for j in range(n - k + 1)):
+        return None
+    return least
+
+
 def _dominant_tuples(n: int, total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Non-increasing integer n-tuples with the given sum and p-th prefix sum
     at most caps[p] (p = 0..n), in descending lexicographic order.
 
-    Of all completions of a head, the balanced one (entries q or q + 1) has
-    the least prefix sums, so a head extends exactly when that completion
-    meets the caps; the walk drops every other head before it branches.
+    A head is extended only when `_least_next` finds it a completion, so
+    the walk drops every dead head before it branches.
     """
     def walk(head: tuple[int, ...], prefix: int, top: int) -> Iterator[tuple[int, ...]]:
         k = len(head)
-        q, rem = divmod(total - prefix, n - k)
-        if q + (rem > 0) > top or any(prefix + j * q + min(j, rem) > caps[k + j]
-                                      for j in range(n - k + 1)):
+        least = _least_next(n, total, caps, k, prefix, top)
+        if least is None:
             return
         if k == n - 1:
-            yield head + (q,)
+            yield head + (least,)
             return
-        for c in range(min(top, caps[k + 1] - prefix), q + (rem > 0) - 1, -1):
+        for c in range(min(top, caps[k + 1] - prefix), least - 1, -1):
             yield from walk(head + (c,), prefix + c, c)
 
     yield from walk((), 0, caps[1])
 
 
+def _count_tuples(n: int, total: int, caps: Sequence[int]) -> int:
+    """The number of tuples `_dominant_tuples(n, total, caps)` walks, counted
+    without visiting them: the heads are memoised on (length, prefix sum,
+    last entry), which is all a head's completions depend on."""
+    memo: dict[tuple[int, int, int], int] = {}
+
+    def count(k: int, prefix: int, top: int) -> int:
+        key = (k, prefix, top)
+        found = memo.get(key)
+        if found is None:
+            least = _least_next(n, total, caps, k, prefix, top)
+            if least is None:
+                found = 0
+            elif k == n - 1:
+                found = 1
+            else:
+                found = sum(count(k + 1, prefix + c, c)
+                            for c in range(min(top, caps[k + 1] - prefix), least - 1, -1))
+            memo[key] = found
+        return found
+
+    return count(0, 0, caps[1])
+
+
 def window_generators(quiver: Quiver, dims: Sequence[int], w: int,
                       delta: Weight | None = None) -> tuple[Weight, ...]:
-    """Dominant integral chi with sum w and chi + rho + delta in W/2 (closed).
+    """Dominant integral chi with sum w and chi + rho + delta in W/2 (closed),
+    ascending.
 
-    Walks the polytope's prefix caps.  When delta is in span tau, the caps
-    are the window test, since then chi + rho + delta is sorted, and every
-    walked tuple is a generator; for any other delta the caps only prune,
-    and each tuple is re-tested by exact membership.
+    rho + delta is scaled once to integers a over a denominator D, and the
+    walk runs under the polytope's prefix caps.  When delta is in span tau,
+    the caps are the window test, since then chi + rho + delta is sorted,
+    and every walked tuple is a generator.  For any other delta the caps
+    only prune: a walked tuple c is kept when the sorted cuts of D*c + a
+    (`WPolytope._int_cuts`) hold at r = 1/2, 2*k_p <= h_p.  A Weight is
+    built only for the tuples kept.
     """
     dims = tuple(dims)
     if len(dims) != 1:
         raise NotImplementedError("window enumeration needs a one-vertex quiver")
-    _check_dimension(dims[0])
+    n = dims[0]
+    _check_dimension(n)
     shift = rho(dims) if delta is None else rho(dims) + delta
+    ints, den = _scaled_coords(shift.coords)
     poly = cached_polytope(quiver, dims)
-    walk = _dominant_tuples(dims[0], w, poly._window_caps(shift, w))
     # the walk runs in descending order
-    gens = [Weight(c, dims) for c in reversed(list(walk))]
-    if delta is None or len(set(delta.coords)) == 1:
-        return tuple(gens)
-    return tuple(chi for chi in gens if poly.contains(chi + shift, Fraction(1, 2)))
+    walk = reversed(list(_dominant_tuples(n, w, poly._int_window_caps(ints, den, w))))
+    if delta is not None and len(set(delta.coords)) > 1:
+        walk = [c for c in walk
+                if all(2 * k <= h for k, h in poly._int_cuts(
+                    [den * x + a for x, a in zip(c, ints)], den, ordered=False))]
+    return tuple(Weight(c, dims) for c in walk)
 
 
 # -- partition families ----------------------------------------------------

@@ -6,7 +6,7 @@ from collections import Counter
 from math import comb
 
 from ._record import Record
-from .index_sets import _box_caps, _dominant_tuples, enum_U
+from .index_sets import _box_caps, _count_tuples, _dominant_tuples, enum_U
 from .polytope import cached_polytope
 from .quiver_weights import Quiver, Weight, _check_dimension, builtin_quiver, rho
 from .standard_form import (
@@ -24,11 +24,13 @@ def _quiver(quiver: Quiver | None) -> Quiver:
 
 
 def window_count(d: int, w: int, quiver: Quiver | None = None) -> int:
-    """Number of window generators m(d, w): the tuples of the capped walk,
-    since for delta = 0 the caps are the window test itself."""
+    """Number of window generators m(d, w), for delta 0 or any multiple of
+    tau: the tuples under the window's prefix caps, which are then the
+    window test itself, counted by `index_sets._count_tuples` without
+    listing them."""
     _check_dimension(d)
     caps = cached_polytope(_quiver(quiver), (d,))._window_caps(rho((d,)), w)
-    return sum(1 for _ in _dominant_tuples(d, w, caps))
+    return _count_tuples(d, w, caps)
 
 
 def window_count_table(d_max: int, w_max: int,

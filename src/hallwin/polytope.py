@@ -96,11 +96,15 @@ class WPolytope:
 
     def _window_caps(self, shift: Weight, w: int) -> list[int]:
         """Caps c_p (p = 0..n) with P_p(chi) <= c_p exactly when the ordered cut
-        p of chi + shift holds at r = 1/2, for integral chi with sum w.  In
-        _cuts' integers (a = D*shift, S its total) the cut reads
-        2*(n*(D*P_p(chi) + P_p(a)) - p*(D*w + S)) <= h_p*n*D.
+        p of chi + shift holds at r = 1/2, for integral chi with sum w:
+        `_int_window_caps` of shift over its lcm denominator."""
+        return self._int_window_caps(*_scaled_coords(shift.coords), w)
+
+    def _int_window_caps(self, ints: list[int], den: int, w: int) -> list[int]:
+        """The caps of `_window_caps` for the shift ints/den.  In _int_cuts'
+        integers (a = ints, S its total) the ordered cut p of chi + shift
+        reads 2*(n*(den*P_p(chi) + P_p(a)) - p*(den*w + S)) <= h_p*n*den.
         """
-        ints, den = _scaled_coords(shift.coords)
         n, top = len(ints), den * w + sum(ints)
         return [(h * n * den - 2 * n * prefix + 2 * p * top) // (2 * n * den)
                 for p, (h, prefix) in enumerate(zip((0, *self._heights, 0),

@@ -239,26 +239,37 @@ def _tree(quiver: Quiver, phi: Weight, threshold: Fraction):
     return tuple(nodes), Weight(tuple(psi), dims), tuple(leaves)
 
 
-def _check_decomposable(quiver: Quiver, dims: tuple[int, ...], chi: Weight,
-                        delta: Weight | None) -> Weight:
-    """decompose's refusals of its input, in its order; returns delta
-    (zero for None)."""
+def _check_shape(quiver: Quiver, dims: tuple[int, ...], chi: Weight) -> None:
+    """decompose's refusals of the quiver, the dimension and the weight's
+    blocks, in its order."""
     _check_block_count(quiver, dims)
     if len(dims) != 1:
         raise NotImplementedError("decomposition implemented for one-vertex quivers")
     _check_dimension(dims[0])
     if chi.blocks != dims:
         raise ValueError("weight has wrong block structure")
-    if not chi.is_dominant():
-        raise DecompositionError("weight is not dominant")
-    return _invariant_delta(dims, delta)
 
 
 def decompose(quiver: Quiver, dims: Sequence[int], chi: Weight,
               delta: Weight | None = None) -> StandardForm:
-    """Standard form of chi + rho + delta.  chi must be dominant."""
+    """Standard form of chi + rho + delta.  chi must be dominant.
+
+    Refuses, in this order: a quiver whose vertex count is not the
+    dimension vector's, several vertices, a dimension below 1, a weight of
+    other blocks, a weight that is not dominant, and a delta that is not a
+    multiple of tau.
+    """
     dims = tuple(dims)
-    delta = _check_decomposable(quiver, dims, chi, delta)
+    _check_shape(quiver, dims, chi)
+    if not chi.is_dominant():
+        raise DecompositionError("weight is not dominant")
+    return _decomposed(quiver, dims, chi, _invariant_delta(dims, delta))
+
+
+def _decomposed(quiver: Quiver, dims: tuple[int, ...], chi: Weight,
+                delta: Weight) -> StandardForm:
+    """decompose past its refusals: chi is a dominant weight of the one
+    vertex dims, and delta a multiple of tau."""
     phi = chi + _rho(dims)
     if delta.coords[0]:
         phi = phi + delta
@@ -288,22 +299,21 @@ def _root_within_half(quiver: Quiver, ints: Sequence[int], den: int) -> bool:
 
 
 def _form_onto(quiver: Quiver, dims: tuple[int, ...], ints: Sequence[int], den: int,
-               A: tuple[tuple[int, int], ...], delta: Weight | None) -> StandardForm | None:
+               A: tuple[tuple[int, int], ...], delta: Weight) -> StandardForm | None:
     """The standard form of chi = ints/den when its leaf partition is A,
     otherwise None.
 
-    chi must be dominant and delta None or a multiple of tau.  By the
-    root-radius rule of `_tree`, the form is the single root leaf, whose
-    leaf partition is the one part (d, sum chi), exactly when the root
-    radius of chi + rho + delta is at most 1/2.  So when A has more than
-    one part and that radius is at most 1/2 the answer is None, read off
-    the radius alone, on integers, with no decomposition; otherwise chi is
-    built and decomposed.
+    The caller has made decompose's checks: chi is dominant, and delta a
+    multiple of tau (not None).  By the root-radius rule of `_tree`, the
+    form is the single root leaf, whose leaf partition is the one part
+    (d, sum chi), exactly when the root radius of chi + rho + delta is at
+    most 1/2.  So when A has more than one part and that radius is at most
+    1/2 the answer is None, read off the radius alone, on integers, with no
+    decomposition; otherwise chi is built and decomposed.
     """
     if len(A) > 1 and _root_within_half(quiver, ints, den):
         return None
-    chi = Weight(_unscaled(ints, den), dims)
-    form = decompose(quiver, dims, chi, delta)
+    form = _decomposed(quiver, dims, Weight(_unscaled(ints, den), dims), delta)
     return form if form.partition == A else None
 
 
@@ -349,33 +359,36 @@ def tree_of_partition(quiver: Quiver, dims: Sequence[int],
     not arise from a standard form and a DecompositionError is raised.
     """
     dims = tuple(dims)
-    form = _realizing_form(quiver, dims, A, delta)
+    A = tuple((d, w) for d, w in A)
+    checked = _slope_weight(quiver, dims, A, delta)
+    if checked is None:
+        raise DecompositionError("partition slopes are not non-increasing")
+    chi_star, delta = checked
+    form = _form_onto(quiver, dims, *_scaled_coords(chi_star.coords), A, delta)
     if form is not None:
         return form
-    chi_star = _partition_weight(A)
-    if not chi_star.is_dominant():
-        raise DecompositionError("partition slopes are not non-increasing")
-    # built (again, unless the root radius decided) only to name its blocks
-    got = tuple(len(b) for b in decompose(quiver, dims, chi_star, delta).leaf_blocks)
-    raise DecompositionError(f"partition {tuple(A)} is not realized: tree blocks are {got}")
+    # decomposed (again, unless the root radius decided) only to name its blocks
+    got = tuple(len(b) for b in _decomposed(quiver, dims, chi_star, delta).leaf_blocks)
+    raise DecompositionError(f"partition {A} is not realized: tree blocks are {got}")
 
 
-def _realizing_form(quiver: Quiver, dims: tuple[int, ...], A: Sequence[tuple[int, int]],
-                    delta: Weight | None) -> StandardForm | None:
-    """The standard form of A's slope weight when that weight is dominant
-    and the form's leaf partition is A; otherwise None.
+def _slope_weight(quiver: Quiver, dims: tuple[int, ...], A: Sequence[tuple[int, int]],
+                  delta: Weight | None) -> tuple[Weight, Weight] | None:
+    """A's slope weight and delta (zero for None) past decompose's
+    refusals, or None when the slope weight is not dominant.
 
-    decompose's refusals come first, then `_form_onto`: by the root-radius
-    rule a partition of more than one part whose slope weight has root
-    radius at most 1/2 is answered None without a decomposition.
+    A is checked first.  Then each of decompose's checks of the slope weight
+    runs once: dominance, which is decided before the others, since a
+    non-dominant slope weight is answered None, not refused; then the rest
+    in decompose's order.  The caller asks `_form_onto` for the form, which
+    makes none of these checks again.
     """
     _check_partition(sum(dims), A)
     chi_star = _partition_weight(A)
     if not chi_star.is_dominant():
         return None
-    _check_decomposable(quiver, dims, chi_star, delta)
-    return _form_onto(quiver, dims, *_scaled_coords(chi_star.coords),
-                      tuple((d, w) for d, w in A), delta)
+    _check_shape(quiver, dims, chi_star)
+    return chi_star, _invariant_delta(dims, delta)
 
 
 class SlopeTree(Record):
@@ -441,9 +454,12 @@ def _partition_nodes(quiver: Quiver, dims: tuple[int, ...], A: tuple[tuple[int, 
     those of the slope solve.  The route is picked by comparing values, so
     an error inside either route is raised as it is.
     """
-    form = _realizing_form(quiver, dims, A, delta)
-    if form is not None:
-        return form.nodes
+    checked = _slope_weight(quiver, dims, A, delta)
+    if checked is not None:
+        chi_star, delta = checked
+        form = _form_onto(quiver, dims, *_scaled_coords(chi_star.coords), A, delta)
+        if form is not None:
+            return form.nodes
     return slope_to_tree(quiver, dims, A).nodes
 
 

@@ -4,9 +4,12 @@
 is checked against `itertools.product` under box caps, window caps and
 arbitrary caps.  `window_generators` is checked against a scan of a box
 derived here from the single-slot facets, with shifts that are not
-multiples of tau; `enum_T` against a scan of a fixed wide box of
-block-dominant weights.  A cost guard pins how many tuples the walk yields
-for a window, so a loss of pruning shows without a clock.
+multiples of tau, and against a scan whose window test is the LP;
+`enum_T` against a scan of a fixed wide box of block-dominant weights.
+The count-only DP `_count_tuples` is checked against the walk's count.
+Cost guards pin how many tuples the walk yields for a window and how many
+heads the DP memoises, so a loss of pruning or of the memo shows without
+a clock.
 """
 
 import itertools
@@ -29,7 +32,8 @@ from hallwin import (
     tau,
     window_generators,
 )
-from hallwin.index_sets import _box_caps, _dominant_tuples
+from hallwin import index_sets, lp
+from hallwin.index_sets import _box_caps, _count_tuples, _dominant_tuples
 from hallwin.polytope import cached_polytope
 
 QUIVERS = ["jordan", "doubled-jordan", "tripled-jordan"]
@@ -87,13 +91,27 @@ def test_walk_under_window_caps_matches_product(name):
 
 
 def test_walk_under_arbitrary_caps_matches_product():
+    # and the count-only DP counts what the walk lists
     rng = random.Random(7)
     for _ in range(300):
         n = rng.randint(1, 4)
         total = rng.randint(-4, 6)
         caps = [rng.choice([0, 0, 0, -1])] + [rng.randint(-3, 8) for _ in range(n)]
-        assert (list(_dominant_tuples(n, total, caps))
-                == product_scan(n, total, total - caps[n - 1], caps[1], caps)), (n, total, caps)
+        walked = list(_dominant_tuples(n, total, caps))
+        assert walked == product_scan(n, total, total - caps[n - 1], caps[1], caps), \
+            (n, total, caps)
+        assert _count_tuples(n, total, caps) == len(walked), (n, total, caps)
+
+
+@pytest.mark.parametrize("name", QUIVERS)
+def test_count_under_window_caps_matches_walk(name):
+    quiver = builtin_quiver(name)
+    for d in range(1, 9):
+        poly = cached_polytope(quiver, (d,))
+        for w in range(-d, d + 1):
+            caps = poly._window_caps(rho((d,)), w)
+            assert _count_tuples(d, w, caps) == sum(1 for _ in _dominant_tuples(d, w, caps)), \
+                (name, d, w)
 
 
 def window_scan(quiver, d, w, delta):
@@ -108,6 +126,40 @@ def window_scan(quiver, d, w, delta):
     poly = cached_polytope(quiver, (d,))
     return [t for t in sorted(nonincreasing(d, w, lo, hi))
             if poly.contains(Weight.make(t, (d,)) + shift, HALF)]
+
+
+def lp_window_scan(quiver, d, w, delta):
+    """`window_scan` with its window test by the LP on the polytope's rows,
+    feasibility of chi + rho + delta in W/2, with no integer cut.  Only
+    tuples whose every coordinate of phi lies within reach of its mean
+    (the single-slot facets) are handed to the LP."""
+    shift = rho((d,)) + delta
+    mean = (w + shift.total()) / d
+    reach = F(len(quiver.edges) * (d - 1), 2)
+    lo = min(ceil(mean - reach - s) for s in shift.coords)
+    hi = max(floor(mean + reach - s) for s in shift.coords)
+    poly = cached_polytope(quiver, (d,))
+    return [t for t in sorted(nonincreasing(d, w, lo, hi))
+            if all(abs(x + s - mean) <= reach for x, s in zip(t, shift.coords))
+            and lp.feasible(*poly._rows(Weight.make(t, (d,)) + shift, False, HALF))]
+
+
+@pytest.mark.parametrize("den", [1, 2, 3, 6])
+def test_shifted_listings_match_the_lp(den):
+    # deltas off span tau, each with a coordinate of denominator den
+    rng = random.Random(f"lp:{den}")
+    for name in QUIVERS:
+        quiver = builtin_quiver(name)
+        for d in range(2, 5):
+            # 1/den and an integer make two distinct coordinates; sorted
+            # ascending, they reverse rho's order, so the walk meets tuples
+            # that the caps keep and the sorted cuts drop
+            coords = [F(1, den), rng.randint(-8, 8)] + [F(rng.randint(-8 * den, 8 * den), den)
+                                                       for _ in range(d - 2)]
+            delta = Weight.make(sorted(coords), (d,))
+            w = rng.randint(-3, 3)
+            got = [tuple(g.coords) for g in window_generators(quiver, (d,), w, delta)]
+            assert got == lp_window_scan(quiver, d, w, delta), (name, d, w, delta)
 
 
 @pytest.mark.parametrize("name", QUIVERS)
@@ -185,7 +237,21 @@ WINDOW_COUNTS = {
 @pytest.mark.parametrize("c", [F(0), F(5, 2), F(-1, 3)])
 def test_window_walk_yields_only_generators(c):
     # Cost guard: for delta in span tau the caps are the window test, so the
-    # walk yields exactly the m(d, w) generators and nothing else.
+    # walk yields exactly the m(d, w) generators and nothing else, and the
+    # count-only DP counts them.
     for (d, w), m in WINDOW_COUNTS.items():
         caps = cached_polytope(Q3, (d,))._window_caps(rho((d,)) + tau((d,)).scale(c), w)
         assert sum(1 for _ in _dominant_tuples(d, w, caps)) == m, (d, w)
+        assert _count_tuples(d, w, caps) == m, (d, w)
+
+
+def test_count_memoises_each_head_once(monkeypatch):
+    # Cost guard: the DP evaluates one look-ahead per memoised head, 1 563
+    # of them for the m(12, 0) = 3 868 142 tuples the walk would visit.
+    looked = []
+    least_next = index_sets._least_next
+    monkeypatch.setattr(index_sets, "_least_next",
+                        lambda *args: looked.append(args[3:]) or least_next(*args))
+    caps = cached_polytope(Q3, (12,))._window_caps(rho((12,)), 0)
+    assert _count_tuples(12, 0, caps) == 3868142
+    assert len(looked) == len(set(looked)) == 1563

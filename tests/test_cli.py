@@ -5,13 +5,14 @@ import hashlib
 import io
 import json
 import pathlib
+import time
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hallwin import builtin_quiver, cli, compare, pbw, tau
+from hallwin import builtin_quiver, cli, compare, pbw, tau, window_generators
 from hallwin.standard_form import DecompositionError, StandardForm
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parents[1] / "docs" / "schemas"
@@ -64,6 +65,31 @@ def test_windows_json_and_tsv(capsys):
                                 "--format", "tsv"])
     assert code == 0
     assert out == "2\t2\n3\t1\n"
+
+
+def test_windows_refuses_an_output_over_its_budget(capsys):
+    # m(14, 0) = 118 741 369 lines, counted and refused before any is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["windows", "--d", "14", "--w", "0"])
+    assert time.perf_counter() - start < 10
+    assert code == 1 and out == ""
+    assert err == ("error: windows --d 14 --w 0 would print 118741369 lines, "
+                   "over the budget of 1000000\n")
+
+
+def test_windows_budget_counts_the_lines(capsys, monkeypatch):
+    # m(4, 0) = 16: refused one line over the budget, printed as before at it
+    monkeypatch.setattr(cli, "WINDOWS_MAX_LINES", 15)
+    code, out, err = run(capsys, ["windows", "--d", "4", "--w", "0"])
+    assert code == 1 and out == ""
+    assert err == "error: windows --d 4 --w 0 would print 16 lines, over the budget of 15\n"
+    monkeypatch.setattr(cli, "WINDOWS_MAX_LINES", 16)
+    code, out, _ = run(capsys, ["windows", "--d", "4", "--w", "0", "--format", "tsv"])
+    assert code == 0
+    assert out.splitlines() == ["\t".join(map(str, g.coords))
+                                for g in window_generators(builtin_quiver("tripled-jordan"),
+                                                           (4,), 0)]
+    assert len(out.splitlines()) == 16
 
 
 def test_index_sets_S(capsys):

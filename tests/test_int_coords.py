@@ -1,5 +1,6 @@
 """Weight coordinates are ints where integral and Fractions only where not,
-no float reaches them, and integral work builds no Fraction."""
+no float reaches them, integral work builds no Fraction, and a shifted
+window listing builds only the Fractions of rho + delta."""
 
 from fractions import Fraction
 
@@ -17,6 +18,8 @@ from hallwin import (
     tripled_jordan,
     window_generators,
 )
+from hallwin.index_sets import _dominant_tuples
+from hallwin.polytope import cached_polytope
 from hallwin.shuffle import PoleError, mul, parse_element, shuffle_eval
 
 QUIVERS = st.sampled_from(["jordan", "doubled-jordan", "tripled-jordan"]).map(builtin_quiver)
@@ -130,3 +133,19 @@ def test_integral_work_builds_no_fraction(monkeypatch):
     assert built == 0 and form.nodes == () and form.partition == ((3, 0),)
     gens, built = fractions_built(monkeypatch, window_generators, q, (5,), 0)
     assert built == 0 and len(gens) == 59
+
+
+def test_shifted_listing_builds_only_the_shift(monkeypatch):
+    # delta off span tau: each walked tuple is tested on integer cuts and a
+    # Weight is built only for a generator, so the Fractions built are the
+    # two non-integral coordinates of rho + delta = (-1, -1, -7/3, -5, 5/3),
+    # whatever the walk's length
+    q = tripled_jordan()
+    delta = Weight.make([-3, -2, Fraction(-7, 3), -4, Fraction(11, 3)], (5,))
+    walked = {}
+    for w in (-2, 0):
+        caps = cached_polytope(q, (5,))._window_caps(rho((5,)) + delta, w)
+        walked[w] = sum(1 for _ in _dominant_tuples(5, w, caps))
+        gens, built = fractions_built(monkeypatch, window_generators, q, (5,), w, delta)
+        assert built == 2 and 0 < len(gens) < walked[w], w
+    assert walked[-2] != walked[0]

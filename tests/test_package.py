@@ -43,7 +43,8 @@ FORMS = WEIGHTS | {"hallwin.standard_form"}
 SETS = FORMS | {"hallwin.index_sets"}
 COUNTING = SETS | {"hallwin.pbw"}
 COMMAND_MODULES = [
-    (["windows", "--quiver", "tripled-jordan", "--d", "2", "--w", "4"], 0, SETS),
+    # windows counts its lines with pbw.window_count before listing them
+    (["windows", "--quiver", "tripled-jordan", "--d", "2", "--w", "4"], 0, COUNTING),
     (["r-invariant", "--weight", "5,-5"], 0, WEIGHTS),
     (["decompose", "--weight", "5,-5"], 0, FORMS),
     (["index-sets", "--set", "S", "--d", "2", "--w", "0", "--slope-bound", "5"], 0, SETS),

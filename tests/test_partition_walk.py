@@ -21,7 +21,7 @@ from hallwin import Truncation, Weight, builtin_quiver, compositions, enum_S, en
 from hallwin import index_sets, standard_form
 from hallwin.index_sets import _box_caps, _dominant_tuples
 from hallwin.polytope import cached_polytope
-from hallwin.standard_form import _slopes_decrease, decompose
+from hallwin.standard_form import _decomposed, _slopes_decrease, decompose
 
 QUIVERS = ["jordan", "doubled-jordan", "tripled-jordan"]
 Q3 = builtin_quiver("tripled-jordan")
@@ -138,7 +138,7 @@ def test_enum_S_makes_one_decomposition_per_dominant_candidate(monkeypatch):
                         counted("walked", index_sets._balanced_coords))
     monkeypatch.setattr(standard_form, "_root_within_half",
                         counted("radii", standard_form._root_within_half))
-    monkeypatch.setattr(standard_form, "decompose", counted("decompositions", decompose))
+    monkeypatch.setattr(standard_form, "_decomposed", counted("decompositions", _decomposed))
     for d, w, bound, size, walked, radii, decompositions in [(6, 1, 6, 41, 1686, 1681, 987),
                                                              (10, 0, 3, 1, 11678, 10575, 1)]:
         counts.update(walked=0, radii=0, decompositions=0)

@@ -53,8 +53,8 @@ def test_window_count_frozen():
 
 
 def test_window_count_counts_the_window_generators():
-    # window_count counts the capped walk; window_generators also re-tests
-    # each walked tuple with the exact membership test
+    # window_count counts the tuples under the window's caps without
+    # listing them; window_generators lists them
     for d in range(1, 8):
         for w in range(-d, d + 1):
             assert window_count(d, w) == len(window_generators(Q3, (d,), w)), (d, w)
@@ -86,6 +86,17 @@ def test_primitive_dims_frozen():
     assert p[(2, 1)] == 1
     assert all(p[(3, w)] == 3 for w in range(5))
     assert all(p[(4, w)] == 10 for w in range(5))
+
+
+# p(d, w) for d = 9..14: the same for every w (docs/pbw_counting.md)
+PRIMITIVE_DIMS = {9: 19287, 10: 100140, 11: 533159, 12: 2897358, 13: 16020563, 14: 89898151}
+
+
+def test_primitive_dims_past_the_walk():
+    # the walk would visit every one of m(14, 0) = 118 741 369 tuples
+    p = primitive_dims(14, 3)
+    for d, value in PRIMITIVE_DIMS.items():
+        assert [p[(d, w)] for w in range(-3, 4)] == [value] * 7, d
 
 
 def test_primitive_dims_nonnegative_and_reconstructs():

@@ -24,6 +24,7 @@ from hallwin.quiver_weights import N_positive, jordan
 from hallwin.standard_form import (
     Node,
     _check_partition,
+    _decomposed,
     _partition_nodes,
     _partition_weight,
     _slopes_decrease,
@@ -120,11 +121,13 @@ def test_compare_decomposes_no_multi_part_partition_within_half(monkeypatch):
 
     calls = []
 
-    def counted(quiver, dims, chi, delta=None):
+    # every decomposition, checked by decompose or by its callers, runs
+    # _decomposed
+    def counted(quiver, dims, chi, delta):
         calls.append(by_weight[chi.coords])
-        return decompose(quiver, dims, chi, delta)
+        return _decomposed(quiver, dims, chi, delta)
 
-    monkeypatch.setattr(standard_form, "decompose", counted)
+    monkeypatch.setattr(standard_form, "_decomposed", counted)
     pairs = [(A, B) for A, B in itertools.product(V, repeat=2) if A != B]
     for A, B in pairs:
         compare(Q3, d, A, B)
