@@ -55,6 +55,12 @@ PARTITION_MAX_DIMENSION = 400
 # output of more lines is refused before any is built.
 WINDOWS_MAX_LINES = 1_000_000
 
+# `index-sets --set T` tests one composition of d per candidate partition:
+# 2^(gcd(d, w) - 1) of them, 2^(d - 1) at w = 0, counted in closed form.
+# More than this are refused before any is built; 2^15 compositions
+# (`--d 16 --w 0`) take about 15 s.
+INDEX_SETS_T_MAX_COMPOSITIONS = 2 ** 16
+
 
 # a token argparse reads as a value, not a flag, though it starts with "-"
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
@@ -249,7 +255,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_windows(args) -> int:
-    from .index_sets import window_generators
+    from .index_sets import _window_tuples
     from .pbw import window_count
 
     q = _load_quiver(args.quiver)
@@ -259,24 +265,37 @@ def _cmd_windows(args) -> int:
         raise DomainError(f"windows --d {args.d} --w {args.w} would print {lines} lines, "
                           f"over the budget of {WINDOWS_MAX_LINES}")
     delta = _delta_weight(args, args.d)
-    gens = window_generators(q, (args.d,), args.w, delta)
+    # each line from the generator's int tuple: the bytes json.dumps gives
+    # {"chi": [...]} with _dump's separators, or the TSV row
+    tuples = _window_tuples(q, (args.d,), args.w, delta)
     if args.format == "tsv":
-        for g in gens:
-            print("\t".join(map(str, g.coords)))
+        lines = ("\t".join(map(str, c)) + "\n" for c in tuples)
     else:
-        for g in gens:
-            print(_dump({"chi": list(g.coords)}))
+        lines = ('{"chi": [' + ", ".join(map(str, c)) + "]}\n" for c in tuples)
+    sys.stdout.writelines(lines)
     return EXIT_OK
 
 
 def _cmd_index_sets(args) -> int:
-    from .index_sets import Truncation, enum_S, enum_T, enum_U, enum_V
+    from .index_sets import (
+        Truncation,
+        _divisible_composition_count,
+        enum_S,
+        enum_T,
+        enum_U,
+        enum_V,
+    )
     from .standard_form import _UnorderedSlopes, _partition_nodes, _r_sequence
 
     q = _load_quiver(args.quiver)
     d, w = args.d, args.w
     delta = _delta_weight(args, d)
     trunc = Truncation(slope_bound=args.slope_bound, max_parts=args.max_parts)
+    if args.set == "T":
+        count = _divisible_composition_count(d, w)
+        if count > INDEX_SETS_T_MAX_COMPOSITIONS:
+            raise DomainError(f"index-sets --set T --d {d} --w {w} would test {count} "
+                              f"compositions, over the budget of {INDEX_SETS_T_MAX_COMPOSITIONS}")
     name = args.set
     if name == "V":
         res = enum_V(d, w, trunc)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterator, Sequence
+from math import gcd
+from typing import Iterable, Iterator, Sequence
 
 from . import _rational
 from ._record import Record, _set
@@ -149,17 +150,22 @@ def _count_tuples(n: int, total: int, caps: Sequence[int]) -> int:
 def window_generators(quiver: Quiver, dims: Sequence[int], w: int,
                       delta: Weight | None = None) -> tuple[Weight, ...]:
     """Dominant integral chi with sum w and chi + rho + delta in W/2 (closed),
-    ascending.
+    ascending: a Weight for each of `_window_tuples`."""
+    dims = tuple(dims)
+    return tuple(Weight(c, dims) for c in _window_tuples(quiver, dims, w, delta))
+
+
+def _window_tuples(quiver: Quiver, dims: tuple[int, ...], w: int,
+                   delta: Weight | None) -> Iterable[tuple[int, ...]]:
+    """The coordinates of the window generators, int tuples, ascending.
 
     rho + delta is scaled once to integers a over a denominator D, and the
     walk runs under the polytope's prefix caps.  When delta is in span tau,
     the caps are the window test, since then chi + rho + delta is sorted,
     and every walked tuple is a generator.  For any other delta the caps
     only prune: a walked tuple c is kept when the sorted cuts of D*c + a
-    (`WPolytope._int_cuts`) hold at r = 1/2, 2*k_p <= h_p.  A Weight is
-    built only for the tuples kept.
+    (`WPolytope._int_cuts`) hold at r = 1/2, 2*k_p <= h_p.
     """
-    dims = tuple(dims)
     if len(dims) != 1:
         raise NotImplementedError("window enumeration needs a one-vertex quiver")
     n = dims[0]
@@ -173,7 +179,7 @@ def window_generators(quiver: Quiver, dims: Sequence[int], w: int,
         walk = [c for c in walk
                 if all(2 * k <= h for k, h in poly._int_cuts(
                     [den * x + a for x, a in zip(c, ints)], den, ordered=False))]
-    return tuple(Weight(c, dims) for c in walk)
+    return walk
 
 
 # -- partition families ----------------------------------------------------
@@ -330,12 +336,8 @@ def enum_T(quiver: Quiver, d: int, w: int, delta: Weight | None,
     poly = cached_polytope(quiver, dims)
     half = Fraction(1, 2)
     out = []
-    for comp in compositions(d):
+    for comp in _divisible_compositions(d, w):
         lam = composition_cocharacter(comp)
-        # Part weights are pinned by the requirement that the cut shift
-        # moves every part onto the slope w/d; the shifts are integers.
-        if any(di * w % d for di in comp):
-            continue
         A = tuple((di, di * w // d - os)
                   for di, os in zip(comp, _cut_twist_sums(quiver, dims, comp)))
         if not _slopes_decrease(A[::-1]) or not trunc.admits(d, w, A):
@@ -345,6 +347,24 @@ def enum_T(quiver: Quiver, d: int, w: int, delta: Weight | None,
         if poly.contains_interior(chi + shift, half):
             out.append(A)
     return EnumResult(tuple(sorted(out)), truncated=False)
+
+
+def _divisible_compositions(d: int, w: int) -> Iterator[tuple[int, ...]]:
+    """The compositions of d whose parts d_i all have d_i*w divisible by d,
+    those `enum_T` tests: its part weights are pinned by the requirement
+    that the cut shift moves every part onto the slope w/d, and the shifts
+    are integers.  With g = gcd(d, w), d divides d_i*w exactly when d/g
+    divides d_i (d/g and w/g are coprime), so they are the compositions of
+    g scaled by d/g, `_divisible_composition_count(d, w)` of them."""
+    g = gcd(d, w)
+    return (tuple(d // g * c for c in comp) for comp in compositions(g))
+
+
+def _divisible_composition_count(d: int, w: int) -> int:
+    """The number of compositions `enum_T` tests at (d, w), 2^(gcd(d, w) - 1):
+    a composition of g is a choice of cuts among its g - 1 inner points.
+    At w = 0 it is 2^(d - 1)."""
+    return 2 ** (gcd(d, w) - 1)
 
 
 # -- order -----------------------------------------------------------------

@@ -20,20 +20,27 @@ root node, whose face cuts the block at least once.  So the leaf partition
 is the one part (d, sum chi) exactly then, and a partition of more than one
 part is not realized by a chi whose root radius is at most 1/2.
 `_form_onto` reads that off the radius, on integers, before any
-decomposition; `compare`, `index-sets`, `tree_of_partition` and `enum_S`
-ask for a partition's form through it.
+decomposition; `tree_of_partition` and `enum_S` ask for a partition's form
+through it.
 
 Each node's radius and cocharacter come from the polytope's prefix-sum
 form (no LP).  The weight and the residuals below it are carried as
 integers over one common denominator, and each block's radius and face,
 the root's included, are read off one list of its integer cuts.  Weight
-coordinates are ints where integral, so Fractions are built only for the
-nodes' radii, their multiples in the reconstruction check, and the
-non-integral coordinates; an integral chi at odd d (whose rho is
-integral) with delta 0 and a root leaf builds none.  The same engine on
-the Jordan quiver, whose edge weights are the adjoint weights,
-with threshold 0 solves the slope problem: writing sum_i w_i tau_{d_i} as
--sum_j (3 r_j - 3/2) g_j + c tau_d for the tripled one-vertex quiver.
+coordinates are ints where integral, so Fractions are built only for phi's
+and psi's non-integral coordinates and the nodes' radii; the
+reconstruction check runs on integers over one common denominator.  An
+integral chi at odd d (whose rho is integral) with delta 0 and a root leaf
+builds none.
+
+The tree of a partition A = ((d_1, w_1), ..., (d_k, w_k)), behind
+`compare` and `index-sets`, is grown on its k parts (`_slope_tree`, whose
+docstring has the lemma): its cuts fall on part boundaries, and the
+standard form of A's slope weight concat_i w_i tau_{d_i} is the slope
+tree truncated, so one integer tree answers both routes of
+`_partition_nodes` and `slope_to_tree`, the slope solve: writing
+sum_i w_i tau_{d_i} as -sum_j (3 r_j - 3/2) g_j + c tau_d for the tripled
+one-vertex quiver.
 """
 
 from __future__ import annotations
@@ -41,6 +48,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from math import lcm
 from typing import Sequence
 
 from ._record import Record
@@ -239,14 +248,14 @@ def _tree(quiver: Quiver, phi: Weight, threshold: Fraction):
     return tuple(nodes), Weight(tuple(psi), dims), tuple(leaves)
 
 
-def _check_shape(quiver: Quiver, dims: tuple[int, ...], chi: Weight) -> None:
+def _check_shape(quiver: Quiver, dims: tuple[int, ...], blocks: tuple[int, ...]) -> None:
     """decompose's refusals of the quiver, the dimension and the weight's
     blocks, in its order."""
     _check_block_count(quiver, dims)
     if len(dims) != 1:
         raise NotImplementedError("decomposition implemented for one-vertex quivers")
     _check_dimension(dims[0])
-    if chi.blocks != dims:
+    if blocks != dims:
         raise ValueError("weight has wrong block structure")
 
 
@@ -260,7 +269,7 @@ def decompose(quiver: Quiver, dims: Sequence[int], chi: Weight,
     multiple of tau.
     """
     dims = tuple(dims)
-    _check_shape(quiver, dims, chi)
+    _check_shape(quiver, dims, chi.blocks)
     if not chi.is_dominant():
         raise DecompositionError("weight is not dominant")
     return _decomposed(quiver, dims, chi, _invariant_delta(dims, delta))
@@ -274,14 +283,25 @@ def _decomposed(quiver: Quiver, dims: tuple[int, ...], chi: Weight,
     if delta.coords[0]:
         phi = phi + delta
     nodes, psi, leaf_blocks = _tree(quiver, phi, _HALF)
-    form = StandardForm(
-        quiver=quiver, dims=dims, chi=chi, delta=delta, phi=phi,
-        nodes=nodes, psi=psi, partition=_leaf_partition(chi, leaf_blocks),
-        leaf_blocks=leaf_blocks,
-    )
-    if form.reconstruct() != phi:
+    partition = _leaf_partition(chi, leaf_blocks)
+    if not _reconstructs(phi, nodes, psi):
         raise DecompositionError("reconstruction failed")
-    return form
+    return StandardForm(quiver=quiver, dims=dims, chi=chi, delta=delta, phi=phi, nodes=nodes,
+                        psi=psi, partition=partition, leaf_blocks=leaf_blocks)
+
+
+def _reconstructs(phi: Weight, nodes: Sequence[Node], psi: Weight) -> bool:
+    """Whether psi - sum_j r_j N_j = phi: `StandardForm.reconstruct`
+    recomputed on integers, every term scaled to the lcm of the
+    denominators of phi, psi and the r_j (the N_j are integral)."""
+    phi_ints, phi_den = _scaled_coords(phi.coords)
+    psi_ints, psi_den = _scaled_coords(psi.coords)
+    den = lcm(phi_den, psi_den, *(node.r.denominator for node in nodes))
+    acc = [x * (den // psi_den) for x in psi_ints]
+    for node in nodes:
+        m = node.r.numerator * (den // node.r.denominator)
+        acc = [a - m * v for a, v in zip(acc, node.N.coords)]
+    return acc == [x * (den // phi_den) for x in phi_ints]
 
 
 def _root_within_half(quiver: Quiver, ints: Sequence[int], den: int) -> bool:
@@ -334,10 +354,13 @@ def _check_partition(quiver_dims_total: int, A: Sequence[tuple[int, int]]) -> No
         raise ValueError("partition does not sum to the dimension")
 
 
-def _slopes_decrease(A: Sequence[tuple[int, int]]) -> bool:
+def _slopes_decrease(A: Sequence[tuple[int, int]], strictly: bool = True) -> bool:
     """Whether the slopes w/d of the parts (d, w) of A, all d > 0, strictly
-    decrease."""
-    return all(w * e > v * d for (d, w), (e, v) in zip(A, A[1:]))
+    decrease (with strictly=False: do not increase, i.e. A's slope weight
+    is dominant)."""
+    if strictly:
+        return all(w * e > v * d for (d, w), (e, v) in zip(A, A[1:]))
+    return all(w * e >= v * d for (d, w), (e, v) in zip(A, A[1:]))
 
 
 def _partition_weight(A: Sequence[tuple[int, int]]) -> Weight:
@@ -387,7 +410,7 @@ def _slope_weight(quiver: Quiver, dims: tuple[int, ...], A: Sequence[tuple[int, 
     chi_star = _partition_weight(A)
     if not chi_star.is_dominant():
         return None
-    _check_shape(quiver, dims, chi_star)
+    _check_shape(quiver, dims, chi_star.blocks)
     return chi_star, _invariant_delta(dims, delta)
 
 
@@ -408,6 +431,115 @@ class SlopeTree(Record):
 # The adjoint weights are the edge weights of the Jordan quiver.
 _JORDAN = jordan()
 
+# One node of `_slope_tree`: its first slot, its face's composition (which
+# sums to the node's size), its radius s = k/h as an unreduced pair and its
+# depth.
+_PartsNode = tuple[int, tuple[int, ...], int, int, int]
+
+
+def _slope_tree(A: Sequence[tuple[int, int]]) -> list[_PartsNode]:
+    """The slope tree of a partition A whose slopes strictly decrease, grown
+    on its parts: `_tree(jordan(), chi*, 0)` for the slope weight
+    chi* = concat_i w_i tau_{d_i}, in `_tree`'s node order, on integers and
+    with no Weight built.
+
+    Lemma.  (1) Cuts fall on part boundaries.  A block of consecutive parts
+    carries chi* plus a constant, and its slopes strictly decrease; so its
+    centred prefix sums F(p), p = 0..n, are concave and 0 at both ends.  On
+    one part F is linear; its linear extension lies above F, so it is >= 0
+    at p = 0 and at p = n, and on that part the cut's ratio
+    F(p)/(p(n - p)) is a/p + b/(n - p) with a, b >= 0, strictly convex
+    unless a = b = 0.  So the radius s is reached, and tight, only on part
+    boundaries, and a block of two or more parts has s > 0 (its first part
+    lies above its mean).  At a boundary the block's prefix sums are sums
+    of the w_i, integers: the cut after p slots of part-weight sum P reads
+    k = n*P - p*S over h = p*(n - p)*n, S the block's weight and n its
+    size.  The Jordan quiver's N is constant on each level block of the
+    face, and its prefix sum at each of the face's cuts is -p(n - p).  So
+    on a level block of size m, at offset q, the centred prefix sums of
+    chi* + s*N are at most s*q(m - q), with equality only where F is tight,
+    at the level block's ends: a child's radius is below its parent's.
+    They vanish at every tight cut, so every level block keeps the block's
+    mean.  Adding s*N moves no cut inside a level block, so every sub-block
+    is cut on the original (d_i, w_i); the leaves are A's parts, and the
+    residual is c*tau with c = sum_i w_i.
+    (2) The form route is this tree truncated.  rho's centred p-th prefix
+    sum is p(n - p)/2, on every block, and delta moves no cut.  So on a
+    one-vertex quiver with L >= 1 loops the cut p of chi* + rho + delta
+    reads (s_p + 1/2)/L, s_p the cut of chi*: the same tight cuts, and
+    radius (s + 1/2)/L.  The quiver's N is L times the Jordan quiver's, so
+    phi + r*N = (chi* + s*N) + (rho + N/2) + delta, and every sub-block
+    keeps this shape.  So the standard form of chi* keeps the nodes of
+    this tree down to those with s <= (L - 1)/2, which are leaves there
+    ((s + 1/2)/L <= 1/2), each with r = (s + 1/2)/L = (2k + h)/(2Lh); its
+    leaf partition is A exactly when every node has s > (L - 1)/2.
+    """
+    # D[j] and W[j]: the size and the weight of A's first j parts
+    D = list(accumulate((d for d, _w in A), initial=0))
+    W = list(accumulate((w for _d, w in A), initial=0))
+    nodes: list[_PartsNode] = []
+
+    def grow(lo: int, hi: int, depth: int, parent: tuple[int, int] | None) -> None:
+        # the parts lo..hi-1, two or more; the cut after part j is p slots
+        # of part-weight sum P into the block
+        start, n, total = D[lo], D[hi] - D[lo], W[hi] - W[lo]
+        cuts = []
+        for j in range(lo + 1, hi):
+            p = D[j] - start
+            cuts.append((n * (W[j] - W[lo]) - p * total, p * (n - p) * n))
+        k, h = _widest_cut(cuts)
+        if parent is not None and not k * parent[1] < parent[0] * h:
+            raise DecompositionError("coefficients fail to decrease along the path")
+        # the face cuts at every tight boundary
+        bounds = [lo, *(j for j, (cut_k, cut_h) in enumerate(cuts, lo + 1)
+                        if cut_k * h == k * cut_h), hi]
+        nodes.append((start, tuple(D[b] - D[a] for a, b in zip(bounds, bounds[1:])),
+                      k, h, depth))
+        for a, b in zip(bounds, bounds[1:]):
+            if b - a > 1:
+                grow(a, b, depth + 1, (k, h))
+
+    if len(A) > 1:
+        grow(0, len(A), 0, None)
+    return nodes
+
+
+@lru_cache(maxsize=None)
+def _embedded_face(quiver: Quiver, comp: tuple[int, ...], start: int,
+                   d: int) -> tuple[Weight, Weight, tuple[int, ...]]:
+    """lam and N of `_face_weights` embedded in d slots on the block of
+    comp's slots from start, and that block."""
+    slots = tuple(range(start, start + sum(comp)))
+    lam, N = _face_weights(quiver, comp)
+    return lam.embed(slots, (d,)), N.embed(slots, (d,)), slots
+
+
+def _tree_nodes(quiver: Quiver, dims: tuple[int, ...], tree: Sequence[_PartsNode],
+                r_of) -> tuple[Node, ...]:
+    """The Nodes of a `_slope_tree`, lam and N those of the quiver's faces
+    and r = r_of(k, h) for the node's radius s = k/h."""
+    out = []
+    for start, comp, k, h, depth in tree:
+        lam, N, slots = _embedded_face(quiver, comp, start, dims[0])
+        out.append(Node(lam=lam, r=r_of(k, h), N=N, block=slots, depth=depth))
+    return tuple(out)
+
+
+def _window_r(k: int, h: int) -> Fraction:
+    """The slope route's r in window units, s/3 + 1/2 for s = k/h."""
+    return Fraction(2 * k + 3 * h, 6 * h)
+
+
+def _check_slope_solve(quiver: Quiver, dims: tuple[int, ...],
+                       A: Sequence[tuple[int, int]]) -> None:
+    """The slope solve's refusals, in its order."""
+    _check_block_count(quiver, dims)
+    if len(dims) != 1 or len(quiver.edges) != 3:
+        raise NotImplementedError("slope solve requires the tripled one-vertex quiver")
+    _check_partition(sum(dims), A)
+    if not _slopes_decrease(A):
+        raise _UnorderedSlopes("slopes are not strictly decreasing")
+
 
 def slope_to_tree(quiver: Quiver, dims: Sequence[int],
                   A: Sequence[tuple[int, int]]) -> SlopeTree:
@@ -415,33 +547,16 @@ def slope_to_tree(quiver: Quiver, dims: Sequence[int],
 
     g_j is the sum of lambda_j-positive adjoint weights.  Requires the
     tripled one-vertex quiver (three loops) and strictly decreasing slopes;
-    every r_j comes out > 1/2 and c = sum_i w_i.
+    every r_j comes out > 1/2 and c = sum_i w_i.  The tree is
+    `_slope_tree`'s, whose lemma shows that its leaves are A's parts and its
+    residual lies on the axis.
     """
     dims = tuple(dims)
-    _check_block_count(quiver, dims)
-    if len(dims) != 1 or len(quiver.edges) != 3:
-        raise NotImplementedError("slope solve requires the tripled one-vertex quiver")
-    _check_partition(sum(dims), A)
-    if not _slopes_decrease(A):
-        raise _UnorderedSlopes("slopes are not strictly decreasing")
-    psi_A = _partition_weight(A)
-    nodes, residual, leaf_blocks = _tree(_JORDAN, psi_A, Fraction(0))
-    got = tuple(len(b) for b in leaf_blocks)
-    if got != tuple(d for d, _w in A):
-        raise DecompositionError("slope data does not reproduce the partition")
-    # Each leaf of radius 0 is constant on its block.  The residual must be
-    # c*tau, and it is exactly when all leaf values are equal; the
-    # subtraction of traceless g_j keeps c equal to sum w_i.
-    if len(set(residual.coords)) > 1:
-        raise DecompositionError("slope residual is not on the axis")
-    c = Fraction(sum(w for _d, w in A))
-    s_values = tuple(n.r for n in nodes)
-    # window units r/3 + 1/2 = (2r + 3)/6
-    window_nodes = tuple(
-        Node(lam=n.lam, r=Fraction(2 * n.r.numerator + 3 * n.r.denominator, 6 * n.r.denominator),
-             N=n.N, block=n.block, depth=n.depth)
-        for n in nodes)
-    return SlopeTree(nodes=window_nodes, s_values=s_values, c=c,
+    _check_slope_solve(quiver, dims, A)
+    tree = _slope_tree(A)
+    return SlopeTree(nodes=_tree_nodes(_JORDAN, dims, tree, _window_r),
+                     s_values=tuple(Fraction(k, h) for _start, _comp, k, h, _depth in tree),
+                     c=Fraction(sum(w for _d, w in A)),
                      partition=tuple((d, w) for d, w in A))
 
 
@@ -450,17 +565,35 @@ def _partition_nodes(quiver: Quiver, dims: tuple[int, ...], A: tuple[tuple[int, 
     """Nodes of the tree of a partition; the one place its route is chosen.
 
     They are the nodes of the standard form of A's slope weight when that
-    weight is dominant and the form's leaf partition is A, and otherwise
-    those of the slope solve.  The route is picked by comparing values, so
-    an error inside either route is raised as it is.
+    weight is dominant and the form's leaf partition is A (the form route),
+    and otherwise those of the slope solve; an error inside either route is
+    raised as it is.  Both are read off one `_slope_tree`, by its lemma:
+    the form route is taken exactly when the slopes strictly decrease and
+    every node has s > (L - 1)/2, L the quiver's loops, and then
+    r = (s + 1/2)/L.  A dominant slope weight with two equal adjacent
+    slopes has no form onto A (leaf slopes strictly decrease, see
+    `index_sets.enum_S`), and goes to the slope solve, which refuses it.
+    The refusals are those of the two routes, in their order: A first;
+    then, for a dominant slope weight, decompose's checks of the shape and
+    of delta, and on a quiver without loops and d > 1 the LP's refusal
+    (every cut has height 0); then the slope solve's.
     """
-    checked = _slope_weight(quiver, dims, A, delta)
-    if checked is not None:
-        chi_star, delta = checked
-        form = _form_onto(quiver, dims, *_scaled_coords(chi_star.coords), A, delta)
-        if form is not None:
-            return form.nodes
-    return slope_to_tree(quiver, dims, A).nodes
+    _check_partition(sum(dims), A)
+    tree = None
+    strictly = _slopes_decrease(A)
+    if strictly or _slopes_decrease(A, strictly=False):
+        _check_shape(quiver, dims, (sum(dims),))
+        _invariant_delta(dims, delta)
+        loops = len(quiver.edges)
+        if not loops and dims[0] > 1:
+            raise DecompositionError("weight does not lie in span(segments) + axis")
+        if strictly:
+            tree = _slope_tree(A)
+            if all(2 * k + h > loops * h for _start, _comp, k, h, _depth in tree):
+                return _tree_nodes(quiver, dims, tree,
+                                   lambda k, h: Fraction(2 * k + h, 2 * loops * h))
+    _check_slope_solve(quiver, dims, A)
+    return _tree_nodes(_JORDAN, dims, _slope_tree(A) if tree is None else tree, _window_r)
 
 
 def _parts_cocharacter(A: Sequence[tuple[int, int]]) -> Weight:

@@ -6,14 +6,26 @@ import io
 import json
 import pathlib
 import time
+from fractions import Fraction
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hallwin import builtin_quiver, cli, compare, pbw, tau, window_generators
-from hallwin.standard_form import DecompositionError, StandardForm
+from hallwin import (
+    Weight,
+    builtin_quiver,
+    cli,
+    compare,
+    decompose,
+    enum_T,
+    pbw,
+    standard_form,
+    tau,
+    window_generators,
+)
+from hallwin.standard_form import DecompositionError
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
@@ -90,6 +102,54 @@ def test_windows_budget_counts_the_lines(capsys, monkeypatch):
                                 for g in window_generators(builtin_quiver("tripled-jordan"),
                                                            (4,), 0)]
     assert len(out.splitlines()) == 16
+
+
+@pytest.mark.parametrize("delta", [[], ["--delta", "-5/3"]], ids=["no-delta", "delta"])
+def test_windows_lines_are_the_json_dumps_of_the_generators(capsys, delta):
+    # each line is formatted from the generator's int tuple; the bytes are
+    # json.dumps's in JSON and the tab-joined coordinates in TSV
+    q = builtin_quiver("tripled-jordan")
+    for d in range(1, 7):
+        for w in range(-2, 3):
+            gens = window_generators(q, (d,), w, tau((d,)).scale(Fraction(-5, 3)))
+            expected = {
+                "json": "".join(json.dumps({"chi": list(g.coords)}, separators=(", ", ": "))
+                                + "\n" for g in gens),
+                "tsv": "".join("\t".join(map(str, g.coords)) + "\n" for g in gens),
+            }
+            for fmt, text in expected.items():
+                code, out, _ = run(capsys, ["windows", "--d", str(d), "--w", str(w), *delta,
+                                            "--format", fmt])
+                assert code == 0 and out == text, (d, w, fmt)
+                assert len(out.splitlines()) == pbw.window_count(d, w, q)
+
+
+def test_index_sets_T_refuses_a_count_over_its_budget(capsys):
+    # 2^39 compositions of 40 pass enum_T's divisibility filter at w = 0;
+    # counted in closed form and refused before any is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["index-sets", "--set", "T", "--d", "40", "--w", "0"])
+    assert time.perf_counter() - start < 5
+    assert code == 1 and out == ""
+    assert err == ("error: index-sets --set T --d 40 --w 0 would test 549755813888 "
+                   "compositions, over the budget of 65536\n")
+    # gcd(40, 1) = 1: one composition to test
+    rows = run_json(capsys, ["index-sets", "--set", "T", "--d", "40", "--w", "1"], "index-sets")
+    assert len(rows) <= 1
+
+
+def test_index_sets_T_budget_counts_the_compositions(capsys, monkeypatch):
+    # (6, 3) and (6, -3) test 2^(3 - 1) = 4 compositions: refused one over
+    # the budget, printed as before at it
+    monkeypatch.setattr(cli, "INDEX_SETS_T_MAX_COMPOSITIONS", 3)
+    code, out, err = run(capsys, ["index-sets", "--set", "T", "--d", "6", "--w", "-3"])
+    assert code == 1 and out == ""
+    assert err == ("error: index-sets --set T --d 6 --w -3 would test 4 compositions, "
+                   "over the budget of 3\n")
+    monkeypatch.setattr(cli, "INDEX_SETS_T_MAX_COMPOSITIONS", 4)
+    rows = run_json(capsys, ["index-sets", "--set", "T", "--d", "6", "--w", "3"], "index-sets")
+    expected = enum_T(builtin_quiver("tripled-jordan"), 6, 3, None)
+    assert [tuple(map(tuple, r["parts"])) for r in rows] == list(expected)
 
 
 def test_index_sets_S(capsys):
@@ -413,13 +473,25 @@ def test_compare_inconsistent_input_exit_1(capsys, argv):
     assert_one_error_line(*run(capsys, argv))
 
 
+def faulty_tree(A):
+    """A partition's tree that fails as a tree whose coefficients grow does."""
+    raise DecompositionError("coefficients fail to decrease along the path")
+
+
 def test_compare_raises_a_decomposition_fault(capsys, monkeypatch):
-    # A fault inside the decomposition of a partition's slope weight is an
-    # error, not a cue to answer with the slope solve instead.
-    monkeypatch.setattr(StandardForm, "reconstruct", lambda form: form.phi + tau(form.dims))
-    with pytest.raises(DecompositionError, match="reconstruction failed"):
+    # A fault inside the tree of a partition is an error, not a cue to
+    # answer with the slope solve instead.
+    monkeypatch.setattr(standard_form, "_slope_tree", faulty_tree)
+    with pytest.raises(DecompositionError, match="coefficients fail to decrease"):
         compare(builtin_quiver("tripled-jordan"), 2, ((1, 5), (1, -5)), ((1, 1), (1, -1)))
     assert_one_error_line(*run(capsys, ["compare", "--a", "1,5;1,-5", "--b", "1,1;1,-1"]))
+
+
+def test_decompose_raises_a_reconstruction_fault(capsys, monkeypatch):
+    monkeypatch.setattr(standard_form, "_reconstructs", lambda phi, nodes, psi: False)
+    with pytest.raises(DecompositionError, match="reconstruction failed"):
+        decompose(builtin_quiver("tripled-jordan"), (2,), Weight.make([5, -5], (2,)))
+    assert_one_error_line(*run(capsys, ["decompose", "--weight", "5,-5"]))
 
 
 def test_index_sets_raises_a_decomposition_fault(capsys, monkeypatch):
@@ -427,7 +499,7 @@ def test_index_sets_raises_a_decomposition_fault(capsys, monkeypatch):
     # prints "r_sequence": null; any other fault exits 1.
     rows = run_json(capsys, ["index-sets", "--set", "U", "--d", "2", "--w", "0"], "index-sets")
     assert [r["r_sequence"] for r in rows] == [None, []]
-    monkeypatch.setattr(StandardForm, "reconstruct", lambda form: form.phi + tau(form.dims))
+    monkeypatch.setattr(standard_form, "_slope_tree", faulty_tree)
     assert_one_error_line(*run(capsys, ["index-sets", "--set", "V", "--d", "2", "--w", "0",
                                         "--slope-bound", "2"]))
 

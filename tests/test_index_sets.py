@@ -10,6 +10,7 @@ from hallwin import (
     Weight,
     builtin_quiver,
     compare,
+    compositions,
     enum_S,
     enum_T,
     enum_U,
@@ -18,6 +19,7 @@ from hallwin import (
     tau,
     window_generators,
 )
+from hallwin.index_sets import _divisible_composition_count, _divisible_compositions
 from hallwin.pbw import verify_bijection
 from hallwin.standard_form import DecompositionError, decompose, omega_shift
 
@@ -96,6 +98,17 @@ def test_enum_T_matches_equal_slope_sets_via_shift():
             U = {tuple(sorted(B)) for B in enum_U(d, w)}
             assert shifted == U, (d, w, shifted, U)
             assert not enum_T(Q3, d, w, None).truncated
+
+
+def test_enum_T_tests_the_divisible_compositions():
+    # the compositions of d whose parts d_i have d | d_i*w are those of
+    # gcd(d, w) scaled, 2^(gcd(d, w) - 1) of them (2^(d - 1) at w = 0)
+    for d in range(1, 11):
+        for w in range(-4, 5):
+            filtered = [c for c in compositions(d) if all(di * w % d == 0 for di in c)]
+            assert sorted(_divisible_compositions(d, w)) == sorted(filtered), (d, w)
+            assert _divisible_composition_count(d, w) == len(filtered), (d, w)
+        assert _divisible_composition_count(d, 0) == 2 ** (d - 1)
 
 
 def test_enum_T_parts_slope_increasing():

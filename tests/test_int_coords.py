@@ -18,6 +18,7 @@ from hallwin import (
     tripled_jordan,
     window_generators,
 )
+from hallwin import standard_form
 from hallwin.index_sets import _dominant_tuples
 from hallwin.polytope import cached_polytope
 from hallwin.shuffle import PoleError, mul, parse_element, shuffle_eval
@@ -149,3 +150,23 @@ def test_shifted_listing_builds_only_the_shift(monkeypatch):
         gens, built = fractions_built(monkeypatch, window_generators, q, (5,), w, delta)
         assert built == 2 and 0 < len(gens) < walked[w], w
     assert walked[-2] != walked[0]
+
+
+def test_reconstruction_check_builds_no_fraction(monkeypatch):
+    # At even d, chi + rho is half-integral, so phi, psi and the nodes' r
+    # build Fractions; the reconstruction check, on integers over one
+    # common denominator, builds none: decompose builds as many with the
+    # check as with the check answered True, where the check through
+    # Weight arithmetic (StandardForm.reconstruct) builds some
+    q = tripled_jordan()
+    chi = Weight.make([2, 2, 2, -3], (4,))
+    form, checked = fractions_built(monkeypatch, decompose, q, (4,), chi)
+    assert form.nodes and form.partition == ((3, 6), (1, -3))
+    assert standard_form._reconstructs(form.phi, form.nodes, form.psi)
+    assert not standard_form._reconstructs(form.phi, form.nodes, form.psi + tau((4,)))
+    with monkeypatch.context() as m:
+        m.setattr(standard_form, "_reconstructs", lambda phi, nodes, psi: True)
+        _form, unchecked = fractions_built(monkeypatch, decompose, q, (4,), chi)
+    assert checked == unchecked > 0
+    rebuilt, by_weights = fractions_built(monkeypatch, form.reconstruct)
+    assert rebuilt == form.phi and by_weights > 0

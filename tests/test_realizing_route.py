@@ -1,9 +1,10 @@
-"""A partition's tree by its root radius, against the routes it replaced.
+"""A partition's tree and `enum_S`, against the routes they replaced.
 
-`_partition_nodes` and `enum_S` answer a partition of more than one part
-whose weight has root radius at most 1/2 without decomposing it (the
-root-radius rule in `hallwin.standard_form`).  The slow oracles are the
-old routes: decompose the slope weight in full, check its leaf sizes and
+`enum_S` answers a partition of more than one part whose weight has root
+radius at most 1/2 without decomposing it (the root-radius rule in
+`hallwin.standard_form`), and `_partition_nodes` reads a partition's tree
+off its parts (`tests/test_parts_tree.py`).  The slow oracles are the old
+routes: decompose the slope weight in full, check its leaf sizes and
 otherwise run the slope solve; and decompose every dominant balanced
 candidate of the walk over partitions with non-increasing slopes, which
 `enum_S` walked before its lemma showed leaf slopes strictly decrease.
@@ -17,14 +18,12 @@ from fractions import Fraction as F
 import pytest
 
 from hallwin import Truncation, Weight, builtin_quiver, enum_V, rho, tau
-from hallwin import standard_form
-from hallwin.index_sets import _balanced_coords, compare, enum_S
+from hallwin.index_sets import _balanced_coords, enum_S
 from hallwin.polytope import cached_polytope
 from hallwin.quiver_weights import N_positive, jordan
 from hallwin.standard_form import (
     Node,
     _check_partition,
-    _decomposed,
     _partition_nodes,
     _partition_weight,
     _slopes_decrease,
@@ -106,34 +105,6 @@ def test_routes_agree_with_the_full_decomposition(name):
                 outcome(old_partition_nodes, quiver, dims, A, delta), (d, w, c, A)
             checked += 1
     assert checked > 1000
-
-
-def test_compare_decomposes_no_multi_part_partition_within_half(monkeypatch):
-    # Work count: over all pairs of enum_V(4, 0), decompose runs only for
-    # one-part partitions and partitions whose root radius exceeds 1/2.
-    d, dims = 4, (4,)
-    V = enum_V(d, 0, Truncation(F(2))).items
-    by_weight = {_partition_weight(A).coords: A for A in V}
-    poly = cached_polytope(Q3, dims)
-
-    def needs_form(A):
-        return len(A) == 1 or poly.r_invariant(_partition_weight(A) + rho(dims)) > F(1, 2)
-
-    calls = []
-
-    # every decomposition, checked by decompose or by its callers, runs
-    # _decomposed
-    def counted(quiver, dims, chi, delta):
-        calls.append(by_weight[chi.coords])
-        return _decomposed(quiver, dims, chi, delta)
-
-    monkeypatch.setattr(standard_form, "_decomposed", counted)
-    pairs = [(A, B) for A, B in itertools.product(V, repeat=2) if A != B]
-    for A, B in pairs:
-        compare(Q3, d, A, B)
-    assert all(needs_form(A) for A in calls)
-    assert len(calls) == sum(needs_form(A) + needs_form(B) for A, B in pairs)
-    assert 0 < len(calls) < 2 * len(pairs)
 
 
 def fraction_tree(quiver, phi, threshold):
