@@ -57,8 +57,9 @@ WINDOWS_MAX_LINES = 1_000_000
 
 # `index-sets --set T` tests one composition of d per candidate partition:
 # 2^(gcd(d, w) - 1) of them, 2^(d - 1) at w = 0, counted in closed form.
-# More than this are refused before any is built; 2^15 compositions
-# (`--d 16 --w 0`) take about 15 s.
+# More than this are refused before any is built.  At w = 0, `--d 16`
+# (2^15) takes about 13 s cold and `--d 17` (2^16) about 22 s; `--d 18`
+# and every larger d are refused.
 INDEX_SETS_T_MAX_COMPOSITIONS = 2 ** 16
 
 
