@@ -293,7 +293,10 @@ def _decomposed(quiver: Quiver, dims: tuple[int, ...], chi: Weight,
 def _reconstructs(phi: Weight, nodes: Sequence[Node], psi: Weight) -> bool:
     """Whether psi - sum_j r_j N_j = phi: `StandardForm.reconstruct`
     recomputed on integers, every term scaled to the lcm of the
-    denominators of phi, psi and the r_j (the N_j are integral)."""
+    denominators of phi, psi and the r_j (the N_j are integral).  With no
+    node the sum is empty, and psi is compared with phi as it is."""
+    if not nodes:
+        return psi == phi
     phi_ints, phi_den = _scaled_coords(phi.coords)
     psi_ints, psi_den = _scaled_coords(psi.coords)
     den = lcm(phi_den, psi_den, *(node.r.denominator for node in nodes))
