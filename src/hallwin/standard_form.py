@@ -190,7 +190,8 @@ def _tree(quiver: Quiver, phi: Weight, threshold: Fraction):
     raises).
 
     phi is non-increasing, as every caller's is (a dominant chi plus rho
-    and a multiple of tau, or a slope weight with decreasing slopes), and
+    and a multiple of tau; the tests also grow slope weights with
+    decreasing slopes at threshold 0, the oracle of `_slope_tree`), and
     so is each part of phi + r*N, N being constant on lam's level blocks.
     So a block's ordered cuts are its sorted cuts, and one list of them,
     on the integers phi is carried in from the root down, gives both its

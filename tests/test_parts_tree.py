@@ -125,14 +125,6 @@ def test_parts_tree_errors_match_off_the_builtin_quivers():
                 outcome(old_partition_nodes, quiver, (d,), A, delta), (d, A)
 
 
-def test_a_quiver_without_loops_refuses_every_multi_slot_tree():
-    assert _partition_nodes(LOOPLESS, (1,), ((1, 4),), None) == ()
-    for A in (((2, 0),), ((1, 1), (1, -1)), ((1, 1), (1, 1))):
-        with pytest.raises(DecompositionError,
-                           match=r"^weight does not lie in span\(segments\) \+ axis$"):
-            _partition_nodes(LOOPLESS, (2,), A, None)
-
-
 def test_the_two_routes_put_r_on_scales_a_third_apart():
     # On tripled-jordan the form route gives r = (s + 1/2)/3 = s/3 + 1/6 and
     # the slope route (window units) s/3 + 1/2, s the slope tree's radius.
