@@ -193,22 +193,24 @@ def _partition_walk(d: int, w: int, trunc: Truncation) -> Iterator[Partition]:
     the rest (D, W) can still be filled by admitted parts no steeper than
     w_i/d_i, D*(w/d - bound) <= W <= D*w_i/d_i, and the last part the cap
     allows takes all the rest; so a head is a dead end only on a tie of
-    slopes.
+    slopes.  A part after the first is strictly less steep than the last,
+    w_i/d_i < tn/td, which bounds its weight: w_i <= (d_i*tn - 1) // td.
     """
     bn, bd = trunc.slope_bound.numerator, trunc.slope_bound.denominator
     ln, ld = w * bd - d * bn, d * bd  # w/d - bound = ln/ld, and ld > 0
 
     def walk(head: Partition, D: int, W: int, tn: int, td: int) -> Iterator[Partition]:
-        # the next part's slope is at most tn/td (td > 0); the bounds on its
-        # weight are floor and ceiling divisions, -(-a // b) = ceil(a/b)
+        # the next part's slope is at most tn/td (td > 0), and below it after
+        # the first part; the bounds on its weight are floor and ceiling
+        # divisions, -(-a // b) = ceil(a/b)
         if not D:
             yield head
             return
+        strict = 1 if head else 0
         for di in range(1 if trunc.admits_count(len(head) + 2) else D, D + 1):
             for wi in range(max(-(-di * ln // ld), -(-di * W // D)),
-                            min(di * tn // td, (W * ld - (D - di) * ln) // ld) + 1):
-                if _slopes_decrease(head[-1:] + ((di, wi),)):
-                    yield from walk(head + ((di, wi),), D - di, W - wi, wi, di)
+                            min((di * tn - strict) // td, (W * ld - (D - di) * ln) // ld) + 1):
+                yield from walk(head + ((di, wi),), D - di, W - wi, wi, di)
 
     yield from walk((), d, w, w * bd + d * bn, ld)
 

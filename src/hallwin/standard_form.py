@@ -8,7 +8,7 @@ decomposes as
 with a tree of antidominant cocharacters lambda_j, coefficients r_j > 1/2
 strictly decreasing along root-to-leaf paths, N_j the sum of lambda_j-positive
 edge weights of the block the node refines, and the residual psi lying in the
-half polytope (closed).  Recursion proceeds independently inside the blocks
+half polytope (closed).  The tree grows independently inside the blocks
 of each node's cocharacter; a block stops once its residual radius drops to
 1/2 or below.  The root radius is computed once, and most weights stop
 there: when it is at most 1/2 the form is the root leaf, psi = phi, with no
@@ -23,24 +23,26 @@ part is not realized by a chi whose root radius is at most 1/2.
 decomposition; `tree_of_partition` and `enum_S` ask for a partition's form
 through it.
 
-Each node's radius and cocharacter come from the polytope's prefix-sum
-form (no LP).  The weight and the residuals below it are carried as
-integers over one common denominator, and each block's radius and face,
-the root's included, are read off one list of its integer cuts.  Weight
-coordinates are ints where integral, so Fractions are built only for phi's
-and psi's non-integral coordinates and the nodes' radii; the
-reconstruction check runs on integers over one common denominator.  An
-integral chi at odd d (whose rho is integral) with delta 0 and a root leaf
-builds none.
+Every tree is grown by one integer grower, `_grow`, over the prefix sums
+of a sequence of parts (no LP): a block's cuts are read off the root's
+prefix sums, since the nodes above it add a constant to it, which moves no
+cut.  The root radius comes from the polytope's prefix-sum form; a root
+above 1/2 is grown on phi's slots as parts of size 1, phi carried as
+integers over one common denominator, and psi is read off the leaves at
+the end.  Weight coordinates are ints where integral, so Fractions are
+built only for phi's and psi's non-integral coordinates and the nodes'
+radii; the reconstruction check runs on integers over one common
+denominator.  An integral chi at odd d (whose rho is integral) with delta
+0 and a root leaf builds none.
 
 The tree of a partition A = ((d_1, w_1), ..., (d_k, w_k)), behind
-`compare` and `index-sets`, is grown on its k parts (`_slope_tree`, whose
-docstring has the lemma): its cuts fall on part boundaries, and the
-standard form of A's slope weight concat_i w_i tau_{d_i} is the slope
-tree truncated, so one integer tree answers both routes of
-`_partition_nodes` and `slope_to_tree`, the slope solve: writing
-sum_i w_i tau_{d_i} as -sum_j (3 r_j - 3/2) g_j + c tau_d for the tripled
-one-vertex quiver.
+`compare` and `index-sets`, is the same grower's on A's k parts
+(`_slope_tree`, whose docstring has the lemma): its cuts fall on part
+boundaries, and the standard form of A's slope weight
+concat_i w_i tau_{d_i} is the slope tree truncated, so one tree answers
+both routes of `_partition_nodes` and `slope_to_tree`, the slope solve:
+writing sum_i w_i tau_{d_i} as -sum_j (3 r_j - 3/2) g_j + c tau_d for the
+tripled one-vertex quiver.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from math import lcm
 from typing import Sequence
 
 from ._record import Record
-from .polytope import _tight_composition, _widest_cut, cached_polytope
+from .polytope import _widest_cut, cached_polytope
 from .quiver_weights import (
     N_positive,
     Quiver,
@@ -147,8 +149,8 @@ def _leaf_partition(chi: Weight, leaf_blocks: Sequence[Sequence[int]]):
 _HALF = Fraction(1, 2)
 
 
-# rho, the zero weight and N(lam) for a face cocharacter are immutable, so
-# one instance per dimension (or composition) serves every decomposition.
+# rho and the zero weight are immutable, so one instance per dimension
+# serves every decomposition.
 @lru_cache(maxsize=None)
 def _rho(dims: tuple[int, ...]) -> Weight:
     return rho(dims)
@@ -168,12 +170,58 @@ def _invariant_delta(dims: tuple[int, ...], delta: Weight | None) -> Weight:
     return delta
 
 
-@lru_cache(maxsize=None)
-def _face_weights(quiver: Quiver, comp: tuple[int, ...]) -> tuple[Weight, Weight]:
-    """lam and N_positive(lam), both integral, for the canonical cocharacter
-    lam of a one-vertex composition."""
-    lam = composition_cocharacter(comp)
-    return lam, N_positive(quiver, (sum(comp),), lam)
+# One node of `_grow`: its first slot, its face's composition (which sums
+# to the node's size), its radius k/h as an unreduced pair and its depth.
+_GrownNode = tuple[int, tuple[int, ...], int, int, int]
+
+
+def _grow(D: Sequence[int], W: Sequence[int], limit: tuple[int, int]) -> list[_GrownNode]:
+    """The nodes of the tree grown on integer parts, each before its
+    children, siblings left to right: the order of a form's nodes.
+
+    D and W are the prefix sums of the parts' sizes and weights (D[0] =
+    W[0] = 0), and cuts fall only after a part.  In a block of parts
+    lo..hi-1, of size n and weight S, the cut after part j, p = D[j] - D[lo]
+    slots and weight P = W[j] - W[lo] in, reads k = n*P - p*S over
+    h = p*(n - p)*n: its centred prefix sum over p*(n - p).  A block whose
+    widest cut k/h is at most limit = (a, b), k*b <= a*h, is a leaf.  Any
+    other block is a node whose face cuts at every tight cut, the widest
+    among them, and each level block of two or more parts grows below it
+    with a smaller radius (checked); a single part has no cut, so it is a
+    leaf and is not grown.
+
+    Every block's cuts are read off these root prefix sums.  A node adds
+    r*N to its block, and N, a sum of edge weights e_a - e_b over the slots
+    a, b with lam_a > lam_b, is constant on each level block of lam; so a
+    block carries the root's weight plus a constant.  Adding c to a block
+    of size n adds p*c to P and n*c to S, and moves no cut:
+    n*(P + p*c) - p*(S + n*c) = n*P - p*S.
+    """
+    nodes: list[_GrownNode] = []
+    stack = [(0, len(D) - 1, 0, None)]
+    while stack:
+        lo, hi, depth, parent = stack.pop()
+        start, end, w0 = D[lo], D[hi], W[lo]
+        n, total = end - start, W[hi] - w0
+        cuts = []
+        for j in range(lo + 1, hi):
+            p = D[j] - start
+            cuts.append((n * (W[j] - w0) - p * total, p * (end - D[j]) * n))
+        k, h = _widest_cut(cuts)
+        if k * limit[1] <= limit[0] * h:
+            continue
+        if parent is not None and not k * parent[1] < parent[0] * h:
+            raise DecompositionError("coefficients fail to decrease along the path")
+        bounds = [lo, *(j for j, (cut_k, cut_h) in enumerate(cuts, lo + 1)
+                        if cut_k * h == k * cut_h), hi]
+        # the level blocks right to left, so the leftmost is grown first
+        comp = []
+        for a, b in zip(bounds[-2::-1], bounds[:0:-1]):
+            comp.append(D[b] - D[a])
+            if b - a > 1:
+                stack.append((a, b, depth + 1, (k, h)))
+        nodes.append((start, tuple(reversed(comp)), k, h, depth))
+    return nodes
 
 
 def _tree(quiver: Quiver, phi: Weight, threshold: Fraction):
@@ -182,71 +230,58 @@ def _tree(quiver: Quiver, phi: Weight, threshold: Fraction):
     A block whose radius is at most threshold is a leaf and keeps its part
     of phi in psi.  Otherwise its face cocharacter lam gives a node
     (lam, r, N), phi + r*N splits along lam's level blocks, and each part
-    recurses, its radius bounded by r.  The root radius is computed once: a
-    root within the threshold is returned as the one leaf, psi = phi, and
-    nothing else is built.  So the tree is the single root leaf exactly
-    when the root radius is at most the threshold; a larger radius makes a
-    node whose face cuts at least once, hence at least two leaves (or
-    raises).
+    is grown in turn, its radius below r.  The root radius is computed once,
+    on the polytope's cuts: a root within the threshold is returned as the
+    one leaf, psi = phi, and nothing else is built.  So the tree is the
+    single root leaf exactly when the root radius is at most the threshold;
+    a larger radius makes a node whose face cuts at least once, hence at
+    least two leaves (or raises).  On a quiver without loops every cut has
+    height 0, so a root that is not constant has no finite radius: it
+    raises the LP's refusal, that the weight is not in span(segments) +
+    axis.
 
     phi is non-increasing, as every caller's is (a dominant chi plus rho
     and a multiple of tau; the tests also grow slope weights with
     decreasing slopes at threshold 0, the oracle of `_slope_tree`), and
-    so is each part of phi + r*N, N being constant on lam's level blocks.
-    So a block's ordered cuts are its sorted cuts, and one list of them,
-    on the integers phi is carried in from the root down, gives both its
-    radius and its face.  Fractions are built only for the nodes' radii and
-    the leaves' non-integral part of psi.  On a quiver without loops every
-    cut has height 0, so a root that is not constant has no finite radius:
-    it raises the LP's refusal, that the weight is not in span(segments) +
-    axis.
+    so is each part of phi + r*N; so a block's ordered cuts are its sorted
+    cuts.  Below a root above the threshold the tree is `_grow`'s on phi's
+    slots as parts of size 1, on the integers ints/den phi is carried in.
+    Its cut p of a block reads k over h, where the polytope's reads k over
+    L*den*h (L loops), so r = k/(L*den*h) and the threshold is scaled to
+    match.
+
+    psi is phi + sum_j r_j N_j, read off the leaves.  At a tight cut p of
+    a node's block the centred prefix sum is r*L*p*(n - p) and N's prefix
+    sum is -L*p*(n - p), so the level blocks keep the block's mean.  So
+    every leaf has phi's mean: its part of psi is its part of phi minus its
+    own mean plus phi's.  Fractions are built only for the nodes' radii
+    and the non-integral coordinates of psi.
     """
     dims = phi.blocks
+    n = dims[0]
     ints, den = _scaled_coords(phi.coords)
-    cuts = cached_polytope(quiver, dims)._int_cuts(ints, den, ordered=True)
-    k, h = _widest_cut(cuts)
+    k, h = _widest_cut(cached_polytope(quiver, dims)._int_cuts(ints, den, ordered=True))
     if not h:
         raise DecompositionError("weight does not lie in span(segments) + axis")
     t_num, t_den = threshold.numerator, threshold.denominator
     if k * t_den <= t_num * h:
-        return (), phi, (tuple(range(dims[0])),)
-    nodes: list[Node] = []
-    psi = list(phi.coords)
-    leaves: list[tuple[int, ...]] = []
-
-    def grow(ints: list[int], den: int, start: int, cuts: list[tuple[int, int]],
-             radius: tuple[int, int], depth: int, parent: tuple[int, int] | None) -> None:
-        # the block ints/den on the slots start..start+len(ints)-1; its
-        # ordered cuts are cuts and its radius k/h, above the threshold
-        slots = tuple(range(start, start + len(ints)))
-        k, h = radius
-        comp = _tight_composition(cuts, k, h)
-        if comp is None:
-            raise DecompositionError("no face cocharacter found at positive radius")
-        if parent is not None and not k * parent[1] < parent[0] * h:
-            raise DecompositionError("coefficients fail to decrease along the path")
-        r = Fraction(k, h)
-        lam, N = _face_weights(quiver, comp)
-        nodes.append(Node(lam=lam.embed(slots, dims), r=r, N=N.embed(slots, dims),
-                          block=slots, depth=depth))
-        # phi + r*N over the common denominator den * r.den
-        num, rden = r.numerator, r.denominator
-        reduced = [x * rden + num * den * v for x, v in zip(ints, N.coords)]
-        den *= rden
-        off = 0
-        for size in comp:
-            part = reduced[off:off + size]
-            part_cuts = cached_polytope(quiver, (size,))._int_cuts(part, den, ordered=True)
-            part_k, part_h = _widest_cut(part_cuts)
-            if part_k * t_den <= t_num * part_h:
-                psi[start + off:start + off + size] = _unscaled(part, den)
-                leaves.append(slots[off:off + size])
-            else:
-                grow(part, den, start + off, part_cuts, (part_k, part_h), depth + 1, radius)
-            off += size
-
-    grow(ints, den, 0, cuts, (k, h), 0, None)
-    return tuple(nodes), Weight(tuple(psi), dims), tuple(leaves)
+        return (), phi, (tuple(range(n)),)
+    scale = len(quiver.edges) * den
+    W = list(accumulate(ints, initial=0))
+    tree = _grow(range(n + 1), W, (t_num * scale, t_den))
+    bounds = sorted({b for start, comp, _k, _h, _depth in tree
+                     for b in accumulate(comp, initial=start)})
+    psi: list[int | Fraction] = []
+    for a, b in zip(bounds, bounds[1:]):
+        # the leaf's psi over m*n*den, an int where that divides
+        m = b - a
+        shift, leaf_den = W[n] * m - (W[b] - W[a]) * n, m * n * den
+        for x in ints[a:b]:
+            v = x * m * n + shift
+            psi.append(Fraction(v, leaf_den) if v % leaf_den else v // leaf_den)
+    return (_tree_nodes(quiver, dims, tree, lambda k, h: Fraction(k, scale * h)),
+            Weight(tuple(psi), dims),
+            tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])))
 
 
 def _check_shape(quiver: Quiver, dims: tuple[int, ...], blocks: tuple[int, ...]) -> None:
@@ -435,13 +470,8 @@ class SlopeTree(Record):
 # The adjoint weights are the edge weights of the Jordan quiver.
 _JORDAN = jordan()
 
-# One node of `_slope_tree`: its first slot, its face's composition (which
-# sums to the node's size), its radius s = k/h as an unreduced pair and its
-# depth.
-_PartsNode = tuple[int, tuple[int, ...], int, int, int]
 
-
-def _slope_tree(A: Sequence[tuple[int, int]]) -> list[_PartsNode]:
+def _slope_tree(A: Sequence[tuple[int, int]]) -> list[_GrownNode]:
     """The slope tree of a partition A whose slopes strictly decrease, grown
     on its parts: `_tree(jordan(), chi*, 0)` for the slope weight
     chi* = concat_i w_i tau_{d_i}, in `_tree`'s node order, on integers and
@@ -455,18 +485,15 @@ def _slope_tree(A: Sequence[tuple[int, int]]) -> list[_PartsNode]:
     F(p)/(p(n - p)) is a/p + b/(n - p) with a, b >= 0, strictly convex
     unless a = b = 0.  So the radius s is reached, and tight, only on part
     boundaries, and a block of two or more parts has s > 0 (its first part
-    lies above its mean).  At a boundary the block's prefix sums are sums
-    of the w_i, integers: the cut after p slots of part-weight sum P reads
-    k = n*P - p*S over h = p*(n - p)*n, S the block's weight and n its
-    size.  The Jordan quiver's N is constant on each level block of the
-    face, and its prefix sum at each of the face's cuts is -p(n - p).  So
-    on a level block of size m, at offset q, the centred prefix sums of
-    chi* + s*N are at most s*q(m - q), with equality only where F is tight,
-    at the level block's ends: a child's radius is below its parent's.
-    They vanish at every tight cut, so every level block keeps the block's
-    mean.  Adding s*N moves no cut inside a level block, so every sub-block
-    is cut on the original (d_i, w_i); the leaves are A's parts, and the
-    residual is c*tau with c = sum_i w_i.
+    lies above its mean).  So the tree is `_grow`'s on A's parts at
+    limit 0, whose cuts are sums of the w_i, integers.  The Jordan quiver's
+    N is constant on each level block of the face, and its prefix sum at
+    each of the face's cuts is -p(n - p).  So on a level block of size m,
+    at offset q, the centred prefix sums of chi* + s*N are at most
+    s*q(m - q), with equality only where F is tight, at the level block's
+    ends: a child's radius is below its parent's.  They vanish at every
+    tight cut, so every level block keeps the block's mean; the leaves are
+    A's parts, and the residual is c*tau with c = sum_i w_i.
     (2) The form route is this tree truncated.  rho's centred p-th prefix
     sum is p(n - p)/2, on every block, and delta moves no cut.  So on a
     one-vertex quiver with L >= 1 loops the cut p of chi* + rho + delta
@@ -478,50 +505,26 @@ def _slope_tree(A: Sequence[tuple[int, int]]) -> list[_PartsNode]:
     ((s + 1/2)/L <= 1/2), each with r = (s + 1/2)/L = (2k + h)/(2Lh); its
     leaf partition is A exactly when every node has s > (L - 1)/2.
     """
-    # D[j] and W[j]: the size and the weight of A's first j parts
-    D = list(accumulate((d for d, _w in A), initial=0))
-    W = list(accumulate((w for _d, w in A), initial=0))
-    nodes: list[_PartsNode] = []
-
-    def grow(lo: int, hi: int, depth: int, parent: tuple[int, int] | None) -> None:
-        # the parts lo..hi-1, two or more; the cut after part j is p slots
-        # of part-weight sum P into the block
-        start, n, total = D[lo], D[hi] - D[lo], W[hi] - W[lo]
-        cuts = []
-        for j in range(lo + 1, hi):
-            p = D[j] - start
-            cuts.append((n * (W[j] - W[lo]) - p * total, p * (n - p) * n))
-        k, h = _widest_cut(cuts)
-        if parent is not None and not k * parent[1] < parent[0] * h:
-            raise DecompositionError("coefficients fail to decrease along the path")
-        # the face cuts at every tight boundary
-        bounds = [lo, *(j for j, (cut_k, cut_h) in enumerate(cuts, lo + 1)
-                        if cut_k * h == k * cut_h), hi]
-        nodes.append((start, tuple(D[b] - D[a] for a, b in zip(bounds, bounds[1:])),
-                      k, h, depth))
-        for a, b in zip(bounds, bounds[1:]):
-            if b - a > 1:
-                grow(a, b, depth + 1, (k, h))
-
-    if len(A) > 1:
-        grow(0, len(A), 0, None)
-    return nodes
+    return _grow(list(accumulate((d for d, _w in A), initial=0)),
+                 list(accumulate((w for _d, w in A), initial=0)), (0, 1))
 
 
 @lru_cache(maxsize=None)
 def _embedded_face(quiver: Quiver, comp: tuple[int, ...], start: int,
                    d: int) -> tuple[Weight, Weight, tuple[int, ...]]:
-    """lam and N of `_face_weights` embedded in d slots on the block of
+    """lam, the canonical cocharacter of the one-vertex composition comp,
+    and N_positive(lam), both integral, embedded in d slots on the block of
     comp's slots from start, and that block."""
     slots = tuple(range(start, start + sum(comp)))
-    lam, N = _face_weights(quiver, comp)
+    lam = composition_cocharacter(comp)
+    N = N_positive(quiver, (sum(comp),), lam)
     return lam.embed(slots, (d,)), N.embed(slots, (d,)), slots
 
 
-def _tree_nodes(quiver: Quiver, dims: tuple[int, ...], tree: Sequence[_PartsNode],
+def _tree_nodes(quiver: Quiver, dims: tuple[int, ...], tree: Sequence[_GrownNode],
                 r_of) -> tuple[Node, ...]:
-    """The Nodes of a `_slope_tree`, lam and N those of the quiver's faces
-    and r = r_of(k, h) for the node's radius s = k/h."""
+    """The Nodes of a `_grow` tree, lam and N those of the quiver's faces
+    and r = r_of(k, h) for the node's radius k/h."""
     out = []
     for start, comp, k, h, depth in tree:
         lam, N, slots = _embedded_face(quiver, comp, start, dims[0])

@@ -205,6 +205,33 @@ def test_verify_bijection(capsys):
     assert row["violations"] == []
 
 
+@pytest.mark.parametrize("argv, domain", [
+    (["--d", "40", "--w", "0", "--bound", "4"], "(40, 0, 4)"),
+    (["--d", "3", "--w", "0", "--bound", "1000000"], "(3, 0, 1000000)"),
+])
+def test_verify_bijection_refuses_a_domain_over_its_budget(capsys, argv, domain):
+    # 4 083 008 weights at d = 40, and about 5 * 10^11 at d = 3: the domain
+    # is walked only to one weight past the budget, before any decomposition
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["verify-bijection", *argv])
+    assert time.perf_counter() - start < 10
+    assert code == 1 and out == ""
+    assert err == (f"error: the domain of (d, w, bound) = {domain} has more than the budget "
+                   "of 65536 weights\n")
+
+
+def test_verify_bijection_budget_counts_the_domain(capsys, monkeypatch):
+    # (2, 0) within 8 has 9 weights: refused one over the budget, reported
+    # as before at it
+    monkeypatch.setattr(pbw, "VERIFY_BIJECTION_MAX_DOMAIN", 8)
+    code, out, err = run(capsys, ["verify-bijection", "--d", "2", "--w", "0", "--bound", "8"])
+    assert code == 1 and out == ""
+    assert err == ("error: the domain of (d, w, bound) = (2, 0, 8) has more than the budget "
+                   "of 8 weights\n")
+    monkeypatch.setattr(pbw, "VERIFY_BIJECTION_MAX_DOMAIN", 9)
+    test_verify_bijection(capsys)
+
+
 def test_shuffle_zeta(capsys):
     rows = run_json(capsys, ["shuffle", "zeta", "5", "--q1", "2",
                              "--q2", "3"], "shuffle-zeta")

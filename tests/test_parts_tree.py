@@ -3,17 +3,20 @@
 `_partition_nodes` (behind `compare` and `index-sets`) and `slope_to_tree`
 read one integer tree on a partition's parts (`standard_form._slope_tree`).
 The oracles are the routes it replaced: the standard form of the slope
-weight through `_form_onto`, and otherwise the slope solve as the
-coordinate `_tree` on the Jordan quiver at threshold 0.  Outcomes are
-compared in full: nodes, or an error's type and message.
+weight, and otherwise the slope solve as the coordinate tree of the slope
+weight on the Jordan quiver at threshold 0.  Both trees are grown by
+`fraction_tree`, in Fraction through the polytope's public `r_invariant`
+and `face_cocharacter`, not by the integer grower under test.  Outcomes
+are compared in full: nodes, or an error's type and message.
 """
 
+import functools
 import itertools
 from fractions import Fraction as F
 
 import pytest
 
-from hallwin import Quiver, Truncation, builtin_quiver, enum_V, tau
+from hallwin import Quiver, Truncation, builtin_quiver, enum_V, rho, tau
 from hallwin import cli, standard_form
 from hallwin.index_sets import compare
 from hallwin.quiver_weights import jordan
@@ -24,21 +27,25 @@ from hallwin.standard_form import (
     _UnorderedSlopes,
     _check_block_count,
     _check_partition,
-    _form_onto,
     _partition_nodes,
     _partition_weight,
-    _scaled_coords,
     _slope_weight,
     _slopes_decrease,
-    _tree,
     slope_to_tree,
 )
 
-from test_realizing_route import nonincreasing_walk
+from test_realizing_route import fraction_tree, nonincreasing_walk
 
 QUIVERS = ["jordan", "doubled-jordan", "tripled-jordan"]
 Q3 = builtin_quiver("tripled-jordan")
 LOOPLESS = Quiver.from_json('{"vertices": [0], "edges": []}')
+
+
+@functools.lru_cache(maxsize=None)
+def jordan_tree(A):
+    """`fraction_tree` of A's slope weight on the Jordan quiver at 0, the
+    same for every quiver and delta, so grown once per partition."""
+    return fraction_tree(jordan(), _partition_weight(A), F(0))
 
 
 def old_slope_to_tree(quiver, dims, A):
@@ -51,7 +58,7 @@ def old_slope_to_tree(quiver, dims, A):
     _check_partition(sum(dims), A)
     if not _slopes_decrease(A):
         raise _UnorderedSlopes("slopes are not strictly decreasing")
-    nodes, residual, leaf_blocks = _tree(jordan(), _partition_weight(A), F(0))
+    nodes, residual, leaf_blocks = jordan_tree(tuple(A))
     if tuple(len(b) for b in leaf_blocks) != tuple(d for d, _w in A):
         raise DecompositionError("slope data does not reproduce the partition")
     if len(set(residual.coords)) > 1:
@@ -63,14 +70,19 @@ def old_slope_to_tree(quiver, dims, A):
 
 
 def old_partition_nodes(quiver, dims, A, delta):
-    """The two-tree route: the slope weight's standard form through
-    `_form_onto`, otherwise the old slope solve."""
+    """The two-tree route: the nodes of the slope weight's standard form
+    when its leaf sizes are A's, otherwise the old slope solve."""
     checked = _slope_weight(quiver, dims, A, delta)
     if checked is not None:
         chi_star, delta = checked
-        form = _form_onto(quiver, dims, *_scaled_coords(chi_star.coords), A, delta)
-        if form is not None:
-            return form.nodes
+        try:
+            nodes, _psi, leaves = fraction_tree(quiver, chi_star + rho(dims) + delta, F(1, 2))
+        except ValueError as exc:
+            # the LP's refusal of a weight off span(segments) + axis, which
+            # decompose raises as a DecompositionError
+            raise DecompositionError(str(exc)) from None
+        if tuple(len(b) for b in leaves) == tuple(d for d, _w in A):
+            return nodes
     return old_slope_to_tree(quiver, dims, A).nodes
 
 
@@ -151,14 +163,14 @@ def test_the_two_routes_put_r_on_scales_a_third_apart():
 def test_compare_and_index_sets_grow_no_coordinate_tree(monkeypatch, capsys):
     # Work count: on tripled-jordan, compare over all pairs of enum_V(5, 0)
     # and index-sets V at d = 7 run no coordinate _tree and build no slope
-    # weight, where the two-tree route makes both for one partition.
+    # weight, where tree_of_partition makes both for one partition.
     calls = {"_tree": 0, "_partition_weight": 0}
     for name in calls:
         def counted(*args, _name=name, _func=getattr(standard_form, name)):
             calls[_name] += 1
             return _func(*args)
         monkeypatch.setattr(standard_form, name, counted)
-    old_partition_nodes(Q3, (2,), ((1, 5), (1, -5)), None)
+    standard_form.tree_of_partition(Q3, (2,), ((1, 5), (1, -5)))
     assert calls == {"_tree": 1, "_partition_weight": 1}
     calls.update(_tree=0, _partition_weight=0)
     V = enum_V(5, 0, Truncation(F(2))).items

@@ -19,7 +19,7 @@ import pytest
 
 from hallwin import Truncation, Weight, builtin_quiver, enum_V, rho, tau
 from hallwin.index_sets import _balanced_coords, enum_S
-from hallwin.polytope import cached_polytope
+from hallwin.polytope import WPolytope, cached_polytope
 from hallwin.quiver_weights import N_positive, jordan
 from hallwin.standard_form import (
     Node,
@@ -139,19 +139,35 @@ def fraction_tree(quiver, phi, threshold):
 
 @pytest.mark.parametrize("name", QUIVERS)
 def test_integer_tree_matches_fraction_tree(name):
+    # the non-increasing coordinates in [-3, 3], to d = 5 on every quiver
+    # and to d = 6 on jordan, whose trees are the deepest
     quiver = builtin_quiver(name)
     grown = 0
-    for d in range(1, 6):
+    for d in range(1, 7 if name == "jordan" else 6):
         dims = (d,)
-        for coords in itertools.product(range(-3, 4), repeat=d):
-            if list(coords) != sorted(coords, reverse=True):
-                continue
+        for coords in itertools.combinations_with_replacement(range(3, -4, -1), d):
             for c in DELTAS:
                 phi = Weight.make(coords, dims) + rho(dims) + tau(dims).scale(c)
                 tree = _tree(quiver, phi, F(1, 2))
                 assert tree == fraction_tree(quiver, phi, F(1, 2)), (coords, c)
                 grown += bool(tree[0])
     assert grown > 100
+
+
+def test_decompose_cuts_the_root_once(monkeypatch):
+    # Work count: the polytope's cuts are taken once, at the root; every
+    # block below it is cut on the root's prefix sums
+    calls = []
+    int_cuts = WPolytope._int_cuts
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.dims)
+        return int_cuts(self, *args, **kwargs)
+
+    monkeypatch.setattr(WPolytope, "_int_cuts", counted)
+    form = decompose(Q3, (3,), Weight.make((12, 9, 5), (3,)))
+    assert [(n.depth, n.block) for n in form.nodes] == [(0, (0, 1, 2)), (1, (0, 1))]
+    assert calls == [(3,)]
 
 
 def test_slope_trees_match_fraction_tree():
