@@ -28,7 +28,7 @@ from .quiver_weights import (
 from .standard_form import (
     _check_partition,
     _cut_twist_sums,
-    _form_onto,
+    _decomposed,
     _invariant_delta,
     _partition_nodes,
     _r_sequence,
@@ -247,6 +247,20 @@ def enum_U(d: int, w: int, trunc: Truncation = Truncation()) -> EnumResult:
     return EnumResult(tuple(items), truncated=False)
 
 
+def _root_within_half(quiver: Quiver, chi: Sequence[int]) -> bool:
+    """Whether the root radius of chi + rho + delta is at most 1/2, for the
+    dominant integral one-vertex chi and delta a multiple of tau.
+
+    Decided on integers: 2*(chi + rho) is integral, delta moves no cut, and
+    chi + rho is sorted, so the radius is at most 1/2 exactly when
+    2*k_p <= h_p for every ordered cut of it.
+    """
+    n = len(chi)
+    doubled = [2 * x + n - 1 - 2 * i for i, x in enumerate(chi)]
+    cuts = cached_polytope(quiver, (n,))._int_cuts(doubled, 2, ordered=True)
+    return all(2 * k <= h for k, h in cuts)
+
+
 def enum_S(quiver: Quiver, d: int, w: int, delta: Weight | None,
            trunc: Truncation) -> EnumResult:
     """Partitions arising as leaf partitions of standard forms.
@@ -254,12 +268,13 @@ def enum_S(quiver: Quiver, d: int, w: int, delta: Weight | None,
     Leaf partitions have strictly decreasing slopes (the lemma below), so
     the candidates are the partitions of `enum_V`, and A is kept when its
     balanced weight (`_balanced_coords`) is dominant and decomposes with
-    leaf partition A (`standard_form._form_onto`).  By the root-radius
-    rule, a candidate of more than one part whose balanced weight has root
+    leaf partition A.  By the root-radius rule of `hallwin.standard_form`,
+    a candidate of more than one part whose balanced weight has root
     radius at most 1/2 has the one-part leaf partition and is dropped
-    without a decomposition; the radius is decided on integers (the
-    balanced weight and 2*rho are integral, and delta, a multiple of tau,
-    moves no cut).  Every other dominant candidate is decomposed once.  The
+    without a decomposition; the radius is decided on integers
+    (`_root_within_half`: the balanced weight and 2*rho are integral, and
+    delta, a multiple of tau, moves no cut).  Every other dominant
+    candidate is decomposed once (`standard_form._decomposed`).  The
     balanced weight decomposes onto A whenever any dominant chi does:
 
     1. On a leaf block of chi's standard form, psi - chi is the block's rho
@@ -309,7 +324,8 @@ def enum_S(quiver: Quiver, d: int, w: int, delta: Weight | None,
     for A in candidates:
         chi = _balanced_coords(A)
         if (all(a >= b for a, b in zip(chi, chi[1:]))
-                and _form_onto(quiver, (d,), chi, 1, A, delta) is not None):
+                and not (len(A) > 1 and _root_within_half(quiver, chi))
+                and _decomposed(quiver, (d,), Weight(tuple(chi), (d,)), delta).partition == A):
             items.append(A)
     return EnumResult(tuple(items), truncated=candidates.truncated)
 

@@ -19,9 +19,10 @@ root radius of chi + rho + delta is at most 1/2: a larger radius makes a
 root node, whose face cuts the block at least once.  So the leaf partition
 is the one part (d, sum chi) exactly then, and a partition of more than one
 part is not realized by a chi whose root radius is at most 1/2.
-`_form_onto` reads that off the radius, on integers, before any
-decomposition; `tree_of_partition` and `enum_S` ask for a partition's form
-through it.
+`index_sets.enum_S` reads that off the radius, on integers, before any
+decomposition (`index_sets._root_within_half`).  `tree_of_partition`
+decomposes A's slope weight once and reads off that one form both whether
+it realizes A and, when not, its leaf blocks.
 
 Every tree is grown by one integer grower, `_grow`, over the prefix sums
 of a sequence of parts (no LP): a block's cuts are read off the root's
@@ -146,9 +147,6 @@ def _leaf_partition(chi: Weight, leaf_blocks: Sequence[Sequence[int]]):
     return tuple(parts)
 
 
-_HALF = Fraction(1, 2)
-
-
 # rho and the zero weight are immutable, so one instance per dimension
 # serves every decomposition.
 @lru_cache(maxsize=None)
@@ -224,31 +222,28 @@ def _grow(D: Sequence[int], W: Sequence[int], limit: tuple[int, int]) -> list[_G
     return nodes
 
 
-def _tree(quiver: Quiver, phi: Weight, threshold: Fraction):
+def _tree(quiver: Quiver, phi: Weight):
     """(nodes, psi, leaf_blocks) of the iterated decomposition of phi.
 
-    A block whose radius is at most threshold is a leaf and keeps its part
-    of phi in psi.  Otherwise its face cocharacter lam gives a node
-    (lam, r, N), phi + r*N splits along lam's level blocks, and each part
-    is grown in turn, its radius below r.  The root radius is computed once,
-    on the polytope's cuts: a root within the threshold is returned as the
-    one leaf, psi = phi, and nothing else is built.  So the tree is the
-    single root leaf exactly when the root radius is at most the threshold;
-    a larger radius makes a node whose face cuts at least once, hence at
-    least two leaves (or raises).  On a quiver without loops every cut has
-    height 0, so a root that is not constant has no finite radius: it
-    raises the LP's refusal, that the weight is not in span(segments) +
-    axis.
+    A block whose radius is at most 1/2 is a leaf and keeps its part of phi
+    in psi.  Otherwise its face cocharacter lam gives a node (lam, r, N),
+    phi + r*N splits along lam's level blocks, and each part is grown in
+    turn, its radius below r.  The root radius is computed once, on the
+    polytope's cuts: a root within 1/2 is returned as the one leaf,
+    psi = phi, and nothing else is built.  So the tree is the single root
+    leaf exactly when the root radius is at most 1/2; a larger radius makes
+    a node whose face cuts at least once, hence at least two leaves (or
+    raises).  On a quiver without loops every cut has height 0, so a root
+    that is not constant has no finite radius: it raises the LP's refusal,
+    that the weight is not in span(segments) + axis.
 
     phi is non-increasing, as every caller's is (a dominant chi plus rho
-    and a multiple of tau; the tests also grow slope weights with
-    decreasing slopes at threshold 0, the oracle of `_slope_tree`), and
-    so is each part of phi + r*N; so a block's ordered cuts are its sorted
-    cuts.  Below a root above the threshold the tree is `_grow`'s on phi's
-    slots as parts of size 1, on the integers ints/den phi is carried in.
-    Its cut p of a block reads k over h, where the polytope's reads k over
-    L*den*h (L loops), so r = k/(L*den*h) and the threshold is scaled to
-    match.
+    and a multiple of tau), and so is each part of phi + r*N; so a block's
+    ordered cuts are its sorted cuts.  Below a root above 1/2 the tree is
+    `_grow`'s on phi's slots as parts of size 1, on the integers ints/den
+    phi is carried in.  Its cut p of a block reads k over h, where the
+    polytope's reads k over L*den*h (L loops), so r = k/(L*den*h) and the
+    limit 1/2 is scaled to match.
 
     psi is phi + sum_j r_j N_j, read off the leaves.  At a tight cut p of
     a node's block the centred prefix sum is r*L*p*(n - p) and N's prefix
@@ -263,12 +258,11 @@ def _tree(quiver: Quiver, phi: Weight, threshold: Fraction):
     k, h = _widest_cut(cached_polytope(quiver, dims)._int_cuts(ints, den, ordered=True))
     if not h:
         raise DecompositionError("weight does not lie in span(segments) + axis")
-    t_num, t_den = threshold.numerator, threshold.denominator
-    if k * t_den <= t_num * h:
+    if 2 * k <= h:
         return (), phi, (tuple(range(n)),)
     scale = len(quiver.edges) * den
     W = list(accumulate(ints, initial=0))
-    tree = _grow(range(n + 1), W, (t_num * scale, t_den))
+    tree = _grow(range(n + 1), W, (scale, 2))
     bounds = sorted({b for start, comp, _k, _h, _depth in tree
                      for b in accumulate(comp, initial=start)})
     psi: list[int | Fraction] = []
@@ -318,7 +312,7 @@ def _decomposed(quiver: Quiver, dims: tuple[int, ...], chi: Weight,
     phi = chi + _rho(dims)
     if delta.coords[0]:
         phi = phi + delta
-    nodes, psi, leaf_blocks = _tree(quiver, phi, _HALF)
+    nodes, psi, leaf_blocks = _tree(quiver, phi)
     partition = _leaf_partition(chi, leaf_blocks)
     if not _reconstructs(phi, nodes, psi):
         raise DecompositionError("reconstruction failed")
@@ -341,39 +335,6 @@ def _reconstructs(phi: Weight, nodes: Sequence[Node], psi: Weight) -> bool:
         m = node.r.numerator * (den // node.r.denominator)
         acc = [a - m * v for a, v in zip(acc, node.N.coords)]
     return acc == [x * (den // phi_den) for x in phi_ints]
-
-
-def _root_within_half(quiver: Quiver, ints: Sequence[int], den: int) -> bool:
-    """Whether the root radius of chi + rho + delta is at most 1/2, for the
-    dominant one-vertex chi = ints/den and delta a multiple of tau.
-
-    Decided on integers: 2*den*(chi + rho) is integral, delta moves no cut,
-    and chi + rho is sorted, so the radius is at most 1/2 exactly when
-    2*k_p <= h_p for every ordered cut of it.
-    """
-    n = len(ints)
-    doubled = [2 * x + den * (n - 1 - 2 * i) for i, x in enumerate(ints)]
-    cuts = cached_polytope(quiver, (n,))._int_cuts(doubled, 2 * den, ordered=True)
-    return all(2 * k <= h for k, h in cuts)
-
-
-def _form_onto(quiver: Quiver, dims: tuple[int, ...], ints: Sequence[int], den: int,
-               A: tuple[tuple[int, int], ...], delta: Weight) -> StandardForm | None:
-    """The standard form of chi = ints/den when its leaf partition is A,
-    otherwise None.
-
-    The caller has made decompose's checks: chi is dominant, and delta a
-    multiple of tau (not None).  By the root-radius rule of `_tree`, the
-    form is the single root leaf, whose leaf partition is the one part
-    (d, sum chi), exactly when the root radius of chi + rho + delta is at
-    most 1/2.  So when A has more than one part and that radius is at most
-    1/2 the answer is None, read off the radius alone, on integers, with no
-    decomposition; otherwise chi is built and decomposed.
-    """
-    if len(A) > 1 and _root_within_half(quiver, ints, den):
-        return None
-    form = _decomposed(quiver, dims, Weight(_unscaled(ints, den), dims), delta)
-    return form if form.partition == A else None
 
 
 def partition_of(form: StandardForm) -> tuple[tuple[int, int], ...]:
@@ -415,42 +376,40 @@ def tree_of_partition(quiver: Quiver, dims: Sequence[int],
                       delta: Weight | None = None) -> StandardForm:
     """Standard form attached to a partition via its slope weight.
 
-    Runs the decomposition on concat_i w_i tau_{d_i}; the result's leaf
-    blocks must have A's part sizes (its leaf partition is then A, since
-    the slope weight sums to w_i on part i), otherwise the partition does
-    not arise from a standard form and a DecompositionError is raised.
+    Runs the decomposition on concat_i w_i tau_{d_i}, once; the result's
+    leaf blocks must have A's part sizes (its leaf partition is then A,
+    since the slope weight sums to w_i on part i), otherwise the partition
+    does not arise from a standard form and a DecompositionError naming
+    the form's block sizes is raised.
     """
     dims = tuple(dims)
     A = tuple((d, w) for d, w in A)
-    checked = _slope_weight(quiver, dims, A, delta)
-    if checked is None:
+    delta = _slope_weight_delta(quiver, dims, A, delta)
+    if delta is None:
         raise DecompositionError("partition slopes are not non-increasing")
-    chi_star, delta = checked
-    form = _form_onto(quiver, dims, *_scaled_coords(chi_star.coords), A, delta)
-    if form is not None:
-        return form
-    # decomposed (again, unless the root radius decided) only to name its blocks
-    got = tuple(len(b) for b in _decomposed(quiver, dims, chi_star, delta).leaf_blocks)
-    raise DecompositionError(f"partition {A} is not realized: tree blocks are {got}")
+    form = _decomposed(quiver, dims, _partition_weight(A), delta)
+    if form.partition != A:
+        got = tuple(len(b) for b in form.leaf_blocks)
+        raise DecompositionError(f"partition {A} is not realized: tree blocks are {got}")
+    return form
 
 
-def _slope_weight(quiver: Quiver, dims: tuple[int, ...], A: Sequence[tuple[int, int]],
-                  delta: Weight | None) -> tuple[Weight, Weight] | None:
-    """A's slope weight and delta (zero for None) past decompose's
-    refusals, or None when the slope weight is not dominant.
+def _slope_weight_delta(quiver: Quiver, dims: tuple[int, ...], A: Sequence[tuple[int, int]],
+                        delta: Weight | None) -> Weight | None:
+    """delta (zero for None) past A's checks and decompose's refusals of
+    A's slope weight, or None when the slope weight is not dominant.
 
-    A is checked first.  Then each of decompose's checks of the slope weight
-    runs once: dominance, which is decided before the others, since a
-    non-dominant slope weight is answered None, not refused; then the rest
-    in decompose's order.  The caller asks `_form_onto` for the form, which
-    makes none of these checks again.
+    A is checked first.  Dominance is decided next, before decompose's
+    other checks, since a non-dominant slope weight is answered None, not
+    refused; it is read off A's slopes, with no Weight built (the slope
+    weight concat_i w_i tau_{d_i} is dominant exactly when they do not
+    increase).  Then the shape and delta are checked, in decompose's order.
     """
     _check_partition(sum(dims), A)
-    chi_star = _partition_weight(A)
-    if not chi_star.is_dominant():
+    if not _slopes_decrease(A, strictly=False):
         return None
-    _check_shape(quiver, dims, chi_star.blocks)
-    return chi_star, _invariant_delta(dims, delta)
+    _check_shape(quiver, dims, (sum(dims),))
+    return _invariant_delta(dims, delta)
 
 
 class SlopeTree(Record):
@@ -473,8 +432,9 @@ _JORDAN = jordan()
 
 def _slope_tree(A: Sequence[tuple[int, int]]) -> list[_GrownNode]:
     """The slope tree of a partition A whose slopes strictly decrease, grown
-    on its parts: `_tree(jordan(), chi*, 0)` for the slope weight
-    chi* = concat_i w_i tau_{d_i}, in `_tree`'s node order, on integers and
+    on its parts: the iterated decomposition of the slope weight
+    chi* = concat_i w_i tau_{d_i} on the Jordan quiver in which every block
+    of positive radius is a node, in `_tree`'s node order, on integers and
     with no Weight built.
 
     Lemma.  (1) Cuts fall on part boundaries.  A block of consecutive parts
@@ -582,19 +542,15 @@ def _partition_nodes(quiver: Quiver, dims: tuple[int, ...], A: tuple[tuple[int, 
     `index_sets.enum_S`), and goes to the slope solve, which refuses it.
     The refusals are those of the two routes, in their order: A first;
     then, for a dominant slope weight, decompose's checks of the shape and
-    of delta, and on a quiver without loops and d > 1 the LP's refusal
-    (every cut has height 0); then the slope solve's.
+    of delta (`_slope_weight_delta`), and on a quiver without loops and
+    d > 1 the LP's refusal (every cut has height 0); then the slope solve's.
     """
-    _check_partition(sum(dims), A)
     tree = None
-    strictly = _slopes_decrease(A)
-    if strictly or _slopes_decrease(A, strictly=False):
-        _check_shape(quiver, dims, (sum(dims),))
-        _invariant_delta(dims, delta)
+    if _slope_weight_delta(quiver, dims, A, delta) is not None:
         loops = len(quiver.edges)
         if not loops and dims[0] > 1:
             raise DecompositionError("weight does not lie in span(segments) + axis")
-        if strictly:
+        if _slopes_decrease(A):
             tree = _slope_tree(A)
             if all(2 * k + h > loops * h for _start, _comp, k, h, _depth in tree):
                 return _tree_nodes(quiver, dims, tree,

@@ -79,6 +79,27 @@ def test_windows_json_and_tsv(capsys):
     assert out == "2\t2\n3\t1\n"
 
 
+def jordan_squares(d):
+    """The weight chi_i = (d - i)^2, i = 1..d, whose tree on the Jordan
+    quiver has d - 1 nodes."""
+    return ",".join(str((d - i) ** 2) for i in range(1, d + 1))
+
+
+def test_decompose_refuses_a_weight_over_its_slot_limit(capsys):
+    # d = 401 is refused before any decomposition; d = 400 still prints
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["decompose", "--quiver", "jordan",
+                                  "--weight", jordan_squares(401)])
+    assert time.perf_counter() - start < 5
+    assert code == 1 and out == ""
+    assert err == "error: decompose: the weight has 401 slots, over the limit of 400\n"
+    # json.loads, not run_json: validating 399 nodes against the schema
+    # takes several times as long as the decomposition
+    code, out, _ = run(capsys, ["decompose", "--quiver", "jordan", "--weight", jordan_squares(400)])
+    row = json.loads(out)
+    assert code == 0 and len(row["nodes"]) == 399 and len(row["psi"]) == 400
+
+
 def test_windows_refuses_an_output_over_its_budget(capsys):
     # m(14, 0) = 118 741 369 lines, counted and refused before any is built
     start = time.perf_counter()

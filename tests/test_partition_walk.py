@@ -18,7 +18,7 @@ from math import ceil, floor
 import pytest
 
 from hallwin import Truncation, Weight, builtin_quiver, compositions, enum_S, enum_V, rho, tau
-from hallwin import index_sets, standard_form
+from hallwin import index_sets
 from hallwin.index_sets import _box_caps, _dominant_tuples
 from hallwin.polytope import cached_polytope
 from hallwin.standard_form import _decomposed, _slopes_decrease, decompose
@@ -125,7 +125,9 @@ def test_enum_S_makes_one_decomposition_per_dominant_candidate(monkeypatch):
     # tests the root radius of the dominant multi-part ones, and decomposes
     # only where the radius does not decide.  The box scan decomposed
     # 16 968 weights at (6, 1, 6); the walk over non-increasing slopes had
-    # 3 606 candidates there and 72 440 at (10, 0, 3).
+    # 3 606 candidates there and 72 440 at (10, 0, 3).  The names are
+    # patched where enum_S looks them up, and the counts are exact, so a
+    # lookup elsewhere reads 0 and fails.
     counts = {}
 
     def counted(key, fn):
@@ -136,16 +138,16 @@ def test_enum_S_makes_one_decomposition_per_dominant_candidate(monkeypatch):
 
     monkeypatch.setattr(index_sets, "_balanced_coords",
                         counted("walked", index_sets._balanced_coords))
-    monkeypatch.setattr(standard_form, "_root_within_half",
-                        counted("radii", standard_form._root_within_half))
-    monkeypatch.setattr(standard_form, "_decomposed", counted("decompositions", _decomposed))
+    monkeypatch.setattr(index_sets, "_root_within_half",
+                        counted("radii", index_sets._root_within_half))
+    monkeypatch.setattr(index_sets, "_decomposed", counted("decompositions", _decomposed))
     for d, w, bound, size, walked, radii, decompositions in [(6, 1, 6, 41, 1686, 1681, 987),
                                                              (10, 0, 3, 1, 11678, 10575, 1)]:
         counts.update(walked=0, radii=0, decompositions=0)
         assert len(enum_S(Q3, d, w, None, Truncation(F(bound)))) == size
         assert counts["walked"] == walked == len(enum_V(d, w, Truncation(F(bound))))
-        assert counts["radii"] <= radii
-        assert counts["decompositions"] <= decompositions
+        assert counts["radii"] == radii
+        assert counts["decompositions"] == decompositions
 
 
 def test_enum_V_size_past_its_oracle():

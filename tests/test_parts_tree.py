@@ -27,9 +27,10 @@ from hallwin.standard_form import (
     _UnorderedSlopes,
     _check_block_count,
     _check_partition,
+    _check_shape,
+    _invariant_delta,
     _partition_nodes,
     _partition_weight,
-    _slope_weight,
     _slopes_decrease,
     slope_to_tree,
 )
@@ -71,10 +72,13 @@ def old_slope_to_tree(quiver, dims, A):
 
 def old_partition_nodes(quiver, dims, A, delta):
     """The two-tree route: the nodes of the slope weight's standard form
-    when its leaf sizes are A's, otherwise the old slope solve."""
-    checked = _slope_weight(quiver, dims, A, delta)
-    if checked is not None:
-        chi_star, delta = checked
+    when its leaf sizes are A's, otherwise the old slope solve.  The slope
+    weight is built, and decompose's refusals of it made, in their order."""
+    _check_partition(sum(dims), A)
+    chi_star = _partition_weight(A)
+    if chi_star.is_dominant():
+        _check_shape(quiver, dims, chi_star.blocks)
+        delta = _invariant_delta(dims, delta)
         try:
             nodes, _psi, leaves = fraction_tree(quiver, chi_star + rho(dims) + delta, F(1, 2))
         except ValueError as exc:
@@ -180,3 +184,25 @@ def test_compare_and_index_sets_grow_no_coordinate_tree(monkeypatch, capsys):
                      "--slope-bound", "2"]) == 0
     assert len(capsys.readouterr().out.splitlines()) > 100
     assert calls == {"_tree": 0, "_partition_weight": 0}
+
+
+def test_tree_of_partition_decomposes_once(monkeypatch):
+    # Work count: one decomposition of the slope weight per call, on a
+    # realized partition and on a refused one, whose message names the
+    # blocks of that same form
+    calls = []
+    decomposed = standard_form._decomposed
+
+    def counted(*args):
+        calls.append(args[2].coords)
+        return decomposed(*args)
+
+    monkeypatch.setattr(standard_form, "_decomposed", counted)
+    form = standard_form.tree_of_partition(Q3, (2,), ((1, 5), (1, -5)))
+    assert form.partition == ((1, 5), (1, -5)) and len(calls) == 1
+    calls.clear()
+    A = ((1, 5), (1, 4), (1, -9))
+    with pytest.raises(DecompositionError,
+                       match=r"is not realized: tree blocks are \(2, 1\)$"):
+        standard_form.tree_of_partition(Q3, (3,), A)
+    assert calls == [(5, 4, -9)]

@@ -20,7 +20,7 @@ import pytest
 from hallwin import Truncation, Weight, builtin_quiver, enum_V, rho, tau
 from hallwin.index_sets import _balanced_coords, enum_S
 from hallwin.polytope import WPolytope, cached_polytope
-from hallwin.quiver_weights import N_positive, jordan
+from hallwin.quiver_weights import N_positive
 from hallwin.standard_form import (
     Node,
     _check_partition,
@@ -148,7 +148,7 @@ def test_integer_tree_matches_fraction_tree(name):
         for coords in itertools.combinations_with_replacement(range(3, -4, -1), d):
             for c in DELTAS:
                 phi = Weight.make(coords, dims) + rho(dims) + tau(dims).scale(c)
-                tree = _tree(quiver, phi, F(1, 2))
+                tree = _tree(quiver, phi)
                 assert tree == fraction_tree(quiver, phi, F(1, 2)), (coords, c)
                 grown += bool(tree[0])
     assert grown > 100
@@ -169,9 +169,3 @@ def test_decompose_cuts_the_root_once(monkeypatch):
     assert [(n.depth, n.block) for n in form.nodes] == [(0, (0, 1, 2)), (1, (0, 1))]
     assert calls == [(3,)]
 
-
-def test_slope_trees_match_fraction_tree():
-    for d, w in itertools.product(range(1, 7), range(-3, 4)):
-        for A in enum_V(d, w, Truncation(F(3))):
-            phi = _partition_weight(A)
-            assert _tree(jordan(), phi, F(0)) == fraction_tree(jordan(), phi, F(0)), A
