@@ -14,11 +14,12 @@ argparse reads every flag before any layer is loaded.  Each command, and
 each `shuffle` action (`shuffle mul` and `shuffle zeta` are sub-commands,
 whose flags follow the action), takes only the flags it reads, and
 argparse checks every value that needs no layer: the rationals, --d (a
-positive integer), --degrees (two integers) and the partitions --a, --b
-and --partition (parts of dimension at least 1, with dimensions adding up
-to at most PARTITION_MAX_DIMENSION).  The handlers check only what takes
-more than one flag: that two partitions have the same totals, and that
---d agrees with the weight or the partition.
+positive integer of at most PARTITION_MAX_DIMENSION), --degrees (two
+integers) and the partitions --a, --b and --partition (parts of dimension
+at least 1, with dimensions adding up to at most PARTITION_MAX_DIMENSION).
+The handlers check only what takes more than one flag: that two
+partitions have the same totals, and that --d agrees with the weight or
+the partition.
 """
 
 from __future__ import annotations
@@ -46,7 +47,9 @@ SHUFFLE_MUL_MAX_COEFFICIENT_BITS = 32  # of any coefficient's numerator or denom
 
 # `compare` and `omega-shift` do work quadratic in a partition's total
 # dimension d (about half a second at d = 800); a larger d is refused
-# before any of it.
+# before any of it.  It bounds every --d too: `windows` and
+# `verify-bijection` recurse d deep (`index_sets._count_tuples` and
+# `_dominant_tuples`), and at d = 990 that ended in a RecursionError.
 PARTITION_MAX_DIMENSION = 400
 
 # `decompose` prints each node's two d-slot vectors, and its time and
@@ -66,8 +69,8 @@ WINDOWS_MAX_LINES = 1_000_000
 # `index-sets --set T` tests one composition of d per candidate partition:
 # 2^(gcd(d, w) - 1) of them, 2^(d - 1) at w = 0, counted in closed form.
 # More than this are refused before any is built.  At w = 0, `--d 16`
-# (2^15) takes about 13 s cold and `--d 17` (2^16) about 22 s; `--d 18`
-# and every larger d are refused.
+# (2^15) takes 1.2-2.0 s cold and `--d 17` (2^16) 2.8-3.3 s on a 2-core
+# x86-64 VM; `--d 18` and every larger d are refused.
 INDEX_SETS_T_MAX_COMPOSITIONS = 2 ** 16
 
 
@@ -131,13 +134,17 @@ def _rational(text: str) -> Fraction:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for --d, an integer of at least 1."""
+    """argparse type for --d, an integer of at least 1 and at most
+    PARTITION_MAX_DIMENSION."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    if value > PARTITION_MAX_DIMENSION:
+        raise argparse.ArgumentTypeError(
+            f"dimension {value} exceeds the limit {PARTITION_MAX_DIMENSION}")
     return value
 
 

@@ -16,18 +16,16 @@ from . import _rational
 from ._record import Record, _set
 from .polytope import cached_polytope
 from .quiver_weights import (
-    N_positive,
     Quiver,
     Weight,
     _check_dimension,
     _scaled_coords,
-    composition_cocharacter,
     compositions,
     rho,
 )
 from .standard_form import (
+    _block_gaps,
     _check_partition,
-    _cut_twist_sums,
     _decomposed,
     _invariant_delta,
     _partition_nodes,
@@ -347,22 +345,31 @@ def enum_T(quiver: Quiver, d: int, w: int, delta: Weight | None,
     interior test bounds are Schur-convex, so none is larger at the
     balanced chi.  The family is finite for fixed w; the truncation only
     filters.
+
+    The test runs on integers, read off the composition's block gaps g_i
+    (`standard_form._block_gaps`): on a quiver of L loops, C of them cut,
+    the cut shift of part i is C*d_i*g_i, and N^{lam<0} is L*g_i on its
+    slots.  So 2*(chi + rho) + N^{lam<0} is integral, and chi is kept when
+    every sorted cut (k, h) of it over 2 (`WPolytope._int_cuts`) has
+    2*k < h.  delta is checked but not added: a multiple of tau moves no
+    cut.
     """
     _check_dimension(d)
     dims = (d,)
-    delta = _invariant_delta(dims, delta)
+    _invariant_delta(dims, delta)
     poly = cached_polytope(quiver, dims)
-    half = Fraction(1, 2)
+    loops, cut = len(quiver.edges), len(quiver.cut)
     out = []
     for comp in _divisible_compositions(d, w):
-        lam = composition_cocharacter(comp)
-        A = tuple((di, di * w // d - os)
-                  for di, os in zip(comp, _cut_twist_sums(quiver, dims, comp)))
+        gaps = _block_gaps(comp)
+        A = tuple((di, di * w // d - cut * di * g) for di, g in zip(comp, gaps))
         if not _slopes_decrease(A[::-1]) or not trunc.admits(d, w, A):
             continue
-        chi = Weight.make(_balanced_coords(A), dims)
-        shift = rho(dims) + delta + N_positive(quiver, dims, -lam).scale(half)
-        if poly.contains_interior(chi + shift, half):
+        # on slot j of part i: 2*chi_j + 2*rho_j + L*g_i, 2*rho_j = d - 1 - 2*j
+        N = [loops * g for di, g in zip(comp, gaps) for _ in range(di)]
+        doubled = [2 * x + d - 1 - 2 * j + v
+                   for j, (x, v) in enumerate(zip(_balanced_coords(A), N))]
+        if all(2 * k < h for k, h in poly._int_cuts(doubled, 2, ordered=False)):
             out.append(A)
     return EnumResult(tuple(sorted(out)), truncated=False)
 

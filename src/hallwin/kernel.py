@@ -31,8 +31,14 @@ def _zeta_parts(X, Y, P1, R1, P2, R2) -> tuple:
 
 
 def zeta_value(x, q1_val, q2_val) -> Fraction:
-    """Evaluate the a2 kernel at exact rational arguments (no floats)."""
+    """Evaluate the a2 kernel at exact rational arguments (no floats).
+
+    At q1 = 1 or q2 = 1 the numerator and the denominator are the same
+    product, so zeta is identically 1, also at x = 1, as in
+    `hallwin.shuffle`'s evaluation of products."""
     x, a, b = _rational(x), _rational(q1_val), _rational(q2_val)
+    if a == 1 or b == 1:
+        return Fraction(1)
     N, E, F = _zeta_parts(x.numerator, x.denominator,
                           a.numerator, a.denominator, b.numerator, b.denominator)
     if not E or not F:

@@ -58,17 +58,13 @@ from typing import Sequence
 from ._record import Record
 from .polytope import _widest_cut, cached_polytope
 from .quiver_weights import (
-    N_positive,
     Quiver,
     Weight,
     _check_block_count,
     _check_dimension,
     _scaled_coords,
     _unscaled,
-    adjoint_positive,
     composition_cocharacter,
-    jordan,
-    omega_weight,
     rho,
 )
 
@@ -260,9 +256,9 @@ def _tree(quiver: Quiver, phi: Weight):
         raise DecompositionError("weight does not lie in span(segments) + axis")
     if 2 * k <= h:
         return (), phi, (tuple(range(n)),)
-    scale = len(quiver.edges) * den
+    loops = len(quiver.edges)
     W = list(accumulate(ints, initial=0))
-    tree = _grow(range(n + 1), W, (scale, 2))
+    tree = _grow(range(n + 1), W, (loops * den, 2))
     bounds = sorted({b for start, comp, _k, _h, _depth in tree
                      for b in accumulate(comp, initial=start)})
     psi: list[int | Fraction] = []
@@ -273,7 +269,7 @@ def _tree(quiver: Quiver, phi: Weight):
         for x in ints[a:b]:
             v = x * m * n + shift
             psi.append(Fraction(v, leaf_den) if v % leaf_den else v // leaf_den)
-    return (_tree_nodes(quiver, dims, tree, lambda k, h: Fraction(k, scale * h)),
+    return (_tree_nodes(loops, dims, tree, lambda k, h: Fraction(k, loops * den * h)),
             Weight(tuple(psi), dims),
             tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])))
 
@@ -426,10 +422,6 @@ class SlopeTree(Record):
         return _r_sequence(self.nodes)
 
 
-# The adjoint weights are the edge weights of the Jordan quiver.
-_JORDAN = jordan()
-
-
 def _slope_tree(A: Sequence[tuple[int, int]]) -> list[_GrownNode]:
     """The slope tree of a partition A whose slopes strictly decrease, grown
     on its parts: the iterated decomposition of the slope weight
@@ -469,25 +461,53 @@ def _slope_tree(A: Sequence[tuple[int, int]]) -> list[_GrownNode]:
                  list(accumulate((w for _d, w in A), initial=0)), (0, 1))
 
 
+def _block_gaps(comp: Sequence[int]) -> list[int]:
+    """g_i = n - 2*s_i - c_i for each block i of the composition comp of n,
+    s_i the block's first slot and c_i its size: the slots after the block
+    minus the slots before it.
+
+    Every one-vertex face datum of comp is a multiple of g_i on block i.
+    comp's canonical cocharacter lam (`composition_cocharacter`) is
+    constant on each block and strictly increases from block to block.  So
+    of the weights e_a - e_b of one loop, over all pairs of slots a, b, those
+    that pair positively with lam (lam_a > lam_b) add 1 to a slot a of
+    block i for each of the s_i slots before the block and take 1 from it
+    for each of the n - s_i - c_i slots after it: -g_i in all.  On a quiver
+    of L loops, C of them cut:
+
+    - N^{lam>0}, the sum of the lam-positive edge weights, is -L*g_i on
+      each slot of block i;
+    - N^{lam<0}, the same sum for -lam, is L*g_i there;
+    - the cut twist omega_lam, the sum of the cut-edge weights that pair
+      negatively with lam, is C*g_i on each slot, so C*c_i*g_i on block i;
+    - rho^{lam<0}, half the sum of the lam-positive adjoint weights (the
+      adjoint has the weights of one loop), is -g_i/2 on each slot.
+    """
+    n = sum(comp)
+    return [n - 2 * s - c for s, c in zip(accumulate(comp, initial=0), comp)]
+
+
 @lru_cache(maxsize=None)
-def _embedded_face(quiver: Quiver, comp: tuple[int, ...], start: int,
+def _embedded_face(loops: int, comp: tuple[int, ...], start: int,
                    d: int) -> tuple[Weight, Weight, tuple[int, ...]]:
     """lam, the canonical cocharacter of the one-vertex composition comp,
-    and N_positive(lam), both integral, embedded in d slots on the block of
+    and N^{lam>0} on a quiver of `loops` loops (-loops*g_i on block i, by
+    `_block_gaps`), both integral, embedded in d slots on the block of
     comp's slots from start, and that block."""
     slots = tuple(range(start, start + sum(comp)))
-    lam = composition_cocharacter(comp)
-    N = N_positive(quiver, (sum(comp),), lam)
-    return lam.embed(slots, (d,)), N.embed(slots, (d,)), slots
+    N = [-loops * g for c, g in zip(comp, _block_gaps(comp)) for _ in range(c)]
+    return (composition_cocharacter(comp).embed(slots, (d,)),
+            Weight(tuple(N), (len(slots),)).embed(slots, (d,)), slots)
 
 
-def _tree_nodes(quiver: Quiver, dims: tuple[int, ...], tree: Sequence[_GrownNode],
+def _tree_nodes(loops: int, dims: tuple[int, ...], tree: Sequence[_GrownNode],
                 r_of) -> tuple[Node, ...]:
-    """The Nodes of a `_grow` tree, lam and N those of the quiver's faces
-    and r = r_of(k, h) for the node's radius k/h."""
+    """The Nodes of a `_grow` tree, lam and N those of the faces on a
+    one-vertex quiver of `loops` loops, and r = r_of(k, h) for the node's
+    radius k/h."""
     out = []
     for start, comp, k, h, depth in tree:
-        lam, N, slots = _embedded_face(quiver, comp, start, dims[0])
+        lam, N, slots = _embedded_face(loops, comp, start, dims[0])
         out.append(Node(lam=lam, r=r_of(k, h), N=N, block=slots, depth=depth))
     return tuple(out)
 
@@ -521,7 +541,8 @@ def slope_to_tree(quiver: Quiver, dims: Sequence[int],
     dims = tuple(dims)
     _check_slope_solve(quiver, dims, A)
     tree = _slope_tree(A)
-    return SlopeTree(nodes=_tree_nodes(_JORDAN, dims, tree, _window_r),
+    # g_j is the Jordan quiver's N: one loop
+    return SlopeTree(nodes=_tree_nodes(1, dims, tree, _window_r),
                      s_values=tuple(Fraction(k, h) for _start, _comp, k, h, _depth in tree),
                      c=Fraction(sum(w for _d, w in A)),
                      partition=tuple((d, w) for d, w in A))
@@ -553,14 +574,10 @@ def _partition_nodes(quiver: Quiver, dims: tuple[int, ...], A: tuple[tuple[int, 
         if _slopes_decrease(A):
             tree = _slope_tree(A)
             if all(2 * k + h > loops * h for _start, _comp, k, h, _depth in tree):
-                return _tree_nodes(quiver, dims, tree,
+                return _tree_nodes(loops, dims, tree,
                                    lambda k, h: Fraction(2 * k + h, 2 * loops * h))
     _check_slope_solve(quiver, dims, A)
-    return _tree_nodes(_JORDAN, dims, _slope_tree(A) if tree is None else tree, _window_r)
-
-
-def _parts_cocharacter(A: Sequence[tuple[int, int]]) -> Weight:
-    return composition_cocharacter([d for d, _w in A])
+    return _tree_nodes(1, dims, _slope_tree(A) if tree is None else tree, _window_r)
 
 
 def chi_A(quiver: Quiver, dims: Sequence[int], A: Sequence[tuple[int, int]],
@@ -575,10 +592,12 @@ def chi_A(quiver: Quiver, dims: Sequence[int], A: Sequence[tuple[int, int]],
     acc = Weight.zero(dims)
     for node in tree.nodes:
         acc = acc - node.N.scale(loops * node.r)
-    # rho^{lam<0}: half the sum of the lam-positive adjoint weights; this
-    # sign branch reproduces the reference chi_A values.
-    rho_neg = adjoint_positive(quiver, dims, _parts_cocharacter(A)).scale(Fraction(1, 2))
-    return acc - rho_neg - delta
+    # rho^{lam<0}, half the sum of the lam-positive adjoint weights for the
+    # parts cocharacter lam, is -g_i/2 on part i (`_block_gaps`); this sign
+    # branch reproduces the reference chi_A values.
+    comp = [d for d, _w in A]
+    rho_neg = _unscaled([-g for c, g in zip(comp, _block_gaps(comp)) for _ in range(c)], 2)
+    return acc - Weight(rho_neg, dims) - delta
 
 
 def delta_Ai(quiver: Quiver, dims: Sequence[int], A: Sequence[tuple[int, int]],
@@ -598,19 +617,13 @@ def omega_shift(quiver: Quiver, dims: Sequence[int],
     """Shift each part weight by the block sum of the cut-edge twist.
 
     v_i = w_i + <1_{part i}, omega_lam> where omega_lam sums the cut-edge
-    weights alpha with <lam, alpha> < 0 for the parts cocharacter lam.
+    weights alpha with <lam, alpha> < 0 for the parts cocharacter lam: on
+    a one-vertex quiver with C cut loops, C*d_i*g_i (`_block_gaps`).
     """
     dims = tuple(dims)
     _check_block_count(quiver, dims)
+    if len(dims) != 1:
+        raise NotImplementedError("omega shift implemented for one-vertex quivers")
     _check_partition(sum(dims), A)
-    shifts = _cut_twist_sums(quiver, dims, [d for d, _w in A])
-    return tuple((d, w + shift) for (d, w), shift in zip(A, shifts))
-
-
-def _cut_twist_sums(quiver: Quiver, dims: Sequence[int],
-                    comp: Sequence[int]) -> list[int]:
-    """The block sums over comp's blocks of the cut-edge twist omega_lam,
-    lam the cocharacter of the composition comp; omega_lam is integral, a
-    sum of edge weights."""
-    om = omega_weight(quiver, dims, composition_cocharacter(comp))
-    return [int(s) for s in Weight(om.coords, tuple(comp)).block_sums()]
+    gaps = _block_gaps([d for d, _w in A])
+    return tuple((d, w + len(quiver.cut) * d * g) for (d, w), g in zip(A, gaps))

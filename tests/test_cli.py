@@ -259,6 +259,14 @@ def test_shuffle_zeta(capsys):
     assert rows == [{"value": "63/58"}]
 
 
+@pytest.mark.parametrize("qs", [["--q1", "1", "--q2", "3"], ["--q1", "3", "--q2", "1"]])
+def test_shuffle_zeta_is_one_when_a_q_is_one(capsys, qs):
+    # zeta is identically 1 there, also at the point x = 1
+    for point in ["1", "1/3", "-5/2"]:
+        rows = run_json(capsys, ["shuffle", "zeta", point, *qs], "shuffle-zeta")
+        assert rows == [{"value": "1"}]
+
+
 def test_shuffle_mul(capsys):
     rows = run_json(capsys, ["shuffle", "mul", "1", "1",
                              "--degrees", "1,1"], "shuffle-mul")
@@ -656,6 +664,28 @@ def test_partition_dimension_limit_exit_1(capsys, argv):
     code, out, err = run(capsys, argv)
     assert_one_error_line(code, out, err)
     assert "exceeds the limit" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-bijection", "--d", "990", "--w", "0", "--bound", "1"],
+    ["verify-bijection", "--d", "1500", "--w", "0", "--bound", "1"],
+    ["windows", "--d", "1200", "--w", "0"],
+    ["windows", "--d", "2000", "--w", "0"],
+])
+def test_d_over_the_dimension_limit_exit_1(capsys, argv):
+    # each recursed d deep and ended in a RecursionError; --d is refused as
+    # it is read, before any layer loads
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert_one_error_line(code, out, err)
+    assert err == f"error: argument --d: dimension {argv[2]} exceeds the limit 400\n"
+
+
+def test_d_at_the_dimension_limit(capsys):
+    rows = run_json(capsys, ["index-sets", "--set", "V", "--d", "400", "--w", "0",
+                             "--slope-bound", "0"], "index-sets")
+    assert [r["parts"] for r in rows] == [[[400, 0]]]
 
 
 def test_partition_dimension_at_the_limit(capsys):

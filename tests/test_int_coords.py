@@ -19,7 +19,7 @@ from hallwin import (
     window_generators,
 )
 from hallwin import standard_form
-from hallwin.index_sets import _dominant_tuples
+from hallwin.index_sets import _dominant_tuples, enum_T
 from hallwin.polytope import cached_polytope
 from hallwin.shuffle import PoleError, mul, parse_element, shuffle_eval
 
@@ -170,3 +170,11 @@ def test_reconstruction_check_builds_no_fraction(monkeypatch):
     assert checked == unchecked > 0
     rebuilt, by_weights = fractions_built(monkeypatch, form.reconstruct)
     assert rebuilt == form.phi and by_weights > 0
+
+
+@pytest.mark.parametrize("d, w, found", [(8, 0, 128), (9, 0, 256), (12, 6, 32)])
+def test_enum_T_builds_no_fraction(monkeypatch, d, w, found):
+    # the cut shift, N^{lam<0} and 2*(chi + rho) are ints read off each
+    # composition's block gaps, and the interior test runs on integer cuts
+    res, built = fractions_built(monkeypatch, enum_T, tripled_jordan(), d, w, None)
+    assert built == 0 and len(res) == found

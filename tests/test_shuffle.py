@@ -52,6 +52,20 @@ def test_zeta_pole():
         zeta_value(F(1, 6), F(2), F(3))
 
 
+@pytest.mark.parametrize("x, qs", [
+    (F(1), (F(1), F(3))), (F(1, 3), (F(3), F(1))), (F(1), (F(1), F(1))),
+    (F(5), (F(2, 5), F(1))), (F(-2, 7), (F(1), F(1, 2))), (F(2), (F(1), F(1, 2))),
+])
+def test_zeta_is_one_when_a_q_is_one(x, qs):
+    # at q1 = 1 or q2 = 1 the kernel's numerator is its denominator, so zeta
+    # is identically 1, also at x = 1 and where the factors vanish, as
+    # _Point.kernel has it; sympy's value is the cancelled kernel's
+    X = sympy.Symbol("x")
+    expr = sympy.cancel(_symbolic.zeta(X).subs({_symbolic.q1: sympy.Rational(qs[0]),
+                                                _symbolic.q2: sympy.Rational(qs[1])}))
+    assert zeta_value(x, *qs) == expr.subs(X, sympy.Rational(x)) == 1
+
+
 def test_mul_degree_one_frozen():
     f = const(1)
     prod = mul(f, f, A2)

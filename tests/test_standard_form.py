@@ -5,9 +5,21 @@ from fractions import Fraction as F
 
 import pytest
 
-from hallwin import Quiver, Weight, builtin_quiver, rho
+from hallwin import (
+    N_positive,
+    Quiver,
+    Weight,
+    adjoint_positive,
+    builtin_quiver,
+    composition_cocharacter,
+    compositions,
+    omega_weight,
+    rho,
+)
 from hallwin.standard_form import (
     DecompositionError,
+    _block_gaps,
+    _embedded_face,
     chi_A,
     decompose,
     delta_Ai,
@@ -18,6 +30,11 @@ from hallwin.standard_form import (
 )
 
 Q3 = builtin_quiver("tripled-jordan")
+# one-vertex quivers: the builtins, five loops of which two are cut, and none
+ONE_VERTEX = [builtin_quiver(name) for name in ("jordan", "doubled-jordan", "tripled-jordan")] + [
+    Quiver.from_json('{"vertices": [0], "edges": [[0,0],[0,0],[0,0],[0,0],[0,0]], "cut": [1, 3]}'),
+    Quiver.from_json('{"vertices": [0], "edges": [], "cut": []}'),
+]
 
 
 def W(*coords):
@@ -149,3 +166,48 @@ def test_partition_validation():
         tree_of_partition(Q3, (2,), ((1, 1),))  # dimensions do not sum
     with pytest.raises(ValueError):
         slope_to_tree(Q3, (2,), ())
+
+
+@pytest.mark.parametrize("q", ONE_VERTEX, ids=["jordan", "doubled", "tripled", "five", "none"])
+def test_block_gaps_give_the_general_face_data(q):
+    # on one vertex every face datum of a composition is a multiple of its
+    # block gaps: checked against the sums over edge and adjoint weights
+    loops, cut = len(q.edges), len(q.cut)
+    for n in range(1, 9):
+        dims = (n,)
+        for comp in compositions(n):
+            lam = composition_cocharacter(comp)
+            gaps = _block_gaps(comp)
+            slot_gaps = [g for c, g in zip(comp, gaps) for _ in range(c)]
+            face_lam, N, slots = _embedded_face(loops, comp, 0, n)
+            assert face_lam == lam and slots == tuple(range(n))
+            assert N == N_positive(q, dims, lam)
+            assert N_positive(q, dims, -lam).coords == tuple(loops * g for g in slot_gaps)
+            twist = Weight(omega_weight(q, dims, lam).coords, comp).block_sums()
+            assert [cut * c * g for c, g in zip(comp, gaps)] == list(twist)
+            assert omega_shift(q, dims, tuple((c, 0) for c in comp)) == tuple(
+                (c, cut * c * g) for c, g in zip(comp, gaps))
+            half = adjoint_positive(q, dims, lam).scale(F(1, 2))
+            assert half.coords == tuple(F(-g, 2) for g in slot_gaps)
+
+
+def test_chi_A_matches_the_adjoint_weights():
+    # chi_A's rho^{lam<0}, read off the block gaps, against the sum of the
+    # lam-positive adjoint weights, over partitions of slopes k, k - 1, ...
+    for n in range(1, 8):
+        for comp in compositions(n):
+            A = tuple((c, (len(comp) - i) * c) for i, c in enumerate(comp))
+            tree = slope_to_tree(Q3, (n,), A)
+            acc = Weight.zero((n,))
+            for node in tree.nodes:
+                acc = acc - node.N.scale(3 * node.r)
+            rho_neg = adjoint_positive(Q3, (n,), composition_cocharacter(comp)).scale(F(1, 2))
+            assert chi_A(Q3, (n,), A) == acc - rho_neg
+
+
+@pytest.mark.parametrize("quiver", TWO_VERTEX_QUIVERS, ids=["cut-cycle", "cut-loop"])
+def test_omega_shift_refuses_several_vertices(quiver):
+    # a dimension vector that fits the quiver but has several vertices is
+    # refused, as decompose refuses it
+    with pytest.raises(NotImplementedError, match="one-vertex"):
+        omega_shift(quiver, (1, 1), ((1, 1), (1, -1)))
