@@ -62,16 +62,20 @@ DECOMPOSE_MAX_SLOTS = 400
 
 # `windows` prints one line per generator, m(d, w) of them: 716 542 at
 # d = 11 and 3 868 142 at d = 12, about 5 times more per extra d.  The
-# count is taken first (`pbw.window_count`, without listing), and an
-# output of more lines is refused before any is built.
+# lines are counted first (`pbw.window_count`, without listing), only up
+# to one past this budget, and an output of more lines is refused before
+# any is built.
 WINDOWS_MAX_LINES = 1_000_000
 
 # `index-sets --set T` tests one composition of d per candidate partition:
 # 2^(gcd(d, w) - 1) of them, 2^(d - 1) at w = 0, counted in closed form.
-# More than this are refused before any is built.  At w = 0, `--d 16`
-# (2^15) takes 1.2-2.0 s cold and `--d 17` (2^16) 2.8-3.3 s on a 2-core
-# x86-64 VM; `--d 18` and every larger d are refused.
-INDEX_SETS_T_MAX_COMPOSITIONS = 2 ** 16
+# At w = 0, `--d 16` (2^15) takes 1.2-2.0 s cold and `--d 17` (2^16)
+# 2.8-3.3 s on a 2-core x86-64 VM; `--d 18` and every larger d are
+# refused.  `--set U` lists the partitions of gcd(d, w) with at most
+# --max-parts parts (p(50) = 204 226 at `--d 50 --w 0`), counted up to one
+# past the budget by `index_sets._equal_slope_count`.  Either set's
+# candidates past this budget are refused before any is built.
+INDEX_SETS_MAX_CANDIDATES = 2 ** 16
 
 
 # a token argparse reads as a value, not a flag, though it starts with "-"
@@ -279,10 +283,9 @@ def _cmd_windows(args) -> int:
 
     q = _load_quiver(args.quiver)
     # delta is a multiple of tau, so the window has window_count generators
-    lines = window_count(args.d, args.w, q)
-    if lines > WINDOWS_MAX_LINES:
-        raise DomainError(f"windows --d {args.d} --w {args.w} would print {lines} lines, "
-                          f"over the budget of {WINDOWS_MAX_LINES}")
+    if window_count(args.d, args.w, q, limit=WINDOWS_MAX_LINES) > WINDOWS_MAX_LINES:
+        raise DomainError(f"windows --d {args.d} --w {args.w} would print more than "
+                          f"the budget of {WINDOWS_MAX_LINES} lines")
     delta = _delta_weight(args, args.d)
     # each line from the generator's int tuple: the bytes json.dumps gives
     # {"chi": [...]} with _dump's separators, or the TSV row
@@ -299,6 +302,7 @@ def _cmd_index_sets(args) -> int:
     from .index_sets import (
         Truncation,
         _divisible_composition_count,
+        _equal_slope_count,
         enum_S,
         enum_T,
         enum_U,
@@ -312,9 +316,13 @@ def _cmd_index_sets(args) -> int:
     trunc = Truncation(slope_bound=args.slope_bound, max_parts=args.max_parts)
     if args.set == "T":
         count = _divisible_composition_count(d, w)
-        if count > INDEX_SETS_T_MAX_COMPOSITIONS:
+        if count > INDEX_SETS_MAX_CANDIDATES:
             raise DomainError(f"index-sets --set T --d {d} --w {w} would test {count} "
-                              f"compositions, over the budget of {INDEX_SETS_T_MAX_COMPOSITIONS}")
+                              f"compositions, over the budget of {INDEX_SETS_MAX_CANDIDATES}")
+    elif args.set == "U":
+        if _equal_slope_count(d, w, trunc, INDEX_SETS_MAX_CANDIDATES) > INDEX_SETS_MAX_CANDIDATES:
+            raise DomainError(f"index-sets --set U --d {d} --w {w} would list more than "
+                              f"the budget of {INDEX_SETS_MAX_CANDIDATES} partitions")
     name = args.set
     if name == "V":
         res = enum_V(d, w, trunc)

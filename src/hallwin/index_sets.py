@@ -19,9 +19,9 @@ from .quiver_weights import (
     Quiver,
     Weight,
     _check_dimension,
+    _doubled_rho,
     _scaled_coords,
     compositions,
-    rho,
 )
 from .standard_form import (
     _block_gaps,
@@ -81,64 +81,114 @@ def _box_caps(n: int, total: int, lo: int, hi: int) -> list[int]:
     return [min(p * hi, total - (n - p) * lo) for p in range(n + 1)]
 
 
-def _least_next(n: int, total: int, caps: Sequence[int], k: int, prefix: int,
-                top: int) -> int | None:
-    """For a head of length k < n with prefix sum `prefix` and last entry
-    `top`, the least entry that can follow it; None when the head has no
-    completion, a non-increasing n-tuple with the given sum and p-th prefix
-    sum at most caps[p].  The walk and the count-only DP share it.
-
-    Of all completions of a head, the balanced one (entries q or q + 1) has
-    the least prefix sums, so the head extends exactly when that completion
-    meets the caps, and its largest entry is the least next entry.
-    """
+def _completes(n: int, total: int, caps: Sequence[int], k: int, prefix: int) -> bool:
+    """Whether the balanced completion of a head of length k < n and prefix
+    sum `prefix` (the rest spread as entries q or q + 1, larger first)
+    meets the caps at p = k+1..n-1; the caps at p = k and p = n are the
+    caller's to check."""
     q, rem = divmod(total - prefix, n - k)
-    least = q + (rem > 0)
-    if least > top or any(prefix + j * q + min(j, rem) > caps[k + j]
-                          for j in range(n - k + 1)):
-        return None
-    return least
+    for p in range(k + 1, n):
+        prefix += q + (p - k <= rem)
+        if prefix > caps[p]:
+            return False
+    return True
+
+
+def _live_range(n: int, total: int, caps: Sequence[int], k: int, prefix: int,
+                top: int) -> range:
+    """The entries that can follow a live head, descending.
+
+    A head of length k < n, with prefix sum `prefix` and last entry `top`,
+    is live when it has a completion: a non-increasing n-tuple with the
+    given sum and p-th prefix sum at most caps[p].  Of all completions, the
+    balanced one has the least prefix sums, so a head is live exactly when
+    its balanced completion meets the caps and does not rise above `top`.
+    Write R = total - prefix and m = n - k.  A next entry c keeps the
+    child head's balanced completion at most c exactly when c >= least =
+    ceil(R/m), and the live next entries are the whole interval
+    least..most, for two reasons:
+
+    - Lowering c by one never raises a prefix sum of the child's balanced
+      completion: the child's prefix sums are prefix + c + B_j(R - c),
+      with B_j(S) the j-th prefix sum of the balanced (m-1)-tuple of sum
+      S, and B_j(S + 1) - B_j(S) is 0 or 1.  So liveness is monotone in c.
+    - The child at c = least has, as its balanced completion, the tail of
+      the parent's, so it is live whenever the parent is.
+
+    So `most` is found by testing the children's completions (`_completes`)
+    downward from min(top, caps[k+1] - prefix), usually once, and every
+    child below it is live without a test.  A child with one slot left
+    has its forced last entry, which every c >= least admits.
+    """
+    least = -((prefix - total) // (n - k))
+    most = min(top, caps[k + 1] - prefix)
+    if k < n - 2:
+        while most > least and not _completes(n, total, caps, k + 1, prefix + most):
+            most -= 1
+    return range(most, least - 1, -1)
+
+
+def _root_live(n: int, total: int, caps: Sequence[int]) -> bool:
+    """Whether the empty head is live: some tuple meets the caps."""
+    return 0 <= caps[0] and total <= caps[n] and _completes(n, total, caps, 0, 0)
 
 
 def _dominant_tuples(n: int, total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Non-increasing integer n-tuples with the given sum and p-th prefix sum
     at most caps[p] (p = 0..n), in descending lexicographic order.
 
-    A head is extended only when `_least_next` finds it a completion, so
-    the walk drops every dead head before it branches.
+    Only live heads are walked: each head's live next entries are one
+    interval (`_live_range`), so the walk never enters a dead head, and a
+    head with two slots left yields its tuples directly.
     """
+    if not _root_live(n, total, caps):
+        return
+    if n == 1:
+        yield (total,)
+        return
+
     def walk(head: tuple[int, ...], prefix: int, top: int) -> Iterator[tuple[int, ...]]:
         k = len(head)
-        least = _least_next(n, total, caps, k, prefix, top)
-        if least is None:
+        live = _live_range(n, total, caps, k, prefix, top)
+        if k == n - 2:
+            rest = total - prefix
+            for c in live:
+                yield head + (c, rest - c)
             return
-        if k == n - 1:
-            yield head + (least,)
-            return
-        for c in range(min(top, caps[k + 1] - prefix), least - 1, -1):
+        for c in live:
             yield from walk(head + (c,), prefix + c, c)
 
     yield from walk((), 0, caps[1])
 
 
-def _count_tuples(n: int, total: int, caps: Sequence[int]) -> int:
+def _count_tuples(n: int, total: int, caps: Sequence[int], limit: int | None = None) -> int:
     """The number of tuples `_dominant_tuples(n, total, caps)` walks, counted
     without visiting them: the heads are memoised on (length, prefix sum,
-    last entry), which is all a head's completions depend on."""
+    last entry), which is all a head's completions depend on, and a head
+    with two slots left counts its live range.
+
+    With a limit, a head stops summing its children once past it, so the
+    result is exact when at most `limit` and else some number above it.
+    """
+    if not _root_live(n, total, caps):
+        return 0
+    if n == 1:
+        return 1
     memo: dict[tuple[int, int, int], int] = {}
 
     def count(k: int, prefix: int, top: int) -> int:
         key = (k, prefix, top)
         found = memo.get(key)
         if found is None:
-            least = _least_next(n, total, caps, k, prefix, top)
-            if least is None:
-                found = 0
-            elif k == n - 1:
-                found = 1
+            live = _live_range(n, total, caps, k, prefix, top)
+            if k == n - 2:
+                found = len(live)
             else:
-                found = sum(count(k + 1, prefix + c, c)
-                            for c in range(min(top, caps[k + 1] - prefix), least - 1, -1))
+                found = 0
+                for c in live:
+                    found += count(k + 1, prefix + c, c)
+                    if limit is not None and found > limit:
+                        break
             memo[key] = found
         return found
 
@@ -157,23 +207,28 @@ def _window_tuples(quiver: Quiver, dims: tuple[int, ...], w: int,
                    delta: Weight | None) -> Iterable[tuple[int, ...]]:
     """The coordinates of the window generators, int tuples, ascending.
 
-    rho + delta is scaled once to integers a over a denominator D, and the
-    walk runs under the polytope's prefix caps.  When delta is in span tau,
-    the caps are the window test, since then chi + rho + delta is sorted,
-    and every walked tuple is a generator.  For any other delta the caps
-    only prune: a walked tuple c is kept when the sorted cuts of D*c + a
+    rho + delta is built as integers a over one denominator D, 2*rho's
+    ints (`_doubled_rho`) over 2 plus delta scaled once, and the walk runs
+    under the polytope's prefix caps.  When delta is in span tau, the caps
+    are the window test, since then chi + rho + delta is sorted, and every
+    walked tuple is a generator.  For any other delta the caps only prune:
+    a walked tuple c is kept when the sorted cuts of D*c + a
     (`WPolytope._int_cuts`) hold at r = 1/2, 2*k_p <= h_p.
     """
     if len(dims) != 1:
         raise NotImplementedError("window enumeration needs a one-vertex quiver")
     n = dims[0]
     _check_dimension(n)
-    shift = rho(dims) if delta is None else rho(dims) + delta
-    ints, den = _scaled_coords(shift.coords)
+    ints, den = _doubled_rho(n), 2
+    if delta is not None:
+        if delta.blocks != dims:
+            raise ValueError("block mismatch")
+        scaled, scale = _scaled_coords(delta.coords)
+        ints, den = [scale * r + 2 * x for r, x in zip(ints, scaled)], 2 * scale
     poly = cached_polytope(quiver, dims)
     # the walk runs in descending order
     walk = reversed(list(_dominant_tuples(n, w, poly._int_window_caps(ints, den, w))))
-    if delta is not None and len(set(delta.coords)) > 1:
+    if delta is not None and len(set(scaled)) > 1:
         walk = [c for c in walk
                 if all(2 * k <= h for k, h in poly._int_cuts(
                     [den * x + a for x, a in zip(c, ints)], den, ordered=False))]
@@ -232,17 +287,30 @@ def enum_U(d: int, w: int, trunc: Truncation = Truncation()) -> EnumResult:
 
     Parts are listed with sizes ascending; the family is always finite.  The
     truncation's part cap applies (every slope bound admits these slopes).
+    A part (d_i, d_i*w/d) is integral exactly when d/g divides d_i, with
+    g = gcd(d, w), so these are the partitions of g with each part scaled
+    by d/g: `_equal_slope_count` of them.
     """
     _check_dimension(d)
+    g = gcd(d, w)
     items = []
-    for k in range(1, d + 1):
+    for k in range(1, g + 1):
         if not trunc.admits_count(k):
             break
-        for sizes in _dominant_tuples(k, d, _box_caps(k, d, 1, d)):
-            if all(di * w % d == 0 for di in sizes):
-                items.append(tuple((di, di * w // d) for di in reversed(sizes)))
+        for sizes in _dominant_tuples(k, g, _box_caps(k, g, 1, g)):
+            items.append(tuple((d // g * c, w // g * c) for c in reversed(sizes)))
     items.sort()
     return EnumResult(tuple(items), truncated=False)
+
+
+def _equal_slope_count(d: int, w: int, trunc: Truncation, limit: int | None = None) -> int:
+    """The number of partitions `enum_U(d, w, trunc)` lists, counted by
+    `_count_tuples` without listing them (exact up to `limit`, as there):
+    the partitions of g = gcd(d, w) into at most k = min(g, part cap)
+    parts, padded with zeros to k-tuples in [0, g]."""
+    g = gcd(d, w)
+    k = g if trunc.max_parts is None else min(g, trunc.max_parts)
+    return _count_tuples(k, g, _box_caps(k, g, 0, g), limit)
 
 
 def _root_within_half(quiver: Quiver, chi: Sequence[int]) -> bool:
@@ -254,7 +322,7 @@ def _root_within_half(quiver: Quiver, chi: Sequence[int]) -> bool:
     2*k_p <= h_p for every ordered cut of it.
     """
     n = len(chi)
-    doubled = [2 * x + n - 1 - 2 * i for i, x in enumerate(chi)]
+    doubled = [2 * x + r for x, r in zip(chi, _doubled_rho(n))]
     cuts = cached_polytope(quiver, (n,))._int_cuts(doubled, 2, ordered=True)
     return all(2 * k <= h for k, h in cuts)
 
@@ -359,16 +427,16 @@ def enum_T(quiver: Quiver, d: int, w: int, delta: Weight | None,
     _invariant_delta(dims, delta)
     poly = cached_polytope(quiver, dims)
     loops, cut = len(quiver.edges), len(quiver.cut)
+    doubled_rho = _doubled_rho(d)
     out = []
     for comp in _divisible_compositions(d, w):
         gaps = _block_gaps(comp)
         A = tuple((di, di * w // d - cut * di * g) for di, g in zip(comp, gaps))
         if not _slopes_decrease(A[::-1]) or not trunc.admits(d, w, A):
             continue
-        # on slot j of part i: 2*chi_j + 2*rho_j + L*g_i, 2*rho_j = d - 1 - 2*j
+        # on slot j of part i: 2*chi_j + 2*rho_j + L*g_i
         N = [loops * g for di, g in zip(comp, gaps) for _ in range(di)]
-        doubled = [2 * x + d - 1 - 2 * j + v
-                   for j, (x, v) in enumerate(zip(_balanced_coords(A), N))]
+        doubled = [2 * x + r + v for x, r, v in zip(_balanced_coords(A), doubled_rho, N)]
         if all(2 * k < h for k, h in poly._int_cuts(doubled, 2, ordered=False)):
             out.append(A)
     return EnumResult(tuple(sorted(out)), truncated=False)

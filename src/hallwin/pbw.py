@@ -9,7 +9,7 @@ from math import comb
 from ._record import Record
 from .index_sets import _box_caps, _count_tuples, _dominant_tuples, enum_U
 from .polytope import cached_polytope
-from .quiver_weights import Quiver, Weight, _check_dimension, builtin_quiver, rho
+from .quiver_weights import Quiver, Weight, _check_dimension, _doubled_rho, builtin_quiver
 from .standard_form import (
     DecompositionError,
     _invariant_delta,
@@ -35,14 +35,16 @@ def _quiver(quiver: Quiver | None) -> Quiver:
     return quiver if quiver is not None else builtin_quiver("tripled-jordan")
 
 
-def window_count(d: int, w: int, quiver: Quiver | None = None) -> int:
+def window_count(d: int, w: int, quiver: Quiver | None = None, *,
+                 limit: int | None = None) -> int:
     """Number of window generators m(d, w), for delta 0 or any multiple of
     tau: the tuples under the window's prefix caps, which are then the
     window test itself, counted by `index_sets._count_tuples` without
-    listing them."""
+    listing them.  The caps are read off 2*rho's ints over 2; with a
+    limit, the count is exact up to it and else some number above it."""
     _check_dimension(d)
-    caps = cached_polytope(_quiver(quiver), (d,))._window_caps(rho((d,)), w)
-    return _count_tuples(d, w, caps)
+    caps = cached_polytope(_quiver(quiver), (d,))._int_window_caps(_doubled_rho(d), 2, w)
+    return _count_tuples(d, w, caps, limit)
 
 
 def window_count_table(d_max: int, w_max: int,

@@ -275,12 +275,17 @@ def adjoint_weights(quiver: Quiver, dims: Sequence[int]) -> list[Weight]:
     return _edge_weights(dims, [(v, v) for v in range(len(dims))])
 
 
+def _doubled_rho(n: int) -> list[int]:
+    """2*rho on one block of size n, as ints: 2*rho_i = n - 1 - 2*i."""
+    return list(range(n - 1, -n, -2))
+
+
 def rho(dims: Sequence[int]) -> Weight:
     """Half-sum weight: ((n-1)/2, ..., -(n-1)/2) on each vertex block, ints
     on a block of odd size."""
     coords = []
     for b in dims:
-        coords.extend(_unscaled(range(b - 1, -b, -2), 2))
+        coords.extend(_unscaled(_doubled_rho(b), 2))
     return Weight(tuple(coords), tuple(dims))
 
 

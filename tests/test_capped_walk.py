@@ -7,9 +7,11 @@ derived here from the single-slot facets, with shifts that are not
 multiples of tau, and against a scan whose window test is the LP;
 `enum_T` against a scan of a fixed wide box of block-dominant weights.
 The count-only DP `_count_tuples` is checked against the walk's count.
-Cost guards pin how many tuples the walk yields for a window and how many
-heads the DP memoises, so a loss of pruning or of the memo shows without
-a clock.
+Cost guards pin how many tuples the walk yields for a window, and how many
+heads the DP memoises and how many completions it tests, so a loss of
+pruning or of the memo shows without a clock.  Each head's live next
+entries are checked to be one interval against a brute-force
+balanced-completion oracle.
 """
 
 import itertools
@@ -246,12 +248,60 @@ def test_window_walk_yields_only_generators(c):
 
 
 def test_count_memoises_each_head_once(monkeypatch):
-    # Cost guard: the DP evaluates one look-ahead per memoised head, 1 563
-    # of them for the m(12, 0) = 3 868 142 tuples the walk would visit.
-    looked = []
-    least_next = index_sets._least_next
-    monkeypatch.setattr(index_sets, "_least_next",
-                        lambda *args: looked.append(args[3:]) or least_next(*args))
+    # Cost guard: the DP reads the live range of each memoised head once,
+    # 1 486 heads for the m(12, 0) = 3 868 142 tuples the walk would visit,
+    # and tests 1 157 balanced completions in all (a look-ahead per child
+    # took 1 563).
+    ranged, tested = [], []
+    live_range, completes = index_sets._live_range, index_sets._completes
+    monkeypatch.setattr(index_sets, "_live_range",
+                        lambda *args: ranged.append(args[3:]) or live_range(*args))
+    monkeypatch.setattr(index_sets, "_completes",
+                        lambda *args: tested.append(args[3:]) or completes(*args))
     caps = cached_polytope(Q3, (12,))._window_caps(rho((12,)), 0)
     assert _count_tuples(12, 0, caps) == 3868142
-    assert len(looked) == len(set(looked)) == 1563
+    assert len(ranged) == len(set(ranged)) == 1486
+    assert len(tested) == 1157
+
+
+def balanced_live(n, total, caps, head):
+    """Whether the head's balanced completion (the rest spread as entries
+    q or q + 1, larger first) makes a tuple under the caps."""
+    k, rest = len(head), total - sum(head)
+    q, rem = divmod(rest, n - k)
+    t = head + (q + 1,) * rem + (q,) * (n - k - rem)
+    prefixes = list(itertools.accumulate(t, initial=0))
+    return (all(a >= b for a, b in zip(t, t[1:]))
+            and all(p <= c for p, c in zip(prefixes, caps)))
+
+
+def test_live_range_is_the_live_interval():
+    # A live head's live next entries are exactly least..most: each c in
+    # the range is live by the balanced completion, and c = most + 1 is dead
+    # or out of bound.  The balanced oracle is checked against a scan: a
+    # head is live exactly when some tuple under the caps starts with it.
+    # Caps near the balanced prefix sums ceil(p*total/n), so that most
+    # draws have live heads and some have heads whose range is cut.
+    rng = random.Random(11)
+    for _ in range(600):
+        n = rng.randint(2, 5)
+        total = rng.randint(-4, 8)
+        caps = [rng.choice([0, 0, 0, -1])] + [-(-p * total // n) + rng.randint(-1, 6)
+                                             for p in range(1, n + 1)]
+        heads = {t[:k] for t in nonincreasing(n, total, total - caps[n - 1], caps[1])
+                 if all(p <= c for p, c in zip(itertools.accumulate(t, initial=0), caps))
+                 for k in range(n)}
+        for head in sorted(h for h in heads if len(h) < n - 1):
+            k, prefix = len(head), sum(head)
+            top = head[-1] if head else caps[1]
+            assert balanced_live(n, total, caps, head), (n, total, caps, head)
+            live = index_sets._live_range(n, total, caps, k, prefix, top)
+            assert len(live) > 0, (n, total, caps, head)
+            for c in live:
+                assert balanced_live(n, total, caps, head + (c,)), (n, total, caps, head, c)
+                assert head + (c,) in heads, (n, total, caps, head, c)
+            c = live[0] + 1
+            assert (c > top or prefix + c > caps[k + 1]
+                    or not balanced_live(n, total, caps, head + (c,))), (n, total, caps, head)
+            assert not balanced_live(n, total, caps, head + (live[-1] - 1,)), \
+                (n, total, caps, head)

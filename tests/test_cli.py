@@ -101,13 +101,26 @@ def test_decompose_refuses_a_weight_over_its_slot_limit(capsys):
 
 
 def test_windows_refuses_an_output_over_its_budget(capsys):
-    # m(14, 0) = 118 741 369 lines, counted and refused before any is built
+    # m(14, 0) = 118 741 369 lines, counted only past the budget and
+    # refused before any is built
     start = time.perf_counter()
     code, out, err = run(capsys, ["windows", "--d", "14", "--w", "0"])
     assert time.perf_counter() - start < 10
     assert code == 1 and out == ""
-    assert err == ("error: windows --d 14 --w 0 would print 118741369 lines, "
-                   "over the budget of 1000000\n")
+    assert err == ("error: windows --d 14 --w 0 would print more than the budget of "
+                   "1000000 lines\n")
+
+
+def test_windows_refuses_the_largest_d_at_once(capsys):
+    # the count stops once past the budget, so the largest d the CLI takes
+    # is refused in a fraction of a second (in-process, about 0.03 s on a
+    # 2-core x86-64 VM)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["windows", "--d", "400", "--w", "0"])
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == ("error: windows --d 400 --w 0 would print more than the budget of "
+                   "1000000 lines\n")
 
 
 def test_windows_budget_counts_the_lines(capsys, monkeypatch):
@@ -115,7 +128,7 @@ def test_windows_budget_counts_the_lines(capsys, monkeypatch):
     monkeypatch.setattr(cli, "WINDOWS_MAX_LINES", 15)
     code, out, err = run(capsys, ["windows", "--d", "4", "--w", "0"])
     assert code == 1 and out == ""
-    assert err == "error: windows --d 4 --w 0 would print 16 lines, over the budget of 15\n"
+    assert err == "error: windows --d 4 --w 0 would print more than the budget of 15 lines\n"
     monkeypatch.setattr(cli, "WINDOWS_MAX_LINES", 16)
     code, out, _ = run(capsys, ["windows", "--d", "4", "--w", "0", "--format", "tsv"])
     assert code == 0
@@ -162,15 +175,46 @@ def test_index_sets_T_refuses_a_count_over_its_budget(capsys):
 def test_index_sets_T_budget_counts_the_compositions(capsys, monkeypatch):
     # (6, 3) and (6, -3) test 2^(3 - 1) = 4 compositions: refused one over
     # the budget, printed as before at it
-    monkeypatch.setattr(cli, "INDEX_SETS_T_MAX_COMPOSITIONS", 3)
+    monkeypatch.setattr(cli, "INDEX_SETS_MAX_CANDIDATES", 3)
     code, out, err = run(capsys, ["index-sets", "--set", "T", "--d", "6", "--w", "-3"])
     assert code == 1 and out == ""
     assert err == ("error: index-sets --set T --d 6 --w -3 would test 4 compositions, "
                    "over the budget of 3\n")
-    monkeypatch.setattr(cli, "INDEX_SETS_T_MAX_COMPOSITIONS", 4)
+    monkeypatch.setattr(cli, "INDEX_SETS_MAX_CANDIDATES", 4)
     rows = run_json(capsys, ["index-sets", "--set", "T", "--d", "6", "--w", "3"], "index-sets")
     expected = enum_T(builtin_quiver("tripled-jordan"), 6, 3, None)
     assert [tuple(map(tuple, r["parts"])) for r in rows] == list(expected)
+
+
+def test_index_sets_U_refuses_a_count_over_its_budget(capsys):
+    # p(50) = 204 226 partitions of gcd(50, 0) = 50, counted only past the
+    # budget and refused before any is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["index-sets", "--set", "U", "--d", "50", "--w", "0"])
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == ("error: index-sets --set U --d 50 --w 0 would list more than the budget "
+                   "of 65536 partitions\n")
+    # gcd(400, 1) = 1: the one-part partition
+    rows = run_json(capsys, ["index-sets", "--set", "U", "--d", "400", "--w", "1"], "index-sets")
+    assert [r["parts"] for r in rows] == [[[400, 1]]]
+
+
+def test_index_sets_U_budget_counts_the_partitions(capsys, monkeypatch):
+    # (12, 8): the p(4) = 5 partitions of gcd(12, 8) = 4, scaled by 3;
+    # refused one over the budget, printed as before at it, and the part
+    # cap counts too (3 partitions of 4 into at most 2 parts)
+    monkeypatch.setattr(cli, "INDEX_SETS_MAX_CANDIDATES", 4)
+    code, out, err = run(capsys, ["index-sets", "--set", "U", "--d", "12", "--w", "8"])
+    assert code == 1 and out == ""
+    assert err == ("error: index-sets --set U --d 12 --w 8 would list more than the budget "
+                   "of 4 partitions\n")
+    rows = run_json(capsys, ["index-sets", "--set", "U", "--d", "12", "--w", "8",
+                             "--max-parts", "2"], "index-sets")
+    assert [r["parts"] for r in rows] == [[[3, 2], [9, 6]], [[6, 4], [6, 4]], [[12, 8]]]
+    monkeypatch.setattr(cli, "INDEX_SETS_MAX_CANDIDATES", 5)
+    rows = run_json(capsys, ["index-sets", "--set", "U", "--d", "12", "--w", "8"], "index-sets")
+    assert len(rows) == 5 and all(3 * pw == 2 * pd for r in rows for pd, pw in r["parts"])
 
 
 def test_index_sets_S(capsys):

@@ -236,6 +236,25 @@ def test_verify_bijection_cli_digests(args, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+# Window listings and a count table, pinned byte for byte: windows --d 8
+# --w 0 prints 5 302 lines, the --delta 5/2 TSV listing 791, the
+# doubled-Jordan listing 490, and pbw-table 86.
+@pytest.mark.parametrize("args, sha256", [
+    ("windows --d 8 --w 0",
+     "8927b0d455025453cbcf58791b0e9e42d3166816621e6b21ea74d0cf587de525"),
+    ("windows --d 7 --w 2 --delta 5/2 --format tsv",
+     "bb617cca67488812b93805944a90d8124213d2488c0c3380475999ffcb6c2f3a"),
+    ("windows --d 9 --w 0 --quiver doubled-jordan",
+     "04c856150047642243c5efdc87e31208e0ddfc033ee97f517b5c6522c14ab888"),
+    ("pbw-table --dmax 12 --wmax 3",
+     "367a37a68f8f8316f08cc40044691c34cffd2cb3c67a8ef50c95a56188ba3a15"),
+])
+def test_window_cli_digests(args, sha256):
+    code, out = _stdout(args.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_verify_bijection_work_counts(monkeypatch):
     # windows are read as integer caps: no membership test, and one Weight
     # per domain weight (for decompose) plus the few its one partition builds
