@@ -18,8 +18,9 @@ positive integer of at most PARTITION_MAX_DIMENSION), --degrees (two
 integers) and the partitions --a, --b and --partition (parts of dimension
 at least 1, with dimensions adding up to at most PARTITION_MAX_DIMENSION).
 The handlers check only what takes more than one flag: that two
-partitions have the same totals, and that --d agrees with the weight or
-the partition.
+partitions have the same totals, that --d agrees with the weight or the
+partition, and `pbw-table`'s limits, which apply to a --dmax and --wmax
+whose range is not empty.
 """
 
 from __future__ import annotations
@@ -76,6 +77,16 @@ WINDOWS_MAX_LINES = 1_000_000
 # past the budget by `index_sets._equal_slope_count`.  Either set's
 # candidates past this budget are refused before any is built.
 INDEX_SETS_MAX_CANDIDATES = 2 ** 16
+
+# `pbw-table` counts one window per cell (d, w), dmax*(2*wmax + 1) of them,
+# and a cell's count takes time that grows about as d^4
+# (`pbw.window_count`).  Cold on a 2-core x86-64 VM, `--dmax 20 --wmax 3`
+# took 1.1 s, `--dmax 20 --wmax 4`, the slowest table these limits accept,
+# 1.4-1.5 s, and `--dmax 14 --wmax 7` (every residue of w mod d) 0.4 s;
+# `--dmax 1 --wmax 200000` took 4.2 s and `--dmax 40 --wmax 1` 38 s.  A
+# larger --dmax or more cells are refused before any is counted.
+PBW_TABLE_MAX_DMAX = 20
+PBW_TABLE_MAX_CELLS = 210
 
 
 # a token argparse reads as a value, not a flag, though it starts with "-"
@@ -319,19 +330,16 @@ def _cmd_index_sets(args) -> int:
         if count > INDEX_SETS_MAX_CANDIDATES:
             raise DomainError(f"index-sets --set T --d {d} --w {w} would test {count} "
                               f"compositions, over the budget of {INDEX_SETS_MAX_CANDIDATES}")
+        res = enum_T(q, d, w, delta, trunc)
     elif args.set == "U":
         if _equal_slope_count(d, w, trunc, INDEX_SETS_MAX_CANDIDATES) > INDEX_SETS_MAX_CANDIDATES:
             raise DomainError(f"index-sets --set U --d {d} --w {w} would list more than "
                               f"the budget of {INDEX_SETS_MAX_CANDIDATES} partitions")
-    name = args.set
-    if name == "V":
-        res = enum_V(d, w, trunc)
-    elif name == "U":
         res = enum_U(d, w, trunc)
-    elif name == "S":
+    elif args.set == "S":
         res = enum_S(q, d, w, delta, trunc)
     else:
-        res = enum_T(q, d, w, delta, trunc)
+        res = enum_V(d, w, trunc)
     # every line is built before any is printed, so a fault in a later
     # partition's tree leaves stdout empty
     lines = []
@@ -369,6 +377,15 @@ def _cmd_pbw_table(args) -> int:
     from . import pbw
 
     q = _load_quiver(args.quiver)
+    # a --wmax below 0 is window_count_table's to refuse, as is a --dmax
+    # below 1, whose cells are then not positive
+    if args.wmax >= 0:
+        for what, value, limit in [
+                ("--dmax", args.dmax, PBW_TABLE_MAX_DMAX),
+                ("the cell count dmax*(2*wmax + 1)", args.dmax * (2 * args.wmax + 1),
+                 PBW_TABLE_MAX_CELLS)]:
+            if value > limit:
+                raise DomainError(f"pbw-table: {what} is {value}, above the limit {limit}")
     m = pbw.window_count_table(args.dmax, args.wmax, q)
     p = pbw._solve_primitive(m)
     status = "NEGATIVE_P" if any(pv < 0 for pv in p.values()) else "OK"

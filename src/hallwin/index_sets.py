@@ -289,28 +289,30 @@ def enum_U(d: int, w: int, trunc: Truncation = Truncation()) -> EnumResult:
     truncation's part cap applies (every slope bound admits these slopes).
     A part (d_i, d_i*w/d) is integral exactly when d/g divides d_i, with
     g = gcd(d, w), so these are the partitions of g with each part scaled
-    by d/g: `_equal_slope_count` of them.
+    by d/g.  They are walked as the tuples `_equal_slope_count` counts,
+    their zero entries dropped.
     """
     _check_dimension(d)
-    g = gcd(d, w)
-    items = []
-    for k in range(1, g + 1):
-        if not trunc.admits_count(k):
-            break
-        for sizes in _dominant_tuples(k, g, _box_caps(k, g, 1, g)):
-            items.append(tuple((d // g * c, w // g * c) for c in reversed(sizes)))
-    items.sort()
+    k, g, caps = _equal_slope_walk(d, w, trunc)
+    items = sorted(tuple((d // g * c, w // g * c) for c in reversed(sizes) if c)
+                   for sizes in _dominant_tuples(k, g, caps))
     return EnumResult(tuple(items), truncated=False)
 
 
 def _equal_slope_count(d: int, w: int, trunc: Truncation, limit: int | None = None) -> int:
     """The number of partitions `enum_U(d, w, trunc)` lists, counted by
-    `_count_tuples` without listing them (exact up to `limit`, as there):
-    the partitions of g = gcd(d, w) into at most k = min(g, part cap)
-    parts, padded with zeros to k-tuples in [0, g]."""
+    `_count_tuples` without listing them (exact up to `limit`, as there)."""
+    return _count_tuples(*_equal_slope_walk(d, w, trunc), limit)
+
+
+def _equal_slope_walk(d: int, w: int, trunc: Truncation) -> tuple[int, int, list[int]]:
+    """(k, g, caps) of the walk behind `enum_U`: the partitions of
+    g = gcd(d, w) into at most k = min(g, part cap) parts, padded with zeros
+    to the non-increasing k-tuples in [0, g] with sum g, whose prefix caps
+    are caps."""
     g = gcd(d, w)
     k = g if trunc.max_parts is None else min(g, trunc.max_parts)
-    return _count_tuples(k, g, _box_caps(k, g, 0, g), limit)
+    return k, g, _box_caps(k, g, 0, g)
 
 
 def _root_within_half(quiver: Quiver, chi: Sequence[int]) -> bool:

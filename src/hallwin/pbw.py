@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice
 from math import comb
 
 from ._record import Record
@@ -24,10 +23,9 @@ from .standard_form import (
 # integral chi with sum w and coordinates within the bound: 109 583 of them
 # at (d, w, bound) = (10, 0, 8) and 4 083 008 at (40, 0, 4).  Domains of
 # about 2^16 weights took 16 s cold at d = 3, 4 and 5 (`hallwin
-# verify-bijection` on a 2-core x86-64 VM).  The domain is walked to one
-# weight past this budget, which takes time that grows with d but not with
-# the bound (the walk visits only heads that have a completion), and a
-# larger one is refused before any decomposition.
+# verify-bijection` on a 2-core x86-64 VM).  The domain is counted first
+# (`index_sets._count_tuples`, without listing it, only up to one past
+# this budget), and a larger one is refused before any weight is listed.
 VERIFY_BIJECTION_MAX_DOMAIN = 2 ** 16
 
 
@@ -105,7 +103,8 @@ def verify_bijection(d: int, w: int, bound: int,
     `_dominant_tuples` walks.
 
     Refuses a bound below 1, a delta that is not a multiple of tau, and a
-    domain of more than VERIFY_BIJECTION_MAX_DOMAIN weights.
+    domain of more than VERIFY_BIJECTION_MAX_DOMAIN weights, counted by
+    `_count_tuples` before any weight is listed.
     """
     _check_dimension(d)
     if bound <= 0:
@@ -113,16 +112,16 @@ def verify_bijection(d: int, w: int, bound: int,
     q = _quiver(quiver)
     dims = (d,)
     delta = _invariant_delta(dims, delta)
-    domain = list(islice(_dominant_tuples(d, w, _box_caps(d, w, -bound, bound)),
-                         VERIFY_BIJECTION_MAX_DOMAIN + 1))
-    if len(domain) > VERIFY_BIJECTION_MAX_DOMAIN:
+    domain_caps = _box_caps(d, w, -bound, bound)
+    domain_size = _count_tuples(d, w, domain_caps, VERIFY_BIJECTION_MAX_DOMAIN)
+    if domain_size > VERIFY_BIJECTION_MAX_DOMAIN:
         raise ValueError(f"the domain of (d, w, bound) = ({d}, {w}, {bound}) has more than "
                          f"the budget of {VERIFY_BIJECTION_MAX_DOMAIN} weights")
     violations: list[str] = []
     image: dict[tuple, tuple[int, ...]] = {}
     # each partition's leaf-block caps, None when it has none to check
     caps_by_A: dict[tuple, list[list[int]] | None] = {}
-    for chi in domain:
+    for chi in _dominant_tuples(d, w, domain_caps):
         form = decompose(q, dims, Weight(chi, dims), delta)
         A = form.partition
         key = (A, tuple(tuple(chi[i] for i in b) for b in form.leaf_blocks))
@@ -169,7 +168,7 @@ def verify_bijection(d: int, w: int, bound: int,
         shifted = omega_shift(q, dims, A)
         if not _slopes_decrease(shifted):
             violations.append(f"omega shift of {A} has non-decreasing slopes: {shifted}")
-    return BijectionReport(d=d, w=w, bound=bound, domain_size=len(domain),
+    return BijectionReport(d=d, w=w, bound=bound, domain_size=domain_size,
                            image_size=len(image), target_size=len(target),
                            violations=tuple(violations))
 

@@ -27,14 +27,14 @@ it realizes A and, when not, its leaf blocks.
 Every tree is grown by one integer grower, `_grow`, over the prefix sums
 of a sequence of parts (no LP): a block's cuts are read off the root's
 prefix sums, since the nodes above it add a constant to it, which moves no
-cut.  The root radius comes from the polytope's prefix-sum form; a root
-above 1/2 is grown on phi's slots as parts of size 1, phi carried as
-integers over one common denominator, and psi is read off the leaves at
-the end.  Weight coordinates are ints where integral, so Fractions are
-built only for phi's and psi's non-integral coordinates and the nodes'
-radii; the reconstruction check runs on integers over one common
-denominator.  An integral chi at odd d (whose rho is integral) with delta
-0 and a root leaf builds none.
+cut.  A form is grown on phi's slots as parts of size 1, phi carried as
+integers over one common denominator; its root radius is the grower's
+root step, which grows no node when the radius is at most 1/2, and psi
+is read off the leaves at the end.  Weight coordinates are ints where
+integral, so Fractions are built only for phi's and psi's non-integral
+coordinates and the nodes' radii; the reconstruction check runs on
+integers over one common denominator.  An integral chi at odd d (whose
+rho is integral) with delta 0 and a root leaf builds none.
 
 The tree of a partition A = ((d_1, w_1), ..., (d_k, w_k)), behind
 `compare` and `index-sets`, is the same grower's on A's k parts
@@ -56,7 +56,7 @@ from math import lcm
 from typing import Sequence
 
 from ._record import Record
-from .polytope import _widest_cut, cached_polytope
+from .polytope import _tight_composition, _widest_cut
 from .quiver_weights import (
     Quiver,
     Weight,
@@ -180,9 +180,9 @@ def _grow(D: Sequence[int], W: Sequence[int], limit: tuple[int, int]) -> list[_G
     h = p*(n - p)*n: its centred prefix sum over p*(n - p).  A block whose
     widest cut k/h is at most limit = (a, b), k*b <= a*h, is a leaf.  Any
     other block is a node whose face cuts at every tight cut, the widest
-    among them, and each level block of two or more parts grows below it
-    with a smaller radius (checked); a single part has no cut, so it is a
-    leaf and is not grown.
+    among them (`polytope._tight_composition`, counted in parts), and each
+    level block of two or more parts grows below it with a smaller radius
+    (checked); a single part has no cut, so it is a leaf and is not grown.
 
     Every block's cuts are read off these root prefix sums.  A node adds
     r*N to its block, and N, a sum of edge weights e_a - e_b over the slots
@@ -195,19 +195,18 @@ def _grow(D: Sequence[int], W: Sequence[int], limit: tuple[int, int]) -> list[_G
     stack = [(0, len(D) - 1, 0, None)]
     while stack:
         lo, hi, depth, parent = stack.pop()
-        start, end, w0 = D[lo], D[hi], W[lo]
-        n, total = end - start, W[hi] - w0
+        start, w0 = D[lo], W[lo]
+        n, total = D[hi] - start, W[hi] - w0
         cuts = []
         for j in range(lo + 1, hi):
             p = D[j] - start
-            cuts.append((n * (W[j] - w0) - p * total, p * (end - D[j]) * n))
+            cuts.append((n * (W[j] - w0) - p * total, p * (n - p) * n))
         k, h = _widest_cut(cuts)
         if k * limit[1] <= limit[0] * h:
             continue
         if parent is not None and not k * parent[1] < parent[0] * h:
             raise DecompositionError("coefficients fail to decrease along the path")
-        bounds = [lo, *(j for j, (cut_k, cut_h) in enumerate(cuts, lo + 1)
-                        if cut_k * h == k * cut_h), hi]
+        bounds = list(accumulate(_tight_composition(cuts, k, h), initial=lo))
         # the level blocks right to left, so the leftmost is grown first
         comp = []
         for a, b in zip(bounds[-2::-1], bounds[:0:-1]):
@@ -224,22 +223,23 @@ def _tree(quiver: Quiver, phi: Weight):
     A block whose radius is at most 1/2 is a leaf and keeps its part of phi
     in psi.  Otherwise its face cocharacter lam gives a node (lam, r, N),
     phi + r*N splits along lam's level blocks, and each part is grown in
-    turn, its radius below r.  The root radius is computed once, on the
-    polytope's cuts: a root within 1/2 is returned as the one leaf,
-    psi = phi, and nothing else is built.  So the tree is the single root
-    leaf exactly when the root radius is at most 1/2; a larger radius makes
-    a node whose face cuts at least once, hence at least two leaves (or
-    raises).  On a quiver without loops every cut has height 0, so a root
-    that is not constant has no finite radius: it raises the LP's refusal,
-    that the weight is not in span(segments) + axis.
+    turn, its radius below r.  The tree is `_grow`'s on phi's slots as
+    parts of size 1, on the integers ints/den phi is carried in, so the
+    root radius is computed once, by its root step: a root within 1/2
+    grows no node, and the empty tree is returned as the one leaf,
+    psi = phi.  So the tree is the single root leaf exactly when the root
+    radius is at most 1/2; a larger radius makes a node whose face cuts at
+    least once, hence at least two leaves (or raises).  On a quiver without
+    loops every cut has height 0, so a root that is not constant has no
+    finite radius: it raises the LP's refusal, that the weight is not in
+    span(segments) + axis, before anything is grown.
 
     phi is non-increasing, as every caller's is (a dominant chi plus rho
     and a multiple of tau), and so is each part of phi + r*N; so a block's
-    ordered cuts are its sorted cuts.  Below a root above 1/2 the tree is
-    `_grow`'s on phi's slots as parts of size 1, on the integers ints/den
-    phi is carried in.  Its cut p of a block reads k over h, where the
-    polytope's reads k over L*den*h (L loops), so r = k/(L*den*h) and the
-    limit 1/2 is scaled to match.
+    ordered cuts are its sorted cuts, and phi is constant exactly when its
+    first and last slots agree.  `_grow`'s cut p of a block reads k over
+    h, where the polytope's reads k over L*den*h (L loops), so
+    r = k/(L*den*h) and the limit 1/2 is scaled to match.
 
     psi is phi + sum_j r_j N_j, read off the leaves.  At a tight cut p of
     a node's block the centred prefix sum is r*L*p*(n - p) and N's prefix
@@ -251,14 +251,13 @@ def _tree(quiver: Quiver, phi: Weight):
     dims = phi.blocks
     n = dims[0]
     ints, den = _scaled_coords(phi.coords)
-    k, h = _widest_cut(cached_polytope(quiver, dims)._int_cuts(ints, den, ordered=True))
-    if not h:
-        raise DecompositionError("weight does not lie in span(segments) + axis")
-    if 2 * k <= h:
-        return (), phi, (tuple(range(n)),)
     loops = len(quiver.edges)
+    if not loops and ints[0] != ints[-1]:
+        raise DecompositionError("weight does not lie in span(segments) + axis")
     W = list(accumulate(ints, initial=0))
     tree = _grow(range(n + 1), W, (loops * den, 2))
+    if not tree:
+        return (), phi, (tuple(range(n)),)
     bounds = sorted({b for start, comp, _k, _h, _depth in tree
                      for b in accumulate(comp, initial=start)})
     psi: list[int | Fraction] = []

@@ -262,6 +262,33 @@ def test_pbw_table_negative_exit(capsys, monkeypatch):
     assert "NEGATIVE_P" in out
 
 
+@pytest.mark.parametrize("bounds, message", [
+    (["--dmax", "40", "--wmax", "1"], "--dmax is 40, above the limit 20"),
+    (["--dmax", "1", "--wmax", "200000"],
+     "the cell count dmax*(2*wmax + 1) is 400001, above the limit 210"),
+    (["--dmax", "20", "--wmax", "5"],
+     "the cell count dmax*(2*wmax + 1) is 220, above the limit 210"),
+])
+def test_pbw_table_refuses_a_table_over_its_limits(capsys, bounds, message):
+    # --dmax 40 --wmax 1 took 38 s cold, and --dmax 1 --wmax 200000 printed
+    # 400 003 lines: refused before any cell is counted
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["pbw-table", *bounds])
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == f"error: pbw-table: {message}\n"
+
+
+@pytest.mark.parametrize("dmax, wmax", [(20, 3), (14, 7), (3, 4)])
+def test_pbw_table_prints_a_table_within_its_limits(capsys, dmax, wmax):
+    # the README's timed table, docs/pbw_counting.md's table of every
+    # residue and the benchmark's table
+    code, out, _ = run(capsys, ["pbw-table", "--dmax", str(dmax), "--wmax", str(wmax)])
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2 + dmax * (2 * wmax + 1) and lines[-1] == "OK"
+
+
 def test_verify_bijection(capsys):
     rows = run_json(capsys, ["verify-bijection", "--d", "2", "--w", "0",
                              "--bound", "8"], "verify-bijection")
@@ -273,10 +300,11 @@ def test_verify_bijection(capsys):
 @pytest.mark.parametrize("argv, domain", [
     (["--d", "40", "--w", "0", "--bound", "4"], "(40, 0, 4)"),
     (["--d", "3", "--w", "0", "--bound", "1000000"], "(3, 0, 1000000)"),
+    (["--d", "200", "--w", "0", "--bound", "1000"], "(200, 0, 1000)"),
 ])
 def test_verify_bijection_refuses_a_domain_over_its_budget(capsys, argv, domain):
     # 4 083 008 weights at d = 40, and about 5 * 10^11 at d = 3: the domain
-    # is walked only to one weight past the budget, before any decomposition
+    # is counted, only up to one past the budget, before any is listed
     start = time.perf_counter()
     code, out, err = run(capsys, ["verify-bijection", *argv])
     assert time.perf_counter() - start < 10

@@ -19,7 +19,11 @@ from hallwin import (
     tau,
     window_generators,
 )
-from hallwin.index_sets import _divisible_composition_count, _divisible_compositions
+from hallwin.index_sets import (
+    _divisible_composition_count,
+    _divisible_compositions,
+    _equal_slope_count,
+)
 from hallwin.pbw import verify_bijection
 from hallwin.standard_form import DecompositionError, decompose, omega_shift
 
@@ -66,6 +70,20 @@ def test_enum_U_frozen():
     for parts in enum_U(4, 2):
         slopes = {F(pw, pd) for pd, pw in parts}
         assert len(slopes) == 1
+
+
+@pytest.mark.parametrize("cap", [None, 1, 2, 3])
+def test_enum_U_matches_a_scan_of_the_partitions(cap):
+    # every multiset of part sizes of d, read off the compositions of d; a
+    # part (d_i, w_i) has slope w/d exactly when w_i = d_i*w/d, an integer
+    trunc = Truncation(max_parts=cap)
+    for d in range(1, 13):
+        sizes = {tuple(sorted(c)) for c in compositions(d)}
+        for w in range(d):
+            scan = sorted(tuple((di, di * w // d) for di in s) for s in sizes
+                          if all(di * w % d == 0 for di in s) and trunc.admits_count(len(s)))
+            assert list(enum_U(d, w, trunc)) == scan, (d, w)
+            assert _equal_slope_count(d, w, trunc) == len(scan), (d, w)
 
 
 def test_enum_V_frozen():

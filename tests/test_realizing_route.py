@@ -17,9 +17,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from hallwin import Truncation, Weight, builtin_quiver, enum_V, rho, tau
+from hallwin import Truncation, Weight, builtin_quiver, enum_V, rho, standard_form, tau
 from hallwin.index_sets import _balanced_coords, enum_S
-from hallwin.polytope import WPolytope, cached_polytope
+from hallwin.polytope import WPolytope, _widest_cut, cached_polytope
 from hallwin.quiver_weights import N_positive
 from hallwin.standard_form import (
     Node,
@@ -155,17 +155,16 @@ def test_integer_tree_matches_fraction_tree(name):
 
 
 def test_decompose_cuts_the_root_once(monkeypatch):
-    # Work count: the polytope's cuts are taken once, at the root; every
-    # block below it is cut on the root's prefix sums
-    calls = []
-    int_cuts = WPolytope._int_cuts
-
-    def counted(self, *args, **kwargs):
-        calls.append(self.dims)
-        return int_cuts(self, *args, **kwargs)
-
-    monkeypatch.setattr(WPolytope, "_int_cuts", counted)
+    # Work count: the polytope's cuts are never taken; `_grow` cuts the
+    # root block once, and every block below it on the root's prefix sums
+    int_cuts, widest = [], []
+    polytope_cuts = WPolytope._int_cuts
+    monkeypatch.setattr(WPolytope, "_int_cuts", lambda self, *args, **kwargs: int_cuts.append(
+        self.dims) or polytope_cuts(self, *args, **kwargs))
+    monkeypatch.setattr(standard_form, "_widest_cut",
+                        lambda cuts: widest.append(len(cuts)) or _widest_cut(cuts))
     form = decompose(Q3, (3,), Weight.make((12, 9, 5), (3,)))
     assert [(n.depth, n.block) for n in form.nodes] == [(0, (0, 1, 2)), (1, (0, 1))]
-    assert calls == [(3,)]
-
+    assert int_cuts == []
+    # the root block's two cuts, then the one cut of the block (0, 1)
+    assert widest == [2, 1]
