@@ -81,10 +81,10 @@ INDEX_SETS_MAX_CANDIDATES = 2 ** 16
 # `pbw-table` counts one window per cell (d, w), dmax*(2*wmax + 1) of them,
 # and a cell's count takes time that grows about as d^4
 # (`pbw.window_count`).  Cold on a 2-core x86-64 VM, `--dmax 20 --wmax 3`
-# took 1.1 s, `--dmax 20 --wmax 4`, the slowest table these limits accept,
-# 1.4-1.5 s, and `--dmax 14 --wmax 7` (every residue of w mod d) 0.4 s;
-# `--dmax 1 --wmax 200000` took 4.2 s and `--dmax 40 --wmax 1` 38 s.  A
-# larger --dmax or more cells are refused before any is counted.
+# took 0.8 s, `--dmax 20 --wmax 4`, the slowest table these limits accept,
+# 1.0 s, and `--dmax 14 --wmax 7` (every residue of w mod d) 0.3 s; before
+# these limits `--dmax 1 --wmax 200000` took 4.2 s and `--dmax 40 --wmax 1`
+# 38 s.  A larger --dmax or more cells are refused before any is counted.
 PBW_TABLE_MAX_DMAX = 20
 PBW_TABLE_MAX_CELLS = 210
 

@@ -81,96 +81,54 @@ def _box_caps(n: int, total: int, lo: int, hi: int) -> list[int]:
     return [min(p * hi, total - (n - p) * lo) for p in range(n + 1)]
 
 
-def _completes(n: int, total: int, caps: Sequence[int], k: int, prefix: int) -> bool:
-    """Whether the balanced completion of a head of length k < n and prefix
-    sum `prefix` (the rest spread as entries q or q + 1, larger first)
-    meets the caps at p = k+1..n-1; the caps at p = k and p = n are the
-    caller's to check."""
-    q, rem = divmod(total - prefix, n - k)
-    for p in range(k + 1, n):
-        prefix += q + (p - k <= rem)
-        if prefix > caps[p]:
-            return False
-    return True
-
-
-def _live_range(n: int, total: int, caps: Sequence[int], k: int, prefix: int,
-                top: int) -> range:
-    """The entries that can follow a live head, descending.
-
-    A head of length k < n, with prefix sum `prefix` and last entry `top`,
-    is live when it has a completion: a non-increasing n-tuple with the
-    given sum and p-th prefix sum at most caps[p].  Of all completions, the
-    balanced one has the least prefix sums, so a head is live exactly when
-    its balanced completion meets the caps and does not rise above `top`.
-    Write R = total - prefix and m = n - k.  A next entry c keeps the
-    child head's balanced completion at most c exactly when c >= least =
-    ceil(R/m), and the live next entries are the whole interval
-    least..most, for two reasons:
-
-    - Lowering c by one never raises a prefix sum of the child's balanced
-      completion: the child's prefix sums are prefix + c + B_j(R - c),
-      with B_j(S) the j-th prefix sum of the balanced (m-1)-tuple of sum
-      S, and B_j(S + 1) - B_j(S) is 0 or 1.  So liveness is monotone in c.
-    - The child at c = least has, as its balanced completion, the tail of
-      the parent's, so it is live whenever the parent is.
-
-    So `most` is found by testing the children's completions (`_completes`)
-    downward from min(top, caps[k+1] - prefix), usually once, and every
-    child below it is live without a test.  A child with one slot left
-    has its forced last entry, which every c >= least admits.
-    """
-    least = -((prefix - total) // (n - k))
-    most = min(top, caps[k + 1] - prefix)
-    if k < n - 2:
-        while most > least and not _completes(n, total, caps, k + 1, prefix + most):
-            most -= 1
-    return range(most, least - 1, -1)
-
-
-def _root_live(n: int, total: int, caps: Sequence[int]) -> bool:
-    """Whether the empty head is live: some tuple meets the caps."""
-    return 0 <= caps[0] and total <= caps[n] and _completes(n, total, caps, 0, 0)
-
-
 def _dominant_tuples(n: int, total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Non-increasing integer n-tuples with the given sum and p-th prefix sum
     at most caps[p] (p = 0..n), in descending lexicographic order.
 
-    Only live heads are walked: each head's live next entries are one
-    interval (`_live_range`), so the walk never enters a dead head, and a
-    head with two slots left yields its tuples directly.
+    A head of length k < n, prefix sum `prefix` and last entry `top` takes
+    as its next entry each c from min(top, caps[k+1] - prefix) down to
+    ceil(rest/slots), with rest = total - prefix and slots = n - k: a
+    smaller c would leave the other slots more than c each.  So every entry
+    meets its own cap as it is chosen, and the last prefix sum, total, is
+    checked against caps[n] at the root: the walk yields exactly the tuples
+    under the caps.  A head with two slots left yields its tuples
+    directly.  A dead head, one no tuple under the caps extends, costs a
+    visit and yields nothing.  On the windows of the doubled and tripled
+    quivers with delta in span tau, and on `verify_bijection`'s windows
+    met with boxes, the walk enters none (tests/test_capped_walk.py), so
+    it tests no completion.
     """
-    if not _root_live(n, total, caps):
+    if caps[0] < 0 or total > caps[n]:
         return
     if n == 1:
         yield (total,)
         return
 
     def walk(head: tuple[int, ...], prefix: int, top: int) -> Iterator[tuple[int, ...]]:
-        k = len(head)
-        live = _live_range(n, total, caps, k, prefix, top)
+        k, rest = len(head), total - prefix
+        least, most = -(-rest // (n - k)), min(top, caps[k + 1] - prefix)
         if k == n - 2:
-            rest = total - prefix
-            for c in live:
+            for c in range(most, least - 1, -1):
                 yield head + (c, rest - c)
             return
-        for c in live:
+        for c in range(most, least - 1, -1):
             yield from walk(head + (c,), prefix + c, c)
 
     yield from walk((), 0, caps[1])
 
 
 def _count_tuples(n: int, total: int, caps: Sequence[int], limit: int | None = None) -> int:
-    """The number of tuples `_dominant_tuples(n, total, caps)` walks, counted
-    without visiting them: the heads are memoised on (length, prefix sum,
-    last entry), which is all a head's completions depend on, and a head
-    with two slots left counts its live range.
+    """The number of tuples `_dominant_tuples(n, total, caps)` yields,
+    counted without visiting them: the heads are memoised on (length,
+    prefix sum, last entry), which is all a head's next entries depend on,
+    and a head with two slots left counts the entries between its two
+    bounds.
 
-    With a limit, a head stops summing its children once past it, so the
-    result is exact when at most `limit` and else some number above it.
+    With a limit, a head stops summing its children, least first, once
+    past it, so the result is exact when at most `limit` and else some
+    number above it.
     """
-    if not _root_live(n, total, caps):
+    if caps[0] < 0 or total > caps[n]:
         return 0
     if n == 1:
         return 1
@@ -180,12 +138,13 @@ def _count_tuples(n: int, total: int, caps: Sequence[int], limit: int | None = N
         key = (k, prefix, top)
         found = memo.get(key)
         if found is None:
-            live = _live_range(n, total, caps, k, prefix, top)
+            least, most = -((prefix - total) // (n - k)), min(top, caps[k + 1] - prefix)
             if k == n - 2:
-                found = len(live)
+                # not len(range(...)), which overflows past sys.maxsize
+                found = max(0, most - least + 1)
             else:
                 found = 0
-                for c in live:
+                for c in range(least, most + 1):
                     found += count(k + 1, prefix + c, c)
                     if limit is not None and found > limit:
                         break

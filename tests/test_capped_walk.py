@@ -6,16 +6,17 @@ arbitrary caps.  `window_generators` is checked against a scan of a box
 derived here from the single-slot facets, with shifts that are not
 multiples of tau, and against a scan whose window test is the LP;
 `enum_T` against a scan of a fixed wide box of block-dominant weights.
-The count-only DP `_count_tuples` is checked against the walk's count.
-Cost guards pin how many tuples the walk yields for a window, and how many
-heads the DP memoises and how many completions it tests, so a loss of
-pruning or of the memo shows without a clock.  Each head's live next
-entries are checked to be one interval against a brute-force
-balanced-completion oracle.
+The count-only DP `_count_tuples` is checked against the walk's count,
+also under a limit.  Cost guards pin how many tuples the walk yields for a
+window, and how many heads the DP evaluates and in how many calls, so a
+loss of pruning or of the memo shows without a clock.  A last guard pins
+that on window caps and `verify_bijection`'s per-part caps no head the
+walk enters is dead, which is why the walk needs no completion test.
 """
 
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 from functools import lru_cache
 from math import ceil, floor
@@ -34,7 +35,7 @@ from hallwin import (
     tau,
     window_generators,
 )
-from hallwin import index_sets, lp
+from hallwin import lp
 from hallwin.index_sets import _box_caps, _count_tuples, _dominant_tuples
 from hallwin.polytope import cached_polytope
 
@@ -247,61 +248,90 @@ def test_window_walk_yields_only_generators(c):
         assert _count_tuples(d, w, caps) == m, (d, w)
 
 
-def test_count_memoises_each_head_once(monkeypatch):
-    # Cost guard: the DP reads the live range of each memoised head once,
-    # 1 486 heads for the m(12, 0) = 3 868 142 tuples the walk would visit,
-    # and tests 1 157 balanced completions in all (a look-ahead per child
-    # took 1 563).
-    ranged, tested = [], []
-    live_range, completes = index_sets._live_range, index_sets._completes
-    monkeypatch.setattr(index_sets, "_live_range",
-                        lambda *args: ranged.append(args[3:]) or live_range(*args))
-    monkeypatch.setattr(index_sets, "_completes",
-                        lambda *args: tested.append(args[3:]) or completes(*args))
+# the code of `_count_tuples`'s memoised inner `count`
+COUNT_CODE = next(c for c in _count_tuples.__code__.co_consts
+                  if getattr(c, "co_name", None) == "count")
+
+
+def profiled_count(n, total, caps):
+    """`_count_tuples(n, total, caps)`, with the heads (k, prefix,
+    top) its memoised `count` is called on, in call order, and what it
+    returns for each, read with sys.setprofile."""
+    calls, counts = [], {}
+
+    def hook(frame, event, arg):
+        if frame.f_code is COUNT_CODE and event in ("call", "return"):
+            head = (frame.f_locals["k"], frame.f_locals["prefix"], frame.f_locals["top"])
+            if event == "call":
+                calls.append(head)
+            else:
+                counts[head] = arg
+
+    sys.setprofile(hook)
+    try:
+        result = _count_tuples(n, total, caps)
+    finally:
+        sys.setprofile(None)
+    return result, calls, counts
+
+
+def test_count_memoises_each_head_once():
+    # Cost guard: the DP evaluates each head once, 1 486 distinct heads for
+    # the m(12, 0) = 3 868 142 tuples the walk would visit, in 6 030 calls
+    # of its memoised count (a call past the first is a memo hit).
     caps = cached_polytope(Q3, (12,))._window_caps(rho((12,)), 0)
-    assert _count_tuples(12, 0, caps) == 3868142
-    assert len(ranged) == len(set(ranged)) == 1486
-    assert len(tested) == 1157
+    m, heads, _ = profiled_count(12, 0, caps)
+    assert m == 3868142
+    assert len(set(heads)) == 1486 and len(heads) == 6030
 
 
-def balanced_live(n, total, caps, head):
-    """Whether the head's balanced completion (the rest spread as entries
-    q or q + 1, larger first) makes a tuple under the caps."""
-    k, rest = len(head), total - sum(head)
-    q, rem = divmod(rest, n - k)
-    t = head + (q + 1,) * rem + (q,) * (n - k - rem)
-    prefixes = list(itertools.accumulate(t, initial=0))
-    return (all(a >= b for a, b in zip(t, t[1:]))
-            and all(p <= c for p, c in zip(prefixes, caps)))
+def dead_heads(n, total, caps):
+    """The heads `_count_tuples` counts as 0: those no tuple under the caps
+    extends."""
+    return {head for head, c in profiled_count(n, total, caps)[2].items() if c == 0}
 
 
-def test_live_range_is_the_live_interval():
-    # A live head's live next entries are exactly least..most: each c in
-    # the range is live by the balanced completion, and c = most + 1 is dead
-    # or out of bound.  The balanced oracle is checked against a scan: a
-    # head is live exactly when some tuple under the caps starts with it.
-    # Caps near the balanced prefix sums ceil(p*total/n), so that most
-    # draws have live heads and some have heads whose range is cut.
-    rng = random.Random(11)
-    for _ in range(600):
-        n = rng.randint(2, 5)
-        total = rng.randint(-4, 8)
-        caps = [rng.choice([0, 0, 0, -1])] + [-(-p * total // n) + rng.randint(-1, 6)
-                                             for p in range(1, n + 1)]
-        heads = {t[:k] for t in nonincreasing(n, total, total - caps[n - 1], caps[1])
-                 if all(p <= c for p, c in zip(itertools.accumulate(t, initial=0), caps))
-                 for k in range(n)}
-        for head in sorted(h for h in heads if len(h) < n - 1):
-            k, prefix = len(head), sum(head)
-            top = head[-1] if head else caps[1]
-            assert balanced_live(n, total, caps, head), (n, total, caps, head)
-            live = index_sets._live_range(n, total, caps, k, prefix, top)
-            assert len(live) > 0, (n, total, caps, head)
-            for c in live:
-                assert balanced_live(n, total, caps, head + (c,)), (n, total, caps, head, c)
-                assert head + (c,) in heads, (n, total, caps, head, c)
-            c = live[0] + 1
-            assert (c > top or prefix + c > caps[k + 1]
-                    or not balanced_live(n, total, caps, head + (c,))), (n, total, caps, head)
-            assert not balanced_live(n, total, caps, head + (live[-1] - 1,)), \
-                (n, total, caps, head)
+def test_capped_walk_enters_no_dead_head_on_windows_and_boxes():
+    # The walk takes each next entry between its two bounds, with no test
+    # that a tuple under the caps completes the head; this pins that on the
+    # caps it serves it enters no dead head.  On a window of doubled- or
+    # tripled-jordan (delta in span tau), and on `verify_bijection`'s
+    # per-part caps, the window's met with a box, no head counts 0.  On
+    # jordan only the root of an empty window does, in 90 cells.
+    empty = 0
+    for name in QUIVERS:
+        quiver = builtin_quiver(name)
+        for d in range(1, 11):
+            poly = cached_polytope(quiver, (d,))
+            for w in range(-d, d + 1):
+                caps = poly._window_caps(rho((d,)), w)
+                dead = dead_heads(d, w, caps)
+                if name == "jordan" and dead:
+                    assert dead == {(0, 0, caps[1])}, (d, w)
+                    empty += 1
+                else:
+                    assert not dead, (name, d, w, sorted(dead))
+    assert empty == 90
+    for name in QUIVERS[1:]:
+        quiver = builtin_quiver(name)
+        for n in range(1, 9):
+            poly = cached_polytope(quiver, (n,))
+            for bound in [1, 2, 4, 8]:
+                for w in range(-n * bound, n * bound + 1):
+                    caps = list(map(min, poly._window_caps(rho((n,)), w),
+                                    _box_caps(n, w, -bound, bound)))
+                    assert not dead_heads(n, w, caps), (name, n, bound, w)
+
+
+def test_count_under_a_limit_is_exact_up_to_it():
+    # The limit contract, against the walk's count m: exact when m <= limit,
+    # and above the limit otherwise, for every limit from 0 to m + 1.
+    rng = random.Random(32)
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        total = rng.randint(-4, 6)
+        caps = [rng.choice([0, -1])] + [rng.randint(-3, 8) for _ in range(n)]
+        m = sum(1 for _ in _dominant_tuples(n, total, caps))
+        for limit in range(m + 2):
+            got = _count_tuples(n, total, caps, limit)
+            assert got == m if m <= limit else got > limit, (n, total, caps, limit, got)

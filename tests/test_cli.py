@@ -301,10 +301,13 @@ def test_verify_bijection(capsys):
     (["--d", "40", "--w", "0", "--bound", "4"], "(40, 0, 4)"),
     (["--d", "3", "--w", "0", "--bound", "1000000"], "(3, 0, 1000000)"),
     (["--d", "200", "--w", "0", "--bound", "1000"], "(200, 0, 1000)"),
+    (["--d", "2", "--w", "0", "--bound", str(10 ** 20)], f"(2, 0, {10 ** 20})"),
+    (["--d", "3", "--w", "0", "--bound", str(10 ** 20)], f"(3, 0, {10 ** 20})"),
 ])
 def test_verify_bijection_refuses_a_domain_over_its_budget(capsys, argv, domain):
     # 4 083 008 weights at d = 40, and about 5 * 10^11 at d = 3: the domain
-    # is counted, only up to one past the budget, before any is listed
+    # is counted, only up to one past the budget, before any is listed; a
+    # bound past the machine's word size is counted in integers too
     start = time.perf_counter()
     code, out, err = run(capsys, ["verify-bijection", *argv])
     assert time.perf_counter() - start < 10
