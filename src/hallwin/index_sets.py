@@ -25,8 +25,9 @@ from .quiver_weights import (
 )
 from .standard_form import (
     _block_gaps,
+    _check_loops,
     _check_partition,
-    _decomposed,
+    _grow,
     _invariant_delta,
     _partition_nodes,
     _r_sequence,
@@ -207,6 +208,9 @@ def _partition_walk(d: int, w: int, trunc: Truncation) -> Iterator[Partition]:
     allows takes all the rest; so a head is a dead end only on a tie of
     slopes.  A part after the first is strictly less steep than the last,
     w_i/d_i < tn/td, which bounds its weight: w_i <= (d_i*tn - 1) // td.
+    The walk is depth first and tries each head's next parts (d_i, w_i) in
+    ascending order, so the partitions come in ascending lexicographic
+    order.
     """
     bn, bd = trunc.slope_bound.numerator, trunc.slope_bound.denominator
     ln, ld = w * bd - d * bn, d * bd  # w/d - bound = ln/ld, and ld > 0
@@ -234,11 +238,13 @@ def _balanced_coords(A: Partition) -> list[int]:
 
 
 def enum_V(d: int, w: int, trunc: Truncation) -> EnumResult:
-    """Ordered partitions of (d, w) with strictly decreasing slopes."""
+    """Ordered partitions of (d, w) with strictly decreasing slopes, in
+    ascending lexicographic order, the order `_partition_walk` walks them
+    in."""
     _check_dimension(d)
     if trunc.slope_bound is None:
         raise ValueError("enum_V needs a slope bound (the family is infinite)")
-    return EnumResult(tuple(sorted(_partition_walk(d, w, trunc))), truncated=(d > 1))
+    return EnumResult(tuple(_partition_walk(d, w, trunc)), truncated=(d > 1))
 
 
 def enum_U(d: int, w: int, trunc: Truncation = Truncation()) -> EnumResult:
@@ -274,20 +280,6 @@ def _equal_slope_walk(d: int, w: int, trunc: Truncation) -> tuple[int, int, list
     return k, g, _box_caps(k, g, 0, g)
 
 
-def _root_within_half(quiver: Quiver, chi: Sequence[int]) -> bool:
-    """Whether the root radius of chi + rho + delta is at most 1/2, for the
-    dominant integral one-vertex chi and delta a multiple of tau.
-
-    Decided on integers: 2*(chi + rho) is integral, delta moves no cut, and
-    chi + rho is sorted, so the radius is at most 1/2 exactly when
-    2*k_p <= h_p for every ordered cut of it.
-    """
-    n = len(chi)
-    doubled = [2 * x + r for x, r in zip(chi, _doubled_rho(n))]
-    cuts = cached_polytope(quiver, (n,))._int_cuts(doubled, 2, ordered=True)
-    return all(2 * k <= h for k, h in cuts)
-
-
 def enum_S(quiver: Quiver, d: int, w: int, delta: Weight | None,
            trunc: Truncation) -> EnumResult:
     """Partitions arising as leaf partitions of standard forms.
@@ -295,14 +287,18 @@ def enum_S(quiver: Quiver, d: int, w: int, delta: Weight | None,
     Leaf partitions have strictly decreasing slopes (the lemma below), so
     the candidates are the partitions of `enum_V`, and A is kept when its
     balanced weight (`_balanced_coords`) is dominant and decomposes with
-    leaf partition A.  By the root-radius rule of `hallwin.standard_form`,
-    a candidate of more than one part whose balanced weight has root
-    radius at most 1/2 has the one-part leaf partition and is dropped
-    without a decomposition; the radius is decided on integers
-    (`_root_within_half`: the balanced weight and 2*rho are integral, and
-    delta, a multiple of tau, moves no cut).  Every other dominant
-    candidate is decomposed once (`standard_form._decomposed`).  The
-    balanced weight decomposes onto A whenever any dominant chi does:
+    leaf partition A.  Only the leaves are read, so no form is built: the
+    tree is the one `decompose` grows, `standard_form._grow`'s on the prefix
+    sums of the integers 2*(chi + rho) at limit 1/2 (delta, a multiple of
+    tau, moves no cut), and A is kept exactly when the tree's leaf bounds
+    are A's part bounds; the balanced weight sums to w_i on part i, so the
+    leaf weights are then A's.  An empty tree is the root leaf (the
+    root-radius rule of `hallwin.standard_form`, tested in `_grow`'s root
+    step alone), so then A must have one part.  A quiver without loops is
+    refused once the candidates are walked, as `decompose` refuses the
+    first dominant one (`standard_form._check_loops`): the one part (d, w)
+    is always walked, and its balanced weight is dominant.  The balanced
+    weight decomposes onto A whenever any dominant chi does:
 
     1. On a leaf block of chi's standard form, psi - chi is the block's rho
        plus a constant: it is rho + delta + sum_j r_j N_j there, rho differs
@@ -345,15 +341,25 @@ def enum_S(quiver: Quiver, d: int, w: int, delta: Weight | None,
     """
     if trunc.slope_bound is None:
         raise ValueError("enum_S needs a slope bound (the family is infinite)")
-    delta = _invariant_delta((d,), delta)
+    _invariant_delta((d,), delta)
     candidates = enum_V(d, w, trunc)
+    _check_loops(quiver, d)
+    # the prefix sums of 2*rho, and the limit 1/2 scaled as `_tree` scales it
+    rho_sums, limit = [p * (d - p) for p in range(d + 1)], (2 * len(quiver.edges), 2)
     items = []
     for A in candidates:
-        chi = _balanced_coords(A)
-        if (all(a >= b for a, b in zip(chi, chi[1:]))
-                and not (len(A) > 1 and _root_within_half(quiver, chi))
-                and _decomposed(quiver, (d,), Weight(tuple(chi), (d,)), delta).partition == A):
-            items.append(A)
+        # the balanced weight is dominant when no part ends below the next
+        # part's start, floor(w_i/d_i) >= ceil(w_{i+1}/d_{i+1})
+        if all(pw // pd >= -(-qw // qd) for (pd, pw), (qd, qw) in zip(A, A[1:])):
+            sums = itertools.accumulate(_balanced_coords(A), initial=0)
+            tree = _grow(range(d + 1), [2 * c + r for c, r in zip(sums, rho_sums)], limit)
+            if not tree:  # the root leaf
+                if len(A) == 1:
+                    items.append(A)
+            elif ({b for start, comp, *_r in tree
+                   for b in itertools.accumulate(comp, initial=start)}
+                  == set(itertools.accumulate((pd for pd, _w in A), initial=0))):
+                items.append(A)
     return EnumResult(tuple(items), truncated=candidates.truncated)
 
 
@@ -382,6 +388,12 @@ def enum_T(quiver: Quiver, d: int, w: int, delta: Weight | None,
     every sorted cut (k, h) of it over 2 (`WPolytope._int_cuts`) has
     2*k < h.  delta is checked but not added: a multiple of tau moves no
     cut.
+
+    The partitions come in ascending lexicographic order, as they are
+    tested: `compositions` lists the compositions of g in ascending
+    lexicographic order, and the partitions of two compositions first
+    differ at the first part size that differs (the parts before it agree,
+    weights included).
     """
     _check_dimension(d)
     dims = (d,)
@@ -400,7 +412,7 @@ def enum_T(quiver: Quiver, d: int, w: int, delta: Weight | None,
         doubled = [2 * x + r + v for x, r, v in zip(_balanced_coords(A), doubled_rho, N)]
         if all(2 * k < h for k, h in poly._int_cuts(doubled, 2, ordered=False)):
             out.append(A)
-    return EnumResult(tuple(sorted(out)), truncated=False)
+    return EnumResult(tuple(out), truncated=False)
 
 
 def _divisible_compositions(d: int, w: int) -> Iterator[tuple[int, ...]]:

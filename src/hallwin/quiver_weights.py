@@ -339,7 +339,8 @@ def n_lambda(quiver: Quiver, dims: Sequence[int], lam: Weight) -> Fraction:
 
 
 def compositions(n: int) -> Iterator[tuple[int, ...]]:
-    """Ordered compositions of n into positive parts."""
+    """Ordered compositions of n into positive parts, in ascending
+    lexicographic order."""
     if n == 0:
         yield ()
         return

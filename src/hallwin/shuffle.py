@@ -1050,7 +1050,9 @@ def _reduced_value(n: int, reduced: tuple, values: tuple) -> Fraction:
 
 def serialize_element(el: ShuffleElement) -> str:
     """Canonical text form of a polynomial element: its monomials in
-    z1..z_degree, q1, q2, in descending lex order.  An element whose reduced
+    z1..z_degree, q1, q2, in descending lex order, which `parse_element`
+    reads back (a coefficient p/q with q > 1 is written p*q^-1, as in
+    -3*2^-1*z1, since the text has no division).  An element whose reduced
     normal form keeps a denominator, or that uses D or K, is a ValueError."""
     content, num, den = _reduced(el)
     if den:
@@ -1061,22 +1063,19 @@ def serialize_element(el: ShuffleElement) -> str:
     gens = _znames(n) + ["q1", "q2"]
     pieces = []
     for monom, coeff in sorted(num.items(), reverse=True):
-        c = content * coeff
-        factors = []
+        c = Fraction(content * coeff)
+        # |c| = p/q is written p*q^-1, which parse_element reads; a factor 1
+        # only on its own
+        p, q = abs(c.numerator), c.denominator
+        factors = [str(p)] if p != 1 or (q == 1 and not any(monom)) else []
+        if q > 1:
+            factors.append(f"{q}^-1")
         for g, e in zip(gens, monom):
             if e == 1:
                 factors.append(g)
             elif e > 1:
                 factors.append(f"{g}^{e}")
-        body = "*".join(factors)
-        if not factors:
-            pieces.append(str(c))
-        elif c == 1:
-            pieces.append(body)
-        elif c == -1:
-            pieces.append(f"-{body}")
-        else:
-            pieces.append(f"{c}*{body}")
+        pieces.append(("-" if c < 0 else "") + "*".join(factors))
     if not pieces:
         return "0"
     out = pieces[0]

@@ -18,9 +18,10 @@ The root-radius rule.  The form is the single root leaf exactly when the
 root radius of chi + rho + delta is at most 1/2: a larger radius makes a
 root node, whose face cuts the block at least once.  So the leaf partition
 is the one part (d, sum chi) exactly then, and a partition of more than one
-part is not realized by a chi whose root radius is at most 1/2.
-`index_sets.enum_S` reads that off the radius, on integers, before any
-decomposition (`index_sets._root_within_half`).  `tree_of_partition`
+part is not realized by a chi whose root radius is at most 1/2.  The rule
+is tested in one place, `_grow`'s root step, which grows no node at a root
+within 1/2.  `index_sets.enum_S` reads each candidate's leaves off that
+grower, on the integers 2*(chi + rho), and builds no form.  `tree_of_partition`
 decomposes A's slope weight once and reads off that one form both whether
 it realizes A and, when not, its leaf blocks.
 
@@ -230,14 +231,14 @@ def _tree(quiver: Quiver, phi: Weight):
     psi = phi.  So the tree is the single root leaf exactly when the root
     radius is at most 1/2; a larger radius makes a node whose face cuts at
     least once, hence at least two leaves (or raises).  On a quiver without
-    loops every cut has height 0, so a root that is not constant has no
-    finite radius: it raises the LP's refusal, that the weight is not in
-    span(segments) + axis, before anything is grown.
+    loops every cut has height 0, so a phi that is not constant has no
+    finite radius: `_check_loops` raises the LP's refusal, that the weight
+    is not in span(segments) + axis, before anything is grown.
 
     phi is non-increasing, as every caller's is (a dominant chi plus rho
-    and a multiple of tau), and so is each part of phi + r*N; so a block's
-    ordered cuts are its sorted cuts, and phi is constant exactly when its
-    first and last slots agree.  `_grow`'s cut p of a block reads k over
+    and a multiple of tau, which strictly decreases on two or more slots),
+    and so is each part of phi + r*N; so a block's ordered cuts are its
+    sorted cuts.  `_grow`'s cut p of a block reads k over
     h, where the polytope's reads k over L*den*h (L loops), so
     r = k/(L*den*h) and the limit 1/2 is scaled to match.
 
@@ -250,10 +251,9 @@ def _tree(quiver: Quiver, phi: Weight):
     """
     dims = phi.blocks
     n = dims[0]
+    _check_loops(quiver, n)
     ints, den = _scaled_coords(phi.coords)
     loops = len(quiver.edges)
-    if not loops and ints[0] != ints[-1]:
-        raise DecompositionError("weight does not lie in span(segments) + axis")
     W = list(accumulate(ints, initial=0))
     tree = _grow(range(n + 1), W, (loops * den, 2))
     if not tree:
@@ -271,6 +271,15 @@ def _tree(quiver: Quiver, phi: Weight):
     return (_tree_nodes(loops, dims, tree, lambda k, h: Fraction(k, loops * den * h)),
             Weight(tuple(psi), dims),
             tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])))
+
+
+def _check_loops(quiver: Quiver, n: int) -> None:
+    """The LP's refusal of every weight to decompose on n > 1 slots of a
+    quiver without loops.  There every cut has height 0, so only a
+    constant weight has a finite radius, and a dominant chi plus rho and a
+    multiple of tau strictly decreases on two or more slots."""
+    if n > 1 and not quiver.edges:
+        raise DecompositionError("weight does not lie in span(segments) + axis")
 
 
 def _check_shape(quiver: Quiver, dims: tuple[int, ...], blocks: tuple[int, ...]) -> None:
@@ -563,13 +572,12 @@ def _partition_nodes(quiver: Quiver, dims: tuple[int, ...], A: tuple[tuple[int, 
     The refusals are those of the two routes, in their order: A first;
     then, for a dominant slope weight, decompose's checks of the shape and
     of delta (`_slope_weight_delta`), and on a quiver without loops and
-    d > 1 the LP's refusal (every cut has height 0); then the slope solve's.
+    d > 1 the LP's refusal (`_check_loops`); then the slope solve's.
     """
     tree = None
     if _slope_weight_delta(quiver, dims, A, delta) is not None:
         loops = len(quiver.edges)
-        if not loops and dims[0] > 1:
-            raise DecompositionError("weight does not lie in span(segments) + axis")
+        _check_loops(quiver, dims[0])
         if _slopes_decrease(A):
             tree = _slope_tree(A)
             if all(2 * k + h > loops * h for _start, _comp, k, h, _depth in tree):

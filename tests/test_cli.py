@@ -577,12 +577,26 @@ def test_shuffle_mul_operand_starting_with_minus(capsys):
     (["shuffle", "mul", "1"], "the following arguments are required: expr"),
     (["shuffle", "mul", "1", "--bogus"], "the following arguments are required: expr"),
     (["shuffle", "mul", "--", "-z1"], "the following arguments are required: expr"),
+    (["shuffle", "zeta", "1"], "zeta pole at x=1"),
+    (["shuffle", "mul", "1", "1", "--degrees", "1,x"],
+     "argument --degrees: not two comma-separated integers: '1,x'"),
 ], ids=["operand first", "operand second", "flag before action", "one operand",
-        "unknown flag", "one operand after --"])
+        "unknown flag", "one operand after --", "zeta pole", "degrees not integers"])
 def test_shuffle_refusal_names_the_cause(capsys, argv, message):
     code, out, err = run(capsys, argv)
     assert_one_error_line(code, out, err)
     assert err == f"error: {message}\n"
+
+
+def test_compare_refuses_partitions_of_different_totals(capsys):
+    code, out, err = run(capsys, ["compare", "--a", "1,5;1,-5", "--b", "3,0"])
+    assert_one_error_line(code, out, err)
+    assert err == "error: partitions have different total dimension\n"
+
+
+def test_shuffle_mul_with_empty_degrees_reads_degree_0(capsys):
+    code, out, err = run(capsys, ["shuffle", "mul", "1", "1", "--degrees", ""])
+    assert (code, out, err) == (0, '{"degree": 0, "value": "1"}\n', "")
 
 
 @pytest.mark.parametrize("bounds", [["--dmax", "0", "--wmax", "0"],

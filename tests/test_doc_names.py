@@ -1,7 +1,7 @@
 """Private names cited in the docs and docstrings still exist.
 
 A backticked dotted name with a private component, such as `_grow` or
-`index_sets._root_within_half`, in `README.md`, `docs/*.md` or a module of
+`standard_form._check_loops`, in `README.md`, `docs/*.md` or a module of
 `src/hallwin` must name an attribute of a `hallwin` module or of a class
 defined in one.  A name whose head is a module or class is looked up from
 it; a bare name from every module and class.  `ROADMAP.md` and

@@ -5,7 +5,7 @@ filtered by total weight and slope order; `enum_S` against the
 decomposition of every dominant weight in a box widened by the extent of
 the windows.  A test checks step 1 of `enum_S`'s proof and its lemma on
 every leaf block and seam of a grid of standard forms, and cost guards pin
-the candidates, root radii and decompositions `enum_S` goes through and the
+the candidates, trees and decompositions `enum_S` goes through and the
 size of a `enum_V` too large for its oracle, so a loss of pruning shows
 without a clock.
 """
@@ -17,8 +17,9 @@ from math import ceil, floor
 
 import pytest
 
-from hallwin import Truncation, Weight, builtin_quiver, compositions, enum_S, enum_V, rho, tau
-from hallwin import index_sets
+from hallwin import (Truncation, Weight, builtin_quiver, compositions, enum_S, enum_T, enum_V,
+                     rho, tau)
+from hallwin import index_sets, standard_form
 from hallwin.index_sets import _box_caps, _dominant_tuples
 from hallwin.polytope import cached_polytope
 from hallwin.standard_form import _decomposed, _slopes_decrease, decompose
@@ -120,36 +121,59 @@ def test_leaf_block_shift_is_its_rho_plus_a_constant():
     assert seams == 2721
 
 
-def test_enum_S_makes_one_decomposition_per_dominant_candidate(monkeypatch):
-    # Cost guard: enum_S takes one balanced weight per partition of enum_V,
-    # tests the root radius of the dominant multi-part ones, and decomposes
-    # only where the radius does not decide.  The box scan decomposed
-    # 16 968 weights at (6, 1, 6); the walk over non-increasing slopes had
-    # 3 606 candidates there and 72 440 at (10, 0, 3).  The names are
-    # patched where enum_S looks them up, and the counts are exact, so a
-    # lookup elsewhere reads 0 and fails.
+def test_enum_S_grows_one_tree_per_dominant_candidate(monkeypatch):
+    # Cost guard: enum_S walks the partitions of enum_V and grows one
+    # integer tree per candidate whose balanced weight is dominant, reading
+    # its leaves off the tree with no decomposition.  The box scan decomposed 16 968
+    # weights at (6, 1, 6); the walk over non-increasing slopes had 3 606
+    # candidates there and 72 440 at (10, 0, 3); a root-radius test before
+    # a decomposition made 1 681 tests and 987 decompositions at (6, 1, 6).
+    # The names are patched where enum_S and decompose look them up, and
+    # the counts are exact, so a lookup elsewhere reads 0 and fails.
     counts = {}
 
-    def counted(key, fn):
+    def counted(key, fn, size=lambda result: 1):
         def call(*args):
-            counts[key] += 1
-            return fn(*args)
+            result = fn(*args)
+            counts[key] += size(result)
+            return result
         return call
 
-    monkeypatch.setattr(index_sets, "_balanced_coords",
-                        counted("walked", index_sets._balanced_coords))
-    monkeypatch.setattr(index_sets, "_root_within_half",
-                        counted("radii", index_sets._root_within_half))
-    monkeypatch.setattr(index_sets, "_decomposed", counted("decompositions", _decomposed))
-    for d, w, bound, size, walked, radii, decompositions in [(6, 1, 6, 41, 1686, 1681, 987),
-                                                             (10, 0, 3, 1, 11678, 10575, 1)]:
-        counts.update(walked=0, radii=0, decompositions=0)
+    monkeypatch.setattr(index_sets, "enum_V", counted("walked", index_sets.enum_V, len))
+    monkeypatch.setattr(index_sets, "_grow", counted("trees", index_sets._grow))
+    monkeypatch.setattr(standard_form, "_decomposed", counted("decompositions", _decomposed))
+    for d, w, bound, size, walked, trees in [(6, 1, 6, 41, 1686, 1682),
+                                             (10, 0, 3, 1, 11678, 10576)]:
+        counts.update(walked=0, trees=0, decompositions=0)
         assert len(enum_S(Q3, d, w, None, Truncation(F(bound)))) == size
-        assert counts["walked"] == walked == len(enum_V(d, w, Truncation(F(bound))))
-        assert counts["radii"] == radii
-        assert counts["decompositions"] == decompositions
+        assert counts["walked"] == walked
+        assert counts["trees"] == trees
+        assert counts["decompositions"] == 0
 
 
 def test_enum_V_size_past_its_oracle():
     # the product scan takes minutes here
     assert len(enum_V(8, 0, Truncation(F(4)))) == 5352
+
+
+def test_enum_V_and_enum_T_return_their_walks_sorted():
+    # Neither sorts: each returns its walk as walked, which must already be
+    # in strictly ascending lexicographic order.
+    def ascending(items):
+        return all(a < b for a, b in zip(items, items[1:]))
+
+    walks = 0
+    for d, bound, cap in itertools.product(range(1, 10), [F(0), F(1, 3), F(1, 2), F(1), F(2),
+                                                          F(7, 3)], [None, 1, 2, 3]):
+        for w in range(-2 * d, 2 * d + 1):
+            items = enum_V(d, w, Truncation(bound, cap)).items
+            assert ascending(items), (d, w, bound, cap)
+            walks += bool(items)
+    for name in QUIVERS:
+        quiver = builtin_quiver(name)
+        for d in range(1, 13):
+            for w in range(-d, d + 1):
+                items = enum_T(quiver, d, w, None).items
+                assert ascending(items), (name, d, w)
+                walks += len(items) > 1
+    assert walks > 3000

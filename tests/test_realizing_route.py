@@ -1,13 +1,15 @@
 """A partition's tree and `enum_S`, against the routes they replaced.
 
-`enum_S` answers a partition of more than one part whose weight has root
-radius at most 1/2 without decomposing it (the root-radius rule in
-`hallwin.standard_form`), and `_partition_nodes` reads a partition's tree
-off its parts (`tests/test_parts_tree.py`).  The slow oracles are the old
-routes: decompose the slope weight in full, check its leaf sizes and
-otherwise run the slope solve; and decompose every dominant balanced
-candidate of the walk over partitions with non-increasing slopes, which
-`enum_S` walked before its lemma showed leaf slopes strictly decrease.
+`enum_S` reads each candidate's leaves off the integer tree that
+`standard_form._grow` grows, with no decomposition (the root-radius rule in
+`hallwin.standard_form` is that grower's root step), and `_partition_nodes`
+reads a partition's tree off its parts (`tests/test_parts_tree.py`).  The
+slow oracles are the old routes: decompose the slope weight in full, check
+its leaf sizes and otherwise run the slope solve; and decompose every
+dominant balanced candidate of the walk over partitions with non-increasing
+slopes, which `enum_S` walked before its lemma showed leaf slopes strictly
+decrease.  Both oracles also run on a quiver without loops, whose refusal
+they must match, and on one with four loops.
 `_tree` grows its blocks on integers; its oracle grows them in `Fraction`
 through the polytope's public `r_invariant` and `face_cocharacter`.
 """
@@ -17,11 +19,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from hallwin import Truncation, Weight, builtin_quiver, enum_V, rho, standard_form, tau
+from hallwin import Quiver, Truncation, Weight, builtin_quiver, enum_V, rho, standard_form, tau
 from hallwin.index_sets import _balanced_coords, enum_S
 from hallwin.polytope import WPolytope, _widest_cut, cached_polytope
 from hallwin.quiver_weights import N_positive
 from hallwin.standard_form import (
+    DecompositionError,
     Node,
     _check_partition,
     _partition_nodes,
@@ -51,11 +54,12 @@ def old_partition_nodes(quiver, dims, A, delta):
 
 
 def outcome(route, *args):
-    """The route's nodes, or the type of the exception it raised."""
+    """The route's result, or the type and message of the exception it
+    raised."""
     try:
         return route(*args)
-    except Exception as exc:  # noqa: BLE001 - the type is what is compared
-        return type(exc)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
 
 
 def nonincreasing_walk(d, w, trunc):
@@ -88,16 +92,27 @@ def old_enum_S(quiver, d, w, delta, trunc):
     return tuple(sorted(items))
 
 
-@pytest.mark.parametrize("name", QUIVERS)
+# the builtins, and two one-vertex quivers: without loops, where every d > 1
+# is refused, and with four loops, one of them cut
+ROUTE_QUIVERS = {name: builtin_quiver(name) for name in QUIVERS} | {
+    "loop-free": Quiver.from_json('{"vertices": [0], "edges": [], "cut": []}'),
+    "four-loops": Quiver.from_json(
+        '{"vertices": [0], "edges": [[0, 0], [0, 0], [0, 0], [0, 0]], "cut": [3]}'),
+}
+REFUSAL = (DecompositionError, "weight does not lie in span(segments) + axis")
+
+
+@pytest.mark.parametrize("name", ROUTE_QUIVERS)
 def test_routes_agree_with_the_full_decomposition(name):
-    quiver = builtin_quiver(name)
-    checked = 0
+    quiver = ROUTE_QUIVERS[name]
+    checked = refused = 0
     for d, w, bound, c in itertools.product(range(1, 6), range(-2, 3), BOUNDS, DELTAS):
         dims = (d,)
         delta = tau(dims).scale(c)
         trunc = Truncation(bound)
-        S = enum_S(quiver, d, w, delta, trunc)
-        assert S.items == old_enum_S(quiver, d, w, delta, trunc)
+        S = outcome(lambda *args: enum_S(*args).items, quiver, d, w, delta, trunc)
+        assert S == outcome(old_enum_S, quiver, d, w, delta, trunc), (d, w, bound, c)
+        refused += S == REFUSAL
         candidates = sorted(nonincreasing_walk(d, w, trunc))
         assert [A for A in candidates if _slopes_decrease(A)] == list(enum_V(d, w, trunc))
         for A in candidates:
@@ -105,6 +120,8 @@ def test_routes_agree_with_the_full_decomposition(name):
                 outcome(old_partition_nodes, quiver, dims, A, delta), (d, w, c, A)
             checked += 1
     assert checked > 1000
+    # 4 of the 5 dimensions, at every w, bound and delta
+    assert refused == (4 * 5 * 2 * 3 if name == "loop-free" else 0)
 
 
 def fraction_tree(quiver, phi, threshold):

@@ -141,10 +141,18 @@ def test_eval_pole_reported():
 
 
 def test_parse_serialize_round_trip():
-    for n, text in [(1, "z1^2 + 3*z1"), (2, "z1*z2 - 2"), (3, "z1 + z2 + z3")]:
+    # a fractional coefficient p/q is written p*q^-1: the text has no division
+    for n, text, written in [
+        (1, "z1^2 + 3*z1", "z1^2+3*z1"), (2, "z1*z2 - 2", "z1*z2-2"),
+        (3, "z1 + z2 + z3", "z1+z2+z3"), (1, "2^-1*z1", "2^-1*z1"),
+        (1, "-3*2^-1*z1", "-3*2^-1*z1"), (0, "-7*3^-1", "-7*3^-1"),
+        (2, "(z1 + z2)*2^-1 - 5*3^-1*q2 + 1", "2^-1*z1+2^-1*z2-5*3^-1*q2+1"),
+        (1, "-(2^-1) + z1^2*4^-1", "4^-1*z1^2-2^-1"),
+    ]:
         f = parse_element(text, degree=n)
         assert f.degree == n
-        g = parse_element(serialize_element(f), degree=n)
+        assert serialize_element(f) == written
+        g = parse_element(written, degree=n)
         assert equals(f, g, A2)
 
 
@@ -1013,7 +1021,9 @@ def test_serialize_refuses_a_rational_function():
 def test_serialize_a_product_without_kernel():
     # one factor of degree 0: no kernel, so the product is a polynomial
     h = mul(parse_element("2^-1*q1-3"), parse_element("z1*z2+z1+z2", degree=2))
-    assert serialize_element(h) == "1/2*z1*z2*q1-3*z1*z2+1/2*z1*q1-3*z1+1/2*z2*q1-3*z2"
+    text = "2^-1*z1*z2*q1-3*z1*z2+2^-1*z1*q1-3*z1+2^-1*z2*q1-3*z2"
+    assert serialize_element(h) == text
+    assert equals(parse_element(text, degree=2), h, A2)
 
 
 def test_normal_form_budget_names_the_reduction():
