@@ -22,10 +22,13 @@ from .standard_form import (
 # verify_bijection decomposes every weight of its domain, the dominant
 # integral chi with sum w and coordinates within the bound: 109 583 of them
 # at (d, w, bound) = (10, 0, 8) and 4 083 008 at (40, 0, 4).  Domains of
-# about 2^16 weights took 16 s cold at d = 3, 4 and 5 (`hallwin
-# verify-bijection` on a 2-core x86-64 VM).  The domain is counted first
-# (`index_sets._count_tuples`, without listing it, only up to one past
-# this budget), and a larger one is refused before any weight is listed.
+# about 2^16 weights took 16 s cold at d = 3, 4 and 5, and a weight's
+# decomposition costs more as d grows: 64 625 weights took 32 s at d = 130
+# (`hallwin verify-bijection` on a 2-core x86-64 VM).  So the budget counts
+# weights times max(d, 5): at most this many weights for d <= 5, and
+# 5/d of it above.  The domain is counted first (`index_sets._count_tuples`,
+# without listing it, only up to one past its budget), and a larger one is
+# refused before any weight is listed.
 VERIFY_BIJECTION_MAX_DOMAIN = 2 ** 16
 
 
@@ -103,8 +106,8 @@ def verify_bijection(d: int, w: int, bound: int,
     `_dominant_tuples` walks.
 
     Refuses a bound below 1, a delta that is not a multiple of tau, and a
-    domain of more than VERIFY_BIJECTION_MAX_DOMAIN weights, counted by
-    `_count_tuples` before any weight is listed.
+    domain of more than VERIFY_BIJECTION_MAX_DOMAIN * 5 // max(d, 5)
+    weights, counted by `_count_tuples` before any weight is listed.
     """
     _check_dimension(d)
     if bound <= 0:
@@ -113,10 +116,11 @@ def verify_bijection(d: int, w: int, bound: int,
     dims = (d,)
     delta = _invariant_delta(dims, delta)
     domain_caps = _box_caps(d, w, -bound, bound)
-    domain_size = _count_tuples(d, w, domain_caps, VERIFY_BIJECTION_MAX_DOMAIN)
-    if domain_size > VERIFY_BIJECTION_MAX_DOMAIN:
+    budget = VERIFY_BIJECTION_MAX_DOMAIN * 5 // max(d, 5)
+    domain_size = _count_tuples(d, w, domain_caps, budget)
+    if domain_size > budget:
         raise ValueError(f"the domain of (d, w, bound) = ({d}, {w}, {bound}) has more than "
-                         f"the budget of {VERIFY_BIJECTION_MAX_DOMAIN} weights")
+                         f"the budget of {budget} weights")
     violations: list[str] = []
     image: dict[tuple, tuple[int, ...]] = {}
     # each partition's leaf-block caps, None when it has none to check

@@ -15,11 +15,17 @@ pairs in z1..z_degree followed by the parameters the leaf uses, sorted by
 name.  `parse_element` reads its text straight into that form; a leaf
 built from a sympy expression is converted once, on its first evaluation.
 Parameters are keyed by name ("q1", "q2", "D", "K").  The sum is
-evaluated on integer positions, with sub-values and kernel factors cached
-by the positions they sit at, and every value is an integer pair
-(numerator, denominator); kernel factors come from the kernel with its
-denominators cleared (`hallwin.kernel`), and only the answer is built as
-a `Fraction`.  Every argument must be an exact rational: a float is a
+evaluated on integer positions by one evaluator (`_Point`), at a point, on
+a line (below) and for both sides of probabilistic `equals`, and every
+value is an integer pair (numerator, denominator).  A leaf's terms are
+converted once into integers, each coefficient's numerator and
+denominator and its nonzero exponents (`_int_terms`); the splittings of a
+tuple of positions are read from one cached table of their position
+tuples and flat kernel indices (`_split_table`); sub-values are cached
+per point by the positions they sit at, and kernel factors, computed on
+first use from the kernel with its denominators cleared
+(`hallwin.kernel`), by their pair of positions.  Only the answer is built
+as a `Fraction`.  Every argument must be an exact rational: a float is a
 TypeError.
 
 The reduced normal form of a product of polynomials (`normal_form_text`,
@@ -130,7 +136,7 @@ class ShuffleElement:
     terms and a leaf built from sympy by its `expr`.
     """
 
-    __slots__ = ("degree", "_expr", "_factors", "_leaf", "_reduction")
+    __slots__ = ("degree", "_expr", "_factors", "_leaf", "_terms", "_reduction")
 
     def __init__(self, degree: int, expr):
         if degree < 0:
@@ -139,6 +145,7 @@ class ShuffleElement:
         self._expr = expr
         self._factors = None  # (f, g, params) when self is a product
         self._leaf = None  # _leaf_data(self), computed once
+        self._terms = None  # _int_leaf(self), computed once
         self._reduction = None  # _reduced(self), computed once
 
     @staticmethod
@@ -261,17 +268,23 @@ def _parameters(el: ShuffleElement) -> set:
     return _parameters(f) | _parameters(g) | kernel
 
 
+def _int_terms(terms) -> tuple:
+    """(exponents, coefficient) terms as (numerator, denominator, nonzero
+    (slot, exponent) pairs), the form `_poly_value` reads."""
+    return tuple((c.numerator, c.denominator, tuple((k, e) for k, e in enumerate(m) if e))
+                 for m, c in terms)
+
+
 def _poly_value(terms, values) -> tuple:
-    """The sum of (exponents, coefficient) terms at values given as
-    (numerator, denominator) pairs, as an unreduced pair over the lcm of
-    the terms' (positive) denominators; a numerator may be a series."""
+    """The sum of `_int_terms` terms at values given as (numerator,
+    denominator) pairs, as an unreduced pair over the lcm of the terms'
+    (positive) denominators; a numerator may be a series."""
     top, bottom = 0, 1
-    for monom, c in terms:
-        tn, td = c.numerator, c.denominator
-        for (vn, vd), e in zip(values, monom):
-            if e:
-                tn *= vn ** e
-                td *= vd ** e
+    for tn, td, exps in terms:
+        for k, e in exps:
+            vn, vd = values[k]
+            tn *= vn ** e
+            td *= vd ** e
         h = math.gcd(bottom, td)
         top, bottom = top * (td // h) + tn * (bottom // h), bottom // h * td
     return top, bottom
@@ -347,13 +360,35 @@ def _splittings(n: int, k: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _split_table(pos: tuple, k: int, n: int) -> tuple:
+    """`_splittings(len(pos), k)` at the positions pos among n z's: I and J
+    as positions, and each pair (i, j) of I x J as its index i*n + j among
+    a point's kernel factors."""
+    return tuple((tuple(pos[i] for i in I), tuple(pos[j] for j in J),
+                  tuple(pos[i] * n + pos[j] for i, j in pairs))
+                 for I, J, pairs in _splittings(len(pos), k))
+
+
+def _int_leaf(el: ShuffleElement) -> tuple:
+    """`_leaf_data(el)` with its terms as `_int_terms`, computed once."""
+    if el._terms is None:
+        params, num, den = _leaf_data(el)
+        el._terms = params, _int_terms(num), None if den is None else _int_terms(den)
+    return el._terms
+
+
 class _Point:
     """Evaluation at one point, or on a line through it: the z values zs
     (Fractions, or the pairs of `_diagonal_line`) and parameter values by
     name.  `pair` recurses on tuples of positions in zs, so one splitting
     recursion serves both; sub-element values are cached by (element,
-    positions) and kernel factors by (mode, position pair).  A leaf
-    denominator or kernel factor that vanishes at the point raises
+    positions), so a leaf is evaluated once per position set across both
+    sides of `equals`, and kernel factors by (mode, position pair), each
+    computed on its first use.  A product walks the `_split_table` of its
+    positions, which holds its factors' positions and kernel indices, and
+    a leaf sums its `_int_terms` (`_int_leaf`), which skip zero exponents.
+    A leaf denominator or kernel factor that vanishes at the point raises
     ZeroDivisionError (or its subclass PoleError); on a line, the kernel's
     1 - z_a/z_b with z_a = z_b is instead a simple pole in eps.
 
@@ -411,7 +446,7 @@ class _Point:
         if val is not None:
             return val
         if el._factors is None:
-            params, num, den = _leaf_data(el)
+            params, num, den = _int_leaf(el)
             values = [self.zs[p] for p in pos] + [self.env[s] for s in params]
             top, bottom = _poly_value(num, values)
             if den is not None:
@@ -424,17 +459,16 @@ class _Point:
             n = len(self.zs)
             kernels = self.kernels.setdefault(params.mode, [None] * (n * n))
             top, bottom = 0, 1
-            for I, J, pairs in _splittings(len(pos), f.degree):
-                fn, fd = self.pair(f, tuple(pos[i] for i in I))
-                gn, gd = self.pair(g, tuple(pos[j] for j in J))
+            for I, J, ks in _split_table(pos, f.degree, n):
+                fn, fd = self.pair(f, I)
+                gn, gd = self.pair(g, J)
                 tn, td = fn * gn, fd * gd
-                for i, j in pairs:
-                    i, j = pos[i], pos[j]
-                    k = kernels[i * n + j]
-                    if k is None:
-                        k = kernels[i * n + j] = self.kernel(i, j, params.mode)
-                    tn *= k[0]
-                    td *= k[1]
+                for k in ks:
+                    factor = kernels[k]
+                    if factor is None:
+                        factor = kernels[k] = self.kernel(*divmod(k, n), params.mode)
+                    tn *= factor[0]
+                    td *= factor[1]
                 if self.line:
                     top, bottom = top * td + tn * bottom, bottom * td
                 else:
@@ -1039,12 +1073,12 @@ def _reduced_value(n: int, reduced: tuple, values: tuple) -> Fraction:
     qn, qd = 1, 1  # the denominator's value is qn / qd
     for key in sorted(den):
         factor = _factor_poly(key, n).items()
-        fn, fd = _poly_value(factor, values)
+        fn, fd = _poly_value(_int_terms(factor), values)
         if not fn:
             text = _sum_text(factor, _znames(n) + list(_NF_PARAMS))
             raise PoleError(f"denominator factor {text} vanishes")
         qn, qd = qn * fn, qd * fd
-    top, bottom = _poly_value(num.items(), values)
+    top, bottom = _poly_value(_int_terms(num.items()), values)
     return content * Fraction(top * qd, bottom * qn)
 
 

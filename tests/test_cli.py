@@ -307,13 +307,26 @@ def test_verify_bijection(capsys):
 def test_verify_bijection_refuses_a_domain_over_its_budget(capsys, argv, domain):
     # 4 083 008 weights at d = 40, and about 5 * 10^11 at d = 3: the domain
     # is counted, only up to one past the budget, before any is listed; a
-    # bound past the machine's word size is counted in integers too
+    # bound past the machine's word size is counted in integers too.  The
+    # budget is 65 536 weights up to d = 5, 8 192 at d = 40 and 1 638 at 200
+    budget = {"40": 8192, "200": 1638}.get(argv[1], 65536)
     start = time.perf_counter()
     code, out, err = run(capsys, ["verify-bijection", *argv])
     assert time.perf_counter() - start < 10
     assert code == 1 and out == ""
     assert err == (f"error: the domain of (d, w, bound) = {domain} has more than the budget "
-                   "of 65536 weights\n")
+                   f"of {budget} weights\n")
+
+
+def test_verify_bijection_budget_grows_with_d(capsys):
+    # 64 625 weights at d = 130 are inside 65 536 but took 32 s cold; the
+    # budget counts weights times d, so they are refused at once
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["verify-bijection", "--d", "130", "--w", "0", "--bound", "2"])
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == ("error: the domain of (d, w, bound) = (130, 0, 2) has more than the budget "
+                   "of 2520 weights\n")
 
 
 def test_verify_bijection_budget_counts_the_domain(capsys, monkeypatch):

@@ -381,6 +381,31 @@ def test_a_point_computes_each_kernel_factor_once(monkeypatch, degrees):
     assert 0 < len(calls) <= n * (n - 1)
 
 
+@pytest.mark.parametrize("degrees", [(1, 1, 1), (1, 2, 1)])
+def test_a_point_evaluates_each_leaf_once_per_position_set(monkeypatch, degrees):
+    # values are cached per point by (element, positions), so across both
+    # sides of a probabilistic equals each leaf is evaluated once at each
+    # of its C(n, degree) position sets, and so is it at one new point
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return poly_value(*args)
+
+    poly_value = shuffle._poly_value
+    monkeypatch.setattr(shuffle, "_poly_value", counted)
+    rng = random.Random(repr(degrees))
+    a, b, c = leaves = [random_leaf(rng, n) for n in degrees]
+    left, right = mul(mul(a, b, A2), c, A2), mul(a, mul(b, c, A2), A2)
+    n = left.degree
+    once = sum(math.comb(n, leaf.degree) for leaf in leaves)
+    assert equals(left, right, A2, strategy="probabilistic", seed=1, points=1)
+    assert len(calls) == once
+    calls.clear()
+    shuffle_eval(left, (F(2), F(5), F(-7, 3), F(11, 3))[:n], F(2), F(3))
+    assert len(calls) == once
+
+
 def test_probabilistic_equals_redraws_degenerate_kernels():
     # zeta = 1 at q1 = 1 or q2 = 1 (D = 0), and zeta(x) = zeta(1/x) at
     # q1*q2 = 1 (K = 1): products that differ agree there, so such points
