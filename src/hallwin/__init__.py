@@ -41,14 +41,15 @@ __all__ = sorted(_SUBMODULE)
 
 
 def _rational(v) -> _Fraction:
-    """v as a Fraction.  A float is refused: it is a binary fraction, not
-    the decimal it prints as, so it has no place in exact arithmetic.  It
-    lives here, in the package every module loads, so that the weight layer
-    and the kernel share it without loading each other."""
+    """v as a Fraction, a Fraction itself returned as it is.  A float is
+    refused: it is a binary fraction, not the decimal it prints as, so it
+    has no place in exact arithmetic.  It lives here, in the package every
+    module loads, so that the weight layer and the kernel share it without
+    loading each other."""
     if isinstance(v, float):
         raise TypeError(f"{v!r} is a float; give an int, a Fraction or a string "
                         "such as '1/10'")
-    return _Fraction(v)
+    return v if type(v) is _Fraction else _Fraction(v)
 
 
 def __getattr__(name):

@@ -27,8 +27,9 @@ from .standard_form import (
     _block_gaps,
     _check_loops,
     _check_partition,
-    _grow,
+    _chi_tree,
     _invariant_delta,
+    _leaf_bounds,
     _partition_nodes,
     _r_sequence,
     _slopes_decrease,
@@ -288,13 +289,14 @@ def enum_S(quiver: Quiver, d: int, w: int, delta: Weight | None,
     the candidates are the partitions of `enum_V`, and A is kept when its
     balanced weight (`_balanced_coords`) is dominant and decomposes with
     leaf partition A.  Only the leaves are read, so no form is built: the
-    tree is the one `decompose` grows, `standard_form._grow`'s on the prefix
-    sums of the integers 2*(chi + rho) at limit 1/2 (delta, a multiple of
-    tau, moves no cut), and A is kept exactly when the tree's leaf bounds
-    are A's part bounds; the balanced weight sums to w_i on part i, so the
-    leaf weights are then A's.  An empty tree is the root leaf (the
-    root-radius rule of `hallwin.standard_form`, tested in `_grow`'s root
-    step alone), so then A must have one part.  A quiver without loops is
+    tree is the one `decompose` grows, `standard_form._chi_tree`'s on the
+    prefix sums of the integers 2*(chi + rho) at limit 1/2 (delta, a
+    multiple of tau, moves no cut), and A is kept exactly when the tree's
+    leaf bounds (`standard_form._leaf_bounds`) are A's part bounds; the
+    balanced weight sums to w_i on part i, so the leaf weights are then
+    A's.  An empty tree is the root leaf (the root-radius rule of
+    `hallwin.standard_form`, tested in `_grow`'s root step alone), whose
+    bounds are those of the one part (d, w).  A quiver without loops is
     refused once the candidates are walked, as `decompose` refuses the
     first dominant one (`standard_form._check_loops`): the one part (d, w)
     is always walked, and its balanced weight is dominant.  The balanced
@@ -306,9 +308,9 @@ def enum_S(quiver: Quiver, d: int, w: int, delta: Weight | None,
        level blocks (the leaf block lies inside one or outside N_j's
        block), and delta is a multiple of tau.  So the block's window is a
        window shifted by a multiple of tau, which is exactly its prefix
-       caps (`window_generators`).  `verify_bijection` checks this shape
-       of the shift on every partition it meets, and reads the windows as
-       these caps.
+       caps (`window_generators`), those of `pbw.window_count`.
+       `verify_bijection` reads the windows as these caps;
+       tests/test_pbw.py checks them against polytope membership.
     2. Among the integer tuples of one length and sum, the balanced tuple
        has the least prefix sums, the least first entry and the greatest
        last entry.  So it meets every cap any block generator meets, and
@@ -344,22 +346,15 @@ def enum_S(quiver: Quiver, d: int, w: int, delta: Weight | None,
     _invariant_delta((d,), delta)
     candidates = enum_V(d, w, trunc)
     _check_loops(quiver, d)
-    # the prefix sums of 2*rho, and the limit 1/2 scaled as `_tree` scales it
-    rho_sums, limit = [p * (d - p) for p in range(d + 1)], (2 * len(quiver.edges), 2)
+    loops = len(quiver.edges)
     items = []
     for A in candidates:
         # the balanced weight is dominant when no part ends below the next
         # part's start, floor(w_i/d_i) >= ceil(w_{i+1}/d_{i+1})
-        if all(pw // pd >= -(-qw // qd) for (pd, pw), (qd, qw) in zip(A, A[1:])):
-            sums = itertools.accumulate(_balanced_coords(A), initial=0)
-            tree = _grow(range(d + 1), [2 * c + r for c, r in zip(sums, rho_sums)], limit)
-            if not tree:  # the root leaf
-                if len(A) == 1:
-                    items.append(A)
-            elif ({b for start, comp, *_r in tree
-                   for b in itertools.accumulate(comp, initial=start)}
-                  == set(itertools.accumulate((pd for pd, _w in A), initial=0))):
-                items.append(A)
+        if (all(pw // pd >= -(-qw // qd) for (pd, pw), (qd, qw) in zip(A, A[1:]))
+                and _leaf_bounds(_chi_tree(loops, _balanced_coords(A)), d)
+                == list(itertools.accumulate((pd for pd, _w in A), initial=0))):
+            items.append(A)
     return EnumResult(tuple(items), truncated=candidates.truncated)
 
 

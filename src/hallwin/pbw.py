@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from math import comb
 
 from ._record import Record
@@ -10,25 +11,29 @@ from .index_sets import _box_caps, _count_tuples, _dominant_tuples, enum_U
 from .polytope import cached_polytope
 from .quiver_weights import Quiver, Weight, _check_dimension, _doubled_rho, builtin_quiver
 from .standard_form import (
-    DecompositionError,
+    _check_loops,
+    _check_shape,
+    _chi_tree,
     _invariant_delta,
+    _leaf_bounds,
+    _slope_tree,
     _slopes_decrease,
-    decompose,
     omega_shift,
-    tree_of_partition,
 )
 
 
-# verify_bijection decomposes every weight of its domain, the dominant
-# integral chi with sum w and coordinates within the bound: 109 583 of them
-# at (d, w, bound) = (10, 0, 8) and 4 083 008 at (40, 0, 4).  Domains of
-# about 2^16 weights took 16 s cold at d = 3, 4 and 5, and a weight's
-# decomposition costs more as d grows: 64 625 weights took 32 s at d = 130
-# (`hallwin verify-bijection` on a 2-core x86-64 VM).  So the budget counts
-# weights times max(d, 5): at most this many weights for d <= 5, and
-# 5/d of it above.  The domain is counted first (`index_sets._count_tuples`,
-# without listing it, only up to one past its budget), and a larger one is
-# refused before any weight is listed.
+# verify_bijection grows one integer tree per weight of its domain, the
+# dominant integral chi with sum w and coordinates within the bound, and one
+# slope tree per distinct partition: 109 583 weights at (d, w, bound) =
+# (10, 0, 8) and 4 083 008 at (40, 0, 4).  Domains of about 2^16 weights
+# took 4.1-5.0 s cold at d = 3, 4 and 5 (`hallwin verify-bijection` on a
+# 2-core x86-64 VM), and a weight's tree costs more as d grows: 64 625
+# weights took 13 s at d = 130 and 109 583 took 2.1 s at d = 10 (both
+# in-process, the budget lifted).  So the budget counts weights times
+# max(d, 5): at most this many weights for d <= 5, and 5/d of it above.
+# The domain is counted first (`index_sets._count_tuples`, without listing
+# it, only up to one past its budget), and a larger one is refused before
+# any weight is listed.
 VERIFY_BIJECTION_MAX_DOMAIN = 2 ** 16
 
 
@@ -44,8 +49,13 @@ def window_count(d: int, w: int, quiver: Quiver | None = None, *,
     listing them.  The caps are read off 2*rho's ints over 2; with a
     limit, the count is exact up to it and else some number above it."""
     _check_dimension(d)
-    caps = cached_polytope(_quiver(quiver), (d,))._int_window_caps(_doubled_rho(d), 2, w)
-    return _count_tuples(d, w, caps, limit)
+    return _count_tuples(d, w, _window_caps(_quiver(quiver), d, w), limit)
+
+
+def _window_caps(quiver: Quiver, d: int, w: int) -> list[int]:
+    """The prefix caps of the window at (d, w), delta 0, read off 2*rho's
+    ints over 2; a multiple of tau moves none."""
+    return cached_polytope(quiver, (d,))._int_window_caps(_doubled_rho(d), 2, w)
 
 
 def window_count_table(d_max: int, w_max: int,
@@ -97,79 +107,79 @@ def verify_bijection(d: int, w: int, bound: int,
     concatenation is dominant and within bound; and that the shifted
     partitions have strictly decreasing slopes.
 
-    The windows are read as integer prefix caps.  On a leaf block the
-    shift psi - chi is the block's rho plus a constant (step 1 of
-    `enum_S`'s proof, checked here per partition), so the block's window
-    is exactly its caps (`WPolytope._window_caps`), and the bound is caps
-    too (`_box_caps`).  Both bound prefix sums of a non-increasing tuple,
-    so their elementwise minimum is the intersection, which
-    `_dominant_tuples` walks.
+    No form is built.  Each chi's leaves and radii are read off the tree
+    `decompose` grows (`standard_form._chi_tree`; delta, a multiple of
+    tau, moves no cut).  Each partition A's tree is its slope tree
+    (`standard_form._slope_tree`): by its lemma, A's slope weight has a
+    form onto A exactly when A's slopes strictly decrease and every node
+    has 2k + h > L*h (L loops), with r = (2k + h)/(2Lh).  The windows are
+    read as integer prefix caps.  On a leaf block the shift psi - chi is
+    the block's rho plus a constant (step 1 of `enum_S`'s proof), so the
+    block's window is exactly `window_count`'s caps at (d_i, w_i), and the
+    bound is caps too (`_box_caps`).  Both bound prefix sums of a
+    non-increasing tuple, so their elementwise minimum is the
+    intersection, which `_dominant_tuples` walks.
 
-    Refuses a bound below 1, a delta that is not a multiple of tau, and a
+    Refuses a bound below 1, a delta that is not a multiple of tau, a
     domain of more than VERIFY_BIJECTION_MAX_DOMAIN * 5 // max(d, 5)
-    weights, counted by `_count_tuples` before any weight is listed.
+    weights, counted by `_count_tuples` before any weight is listed, and
+    then, as `decompose` refuses them at the first weight, the quiver's
+    shape and a quiver without loops at d > 1.
     """
     _check_dimension(d)
     if bound <= 0:
         raise ValueError("coordinate bound must be positive")
     q = _quiver(quiver)
-    dims = (d,)
-    delta = _invariant_delta(dims, delta)
+    _invariant_delta((d,), delta)
     domain_caps = _box_caps(d, w, -bound, bound)
     budget = VERIFY_BIJECTION_MAX_DOMAIN * 5 // max(d, 5)
     domain_size = _count_tuples(d, w, domain_caps, budget)
     if domain_size > budget:
         raise ValueError(f"the domain of (d, w, bound) = ({d}, {w}, {bound}) has more than "
                          f"the budget of {budget} weights")
+    if domain_size:  # decompose's refusals of the quiver, at the first weight
+        _check_shape(q, (d,), (d,))
+        _check_loops(q, d)
+    loops = len(q.edges)
     violations: list[str] = []
     image: dict[tuple, tuple[int, ...]] = {}
-    # each partition's leaf-block caps, None when it has none to check
-    caps_by_A: dict[tuple, list[list[int]] | None] = {}
+    # each partition met, and whether its slope weight's form realizes it
+    realized: dict[tuple, bool] = {}
     for chi in _dominant_tuples(d, w, domain_caps):
-        form = decompose(q, dims, Weight(chi, dims), delta)
-        A = form.partition
-        key = (A, tuple(tuple(chi[i] for i in b) for b in form.leaf_blocks))
-        if key in image:
-            violations.append(f"not injective: {chi} and {image[key]} share image {key}")
-        image[key] = chi
-        if A in caps_by_A:
+        tree = _chi_tree(loops, chi)
+        bounds = _leaf_bounds(tree, d)
+        gens = tuple(chi[a:b] for a, b in zip(bounds, bounds[1:]))
+        A = tuple((b - a, sum(g)) for a, b, g in zip(bounds, bounds[1:], gens))
+        if (A, gens) in image:
+            violations.append(f"not injective: {chi} and {image[A, gens]} share image {A, gens}")
+        image[A, gens] = chi
+        if A in realized:
             continue
-        caps_by_A[A] = None
-        try:
-            tree = tree_of_partition(q, dims, A, delta)
-        except DecompositionError as exc:
-            violations.append(f"partition {A} of {chi}: {exc}")
-            continue
-        if tree.r_sequence() != form.r_sequence():
+        slope_tree = _slope_tree(A) if _slopes_decrease(A) else None
+        realized[A] = slope_tree is not None and all(
+            2 * k + h > loops * h for _start, _comp, k, h, _depth in slope_tree)
+        if not realized[A]:
+            violations.append(f"partition {A} of {chi} is not realized by a standard form")
+        # r is k/(2Lh) on chi's tree and (2k + h)/(2Lh) on A's
+        elif (sorted(Fraction(k, h) for _start, _comp, k, h, _depth in tree)
+              != sorted(Fraction(2 * k + h, h) for _start, _comp, k, h, _depth in slope_tree)):
             violations.append(f"tree of {A} disagrees with decomposition of {chi}")
-        # psi - chi = rho + delta + sum_j r_j N_j; on a leaf block it must
-        # step down by 1, as the block's rho does
-        shift = tree.psi - tree.chi
-        shifts = [shift.restrict(b, (len(b),)) for b in tree.leaf_blocks]
-        if any(a - b != 1 for s in shifts for a, b in zip(s.coords, s.coords[1:])):
-            violations.append(f"shift ({', '.join(map(str, shift.coords))}) of {A} is not "
-                              "rho plus a constant on a leaf block")
-            continue
-        caps_by_A[A] = [cached_polytope(q, (bd,))._window_caps(s, bw)
-                        for (bd, bw), s in zip(A, shifts)]
     target = set()
-    for A, caps in caps_by_A.items():
-        if caps is None:
-            continue
+    for A in [A for A, ok in realized.items() if ok]:
         # Generators are dominant, so a combination is dominant once each
         # seam is non-increasing.
         combos = [()]
-        for (bd, bw), window in zip(A, caps):
-            box = _box_caps(bd, bw, -bound, bound)
-            gens = list(_dominant_tuples(bd, bw, list(map(min, window, box))))
-            combos = [c + (g,) for c in combos for g in gens if not c or c[-1][-1] >= g[0]]
+        for bd, bw in A:
+            caps = map(min, _window_caps(q, bd, bw), _box_caps(bd, bw, -bound, bound))
+            part_gens = list(_dominant_tuples(bd, bw, list(caps)))
+            combos = [c + (g,) for c in combos for g in part_gens if not c or c[-1][-1] >= g[0]]
         target.update((A, c) for c in combos)
-    checked = {key for key in image if caps_by_A[key[0]] is not None}
+    checked = {key for key in image if realized[key[0]]}
     violations += [f"unreached image {key}" for key in sorted(target - checked)]
     violations += [f"block weights {gens} of {image[A, gens]} are outside their windows"
                    for A, gens in sorted(checked - target)]
-    for A in caps_by_A:
-        shifted = omega_shift(q, dims, A)
+    for A in realized:
+        shifted = omega_shift(q, (d,), A)
         if not _slopes_decrease(shifted):
             violations.append(f"omega shift of {A} has non-decreasing slopes: {shifted}")
     return BijectionReport(d=d, w=w, bound=bound, domain_size=domain_size,

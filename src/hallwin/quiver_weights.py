@@ -207,7 +207,7 @@ def _coord(v) -> int | Fraction:
     A float is a TypeError (`hallwin._rational`)."""
     if type(v) is int:
         return v
-    v = v if type(v) is Fraction else _rational(v)
+    v = _rational(v)
     return v.numerator if v.denominator == 1 else v
 
 

@@ -20,8 +20,9 @@ root node, whose face cuts the block at least once.  So the leaf partition
 is the one part (d, sum chi) exactly then, and a partition of more than one
 part is not realized by a chi whose root radius is at most 1/2.  The rule
 is tested in one place, `_grow`'s root step, which grows no node at a root
-within 1/2.  `index_sets.enum_S` reads each candidate's leaves off that
-grower, on the integers 2*(chi + rho), and builds no form.  `tree_of_partition`
+within 1/2.  `index_sets.enum_S` and `pbw.verify_bijection` read an
+integral chi's leaves off that grower, on the integers 2*(chi + rho)
+(`_chi_tree` and `_leaf_bounds`), and build no form.  `tree_of_partition`
 decomposes A's slope weight once and reads off that one form both whether
 it realizes A and, when not, its leaf blocks.
 
@@ -216,6 +217,26 @@ def _grow(D: Sequence[int], W: Sequence[int], limit: tuple[int, int]) -> list[_G
                 stack.append((a, b, depth + 1, (k, h)))
         nodes.append((start, tuple(reversed(comp)), k, h, depth))
     return nodes
+
+
+def _chi_tree(loops: int, chi: Sequence[int]) -> list[_GrownNode]:
+    """The tree `decompose` grows for an integral dominant chi on a
+    one-vertex quiver of `loops` loops, with no form built: `_grow`'s on
+    the prefix sums of the integers 2*(chi + rho), 2*rho's p-th being
+    p*(n - p), at the limit 1/2 scaled as `_tree` scales it (den 2).  So a
+    node's radius k/h is r = k/(2*loops*h).  delta, a multiple of tau,
+    moves no cut, and the quiver's refusals (`_check_shape`,
+    `_check_loops`) are the caller's."""
+    n = len(chi)
+    return _grow(range(n + 1), [2 * c + p * (n - p) for p, c in
+                                enumerate(accumulate(chi, initial=0))], (2 * loops, 2))
+
+
+def _leaf_bounds(tree: Sequence[_GrownNode], n: int) -> list[int]:
+    """The slots at which the leaves of a `_grow` tree on n slots start,
+    and n, ascending; [0, n] for the empty tree, the root leaf."""
+    return sorted({b for start, comp, _k, _h, _depth in tree
+                   for b in accumulate(comp, initial=start)}) if tree else [0, n]
 
 
 def _tree(quiver: Quiver, phi: Weight):

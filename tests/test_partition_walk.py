@@ -123,11 +123,12 @@ def test_leaf_block_shift_is_its_rho_plus_a_constant():
 
 def test_enum_S_grows_one_tree_per_dominant_candidate(monkeypatch):
     # Cost guard: enum_S walks the partitions of enum_V and grows one
-    # integer tree per candidate whose balanced weight is dominant, reading
-    # its leaves off the tree with no decomposition.  The box scan decomposed 16 968
-    # weights at (6, 1, 6); the walk over non-increasing slopes had 3 606
-    # candidates there and 72 440 at (10, 0, 3); a root-radius test before
-    # a decomposition made 1 681 tests and 987 decompositions at (6, 1, 6).
+    # integer tree (`standard_form._chi_tree`) per candidate whose balanced
+    # weight is dominant, reading its leaves off the tree with no
+    # decomposition.  The box scan decomposed 16 968 weights at (6, 1, 6);
+    # the walk over non-increasing slopes had 3 606 candidates there and
+    # 72 440 at (10, 0, 3); a root-radius test before a decomposition made
+    # 1 681 tests and 987 decompositions at (6, 1, 6).
     # The names are patched where enum_S and decompose look them up, and
     # the counts are exact, so a lookup elsewhere reads 0 and fails.
     counts = {}
@@ -140,7 +141,7 @@ def test_enum_S_grows_one_tree_per_dominant_candidate(monkeypatch):
         return call
 
     monkeypatch.setattr(index_sets, "enum_V", counted("walked", index_sets.enum_V, len))
-    monkeypatch.setattr(index_sets, "_grow", counted("trees", index_sets._grow))
+    monkeypatch.setattr(index_sets, "_chi_tree", counted("trees", index_sets._chi_tree))
     monkeypatch.setattr(standard_form, "_decomposed", counted("decompositions", _decomposed))
     for d, w, bound, size, walked, trees in [(6, 1, 6, 41, 1686, 1682),
                                              (10, 0, 3, 1, 11678, 10576)]:

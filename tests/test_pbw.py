@@ -4,7 +4,6 @@ import contextlib
 import hashlib
 import io
 from fractions import Fraction as F
-from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +12,7 @@ from hallwin import (
     cli,
     pbw,
     primitive_dims,
+    standard_form,
     sym_count,
     tau,
     verify_bijection,
@@ -140,10 +140,12 @@ def test_verify_bijection_rejects_bad_bound():
 
 
 def verify_bijection_by_membership(d, w, bound, quiver=None, delta=None):
-    """Oracle for verify_bijection: each block restriction is tested by
-    exact polytope membership on Weights, and the target lists each
-    block's whole window (`window_generators`) and drops the generators
-    past the bound."""
+    """Oracle for verify_bijection, which reads each leaf block's window
+    as `window_count`'s caps: here each weight is decomposed, each
+    partition's tree is `tree_of_partition`'s, each block restriction is
+    tested by exact polytope membership under that tree's shift, and the
+    target lists each block's whole window under that shift
+    (`window_generators`) and drops the generators past the bound."""
     q = quiver if quiver is not None else Q3
     dims = (d,)
     delta = _invariant_delta(dims, delta)
@@ -206,12 +208,14 @@ def verify_bijection_by_membership(d, w, bound, quiver=None, delta=None):
 @pytest.mark.parametrize("name", ["jordan", "doubled-jordan", "tripled-jordan"])
 def test_verify_bijection_matches_the_membership_oracle(name):
     q = builtin_quiver(name)
-    for d in range(1, 8):
+    # bound 5 at d <= 4 reaches trees of several levels and many partitions
+    for d, bound in [(d, 3) for d in range(1, 8)] + [(d, 5) for d in range(1, 5)]:
         for w in (-1, 0, 1):
             for scale in (F(0), F(5, 2), F(-1, 3)):
                 delta = tau((d,)).scale(scale)
-                got = verify_bijection(d, w, 3, q, delta)
-                assert got == verify_bijection_by_membership(d, w, 3, q, delta), (d, w, scale)
+                got = verify_bijection(d, w, bound, q, delta)
+                want = verify_bijection_by_membership(d, w, bound, q, delta)
+                assert got == want, (d, w, bound, scale)
                 assert got.ok
 
 
@@ -255,76 +259,70 @@ def test_window_cli_digests(args, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+def _counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
 def test_verify_bijection_work_counts(monkeypatch):
-    # windows are read as integer caps: no membership test, and one Weight
-    # per domain weight (for decompose) plus the few its one partition builds
-    calls = {"contains": 0, "make": 0}
-    contains, make = WPolytope.contains, Weight.make
-
-    def counting_contains(self, *args):
-        calls["contains"] += 1
-        return contains(self, *args)
-
-    def counting_make(*args):
-        calls["make"] += 1
-        return make(*args)
-
-    monkeypatch.setattr(WPolytope, "contains", counting_contains)
-    monkeypatch.setattr(Weight, "make", staticmethod(counting_make))
+    # windows are read as integer caps, with no membership test; each
+    # weight's tree and each partition's slope tree is grown once, and no
+    # standard form and no Weight per weight is built
+    domain = list(_dominant_tuples(4, 0, _box_caps(4, 0, -10, 10)))
+    partitions = {decompose(Q3, (4,), Weight.make(chi, (4,))).partition for chi in domain}
+    assert (len(domain), len(partitions)) == (318, 201)
+    calls = {"contains": 0, "_decomposed": 0, "_grow": 0, "Weight": 0}
+    monkeypatch.setattr(WPolytope, "contains",
+                        _counting(calls, "contains", WPolytope.contains))
+    monkeypatch.setattr(Weight, "__init__", _counting(calls, "Weight", Weight.__init__))
+    for name in ("_decomposed", "_grow"):
+        monkeypatch.setattr(standard_form, name,
+                            _counting(calls, name, getattr(standard_form, name)))
     report = verify_bijection(10, 0, 4)
     assert report.ok and report.domain_size == 1514
     assert calls["contains"] == 0
-    assert calls["make"] <= report.domain_size + 3
+    calls.update(_decomposed=0, _grow=0, Weight=0)
+    report = verify_bijection(4, 0, 10)
+    assert report.ok and report.domain_size == len(domain)
+    assert calls["_decomposed"] == 0
+    assert calls["_grow"] == len(domain) + len(partitions)
+    assert calls["Weight"] <= 1
 
 
-def _patched_decompose(change):
-    """decompose with its answer for chi passed through change(coords, form)."""
-    def fake(quiver, dims, chi, delta=None):
-        return change(tuple(int(x) for x in chi.coords), decompose(quiver, dims, chi, delta))
+def _patched_chi_tree(change):
+    """`_chi_tree` with its tree for chi passed through change(chi, tree)."""
+    def fake(loops, chi):
+        return change(chi, standard_form._chi_tree(loops, chi))
     return fake
 
 
-def _form(form, **fields):
-    return SimpleNamespace(**{"partition": form.partition, "leaf_blocks": form.leaf_blocks,
-                              "r_sequence": form.r_sequence, **fields})
-
-
-def _patched_tree(change):
-    def fake(quiver, dims, A, delta=None):
-        return change(tree_of_partition(quiver, dims, A, delta))
-    return fake
-
-
-def _raise(exc):
-    raise exc
-
-
-def _tree(tree, **fields):
-    return SimpleNamespace(**{"psi": tree.psi, "chi": tree.chi,
-                              "leaf_blocks": tree.leaf_blocks,
-                              "r_sequence": tree.r_sequence, **fields})
+def _patched_slope_tree(change):
+    """`_slope_tree` with each node (start, comp, k, h, depth) passed
+    through change."""
+    return lambda A: [change(*node) for node in standard_form._slope_tree(A)]
 
 
 # Each patch breaks one step of the bijection at (d, w, bound) = (2, 0, 3),
 # whose domain is (x, -x) for x = 0..3: x <= 1 has the one-part partition,
 # x >= 2 the partition ((1, x), (1, -x)).
 BROKEN = {
-    "not injective": ("decompose", _patched_decompose(
-        lambda chi, form: _form(form, leaf_blocks=((),)))),
-    "disagrees with decomposition": ("tree_of_partition", _patched_tree(
-        lambda tree: _tree(tree, r_sequence=lambda: (F(9),)))),
-    "no tree here": ("tree_of_partition", _patched_tree(
-        lambda tree: _raise(DecompositionError("no tree here")))),
-    "is not rho plus a constant": ("tree_of_partition", _patched_tree(
-        lambda tree: _tree(tree, psi=tree.psi + Weight.make([1, 0], (2,))))),
-    # the blocks of (1, -1) read backwards: its true image is not reached
-    "unreached image (((2, 0),), ((1, -1),))": ("decompose", _patched_decompose(
-        lambda chi, form: _form(form, leaf_blocks=((1, 0),)) if chi == (1, -1) else form)),
+    # one leaf of two slots from slot -1 reads no coordinate of chi, so
+    # every chi has the image (((2, 0),), ((),))
+    "not injective": ("_chi_tree", _patched_chi_tree(lambda chi, tree: [(-1, (2,), 1, 1, 0)])),
+    "disagrees with decomposition": ("_slope_tree", _patched_slope_tree(
+        lambda start, comp, k, h, depth: (start, comp, k + h, h, depth))),
+    # s = 0 is within (L - 1)/2: the form of the slope weight stops there
+    "is not realized": ("_slope_tree", _patched_slope_tree(
+        lambda start, comp, k, h, depth: (start, comp, 0, h, depth))),
+    # (1, -1) split into ((1, 1), (1, -1)), which no form realizes (s = 1
+    # is within (L - 1)/2): its true image is not reached
+    "unreached image (((2, 0),), ((1, -1),))": ("_chi_tree", _patched_chi_tree(
+        lambda chi, tree: [(0, (1, 1), 1, 1, 0)] if chi == (1, -1) else tree)),
     # (3, -3) claimed by the one-part partition, whose window it is not in
     "block weights ((3, -3),) of (3, -3) are outside their windows": (
-        "decompose", _patched_decompose(
-            lambda chi, form: _form(form, partition=((2, 0),), leaf_blocks=((0, 1),))
-            if chi == (3, -3) else form)),
+        "_chi_tree", _patched_chi_tree(lambda chi, tree: [] if chi == (3, -3) else tree)),
     "has non-decreasing slopes": ("omega_shift", lambda q, dims, A: ((1, -1), (1, 1))),
 }
 
