@@ -319,7 +319,7 @@ def _cmd_index_sets(args) -> int:
         enum_U,
         enum_V,
     )
-    from .standard_form import _UnorderedSlopes, _partition_nodes, _r_sequence
+    from .standard_form import _UnorderedSlopes, _partition_tree, _radii
 
     q = _load_quiver(args.quiver)
     d, w = args.d, args.w
@@ -347,8 +347,8 @@ def _cmd_index_sets(args) -> int:
         record = {"parts": [[pd, pw] for pd, pw in A],
                   "complete_within_bounds": not res.truncated}
         try:
-            nodes = _partition_nodes(q, (d,), A, delta)
-            record["r_sequence"] = [str(r) for r in _r_sequence(nodes)]
+            radii = _radii(*_partition_tree(q, (d,), A, delta))
+            record["r_sequence"] = [str(r) for r in sorted(radii, reverse=True)]
         except _UnorderedSlopes:  # the partition has no tree
             record["r_sequence"] = None
         lines.append(_dump(record))

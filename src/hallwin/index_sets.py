@@ -28,10 +28,11 @@ from .standard_form import (
     _check_loops,
     _check_partition,
     _chi_tree,
+    _embedded_face,
     _invariant_delta,
     _leaf_bounds,
-    _partition_nodes,
-    _r_sequence,
+    _partition_tree,
+    _radii,
     _slopes_decrease,
 )
 
@@ -434,17 +435,24 @@ def _divisible_composition_count(d: int, w: int) -> int:
 def compare(quiver: Quiver, d: int, A: Partition, B: Partition,
             delta: Weight | None = None) -> str:
     """Order verdict between two partitions: 'A_before_B', 'B_before_A',
-    'equal', or 'both' when the invariants tie without equality."""
-    dims = (d,)
+    'equal', or 'both' when the invariants tie without equality.
+
+    Refuses an invalid partition, then partitions of different total
+    weight.  Each partition's r-sequence is read off its integer tree
+    (`standard_form._partition_tree`) and no Node is built; the nodes'
+    cocharacters are read only when the r-sequences tie."""
     A = tuple(tuple(p) for p in A)
     B = tuple(tuple(p) for p in B)
     _check_partition(d, A)
     _check_partition(d, B)
+    if sum(w for _d, w in A) != sum(w for _d, w in B):
+        raise ValueError("partitions have different total weight")
     if A == B:
         return "equal"
-    na = _partition_nodes(quiver, dims, A, delta)
-    nb = _partition_nodes(quiver, dims, B, delta)
-    for x, y in itertools.zip_longest(_r_sequence(na), _r_sequence(nb)):
+    ta = _partition_tree(quiver, (d,), A, delta)
+    tb = _partition_tree(quiver, (d,), B, delta)
+    for x, y in itertools.zip_longest(sorted(_radii(*ta), reverse=True),
+                                      sorted(_radii(*tb), reverse=True)):
         if x is None:
             return "B_before_A"   # exhausted sequence (window side) is later
         if y is None:
@@ -452,9 +460,10 @@ def compare(quiver: Quiver, d: int, A: Partition, B: Partition,
         if x != y:
             return "A_before_B" if x > y else "B_before_A"
     # equal r-sequences: compare cocharacter data, finer before coarser,
-    # then lexicographically earlier level vector first.
-    ka = tuple((-len(set(n.lam.coords)), n.lam.coords) for n in na)
-    kb = tuple((-len(set(n.lam.coords)), n.lam.coords) for n in nb)
+    # then lexicographically earlier level vector first.  A node's lam is
+    # the same on any number of loops.
+    ka, kb = ([(-len(set(lam)), lam) for start, comp, *_ in tree
+               for lam in [_embedded_face(1, comp, start, d)[0].coords]] for tree, _s in (ta, tb))
     if ka != kb:
         return "A_before_B" if ka < kb else "B_before_A"
     return "both"

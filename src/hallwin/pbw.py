@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from math import comb
 
 from ._record import Record
@@ -16,7 +15,8 @@ from .standard_form import (
     _chi_tree,
     _invariant_delta,
     _leaf_bounds,
-    _slope_tree,
+    _radii,
+    _realizing_tree,
     _slopes_decrease,
     omega_shift,
 )
@@ -112,7 +112,9 @@ def verify_bijection(d: int, w: int, bound: int,
     tau, moves no cut).  Each partition A's tree is its slope tree
     (`standard_form._slope_tree`): by its lemma, A's slope weight has a
     form onto A exactly when A's slopes strictly decrease and every node
-    has 2k + h > L*h (L loops), with r = (2k + h)/(2Lh).  The windows are
+    has 2k + h > L*h (L loops; `standard_form._realizing_tree`, the form
+    route's test), with r = (2k + h)/(2Lh), and both trees' radii are read
+    by one rule (`standard_form._radii`).  The windows are
     read as integer prefix caps.  On a leaf block the shift psi - chi is
     the block's rho plus a constant (step 1 of `enum_S`'s proof), so the
     block's window is exactly `window_count`'s caps at (d_i, w_i), and the
@@ -155,14 +157,11 @@ def verify_bijection(d: int, w: int, bound: int,
         image[A, gens] = chi
         if A in realized:
             continue
-        slope_tree = _slope_tree(A) if _slopes_decrease(A) else None
-        realized[A] = slope_tree is not None and all(
-            2 * k + h > loops * h for _start, _comp, k, h, _depth in slope_tree)
+        slope_tree, realized[A] = _realizing_tree(loops, A)
         if not realized[A]:
             violations.append(f"partition {A} of {chi} is not realized by a standard form")
-        # r is k/(2Lh) on chi's tree and (2k + h)/(2Lh) on A's
-        elif (sorted(Fraction(k, h) for _start, _comp, k, h, _depth in tree)
-              != sorted(Fraction(2 * k + h, h) for _start, _comp, k, h, _depth in slope_tree)):
+        # chi's tree has the radius scale (0, 4L), A's form route (1, 2L)
+        elif sorted(_radii(tree, (0, 4 * loops))) != sorted(_radii(slope_tree, (1, 2 * loops))):
             violations.append(f"tree of {A} disagrees with decomposition of {chi}")
     target = set()
     for A in [A for A, ok in realized.items() if ok]:

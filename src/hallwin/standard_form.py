@@ -43,9 +43,15 @@ The tree of a partition A = ((d_1, w_1), ..., (d_k, w_k)), behind
 (`_slope_tree`, whose docstring has the lemma): its cuts fall on part
 boundaries, and the standard form of A's slope weight
 concat_i w_i tau_{d_i} is the slope tree truncated, so one tree answers
-both routes of `_partition_nodes` and `slope_to_tree`, the slope solve:
+both routes of `_partition_tree` and `slope_to_tree`, the slope solve:
 writing sum_i w_i tau_{d_i} as -sum_j (3 r_j - 3/2) g_j + c tau_d for the
-tripled one-vertex quiver.
+tripled one-vertex quiver.  `_partition_tree` returns that tree with its
+route's radius scale (a, b), and every tree's radii, a form's included,
+are read by one rule, r = (2k + a*h)/(b*h) for a node of radius k/h
+(`_radii`).  So `compare` and `index-sets` read a partition's radii off
+its integer tree and build no Node, and `pbw.verify_bijection` tests
+whether a partition is realized with the same helper as the form route
+(`_realizing_tree`).
 """
 
 from __future__ import annotations
@@ -110,7 +116,7 @@ class StandardForm(Record):
         return acc
 
     def r_sequence(self) -> tuple[Fraction, ...]:
-        return _r_sequence(self.nodes)
+        return tuple(sorted((node.r for node in self.nodes), reverse=True))
 
     def to_json(self) -> str:
         data = {
@@ -128,11 +134,6 @@ class StandardForm(Record):
             "A": [[d, w] for d, w in self.partition],
         }
         return json.dumps(data, separators=(", ", ": "))
-
-
-def _r_sequence(nodes: Sequence[Node]) -> tuple[Fraction, ...]:
-    """The nodes' coefficients r_j, largest first."""
-    return tuple(sorted((n.r for n in nodes), reverse=True))
 
 
 def _leaf_partition(chi: Weight, leaf_blocks: Sequence[Sequence[int]]):
@@ -223,10 +224,10 @@ def _chi_tree(loops: int, chi: Sequence[int]) -> list[_GrownNode]:
     """The tree `decompose` grows for an integral dominant chi on a
     one-vertex quiver of `loops` loops, with no form built: `_grow`'s on
     the prefix sums of the integers 2*(chi + rho), 2*rho's p-th being
-    p*(n - p), at the limit 1/2 scaled as `_tree` scales it (den 2).  So a
-    node's radius k/h is r = k/(2*loops*h).  delta, a multiple of tau,
-    moves no cut, and the quiver's refusals (`_check_shape`,
-    `_check_loops`) are the caller's."""
+    p*(n - p), at the limit 1/2 scaled as `_tree` scales it (den 2).  So
+    its radius scale (`_radii`) is (0, 4*loops), r = k/(2*loops*h).
+    delta, a multiple of tau, moves no cut, and the quiver's refusals
+    (`_check_shape`, `_check_loops`) are the caller's."""
     n = len(chi)
     return _grow(range(n + 1), [2 * c + p * (n - p) for p, c in
                                 enumerate(accumulate(chi, initial=0))], (2 * loops, 2))
@@ -261,7 +262,8 @@ def _tree(quiver: Quiver, phi: Weight):
     and so is each part of phi + r*N; so a block's ordered cuts are its
     sorted cuts.  `_grow`'s cut p of a block reads k over
     h, where the polytope's reads k over L*den*h (L loops), so
-    r = k/(L*den*h) and the limit 1/2 is scaled to match.
+    r = k/(L*den*h), the radius scale (0, 2*L*den) of `_radii`, and the
+    limit 1/2 is scaled to match.
 
     psi is phi + sum_j r_j N_j, read off the leaves.  At a tight cut p of
     a node's block the centred prefix sum is r*L*p*(n - p) and N's prefix
@@ -279,8 +281,7 @@ def _tree(quiver: Quiver, phi: Weight):
     tree = _grow(range(n + 1), W, (loops * den, 2))
     if not tree:
         return (), phi, (tuple(range(n)),)
-    bounds = sorted({b for start, comp, _k, _h, _depth in tree
-                     for b in accumulate(comp, initial=start)})
+    bounds = _leaf_bounds(tree, n)
     psi: list[int | Fraction] = []
     for a, b in zip(bounds, bounds[1:]):
         # the leaf's psi over m*n*den, an int where that divides
@@ -289,7 +290,7 @@ def _tree(quiver: Quiver, phi: Weight):
         for x in ints[a:b]:
             v = x * m * n + shift
             psi.append(Fraction(v, leaf_den) if v % leaf_den else v // leaf_den)
-    return (_tree_nodes(loops, dims, tree, lambda k, h: Fraction(k, loops * den * h)),
+    return (_tree_nodes(loops, dims, tree, (0, 2 * loops * den)),
             Weight(tuple(psi), dims),
             tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])))
 
@@ -448,7 +449,7 @@ class SlopeTree(Record):
     __slots__ = ("nodes", "s_values", "c", "partition")
 
     def r_sequence(self) -> tuple[Fraction, ...]:
-        return _r_sequence(self.nodes)
+        return tuple(sorted((node.r for node in self.nodes), reverse=True))
 
 
 def _slope_tree(A: Sequence[tuple[int, int]]) -> list[_GrownNode]:
@@ -529,21 +530,27 @@ def _embedded_face(loops: int, comp: tuple[int, ...], start: int,
             Weight(tuple(N), (len(slots),)).embed(slots, (d,)), slots)
 
 
+def _radii(tree: Sequence[_GrownNode], scale: tuple[int, int]) -> list[Fraction]:
+    """The coefficients r of a `_grow` tree's nodes, in its order, on its
+    route's radius scale (a, b): r = (2k + a*h)/(b*h) for a node of radius
+    k/h.  Sorted largest first, they are the tree's r-sequence.  A form's
+    tree grown on integers over den (`_tree`) has scale (0, 2*L*den), L
+    the quiver's loops; a partition's slope tree has (1, 2*L) on the form
+    route, r = (s + 1/2)/L, and (3, 6) on the slope solve, r = s/3 + 1/2
+    in window units (`_partition_tree`)."""
+    return [Fraction(2 * k + scale[0] * h, scale[1] * h) for _start, _comp, k, h, _depth in tree]
+
+
 def _tree_nodes(loops: int, dims: tuple[int, ...], tree: Sequence[_GrownNode],
-                r_of) -> tuple[Node, ...]:
+                scale: tuple[int, int]) -> tuple[Node, ...]:
     """The Nodes of a `_grow` tree, lam and N those of the faces on a
-    one-vertex quiver of `loops` loops, and r = r_of(k, h) for the node's
-    radius k/h."""
+    one-vertex quiver of `loops` loops, and r read on the radius scale
+    `scale` (`_radii`)."""
     out = []
-    for start, comp, k, h, depth in tree:
+    for (start, comp, _k, _h, depth), r in zip(tree, _radii(tree, scale)):
         lam, N, slots = _embedded_face(loops, comp, start, dims[0])
-        out.append(Node(lam=lam, r=r_of(k, h), N=N, block=slots, depth=depth))
+        out.append(Node(lam=lam, r=r, N=N, block=slots, depth=depth))
     return tuple(out)
-
-
-def _window_r(k: int, h: int) -> Fraction:
-    """The slope route's r in window units, s/3 + 1/2 for s = k/h."""
-    return Fraction(2 * k + 3 * h, 6 * h)
 
 
 def _check_slope_solve(quiver: Quiver, dims: tuple[int, ...],
@@ -571,41 +578,50 @@ def slope_to_tree(quiver: Quiver, dims: Sequence[int],
     _check_slope_solve(quiver, dims, A)
     tree = _slope_tree(A)
     # g_j is the Jordan quiver's N: one loop
-    return SlopeTree(nodes=_tree_nodes(1, dims, tree, _window_r),
+    return SlopeTree(nodes=_tree_nodes(1, dims, tree, (3, 6)),
                      s_values=tuple(Fraction(k, h) for _start, _comp, k, h, _depth in tree),
                      c=Fraction(sum(w for _d, w in A)),
                      partition=tuple((d, w) for d, w in A))
 
 
-def _partition_nodes(quiver: Quiver, dims: tuple[int, ...], A: tuple[tuple[int, int], ...],
-                     delta: Weight | None) -> tuple[Node, ...]:
-    """Nodes of the tree of a partition; the one place its route is chosen.
+def _realizing_tree(loops: int, A: Sequence[tuple[int, int]]) -> tuple[list | None, bool]:
+    """A's slope tree, None when A's slopes do not strictly decrease, and
+    whether the standard form of A's slope weight on a one-vertex quiver of
+    L = loops >= 1 loops realizes A: by the lemma of `_slope_tree`, exactly when
+    the slopes strictly decrease and every node has s > (L - 1)/2, that is
+    2k + h > L*h."""
+    if not _slopes_decrease(A):
+        return None, False
+    tree = _slope_tree(A)
+    return tree, all(2 * k + h > loops * h for _start, _comp, k, h, _depth in tree)
 
-    They are the nodes of the standard form of A's slope weight when that
-    weight is dominant and the form's leaf partition is A (the form route),
-    and otherwise those of the slope solve; an error inside either route is
-    raised as it is.  Both are read off one `_slope_tree`, by its lemma:
-    the form route is taken exactly when the slopes strictly decrease and
-    every node has s > (L - 1)/2, L the quiver's loops, and then
-    r = (s + 1/2)/L.  A dominant slope weight with two equal adjacent
-    slopes has no form onto A (leaf slopes strictly decrease, see
-    `index_sets.enum_S`), and goes to the slope solve, which refuses it.
-    The refusals are those of the two routes, in their order: A first;
-    then, for a dominant slope weight, decompose's checks of the shape and
-    of delta (`_slope_weight_delta`), and on a quiver without loops and
-    d > 1 the LP's refusal (`_check_loops`); then the slope solve's.
+
+def _partition_tree(quiver: Quiver, dims: tuple[int, ...], A: tuple[tuple[int, int], ...],
+                    delta: Weight | None) -> tuple[list[_GrownNode], tuple[int, int]]:
+    """The tree of a partition and its route's radius scale (`_radii`);
+    the one place its route is chosen.
+
+    The tree is A's slope tree (`_slope_tree`) on either route.  It is read
+    as the standard form of A's slope weight, scale (1, 2L) for L loops,
+    when that weight is dominant and the form's leaf partition is A (the
+    form route, `_realizing_tree`), and otherwise as the slope solve,
+    scale (3, 6); an error inside either route is raised as it is.  A
+    dominant slope weight with two equal adjacent slopes has no form onto A
+    (leaf slopes strictly decrease, see `index_sets.enum_S`), and goes to
+    the slope solve, which refuses it.  The refusals are those of the two
+    routes, in their order: A first; then, for a dominant slope weight,
+    decompose's checks of the shape and of delta (`_slope_weight_delta`),
+    and on a quiver without loops and d > 1 the LP's refusal
+    (`_check_loops`); then the slope solve's.
     """
     tree = None
     if _slope_weight_delta(quiver, dims, A, delta) is not None:
-        loops = len(quiver.edges)
         _check_loops(quiver, dims[0])
-        if _slopes_decrease(A):
-            tree = _slope_tree(A)
-            if all(2 * k + h > loops * h for _start, _comp, k, h, _depth in tree):
-                return _tree_nodes(loops, dims, tree,
-                                   lambda k, h: Fraction(2 * k + h, 2 * loops * h))
+        tree, realized = _realizing_tree(len(quiver.edges), A)
+        if realized:
+            return tree, (1, 2 * len(quiver.edges))
     _check_slope_solve(quiver, dims, A)
-    return _tree_nodes(1, dims, _slope_tree(A) if tree is None else tree, _window_r)
+    return _slope_tree(A) if tree is None else tree, (3, 6)
 
 
 def chi_A(quiver: Quiver, dims: Sequence[int], A: Sequence[tuple[int, int]],

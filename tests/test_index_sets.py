@@ -1,6 +1,8 @@
 """Window enumeration, partition index sets, and the comparison order."""
 
+import hashlib
 import itertools
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -25,7 +27,13 @@ from hallwin.index_sets import (
     _equal_slope_count,
 )
 from hallwin.pbw import verify_bijection
-from hallwin.standard_form import DecompositionError, decompose, omega_shift
+from hallwin.standard_form import (
+    DecompositionError,
+    _partition_tree,
+    _radii,
+    decompose,
+    omega_shift,
+)
 
 Q3 = builtin_quiver("tripled-jordan")
 
@@ -164,6 +172,31 @@ def test_compare_checks_partitions_before_equality():
             compare(Q3, 2, A, A)
     with pytest.raises(ValueError, match="does not sum to the dimension"):
         compare(Q3, 2, ((2, 0),), ((1, 1),))
+
+
+def test_compare_refuses_partitions_of_different_total_weight():
+    # the CLI's refusal, made by the library too, after the partition checks
+    with pytest.raises(ValueError, match="^partitions have different total weight$"):
+        compare(Q3, 2, ((1, 1), (1, -1)), ((1, 3), (1, 1)))
+    with pytest.raises(ValueError, match="does not sum to the dimension"):
+        compare(Q3, 2, ((1, 1), (1, -1)), ((1, 3),))
+
+
+def test_compare_verdicts_pinned_where_lambda_breaks_ties():
+    # All pairs of enum_V(d, w, slope bound 3), d = 2..4, |w| <= 3: 181 of
+    # the 3 410 verdicts have equal r-sequences and are decided by the
+    # nodes' cocharacters, a branch the compare golden (w = 0, slope
+    # bound 2) never reaches at d >= 3.
+    verdicts, by_lam = [], 0
+    for d, w in itertools.product(range(2, 5), range(-3, 4)):
+        for A, B in itertools.combinations(enum_V(d, w, Truncation(3)), 2):
+            verdicts.append(compare(Q3, d, A, B))
+            ra, rb = (sorted(_radii(*_partition_tree(Q3, (d,), P, None))) for P in (A, B))
+            by_lam += ra == rb and verdicts[-1] != "both"
+    assert Counter(verdicts) == {"A_before_B": 1884, "B_before_A": 1488, "both": 38}
+    assert by_lam == 181
+    assert hashlib.sha256("\n".join(verdicts).encode()).hexdigest() == \
+        "c0ef1acca650d5d99f55574d013f2cd0e5a0af88cb97b12d19350c5bed359017"
 
 
 def test_compare_total_on_enum_S():

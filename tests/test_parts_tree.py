@@ -1,7 +1,9 @@
 """A partition's tree grown on its parts, against the coordinate trees.
 
-`_partition_nodes` (behind `compare` and `index-sets`) and `slope_to_tree`
+`_partition_tree` (behind `compare` and `index-sets`) and `slope_to_tree`
 read one integer tree on a partition's parts (`standard_form._slope_tree`).
+`_partition_tree` returns the tree and its route's radius scale; its outcome
+is compared as the Nodes `_tree_nodes` builds from them (`partition_nodes`).
 The oracles are the routes it replaced: the standard form of the slope
 weight, and otherwise the slope solve as the coordinate tree of the slope
 weight on the Jordan quiver at threshold 0.  Both trees are grown by
@@ -29,13 +31,14 @@ from hallwin.standard_form import (
     _check_partition,
     _check_shape,
     _invariant_delta,
-    _partition_nodes,
+    _partition_tree,
     _partition_weight,
+    _radii,
     _slopes_decrease,
     slope_to_tree,
 )
 
-from test_realizing_route import fraction_tree, nonincreasing_walk
+from test_realizing_route import fraction_tree, nonincreasing_walk, partition_nodes
 
 QUIVERS = ["jordan", "doubled-jordan", "tripled-jordan"]
 Q3 = builtin_quiver("tripled-jordan")
@@ -120,7 +123,7 @@ def test_parts_tree_matches_the_coordinate_trees(name):
         for d, A in partitions(dmax, range(-2, 3), F(2)):
             dims = (d,)
             delta = None if c is None else tau(dims).scale(c)
-            new = outcome(_partition_nodes, quiver, dims, A, delta)
+            new = outcome(partition_nodes, quiver, dims, A, delta)
             assert new == outcome(old_partition_nodes, quiver, dims, A, delta), (d, A, c)
             if c is None:
                 assert outcome(slope_to_tree, quiver, dims, A) == \
@@ -137,7 +140,7 @@ def test_parts_tree_errors_match_off_the_builtin_quivers():
                  for d in range(2, 6)}
     for d, A in partitions(5, range(-1, 2), F(2)):
         for quiver, delta in ((LOOPLESS, None), (two_vertex, None), (Q3, bad_delta.get(d))):
-            assert outcome(_partition_nodes, quiver, (d,), A, delta) == \
+            assert outcome(partition_nodes, quiver, (d,), A, delta) == \
                 outcome(old_partition_nodes, quiver, (d,), A, delta), (d, A)
 
 
@@ -147,13 +150,13 @@ def test_the_two_routes_put_r_on_scales_a_third_apart():
     A = ((1, 6), (2, 5), (1, -1), (2, -9))
     tree = slope_to_tree(Q3, (6,), A)
     assert tree.s_values == (F(7, 6),)
-    assert [n.r for n in _partition_nodes(Q3, (6,), A, None)] == [F(5, 9)]
+    assert _radii(*_partition_tree(Q3, (6,), A, None)) == [F(5, 9)]
     assert [n.r for n in tree.nodes] == [F(8, 9)]
     # every partition on the form route is offset by exactly 1/3
     form_route = 0
     for d, w in itertools.product(range(2, 8), range(-2, 3)):
         for A in enum_V(d, w, Truncation(F(3))):
-            nodes = _partition_nodes(Q3, (d,), A, None)
+            nodes = partition_nodes(Q3, (d,), A, None)
             tree = slope_to_tree(Q3, (d,), A)
             if all(s > 1 for s in tree.s_values):
                 assert [n.r for n in nodes] == [s / 3 + F(1, 6) for s in tree.s_values]
@@ -166,24 +169,25 @@ def test_the_two_routes_put_r_on_scales_a_third_apart():
 
 def test_compare_and_index_sets_grow_no_coordinate_tree(monkeypatch, capsys):
     # Work count: on tripled-jordan, compare over all pairs of enum_V(5, 0)
-    # and index-sets V at d = 7 run no coordinate _tree and build no slope
-    # weight, where tree_of_partition makes both for one partition.
-    calls = {"_tree": 0, "_partition_weight": 0}
+    # and index-sets V at d = 7 run no coordinate _tree, build no slope
+    # weight and build no Node, where tree_of_partition makes all three for
+    # one partition.
+    calls = {"_tree": 0, "_partition_weight": 0, "_tree_nodes": 0}
     for name in calls:
         def counted(*args, _name=name, _func=getattr(standard_form, name)):
             calls[_name] += 1
             return _func(*args)
         monkeypatch.setattr(standard_form, name, counted)
     standard_form.tree_of_partition(Q3, (2,), ((1, 5), (1, -5)))
-    assert calls == {"_tree": 1, "_partition_weight": 1}
-    calls.update(_tree=0, _partition_weight=0)
+    assert calls == {"_tree": 1, "_partition_weight": 1, "_tree_nodes": 1}
+    calls.update(_tree=0, _partition_weight=0, _tree_nodes=0)
     V = enum_V(5, 0, Truncation(F(2))).items
     verdicts = [compare(Q3, 5, A, B) for A, B in itertools.product(V, repeat=2) if A != B]
     assert len(verdicts) > 100 and "A_before_B" in verdicts
     assert cli.main(["index-sets", "--set", "V", "--d", "7", "--w", "0",
                      "--slope-bound", "2"]) == 0
     assert len(capsys.readouterr().out.splitlines()) > 100
-    assert calls == {"_tree": 0, "_partition_weight": 0}
+    assert calls == {"_tree": 0, "_partition_weight": 0, "_tree_nodes": 0}
 
 
 def test_tree_of_partition_decomposes_once(monkeypatch):

@@ -240,9 +240,11 @@ def test_verify_bijection_cli_digests(args, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
-# Window listings and a count table, pinned byte for byte: windows --d 8
-# --w 0 prints 5 302 lines, the --delta 5/2 TSV listing 791, the
-# doubled-Jordan listing 490, and pbw-table 86.
+# Window listings, a count table and index-set listings, pinned byte for
+# byte: windows --d 8 --w 0 prints 5 302 lines, the --delta 5/2 TSV listing
+# 791, the doubled-Jordan listing 490, and pbw-table 86; index-sets prints
+# 2 580, 3 046 and 698 lines of V, each with its r_sequence read off the
+# partition's tree, and 512 of T, every r_sequence null.
 @pytest.mark.parametrize("args, sha256", [
     ("windows --d 8 --w 0",
      "8927b0d455025453cbcf58791b0e9e42d3166816621e6b21ea74d0cf587de525"),
@@ -252,6 +254,14 @@ def test_verify_bijection_cli_digests(args, sha256):
      "04c856150047642243c5efdc87e31208e0ddfc033ee97f517b5c6522c14ab888"),
     ("pbw-table --dmax 12 --wmax 3",
      "367a37a68f8f8316f08cc40044691c34cffd2cb3c67a8ef50c95a56188ba3a15"),
+    ("index-sets --set V --d 10 --w 0 --slope-bound 2",
+     "6586ae021f9fc3adc79afc6f0cff14d665e8f86d3f3b544046d1882b0ffe7f75"),
+    ("index-sets --set V --d 9 --w 1 --slope-bound 3 --delta 5/2",
+     "750964274020059e222f1c5bba96dfbf4c6c42d5297f43594c11d177c7cc8b74"),
+    ("index-sets --set V --d 9 --w -1 --slope-bound 2 --quiver jordan",
+     "832df8105098fb0a9c05d4f47d93798424c91a4583cef493206664ef01587648"),
+    ("index-sets --set T --d 10 --w 0",
+     "d353eab031c18abb124a1b0a2a19be98955a86599a8adc892a040e0352cba6c7"),
 ])
 def test_window_cli_digests(args, sha256):
     code, out = _stdout(args.split())
@@ -299,9 +309,11 @@ def _patched_chi_tree(change):
 
 
 def _patched_slope_tree(change):
-    """`_slope_tree` with each node (start, comp, k, h, depth) passed
-    through change."""
-    return lambda A: [change(*node) for node in standard_form._slope_tree(A)]
+    """`standard_form._slope_tree`, which `pbw` reaches through
+    `standard_form._realizing_tree`, with each node (start, comp, k, h,
+    depth) passed through change."""
+    slope_tree = standard_form._slope_tree
+    return lambda A: [change(*node) for node in slope_tree(A)]
 
 
 # Each patch breaks one step of the bijection at (d, w, bound) = (2, 0, 3),
@@ -310,34 +322,35 @@ def _patched_slope_tree(change):
 BROKEN = {
     # one leaf of two slots from slot -1 reads no coordinate of chi, so
     # every chi has the image (((2, 0),), ((),))
-    "not injective": ("_chi_tree", _patched_chi_tree(lambda chi, tree: [(-1, (2,), 1, 1, 0)])),
-    "disagrees with decomposition": ("_slope_tree", _patched_slope_tree(
+    "not injective": (pbw, "_chi_tree", _patched_chi_tree(
+        lambda chi, tree: [(-1, (2,), 1, 1, 0)])),
+    "disagrees with decomposition": (standard_form, "_slope_tree", _patched_slope_tree(
         lambda start, comp, k, h, depth: (start, comp, k + h, h, depth))),
     # s = 0 is within (L - 1)/2: the form of the slope weight stops there
-    "is not realized": ("_slope_tree", _patched_slope_tree(
+    "is not realized": (standard_form, "_slope_tree", _patched_slope_tree(
         lambda start, comp, k, h, depth: (start, comp, 0, h, depth))),
     # (1, -1) split into ((1, 1), (1, -1)), which no form realizes (s = 1
     # is within (L - 1)/2): its true image is not reached
-    "unreached image (((2, 0),), ((1, -1),))": ("_chi_tree", _patched_chi_tree(
+    "unreached image (((2, 0),), ((1, -1),))": (pbw, "_chi_tree", _patched_chi_tree(
         lambda chi, tree: [(0, (1, 1), 1, 1, 0)] if chi == (1, -1) else tree)),
     # (3, -3) claimed by the one-part partition, whose window it is not in
     "block weights ((3, -3),) of (3, -3) are outside their windows": (
-        "_chi_tree", _patched_chi_tree(lambda chi, tree: [] if chi == (3, -3) else tree)),
-    "has non-decreasing slopes": ("omega_shift", lambda q, dims, A: ((1, -1), (1, 1))),
+        pbw, "_chi_tree", _patched_chi_tree(lambda chi, tree: [] if chi == (3, -3) else tree)),
+    "has non-decreasing slopes": (pbw, "omega_shift", lambda q, dims, A: ((1, -1), (1, 1))),
 }
 
 
 @pytest.mark.parametrize("message", list(BROKEN))
 def test_verify_bijection_reports_each_violation(monkeypatch, message):
-    name, fake = BROKEN[message]
-    monkeypatch.setattr(pbw, name, fake)
+    module, name, fake = BROKEN[message]
+    monkeypatch.setattr(module, name, fake)
     report = verify_bijection(2, 0, 3)
     assert not report.ok
     assert any(message in v for v in report.violations), report.violations
 
 
 def test_verify_bijection_cli_exits_2_on_a_violation(monkeypatch):
-    monkeypatch.setattr(pbw, "omega_shift", BROKEN["has non-decreasing slopes"][1])
+    monkeypatch.setattr(pbw, "omega_shift", BROKEN["has non-decreasing slopes"][2])
     code, out = _stdout(["verify-bijection", "--d", "2", "--w", "0", "--bound", "3"])
     assert code == 2
     assert "non-decreasing slopes" in out

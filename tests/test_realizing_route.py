@@ -2,8 +2,10 @@
 
 `enum_S` reads each candidate's leaves off the integer tree that
 `standard_form._grow` grows, with no decomposition (the root-radius rule in
-`hallwin.standard_form` is that grower's root step), and `_partition_nodes`
-reads a partition's tree off its parts (`tests/test_parts_tree.py`).  The
+`hallwin.standard_form` is that grower's root step), and `_partition_tree`
+reads a partition's tree off its parts (`tests/test_parts_tree.py`); its
+outcome is compared as the Nodes that `_tree_nodes` builds from the tree and
+its radius scale (`partition_nodes`).  The
 slow oracles are the old routes: decompose the slope weight in full, check
 its leaf sizes and otherwise run the slope solve; and decompose every
 dominant balanced candidate of the walk over partitions with non-increasing
@@ -27,10 +29,11 @@ from hallwin.standard_form import (
     DecompositionError,
     Node,
     _check_partition,
-    _partition_nodes,
+    _partition_tree,
     _partition_weight,
     _slopes_decrease,
     _tree,
+    _tree_nodes,
     decompose,
     slope_to_tree,
 )
@@ -39,6 +42,14 @@ QUIVERS = ["jordan", "doubled-jordan", "tripled-jordan"]
 Q3 = builtin_quiver("tripled-jordan")
 DELTAS = [F(0), F(1, 2), F(-1, 3)]
 BOUNDS = [F(2), F(3)]
+
+
+def partition_nodes(quiver, dims, A, delta):
+    """The Nodes of `_partition_tree`'s tree, r read on its radius scale:
+    lam and N on the quiver on the form route, scale (1, 2L), and on the
+    Jordan quiver on the slope solve's, (3, 6), whose N are one loop's."""
+    tree, scale = _partition_tree(quiver, dims, A, delta)
+    return _tree_nodes(len(quiver.edges) if scale[0] == 1 else 1, dims, tree, scale)
 
 
 def old_partition_nodes(quiver, dims, A, delta):
@@ -116,7 +127,7 @@ def test_routes_agree_with_the_full_decomposition(name):
         candidates = sorted(nonincreasing_walk(d, w, trunc))
         assert [A for A in candidates if _slopes_decrease(A)] == list(enum_V(d, w, trunc))
         for A in candidates:
-            assert outcome(_partition_nodes, quiver, dims, A, delta) == \
+            assert outcome(partition_nodes, quiver, dims, A, delta) == \
                 outcome(old_partition_nodes, quiver, dims, A, delta), (d, w, c, A)
             checked += 1
     assert checked > 1000
